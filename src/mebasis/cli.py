@@ -45,6 +45,15 @@ def _load_basis(fiber: str) -> RestrictedBasis:
     return restrict_basis(CATALOG, sub)
 
 
+def _bounds(args) -> tuple[int, int]:
+    """--dmax and --alpha-max, refused when they explore no bi-degree."""
+    if args.dmax < 1:
+        raise UsageError(f"--dmax must be at least 1, got {args.dmax}")
+    if args.alpha_max < 0:
+        raise UsageError(f"--alpha-max must be at least 0, got {args.alpha_max}")
+    return (args.dmax, args.alpha_max)
+
+
 def latex_name(name: str) -> str:
     if name == "I010":
         return r"\operatorname{tr}\boldsymbol{\sigma}"
@@ -227,8 +236,9 @@ def render_reduce_latex(result: ReductionResult) -> str:
 
 
 def _run_reduce(args) -> int:
+    bounds = _bounds(args)
     rb = _load_basis(args.fiber)
-    result = reduce_basis(rb, bounds=(args.dmax, args.alpha_max), policy=args.policy)
+    result = reduce_basis(rb, bounds=bounds, policy=args.policy)
     if args.format == "json":
         print(json.dumps(reduce_payload(result), indent=2))
     elif args.format == "latex":
@@ -288,6 +298,8 @@ def _run_verify(args) -> int:
     if args.fiber not in FIBERS:
         raise UsageError(f"verify needs a built-in fiber ({', '.join(FIBERS)}); "
                          f"no published relation list exists for {args.fiber!r}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     rb = _load_basis(args.fiber)
     payload = verify_payload(args.fiber, rb, args.trials, args.seed)
     failed = payload["result"]["counts"]["failed"]
@@ -341,7 +353,7 @@ def union_payload(policy: str, bounds: tuple[int, int]) -> dict:
 
 
 def _run_union(args) -> int:
-    payload = union_payload(args.policy, (args.dmax, args.alpha_max))
+    payload = union_payload(args.policy, _bounds(args))
     r = payload["result"]
     ok = r["theta_included_in_alpha_prime"] and r["gamma_included_in_alpha_prime"]
     if args.format == "json":

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .ratlinalg import RatMatrix
@@ -122,6 +124,15 @@ class Polynomial:
         self.table = table
         self.terms = clean
 
+    @classmethod
+    def _wrap(cls, table: VarTable, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
+        """A polynomial on a term map already known to be clean (valid
+        exponent tuples, nonzero Fraction coefficients), without re-checking."""
+        p = object.__new__(cls)
+        p.table = table
+        p.terms = terms
+        return p
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -192,12 +203,12 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, Fraction(0)) + c
+            s = terms[mono] + c if mono in terms else c
             if s:
                 terms[mono] = s
             else:
-                terms.pop(mono, None)
-        return Polynomial(self.table, terms)
+                del terms[mono]
+        return Polynomial._wrap(self.table, terms)
 
     __radd__ = __add__
 
@@ -221,16 +232,33 @@ class Polynomial:
             return NotImplemented
         if self.table != other.table:
             raise ValueError("polynomials built on different variable tables")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return Polynomial(self.table, out)
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if not a or not b:
+            return Polynomial._wrap(self.table, {})
+        if len(b) == 1:
+            # A single term shifts every monomial of the other operand by the
+            # same exponent vector, so nothing collides and nothing cancels.
+            ((mb, cb),) = b.items()
+            if any(mb):
+                return Polynomial._wrap(self.table, {tuple(map(add, m, mb)): c * cb
+                                                     for m, c in a.items()})
+            return Polynomial._wrap(self.table, {m: c * cb for m, c in a.items()})
+        # Multiply integer numerators over each operand's common denominator
+        # and build one Fraction per output term.
+        da = lcm(*(c.denominator for c in a.values()))
+        db = lcm(*(c.denominator for c in b.values()))
+        ib = [(m, c.numerator * (db // c.denominator)) for m, c in b.items()]
+        acc: dict[tuple[int, ...], int] = {}
+        for m1, c1 in a.items():
+            c1 = c1.numerator * (da // c1.denominator)
+            for m2, c2 in ib:
+                mono = tuple(map(add, m1, m2))
+                acc[mono] = acc.get(mono, 0) + c1 * c2
+        den = da * db
+        return Polynomial._wrap(self.table, {m: Fraction(v, den)
+                                             for m, v in acc.items() if v})
 
     __rmul__ = __mul__
 

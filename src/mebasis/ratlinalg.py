@@ -1,23 +1,25 @@
 """Exact dense linear algebra over the rationals.
 
-Small matrices only (tens of rows and columns): plain Gauss-Jordan on
-`fractions.Fraction` entries is exact and fast enough here, and Fraction
-keeps every intermediate value normalized, so there is no coefficient
-blow-up to manage.  The outputs that downstream code relies on are the
-reduced row echelon form, the rank, and a *canonical* kernel basis: one
-vector per free column, free columns taken in ascending order, each vector
-scaled to coprime integer entries whose first nonzero entry is positive.
+Small matrices only (tens of rows and columns).  Entries are stored as
+`fractions.Fraction`, but elimination runs on integers: `rref` scales each
+row to integers by the lcm of its denominators, runs fraction-free
+Gauss-Jordan (Bareiss 1968) with each rewritten row divided by the gcd of
+its entries so that entries stay small, and divides by the pivots once at
+the end.  The reduced row echelon form is unique, so this gives exactly the
+matrix that Gauss-Jordan on Fractions gives.  The outputs that downstream
+code relies on are the reduced row echelon form, the rank, and a
+*canonical* kernel basis: one vector per free column, free columns taken in
+ascending order, each vector scaled to coprime integer entries whose first
+nonzero entry is positive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+_ZERO = Fraction(0)
 
 
 def normalize_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
@@ -25,9 +27,7 @@ def normalize_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
 
     The zero vector is returned unchanged (as integer zeros).
     """
-    den = 1
-    for x in v:
-        den = _lcm(den, x.denominator)
+    den = lcm(*(x.denominator for x in v))
     ints = [int(x * den) for x in v]
     g = 0
     for x in ints:
@@ -61,6 +61,13 @@ class RatMatrix:
                 raise ValueError("empty matrix needs an explicit column count")
             self.cols = cols
 
+    @classmethod
+    def _wrap(cls, data: list[tuple[Fraction, ...]], cols: int) -> "RatMatrix":
+        """A matrix on rows already made of Fractions, without re-checking."""
+        mat = object.__new__(cls)
+        mat.data, mat.rows, mat.cols = data, len(data), cols
+        return mat
+
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
 
@@ -85,7 +92,12 @@ class RatMatrix:
         Pivot selection is the first nonzero entry scanning rows downward,
         columns left to right.  Deterministic by construction.
         """
-        m = [list(row) for row in self.data]
+        m = []
+        for row in self.data:
+            den = lcm(*(x.denominator for x in row))
+            ints = [x.numerator * (den // x.denominator) for x in row]
+            g = gcd(*ints)
+            m.append([x // g for x in ints] if g > 1 else ints)
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
@@ -95,16 +107,23 @@ class RatMatrix:
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                m[r] = [x / pv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            prow = m[r]
+            pv = prow[c]
+            for i, row in enumerate(m):
+                f = row[c]
+                if i == r or not f:
+                    continue
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
             pivots.append(c)
             r += 1
-        return RatMatrix(m, cols=self.cols), tuple(pivots)
+        out = [tuple(Fraction(x, m[i][p]) if x else _ZERO for x in m[i])
+               for i, p in enumerate(pivots)]
+        out += [(_ZERO,) * self.cols] * (len(m) - r)
+        return RatMatrix._wrap(out, self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])

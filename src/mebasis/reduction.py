@@ -6,15 +6,17 @@ The engine walks target bi-degrees (a, b) in degree-lexicographic order
 one column per reducible product (a multiset of two or more surviving
 invariant names whose bi-degrees sum to the target) and one column per
 surviving invariant of that exact bi-degree, builds the exact coefficient
-matrix over the shared monomials, and reads off the kernel.
+matrix over the shared monomials, and runs one exact elimination (RREF) on
+it.
 
-Every kernel vector is an exact linear relation.  A vector supported only
-on product columns is a syzygy between products of lower-degree invariants;
-it is reported but eliminates nothing.  Each remaining kernel dimension
-eliminates one same-bi-degree invariant.  Which ones survive is decided by
-the selection policy; for every eliminated invariant the engine solves its
-column over the product columns plus the kept columns, giving a relation in
-solved form with coprime integer coefficients.
+The selection policy is a column order: the products come first, then the
+invariants in the order the policy prefers them.  The invariants whose
+columns are pivots are the kept ones.  A free product column gives a
+syzygy between products of lower-degree invariants; it is reported but
+eliminates nothing.  A free invariant column is eliminated, and its RREF
+entries express it over the pivot columns: a relation in solved form,
+scaled to coprime integer coefficients.  Every relation is checked by
+exact polynomial re-substitution.
 
 The default bounds (7, 6) cover every product of catalog entries that can
 match a catalog bi-degree; raising them only adds empty targets.
@@ -29,7 +31,8 @@ from typing import Iterator, Mapping, Sequence
 
 from .catalog import CATALOG_INDEX
 from .poly import Polynomial, coefficient_matrix
-from .ratlinalg import rank_of_columns, solve_columns
+# Unused here; perfbench/tracing.py wraps these two names in this module.
+from .ratlinalg import rank_of_columns, solve_columns  # noqa: F401
 from .restriction import RestrictedBasis
 
 DEFAULT_BOUNDS = (7, 6)
@@ -273,53 +276,72 @@ def _verify_relation(rel: Relation, restricted: Mapping[str, Polynomial]) -> Non
             f"{rel.equation_str()}")
 
 
+def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
+               prods: Sequence[tuple[tuple[str, ...], Polynomial]],
+               invs: Sequence[str], order: Sequence[str]
+               ) -> tuple[int, tuple[str, ...], list[Relation], list[Relation]]:
+    """One exact elimination at bi-degree bd.
+
+    The columns are the products, then the invariants invs (catalog order)
+    arranged in the policy order `order`.  A single RREF gives everything:
+    the rank; the pivot invariant columns, which are the kept names
+    (returned in catalog order); a syzygy for every free product column;
+    and, for every invariant whose column is not a pivot, its relation
+    solved over the pivot columns, read from that column's RREF entries
+    (in catalog order of the solved-for names).  Every relation is checked
+    by exact re-substitution before it is returned.
+    """
+    n_prods = len(prods)
+    labels = [factors for factors, _ in prods] + [(n,) for n in order]
+    polys = [p for _, p in prods] + [restricted[n] for n in order]
+    _, mat = coefficient_matrix(polys)
+    rrefm, pivots = mat.rref()
+    rows = rrefm.data
+    pivot_set = set(pivots)
+    # Column -> its position with the invariants in catalog order.
+    catalog_pos = list(range(n_prods)) + [n_prods + invs.index(n) for n in order]
+
+    def over_pivots(f: int) -> list[tuple[int, Fraction]]:
+        """Column f = sum of c * column p over these (p, -c), p ascending."""
+        return [(p, -rows[r][f]) for r, p in enumerate(pivots) if rows[r][f]]
+
+    syzygies = []
+    for f in range(n_prods):
+        if f not in pivot_set:
+            raw = [(labels[p], c) for p, c in over_pivots(f)]
+            rel = _normalize_relation(bd, raw + [(labels[f], Fraction(1))], None)
+            _verify_relation(rel, restricted)
+            syzygies.append(rel)
+
+    column = {name: n_prods + k for k, name in enumerate(order)}
+    relations = []
+    for name in invs:
+        f = column[name]
+        if f in pivot_set:
+            continue
+        terms = sorted(over_pivots(f), key=lambda t: catalog_pos[t[0]])
+        raw = [((name,), Fraction(1))] + [(labels[p], c) for p, c in terms]
+        rel = _normalize_relation(bd, raw, name)
+        _verify_relation(rel, restricted)
+        relations.append(rel)
+    kept = tuple(n for n in invs if column[n] in pivot_set)
+    return len(pivots), kept, syzygies, relations
+
+
 def relations_at(rb: RestrictedBasis, target: tuple[int, int]) -> list[Relation]:
     """All independent linear relations among products and invariants at one
-    target bi-degree, from the canonical kernel basis.
+    target bi-degree, as reduce_basis finds them under table-order.
 
-    The column order is reducible products (lexicographic by factor names)
-    followed by same-bi-degree invariants (catalog order).  A relation whose
-    kernel vector is free on an invariant column carries that invariant as
-    solved_for; a vector free on a product column is a pure syzygy.
+    The syzygies between reducible products come first, then one relation
+    per invariant that is spanned by the products and earlier catalog
+    entries, solved for that invariant.
     """
     prods = reducible_products(rb, target)
-    restricted = rb.as_dict()
-    invs = [name for bd, names in partition_bidegrees(rb) if bd == target
-            for name in names]
-    labels = [factors for factors, _ in prods] + [(n,) for n in invs]
-    polys = [p for _, p in prods] + [restricted[n] for n in invs]
-    if not polys:
+    invs = dict(partition_bidegrees(rb)).get(target, ())
+    if not prods and not invs:
         return []
-    _, mat = coefficient_matrix(polys)
-    out = []
-    n_prods = len(prods)
-    for free_col, vec in mat.kernel_basis_with_free():
-        raw = [(labels[j], Fraction(vec[j])) for j in range(len(labels)) if vec[j]]
-        solved = invs[free_col - n_prods] if free_col >= n_prods else None
-        rel = _normalize_relation(target, raw, solved)
-        _verify_relation(rel, restricted)
-        out.append(rel)
-    return out
-
-
-def _select_kept(policy: str, pinned: tuple[str, ...] | None, invs: Sequence[str],
-                 inv_cols: Mapping[str, tuple], base_cols: list, base_rank: int,
-                 nrows: int) -> tuple[str, ...]:
-    """Names to keep at one bi-degree, in catalog order."""
-    if pinned is not None:
-        return tuple(n for n in invs if n in pinned)
-    order = list(invs) if policy == "table-order" else list(reversed(invs))
-    kept: list[str] = []
-    cols = list(base_cols)
-    r = base_rank
-    for n in order:
-        trial = cols + [inv_cols[n]]
-        tr = rank_of_columns(trial, nrows)
-        if tr > r:
-            kept.append(n)
-            cols = trial
-            r = tr
-    return tuple(n for n in invs if n in kept)
+    _, _, syzygies, relations = _eliminate(target, rb.as_dict(), prods, invs, invs)
+    return syzygies + relations
 
 
 def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
@@ -328,10 +350,11 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     syzygies and a per-bi-degree account.
 
     policy "paper" uses the pinned survivor lists for the built-in fibers
-    (validated, never trusted) and falls back to "table-order" greedy
-    selection for any other substitution.  "table-order" keeps the earliest
-    catalog entry not already spanned; "reverse-table-order" walks the
-    catalog backwards.
+    (validated, never trusted) and falls back to "table-order" for any
+    other substitution.  "table-order" keeps the earliest catalog entry not
+    already spanned; "reverse-table-order" walks the catalog backwards.
+    Each policy is a column order: the pivot columns of one RREF are the
+    kept names.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -351,58 +374,29 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
 
     for bd in bidegree_grid(bounds):
         prods = reducible_products(rb, bd)
-        invs = list(partition.get(bd, ()))
+        invs = partition.get(bd, ())
         if not prods and not invs:
             continue
-        labels = [factors for factors, _ in prods] + [(n,) for n in invs]
-        polys = [p for _, p in prods] + [restricted[n] for n in invs]
-        _, mat = coefficient_matrix(polys)
-        _, pivots = mat.rref()
-        rank = len(pivots)
-        n_prods = len(prods)
-        nrows = mat.rows
-        kernel = mat.kernel_basis_with_free()
+        if pinned is not None:
+            want = tuple(n for n in invs if n in pinned)
+            order = want + tuple(n for n in invs if n not in pinned)
+        elif effective == "reverse-table-order":
+            order = invs[::-1]
+        else:
+            order = invs
+        rank, kept, syz_here, rels = _eliminate(bd, restricted, prods, invs, order)
+        if pinned is not None and kept != want:
+            problem = ("does not span the restricted invariants there"
+                       if set(want) <= set(kept) else "contains a redundant invariant")
+            raise PolicyConflictError(f"keep set {want} at bi-degree {bd} {problem}")
 
-        syz_here = []
-        for free_col, vec in kernel:
-            if free_col < n_prods:
-                raw = [(labels[j], Fraction(vec[j])) for j in range(len(labels)) if vec[j]]
-                rel = _normalize_relation(bd, raw, None)
-                _verify_relation(rel, restricted)
-                syz_here.append(rel)
-
-        prod_rank = sum(1 for p in pivots if p < n_prods)
-        base_cols = [mat.column(j) for j in range(n_prods)]
-        inv_cols = {n: mat.column(n_prods + i) for i, n in enumerate(invs)}
-        kept = _select_kept(effective, pinned, invs, inv_cols, base_cols,
-                            prod_rank, nrows)
-
-        check_cols = base_cols + [inv_cols[n] for n in kept]
-        if rank_of_columns(check_cols, nrows) != prod_rank + len(kept):
-            raise PolicyConflictError(
-                f"keep set {kept} at bi-degree {bd} contains a redundant invariant")
-        if prod_rank + len(kept) != rank:
-            raise PolicyConflictError(
-                f"keep set {kept} at bi-degree {bd} does not span the "
-                f"restricted invariants there")
-
-        eliminated = tuple(n for n in invs if n not in kept)
-        solve_labels = labels[:n_prods] + [(n,) for n in kept]
-        for name in eliminated:
-            x = solve_columns(check_cols, inv_cols[name])
-            if x is None:
-                raise PolicyConflictError(
-                    f"{name} at bi-degree {bd} is outside the span of the keep set")
-            raw = [((name,), Fraction(1))]
-            raw += [(solve_labels[j], -x[j]) for j in range(len(x)) if x[j]]
-            rel = _normalize_relation(bd, raw, name)
-            _verify_relation(rel, restricted)
-            relations.append(rel)
-
+        n_columns = len(prods) + len(invs)
         generators.extend(kept)
+        relations.extend(rels)
         syzygies.extend(syz_here)
-        reports.append(BidegreeReport(bd, n_prods, len(invs), rank,
-                                      len(kernel), kept, eliminated,
+        reports.append(BidegreeReport(bd, len(prods), len(invs), rank,
+                                      n_columns - rank, kept,
+                                      tuple(rel.solved_for for rel in rels),
                                       len(syz_here)))
 
     return ReductionResult(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import mebasis.cli as cli
 from mebasis import __version__
 from mebasis.cli import main
@@ -183,6 +185,21 @@ def test_verify_reports_corrupted_relation(capsys, monkeypatch):
     assert payload["result"]["counts"]["failed"] == 1
 
 
+def assert_one_line_usage_error(code, out, err, option):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_without_trials_is_usage_error(capsys, trials):
+    # Zero trials evaluate no point, so a numeric "pass" would be vacuous.
+    code, out, err = run(capsys, "verify", "--fiber", "gamma",
+                         "--trials", trials, "--format", "json")
+    assert_one_line_usage_error(code, out, err, "--trials")
+
+
 # -- union ---------------------------------------------------------------
 
 def test_union_text(capsys):
@@ -204,6 +221,25 @@ def test_union_json(capsys):
     assert r["theta_included_in_alpha_prime"] is True
     assert r["gamma_included_in_alpha_prime"] is True
     assert r["union"] == r["generators"]["alpha_prime"]
+
+
+# -- bounds --------------------------------------------------------------
+
+@pytest.mark.parametrize("command", [["reduce", "--fiber", "theta"], ["union"]])
+@pytest.mark.parametrize("bound", [["--dmax", "0"], ["--dmax", "-1"],
+                                   ["--alpha-max", "-1"],
+                                   ["--alpha-max", "-5"]])
+def test_bounds_exploring_nothing_are_usage_errors(capsys, command, bound):
+    code, out, err = run(capsys, *command, *bound, "--format", "json")
+    assert_one_line_usage_error(code, out, err, bound[0])
+
+
+@pytest.mark.parametrize("command", [["reduce", "--fiber", "theta"], ["union"]])
+def test_smallest_bounds_are_accepted(capsys, command):
+    code, out, _ = run(capsys, *command, "--dmax", "1", "--alpha-max", "0",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["max_total_degree"] == 1
 
 
 # -- entry point ---------------------------------------------------------

@@ -301,3 +301,54 @@ def test_coefficient_matrix_reconstructs_polynomials(items):
                 mono = mono * Polynomial.variable(_TABLE, name) ** e
             rebuilt = rebuilt + mat.entry(i, j) * mono
         assert rebuilt == p
+
+
+# -- multiplication against a schoolbook reference -------------------------
+
+def schoolbook_product(p, q):
+    """Term map of p*q by the textbook double loop on Fraction coefficients."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, F(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+# Few distinct monomials, so products of general operands collide and
+# often cancel.
+small_exponents = st.tuples(*(st.integers(min_value=0, max_value=1),) * 4)
+
+
+@st.composite
+def shaped_polynomials(draw):
+    shape = draw(st.sampled_from(["zero", "constant", "single", "general"]))
+    if shape == "zero":
+        return Polynomial.zero(_TABLE)
+    if shape == "constant":
+        return Polynomial.constant(_TABLE, draw(coeffs))
+    if shape == "single":
+        return Polynomial(_TABLE, {draw(exponents): draw(coeffs)})
+    terms = draw(st.dictionaries(small_exponents, coeffs, min_size=2,
+                                 max_size=6))
+    return Polynomial(_TABLE, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_polynomials(), shaped_polynomials())
+def test_product_matches_schoolbook_reference(p, q):
+    expected = schoolbook_product(p, q)
+    for prod in (p * q, q * p):
+        assert prod.table == _TABLE
+        assert prod.terms == expected
+        assert all(type(c) is Fraction and c != 0
+                   for c in prod.terms.values())
+
+
+def test_product_cancellation_leaves_no_zero_terms(vars4):
+    x, y, s, _ = vars4
+    half = Polynomial.constant(x.table, F(1, 2))
+    prod = (half * x + F(1, 3) * y) * (x - F(2, 3) * y) * s
+    assert prod.terms == schoolbook_product((half * x + F(1, 3) * y) * s,
+                                            x - F(2, 3) * y)
+    assert ((x + y) * (x - y) - x * x + y * y).terms == {}

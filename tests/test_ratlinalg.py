@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-The Bareiss fraction-free elimination implemented locally below is an
-independent oracle for rank: it never forms a fraction, so agreement
-with the Fraction-based Gauss-Jordan code is a meaningful cross-check
-rather than the same algorithm twice.
+Two independent oracles are implemented locally below.  The one-step
+Bareiss elimination gives the rank without forming a fraction.  The
+textbook Gauss-Jordan on Fraction entries gives the reduced row echelon
+form, which is unique, so the integer elimination in RatMatrix.rref must
+reproduce it entry for entry.
 """
 
 from fractions import Fraction
@@ -46,6 +47,29 @@ def bareiss_rank(rows):
         if row == nr:
             break
     return row
+
+
+def fraction_rref(rows, ncols):
+    """Reduced row echelon form and pivots by Gauss-Jordan on Fractions."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in m], tuple(pivots)
 
 
 # -- pinned examples -----------------------------------------------------
@@ -197,3 +221,53 @@ def test_solve_columns_reconstructs_target(rows, data):
     rebuilt = tuple(sum((cols[j][i] * sol[j] for j in range(m.cols)), F(0))
                     for i in range(m.rows))
     assert rebuilt == target
+
+
+sparse_fraction = st.one_of(st.just(F(0)), small_fraction)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Dense, sparse or low-rank rational matrices, tall or wide, with some
+    rows and columns forced to zero."""
+    nrows = draw(st.integers(min_value=1, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=10))
+    entry = draw(st.sampled_from([small_fraction, sparse_fraction]))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=min(nrows, ncols) - 1))
+        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                             min_size=nrows, max_size=nrows))
+        right = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=k, max_size=k))
+        rows = [[sum((left[i][t] * right[t][j] for t in range(k)), F(0))
+                 for j in range(ncols)] for i in range(nrows)]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+    for i in draw(st.sets(st.integers(min_value=0, max_value=nrows - 1),
+                          max_size=2)):
+        rows[i] = [F(0)] * ncols
+    for j in draw(st.sets(st.integers(min_value=0, max_value=ncols - 1),
+                          max_size=2)):
+        for row in rows:
+            row[j] = F(0)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_fraction_gauss_jordan(rows):
+    rrefm, pivots = RatMatrix(rows).rref()
+    expected, expected_pivots = fraction_rref(rows, len(rows[0]))
+    assert pivots == expected_pivots
+    assert rrefm.data == expected
+    assert (rrefm.rows, rrefm.cols) == (len(rows), len(rows[0]))
+    assert all(type(x) is Fraction for row in rrefm.data for x in row)
+
+
+def test_rref_of_large_entries_matches_fraction_gauss_jordan():
+    rows = [[F(10 ** 12 + i * j, 7 ** (i + 1)) for j in range(6)]
+            for i in range(5)]
+    rows[3] = [a + b for a, b in zip(rows[0], rows[1])]
+    rrefm, pivots = RatMatrix(rows).rref()
+    assert (rrefm.data, pivots) == fraction_rref(rows, 6)
