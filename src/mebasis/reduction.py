@@ -279,17 +279,17 @@ def _verify_relation(rel: Relation, restricted: Mapping[str, Polynomial]) -> Non
 def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
                prods: Sequence[tuple[tuple[str, ...], Polynomial]],
                invs: Sequence[str], order: Sequence[str]
-               ) -> tuple[int, tuple[str, ...], list[Relation], list[Relation]]:
+               ) -> tuple[tuple[str, ...], list[Relation], list[Relation]]:
     """One exact elimination at bi-degree bd.
 
     The columns are the products, then the invariants invs (catalog order)
     arranged in the policy order `order`.  A single RREF gives everything:
-    the rank; the pivot invariant columns, which are the kept names
-    (returned in catalog order); a syzygy for every free product column;
-    and, for every invariant whose column is not a pivot, its relation
-    solved over the pivot columns, read from that column's RREF entries
-    (in catalog order of the solved-for names).  Every relation is checked
-    by exact re-substitution before it is returned.
+    the pivot invariant columns, which are the kept names (returned in
+    catalog order); a syzygy for every free product column; and, for every
+    invariant whose column is not a pivot, its relation solved over the
+    pivot columns, read from that column's RREF entries (in catalog order
+    of the solved-for names).  Every relation is checked by exact
+    re-substitution before it is returned.
     """
     n_prods = len(prods)
     labels = [factors for factors, _ in prods] + [(n,) for n in order]
@@ -325,7 +325,7 @@ def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
         _verify_relation(rel, restricted)
         relations.append(rel)
     kept = tuple(n for n in invs if column[n] in pivot_set)
-    return len(pivots), kept, syzygies, relations
+    return kept, syzygies, relations
 
 
 def relations_at(rb: RestrictedBasis, target: tuple[int, int]) -> list[Relation]:
@@ -340,7 +340,7 @@ def relations_at(rb: RestrictedBasis, target: tuple[int, int]) -> list[Relation]
     invs = dict(partition_bidegrees(rb)).get(target, ())
     if not prods and not invs:
         return []
-    _, _, syzygies, relations = _eliminate(target, rb.as_dict(), prods, invs, invs)
+    _, syzygies, relations = _eliminate(target, rb.as_dict(), prods, invs, invs)
     return syzygies + relations
 
 
@@ -384,18 +384,19 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             order = invs[::-1]
         else:
             order = invs
-        rank, kept, syz_here, rels = _eliminate(bd, restricted, prods, invs, order)
+        kept, syz_here, rels = _eliminate(bd, restricted, prods, invs, order)
         if pinned is not None and kept != want:
             problem = ("does not span the restricted invariants there"
                        if set(want) <= set(kept) else "contains a redundant invariant")
             raise PolicyConflictError(f"keep set {want} at bi-degree {bd} {problem}")
 
-        n_columns = len(prods) + len(invs)
+        kernel_dim = len(syz_here) + len(rels)
         generators.extend(kept)
         relations.extend(rels)
         syzygies.extend(syz_here)
-        reports.append(BidegreeReport(bd, len(prods), len(invs), rank,
-                                      n_columns - rank, kept,
+        reports.append(BidegreeReport(bd, len(prods), len(invs),
+                                      len(prods) + len(invs) - kernel_dim,
+                                      kernel_dim, kept,
                                       tuple(rel.solved_for for rel in rels),
                                       len(syz_here)))
 

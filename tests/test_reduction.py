@@ -257,7 +257,17 @@ def test_bogus_pinned_list_raises_conflict(bases, monkeypatch):
     bad = dict(PINNED_GENERATORS)
     bad["theta"] = tuple(n for n in bad["theta"] if n != "I400")
     monkeypatch.setattr(reduction, "PINNED_GENERATORS", bad)
-    with pytest.raises(PolicyConflictError):
+    with pytest.raises(PolicyConflictError, match="does not span"):
+        reduce_basis(bases["theta"], policy="paper")
+
+
+def test_redundant_pinned_list_raises_conflict(bases, monkeypatch):
+    # I012 = 1/6*I002*I010 on theta, so keeping it as well is redundant.
+    import mebasis.reduction as reduction
+    bad = dict(PINNED_GENERATORS)
+    bad["theta"] = bad["theta"] + ("I012",)
+    monkeypatch.setattr(reduction, "PINNED_GENERATORS", bad)
+    with pytest.raises(PolicyConflictError, match="redundant invariant"):
         reduce_basis(bases["theta"], policy="paper")
 
 
