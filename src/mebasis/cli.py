@@ -4,7 +4,8 @@ Subcommands: catalog, reduce, verify, union.  Output is deterministic for
 a given command line: repeated runs produce byte-identical bytes, so JSON
 reports are diffable and safe to pin in CI.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+engine error (a ReductionError, e.g. a pinned keep set that conflicts).
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from typing import Sequence
 
 from . import __version__
 from .catalog import CATALOG
-from .reduction import (DEFAULT_BOUNDS, POLICIES, Relation, ReductionResult,
-                        check_union_property, reduce_basis)
+from .poly import product_str, signed_sum
+from .reduction import (DEFAULT_BOUNDS, POLICIES, Relation, ReductionError,
+                        ReductionResult, check_union_property, reduce_basis)
 from .restriction import (FIBERS, RestrictedBasis, SubstitutionError,
                           custom_substitution, fiber_substitution,
                           generic_substitution, restrict_basis)
@@ -66,47 +68,25 @@ def latex_name(name: str) -> str:
     return out
 
 
+def _latex_power(name: str, e: int) -> str:
+    if e == 1:
+        return latex_name(name)
+    base = r"(\operatorname{tr}\boldsymbol{\sigma})" if name == "I010" else latex_name(name)
+    return "%s^{%d}" % (base, e)
+
+
 def latex_product(factors: Sequence[str]) -> str:
-    out = []
-    i = 0
-    while i < len(factors):
-        j = i
-        while j < len(factors) and factors[j] == factors[i]:
-            j += 1
-        base = latex_name(factors[i])
-        if factors[i] == "I010" and j - i > 1:
-            base = r"(\operatorname{tr}\boldsymbol{\sigma})"
-        out.append(base if j - i == 1 else "%s^{%d}" % (base, j - i))
-        i = j
-    return r"\,".join(out)
+    return product_str(factors, _latex_power, r"\,")
 
 
 def latex_relation(rel: Relation) -> str:
-    """Solved relations render solved; syzygies render homogeneous."""
-    terms = list(rel.terms)
-    if rel.solved_for is not None:
-        i = next(k for k, (f, _) in enumerate(terms) if f == (rel.solved_for,))
-        lead = terms[i][1]
-        sign = 1 if lead > 0 else -1
-        rhs = [(f, -sign * c) for k, (f, c) in enumerate(terms) if k != i]
-        body = _latex_sum(rhs)
-        lhs = latex_name(rel.solved_for)
-        if abs(lead) == 1:
-            return f"{lhs} &= {body}"
-        return r"%s &= \frac{1}{%d}\left( %s \right)" % (lhs, abs(lead), body)
-    return _latex_sum(terms) + " &= 0"
-
-
-def _latex_sum(terms) -> str:
-    parts = []
-    for factors, coeff in terms:
-        mag = abs(coeff)
-        body = latex_product(factors) if mag == 1 else "%d\\," % mag + latex_product(factors)
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
+    """A solved relation as one row of a LaTeX align environment."""
+    lead, rhs = rel.solved_form()
+    body = signed_sum(((c, latex_product(f)) for f, c in rhs), r"\,")
+    lhs = latex_name(rel.solved_for)
+    if lead == 1:
+        return f"{lhs} &= {body}"
+    return r"%s &= \frac{1}{%d}\left( %s \right)" % (lhs, lead, body)
 
 
 def _relation_payload(rel: Relation) -> dict:
@@ -434,6 +414,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ReductionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

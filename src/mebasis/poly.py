@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -312,32 +313,46 @@ class Polynomial:
         return sorted(self.terms, key=monomial_key, reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for mono in self.sorted_monomials():
-            coeff = self.terms[mono]
-            factors = []
-            for name, e in zip(self.table.names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+        return signed_sum((self.terms[mono], product_str(
+            [n for n, e in zip(self.table.names, mono) for _ in range(e)]))
+            for mono in self.sorted_monomials())
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _power(name: str, e: int) -> str:
+    return name if e == 1 else f"{name}^{e}"
+
+
+def product_str(factors: Sequence[str], power=_power, sep: str = "*") -> str:
+    """A product of factor names with equal neighbours run-length grouped:
+    power(name, e) renders each group and sep joins them."""
+    return sep.join(power(name, len(list(run))) for name, run in groupby(factors))
+
+
+def signed_sum(terms: Iterable[tuple[Fraction | int, str]], sep: str = "*") -> str:
+    """The sum of coefficient * body over (coefficient, body) pairs.
+
+    The first term carries a bare '-' when negative, later ones '+ ' or
+    '- '; a coefficient of magnitude 1 is elided unless the body is empty,
+    and sep joins any other coefficient to its body.  The empty sum is "0".
+    """
+    parts: list[str] = []
+    for coeff, body in terms:
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}{sep}{body}"
+        if parts:
+            text = ("+ " if coeff > 0 else "- ") + text
+        elif coeff < 0:
+            text = "-" + text
+        parts.append(text)
+    return " ".join(parts) or "0"
 
 
 def coefficient_matrix(polys: Sequence[Polynomial]) -> tuple[list[tuple[int, ...]], RatMatrix]:

@@ -6,11 +6,9 @@ row to integers by the lcm of its denominators, runs fraction-free
 Gauss-Jordan (Bareiss 1968) with each rewritten row divided by the gcd of
 its entries so that entries stay small, and divides by the pivots once at
 the end.  The reduced row echelon form is unique, so this gives exactly the
-matrix that Gauss-Jordan on Fractions gives.  The outputs that downstream
-code relies on are the reduced row echelon form, the rank, and a
-*canonical* kernel basis: one vector per free column, free columns taken in
-ascending order, each vector scaled to coprime integer entries whose first
-nonzero entry is positive.
+matrix that Gauss-Jordan on Fractions gives.  Downstream code reads the
+reduced row echelon form and its pivot columns (whose count is the rank),
+and scales relations with normalize_integer_vector.
 """
 
 from __future__ import annotations
@@ -68,23 +66,8 @@ class RatMatrix:
         mat.data, mat.rows, mat.cols = data, len(data), cols
         return mat
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.data)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def mul_vector(self, v: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
-                     for row in self.data)
 
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns.
@@ -125,35 +108,6 @@ class RatMatrix:
         out += [(_ZERO,) * self.cols] * (len(m) - r)
         return RatMatrix._wrap(out, self.cols), tuple(pivots)
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel_basis(self) -> list[tuple[int, ...]]:
-        """Canonical basis of the right kernel, one vector per free column.
-
-        Free columns are visited in ascending order; the vector for free
-        column f solves the pivot variables in terms of x_f = 1 and is then
-        normalized to coprime integers with positive leading entry.
-        """
-        return [vec for _, vec in self.kernel_basis_with_free()]
-
-    def kernel_basis_with_free(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Like kernel_basis, but pairs each vector with its free column."""
-        rrefm, pivots = self.rref()
-        pivot_set = set(pivots)
-        out = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                if rrefm.data[r][f]:
-                    v[p] = -rrefm.data[r][f]
-            out.append((f, normalize_integer_vector(v)))
-        return out
-
-
 def matrix_from_columns(columns: Sequence[Sequence[Fraction | int]], nrows: int) -> RatMatrix:
     return RatMatrix([[Fraction(col[i]) for col in columns] for i in range(nrows)],
                      cols=len(columns))
@@ -162,7 +116,7 @@ def matrix_from_columns(columns: Sequence[Sequence[Fraction | int]], nrows: int)
 def rank_of_columns(columns: Sequence[Sequence[Fraction | int]], nrows: int) -> int:
     if not columns:
         return 0
-    return matrix_from_columns(columns, nrows).rank()
+    return len(matrix_from_columns(columns, nrows).rref()[1])
 
 
 def solve_columns(columns: Sequence[Sequence[Fraction | int]],

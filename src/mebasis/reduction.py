@@ -26,22 +26,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterator, Mapping, Sequence
 
 from .catalog import CATALOG_INDEX
-from .poly import Polynomial, coefficient_matrix
+from .poly import Polynomial, coefficient_matrix, product_str, signed_sum
 # Unused here; perfbench/tracing.py wraps these two names in this module.
 from .ratlinalg import rank_of_columns, solve_columns  # noqa: F401
-from .restriction import RestrictedBasis
+from .ratlinalg import normalize_integer_vector
+from .restriction import RestrictedBasis, fiber_substitution
 
 DEFAULT_BOUNDS = (7, 6)
 POLICIES = ("paper", "table-order", "reverse-table-order")
 
-# Pinned survivor lists for the built-in fibers under the default policy.
-# Validated on every run: the engine checks that each pinned set spans the
-# restricted basis at every bi-degree and contains no redundant member, and
-# fails loudly otherwise.
+# Pinned survivor lists for the built-in fibers under the default policy,
+# used only for a substitution equal to that fiber's own (a custom file
+# merely named like a fiber does not get them).  Validated on every run:
+# the engine checks that each pinned set spans the restricted basis at
+# every bi-degree and contains no redundant member, and fails loudly
+# otherwise.
 PINNED_GENERATORS: Mapping[str, tuple[str, ...]] = {
     "theta": ("I010", "I002", "I020", "I200", "I201", "I210", "I400"),
     "alpha_prime": ("I010", "I002", "I020", "I003", "I030", "I200", "I201",
@@ -72,18 +74,6 @@ def _catalog_order(names) -> tuple[str, ...]:
     return tuple(sorted(names, key=CATALOG_INDEX.__getitem__))
 
 
-def _product_str(factors: Sequence[str]) -> str:
-    out = []
-    i = 0
-    while i < len(factors):
-        j = i
-        while j < len(factors) and factors[j] == factors[i]:
-            j += 1
-        out.append(factors[i] if j - i == 1 else f"{factors[i]}^{j - i}")
-        i = j
-    return "*".join(out)
-
-
 @dataclass(frozen=True)
 class Relation:
     """An exact linear relation sum_k c_k * prod_k = 0.
@@ -96,12 +86,6 @@ class Relation:
     bidegree: tuple[int, int]
     terms: tuple[tuple[tuple[str, ...], int], ...]
     solved_for: str | None = None
-
-    def _solved_index(self) -> int:
-        for i, (factors, _) in enumerate(self.terms):
-            if factors == (self.solved_for,):
-                return i
-        raise ValueError(f"solved term {self.solved_for!r} not present")
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -123,36 +107,24 @@ class Relation:
         return total
 
     def equation_str(self) -> str:
-        parts = []
-        for factors, coeff in self.terms:
-            mag = abs(coeff)
-            body = _product_str(factors) if mag == 1 else f"{mag}*{_product_str(factors)}"
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts) + " = 0"
+        return signed_sum((c, product_str(f)) for f, c in self.terms) + " = 0"
+
+    def solved_form(self) -> tuple[int, list[tuple[tuple[str, ...], int]]]:
+        """(lead, rhs): solved_for = rhs / lead, lead > 0, rhs the other
+        terms with their signs flipped to the right-hand side."""
+        lead = dict(self.terms).get((self.solved_for,))
+        if not lead:
+            raise ValueError(f"relation has no solved-for term {self.solved_for!r}")
+        sign = 1 if lead > 0 else -1
+        return abs(lead), [(f, -sign * c) for f, c in self.terms
+                           if f != (self.solved_for,)]
 
     def solved_str(self) -> str:
-        if self.solved_for is None:
-            raise ValueError("relation has no solved-for invariant")
-        i = self._solved_index()
-        lead = self.terms[i][1]
-        sign = 1 if lead > 0 else -1
-        rhs = [(factors, -sign * coeff) for j, (factors, coeff) in enumerate(self.terms)
-               if j != i]
-        parts = []
-        for factors, coeff in rhs:
-            mag = abs(coeff)
-            body = _product_str(factors) if mag == 1 else f"{mag}*{_product_str(factors)}"
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        body = " ".join(parts) if parts else "0"
-        if abs(lead) == 1:
+        lead, rhs = self.solved_form()
+        body = signed_sum((c, product_str(f)) for f, c in rhs)
+        if lead == 1:
             return f"{self.solved_for} = {body}"
-        return f"{self.solved_for} = 1/{abs(lead)}*({body})"
+        return f"{self.solved_for} = 1/{lead}*({body})"
 
 
 @dataclass(frozen=True)
@@ -184,15 +156,11 @@ class ReductionResult:
     reports: tuple[BidegreeReport, ...]
 
 
-def survivor_info(rb: RestrictedBasis) -> list[tuple[str, Polynomial, tuple[int, int]]]:
-    return [(name, p, p.bidegree()) for name, p in rb.entries]
-
-
 def partition_bidegrees(rb: RestrictedBasis) -> list[tuple[tuple[int, int], tuple[str, ...]]]:
     """Surviving invariant names grouped by bi-degree, deglex ascending."""
     groups: dict[tuple[int, int], list[str]] = {}
-    for name, _, bd in survivor_info(rb):
-        groups.setdefault(bd, []).append(name)
+    for name, p in rb.entries:
+        groups.setdefault(p.bidegree(), []).append(name)
     return [(bd, tuple(groups[bd])) for bd in sorted(groups, key=deglex_key)]
 
 
@@ -230,7 +198,8 @@ def enumerate_products(items: Sequence[tuple[str, Polynomial, tuple[int, int]]],
 def reducible_products(rb: RestrictedBasis,
                        target: tuple[int, int]) -> list[tuple[tuple[str, ...], Polynomial]]:
     """Products of two or more surviving invariants with bi-degree sum target."""
-    return enumerate_products(survivor_info(rb), target, min_factors=2)
+    items = [(name, p, p.bidegree()) for name, p in rb.entries]
+    return enumerate_products(items, target, min_factors=2)
 
 
 def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[int, int]]:
@@ -242,38 +211,17 @@ def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[in
             yield (a, k - a)
 
 
-def _normalize_relation(bidegree: tuple[int, int],
-                        raw_terms: Sequence[tuple[tuple[str, ...], Fraction]],
-                        solved_for: str | None) -> Relation:
-    """Clear denominators, divide by the gcd, fix the sign convention.
-
-    The positive-sign anchor is the solved-for term when present, otherwise
-    the first nonzero term.
-    """
-    terms = [(f, c) for f, c in raw_terms if c]
-    den = 1
-    for _, c in terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [(f, int(c * den)) for f, c in terms]
-    g = 0
-    for _, c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [(f, c // g) for f, c in ints]
-    if solved_for is not None:
-        anchor = next(c for f, c in ints if f == (solved_for,))
-    else:
-        anchor = ints[0][1]
-    if anchor < 0:
-        ints = [(f, -c) for f, c in ints]
-    return Relation(bidegree, tuple(ints), solved_for)
-
-
-def _verify_relation(rel: Relation, restricted: Mapping[str, Polynomial]) -> None:
+def _relation(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
+              raw_terms: Sequence[tuple[tuple[str, ...], Fraction]],
+              solved_for: str | None = None) -> Relation:
+    """The relation over nonzero raw terms, scaled to coprime integers with
+    its first term positive, once exact re-substitution confirms it."""
+    labels, coeffs = zip(*raw_terms)
+    rel = Relation(bd, tuple(zip(labels, normalize_integer_vector(coeffs))), solved_for)
     if not rel.substitute(restricted).is_zero():
         raise RelationIntegrityError(
-            f"relation at {rel.bidegree} does not substitute to zero: "
-            f"{rel.equation_str()}")
+            f"relation at {bd} does not substitute to zero: {rel.equation_str()}")
+    return rel
 
 
 def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
@@ -309,9 +257,7 @@ def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
     for f in range(n_prods):
         if f not in pivot_set:
             raw = [(labels[p], c) for p, c in over_pivots(f)]
-            rel = _normalize_relation(bd, raw + [(labels[f], Fraction(1))], None)
-            _verify_relation(rel, restricted)
-            syzygies.append(rel)
+            syzygies.append(_relation(bd, restricted, raw + [(labels[f], Fraction(1))]))
 
     column = {name: n_prods + k for k, name in enumerate(order)}
     relations = []
@@ -321,27 +267,9 @@ def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
             continue
         terms = sorted(over_pivots(f), key=lambda t: catalog_pos[t[0]])
         raw = [((name,), Fraction(1))] + [(labels[p], c) for p, c in terms]
-        rel = _normalize_relation(bd, raw, name)
-        _verify_relation(rel, restricted)
-        relations.append(rel)
+        relations.append(_relation(bd, restricted, raw, name))
     kept = tuple(n for n in invs if column[n] in pivot_set)
     return kept, syzygies, relations
-
-
-def relations_at(rb: RestrictedBasis, target: tuple[int, int]) -> list[Relation]:
-    """All independent linear relations among products and invariants at one
-    target bi-degree, as reduce_basis finds them under table-order.
-
-    The syzygies between reducible products come first, then one relation
-    per invariant that is spanned by the products and earlier catalog
-    entries, solved for that invariant.
-    """
-    prods = reducible_products(rb, target)
-    invs = dict(partition_bidegrees(rb)).get(target, ())
-    if not prods and not invs:
-        return []
-    _, syzygies, relations = _eliminate(target, rb.as_dict(), prods, invs, invs)
-    return syzygies + relations
 
 
 def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
@@ -349,10 +277,11 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     """Run the full reduction: returns survivors, solved relations,
     syzygies and a per-bi-degree account.
 
-    policy "paper" uses the pinned survivor lists for the built-in fibers
-    (validated, never trusted) and falls back to "table-order" for any
-    other substitution.  "table-order" keeps the earliest catalog entry not
-    already spanned; "reverse-table-order" walks the catalog backwards.
+    policy "paper" uses the pinned survivor lists for substitutions equal
+    to a built-in fiber (validated, never trusted) and falls back to
+    "table-order" for any other substitution, whatever its name.
+    "table-order" keeps the earliest catalog entry not already spanned;
+    "reverse-table-order" walks the catalog backwards.
     Each policy is a column order: the pivot columns of one RREF are the
     kept names.
     """
@@ -361,8 +290,10 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     pinned = None
     effective = policy
     if policy == "paper":
-        pinned = PINNED_GENERATORS.get(rb.substitution.name)
-        if pinned is None:
+        name = rb.substitution.name
+        if name in PINNED_GENERATORS and rb.substitution == fiber_substitution(name):
+            pinned = PINNED_GENERATORS[name]
+        else:
             effective = "table-order"
 
     restricted = rb.as_dict()
@@ -411,11 +342,6 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
         vanished=rb.vanished,
         reports=tuple(reports),
     )
-
-
-def solve_relations(result: ReductionResult) -> list[str]:
-    """The solved-form display of every relation, in engine order."""
-    return [rel.solved_str() for rel in result.relations]
 
 
 @dataclass(frozen=True)

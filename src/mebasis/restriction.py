@@ -50,6 +50,10 @@ def _plane_table() -> VarTable:
                      ("s1", STRESS), ("s2", STRESS), ("s3", STRESS)])
 
 
+def _has_bidegree(p: Polynomial, bidegree: tuple[int, int]) -> bool:
+    return p.is_bihomogeneous() and p.bidegree() == bidegree
+
+
 def validate_substitution(sub: Substitution) -> None:
     """Checks the Substitution invariants, raising SubstitutionError.
 
@@ -64,13 +68,13 @@ def validate_substitution(sub: Substitution) -> None:
     for i in range(3):
         for j in range(3):
             e = sub.sigma[i][j]
-            if not e.is_zero() and e.bidegree() != (0, 1):
+            if not e.is_zero() and not _has_bidegree(e, (0, 1)):
                 raise SubstitutionError(
                     f"sigma entry ({i + 1},{j + 1}) must be linear in stress "
                     f"variables, got {e}")
     for i in range(3):
         e = sub.m[i]
-        if not e.is_zero() and e.bidegree() != (1, 0):
+        if not e.is_zero() and not _has_bidegree(e, (1, 0)):
             raise SubstitutionError(
                 f"m entry {i + 1} must be linear in magnetization variables, "
                 f"got {e}")
@@ -136,7 +140,7 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
           "sigma": {"11": "s1", "12": "s3", "13": "0",
                     "22": "s2", "23": "0", "33": "0"},
           "m": ["m1", "m2", "0"],
-          "normal": [0, 0, 1]                      (optional)
+          "normal": [0, 0, 1]                      (optional; not all zero)
         }
 
     variables may also be a list of [name, kind] pairs; the order given is
@@ -161,13 +165,17 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
         raise SubstitutionError("substitution document must be a JSON object")
 
     name = data.get("name", default_name)
+    if not isinstance(name, str) or not name:
+        raise SubstitutionError("'name' must be a non-empty string")
     raw_vars = data.get("variables")
     if raw_vars is None:
         raise SubstitutionError("missing 'variables' block")
-    if isinstance(raw_vars, Mapping):
-        pairs = list(raw_vars.items())
-    else:
-        pairs = [tuple(p) for p in raw_vars]
+    pairs = list(raw_vars.items()) if isinstance(raw_vars, Mapping) else raw_vars
+    if not (isinstance(pairs, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2
+            and all(isinstance(x, str) for x in p) for p in pairs)):
+        raise SubstitutionError("'variables' must map names to kinds or list "
+                                "[name, kind] pairs of strings")
     try:
         table = VarTable(pairs)
     except ValueError as exc:
@@ -215,8 +223,8 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
     if data.get("normal") is not None:
         raw_n = data["normal"]
         if (not isinstance(raw_n, Sequence) or len(raw_n) != 3
-                or not all(isinstance(x, int) for x in raw_n)):
-            raise SubstitutionError("'normal' must be a list of 3 integers")
+                or not all(type(x) is int for x in raw_n) or not any(raw_n)):
+            raise SubstitutionError("'normal' must be a list of 3 integers, not all zero")
         normal = tuple(raw_n)
 
     sub = Substitution(name, table, sigma, m, normal)

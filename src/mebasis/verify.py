@@ -134,20 +134,7 @@ def numeric_spotcheck(rel: PublishedRelation | Relation, rb: RestrictedBasis,
     Exact rational evaluation; a pass means the residual was identically
     zero at every sampled point.
     """
-    rng = random.Random(seed)
-    rhs = None
-    if isinstance(rel, PublishedRelation):
-        rhs = parse_polynomial(rel.rhs, NAME_TABLE)
-    for t in range(trials):
-        point = random_point(rb.substitution.table, rng)
-        values = numeric_invariants(rb.substitution, point)
-        if rhs is not None:
-            residual = values[rel.lhs] - rhs.evaluate(values)
-        else:
-            residual = rel.evaluate(values)
-        if residual != 0:
-            return SpotcheckOutcome(False, trials, seed, t)
-    return SpotcheckOutcome(True, trials, seed)
+    return spotcheck_relations([rel], rb, trials=trials, seed=seed)[0]
 
 
 def spotcheck_relations(rels: Sequence[PublishedRelation | Relation],
@@ -155,9 +142,8 @@ def spotcheck_relations(rels: Sequence[PublishedRelation | Relation],
                         trials: int = 100, seed: int = 0) -> list[SpotcheckOutcome]:
     """Spot-check several relations over one shared stream of points.
 
-    Gives the same outcome per relation as numeric_spotcheck with the
-    same trials and seed, but computes each point's invariant values
-    once instead of once per relation.
+    Each point's invariant values are computed once for all relations; a
+    relation is no longer evaluated after its first failing trial.
     """
     rhs: list[Polynomial | None] = [
         parse_polynomial(r.rhs, NAME_TABLE) if isinstance(r, PublishedRelation)

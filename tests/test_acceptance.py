@@ -208,12 +208,23 @@ def _exact_kernels_hold(rng):
         width = len(rows[0])
         for _ in range(rng.randint(0, 5)):
             rows.append([F(rng.randint(-9, 9)) for _ in range(width)])
-        m = RatMatrix(rows)
-        kernel = m.kernel_basis()
-        if m.rank() + len(kernel) != m.cols:
+        # One kernel vector per free column of the RREF: x_f = 1, the
+        # pivot variables solved, every other free variable 0.
+        rrefm, pivots = RatMatrix(rows).rref()
+        kernel = []
+        for f in range(width):
+            if f not in pivots:
+                v = [F(0)] * width
+                v[f] = F(1)
+                for r, p in enumerate(pivots):
+                    v[p] = -rrefm.data[r][f]
+                kernel.append(v)
+        rank = len(pivots)
+        if (len(kernel) != width - rank
+                or len(RatMatrix(list(zip(*rows))).rref()[1]) != rank):
             return False
         for v in kernel:
-            if any(x != 0 for x in m.mul_vector(v)):
+            if any(sum(x * y for x, y in zip(row, v)) for row in rows):
                 return False
     return True
 

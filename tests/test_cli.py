@@ -1,13 +1,17 @@
 """Command-line interface: payload shapes, formats, exit codes, stability."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import mebasis.cli as cli
 from mebasis import __version__
 from mebasis.cli import main
+from mebasis.reduction import PolicyConflictError
 from mebasis.verify import PublishedRelation
+
+PLANE_123 = Path(__file__).with_name("golden") / "plane_123.sub.json"
 
 EQ3_TEXT = json.dumps({
     "name": "plane-stress-e3",
@@ -116,6 +120,67 @@ def test_reduce_missing_custom_file_is_usage_error(tmp_path, capsys):
                        f"custom:{tmp_path}/absent.json")
     assert code == 2
     assert "absent" in err or "cannot read" in err
+
+
+def write_custom(tmp_path, doc) -> str:
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(doc))
+    return f"custom:{path}"
+
+
+def effective_policy(capsys, fiber) -> str:
+    code, out, _ = run(capsys, "reduce", "--fiber", fiber, "--format", "json")
+    assert code == 0
+    return json.loads(out)["config"]["effective_policy"]
+
+
+@pytest.mark.parametrize("name", ["gamma", "alpha_prime"])
+def test_custom_theta_named_like_another_fiber_is_not_pinned(tmp_path, capsys, name):
+    # Theta's parameterization under another fiber's name must not pick up
+    # that fiber's pinned list (which conflicts on theta).
+    fiber = write_custom(tmp_path, dict(json.loads(EQ3_TEXT), name=name))
+    assert effective_policy(capsys, fiber) == "table-order"
+
+
+def test_custom_plane_named_theta_is_not_pinned(tmp_path, capsys):
+    fiber = write_custom(tmp_path, dict(json.loads(PLANE_123.read_text()),
+                                        name="theta"))
+    assert effective_policy(capsys, fiber) == "table-order"
+
+
+def test_custom_theta_named_theta_is_pinned(tmp_path, capsys):
+    # The pinned list follows what the fiber is: theta itself, loaded from
+    # a file, is still theta.
+    fiber = write_custom(tmp_path, dict(json.loads(EQ3_TEXT), name="theta"))
+    assert effective_policy(capsys, fiber) == "paper"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("variables", [[1, "mag"], ["m2", "mag"], ["s1", "stress"],
+                   ["s2", "stress"], ["s3", "stress"]]),
+    ("variables", 5),
+    ("normal", [0, 0, 0]),
+    ("name", 7),
+    ("sigma", {"11": "s1 + m1", "12": "s3", "13": "0",
+               "22": "s2", "23": "0", "33": "0"}),
+    ("m", ["m1 + s1", "m2", "0"]),
+])
+def test_malformed_custom_file_is_usage_error(tmp_path, capsys, field, value):
+    fiber = write_custom(tmp_path, dict(json.loads(EQ3_TEXT), **{field: value}))
+    code, out, err = run(capsys, "reduce", "--fiber", fiber)
+    assert_one_line_usage_error(code, out, err, field)
+
+
+def test_engine_error_exits_3(capsys, monkeypatch):
+    def conflict(*args, **kwargs):
+        raise PolicyConflictError("keep set ('I010',) at bi-degree (0, 1) "
+                                  "contains a redundant invariant")
+    monkeypatch.setattr(cli, "reduce_basis", conflict)
+    code, out, err = run(capsys, "reduce", "--fiber", "theta")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "redundant invariant" in err
 
 
 # -- catalog -------------------------------------------------------------

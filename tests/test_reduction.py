@@ -9,8 +9,7 @@ from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, Relation, bidegree_grid,
                                check_union_property, deglex_key,
                                enumerate_products, partition_bidegrees,
-                               reduce_basis, reducible_products, relations_at,
-                               solve_relations, survivor_info)
+                               reduce_basis, reducible_products)
 from mebasis.verify import spotcheck_relations
 
 F = Fraction
@@ -71,7 +70,7 @@ def test_reducible_products_multiply_correctly(theta_basis):
 
 
 def test_enumerate_products_allows_single_factors(theta_basis):
-    items = survivor_info(theta_basis)
+    items = [(n, p, p.bidegree()) for n, p in theta_basis.entries]
     singles = enumerate_products(items, (0, 2), min_factors=1)
     assert [f for f, _ in singles] == \
         [("I002",), ("I010", "I010"), ("I020",)]
@@ -79,8 +78,20 @@ def test_enumerate_products_allows_single_factors(theta_basis):
 
 # -- relations at a single bi-degree -------------------------------------
 
-def test_theta_degree_three_stress_relations(theta_basis):
-    rels = relations_at(theta_basis, (0, 3))
+@pytest.fixture(scope="module")
+def table_order(bases):
+    return {fiber: reduce_basis(bases[fiber], policy="table-order")
+            for fiber in ("theta", "gamma")}
+
+
+def relations_at(result, bidegree):
+    """The syzygies, then the solved relations, found at one bi-degree."""
+    return [r for r in result.syzygies + result.relations
+            if r.bidegree == bidegree]
+
+
+def test_theta_degree_three_stress_relations(theta_basis, table_order):
+    rels = relations_at(table_order["theta"], (0, 3))
     assert [r.solved_str() for r in rels] == [
         "I012 = 1/6*(I002*I010)",
         "I030 = 1/18*(-2*I010^3 + 9*I010*I020)",
@@ -89,22 +100,21 @@ def test_theta_degree_three_stress_relations(theta_basis):
         assert r.substitute(dict(theta_basis.entries)).is_zero()
 
 
-def test_gamma_degree_two_stress_relation(gamma_basis):
-    # The canonical kernel at (0,2) frees the later catalog column, so
-    # the standalone relation solves for I020; the paper-policy reduce
-    # keeps I020 and solves for I002 instead (same one-dimensional
-    # kernel, different presentation).
-    rels = relations_at(gamma_basis, (0, 2))
+def test_gamma_degree_two_stress_relation(table_order):
+    # Table order keeps the earlier catalog column at (0,2) and solves for
+    # I020; the paper-policy reduce keeps I020 and solves for I002 instead
+    # (same one-dimensional kernel, different presentation).
+    rels = relations_at(table_order["gamma"], (0, 2))
     assert [r.solved_str() for r in rels] == \
         ["I020 = 1/12*(-I010^2 + 6*I002)"]
 
 
-def test_theta_pure_magnetic_degree_has_no_relations(theta_basis):
-    assert relations_at(theta_basis, (2, 0)) == []
+def test_theta_pure_magnetic_degree_has_no_relations(table_order):
+    assert relations_at(table_order["theta"], (2, 0)) == []
 
 
-def test_theta_pure_syzygies_at_degree_six(theta_basis):
-    rels = relations_at(theta_basis, (4, 2))
+def test_theta_pure_syzygies_at_degree_six(table_order):
+    rels = relations_at(table_order["theta"], (4, 2))
     assert len(rels) == 6
     assert all(r.solved_for is None for r in rels)
     eqs = {r.equation_str() for r in rels}
@@ -168,13 +178,6 @@ def test_solved_relation_presentations(reductions):
     assert by_name["I601"] == ("I601 = 1/18*(I010*I200*I400 - 3*I010*I600 "
                                "- 4*I200^2*I201 + 6*I200*I410 + 6*I201*I400 "
                                "- 3*I210*I400)")
-
-
-def test_solve_relations_lists_solved_strings(reductions):
-    result = reductions["theta"]
-    strings = solve_relations(result)
-    assert strings == [r.solved_str() for r in result.relations]
-    assert len(strings) == 11
 
 
 def test_relation_terms_are_canonical(reductions):

@@ -122,12 +122,15 @@ def test_random_point_is_seed_stable(theta_basis):
 
 
 def test_spotcheck_matches_per_relation_calls(gamma_basis):
-    rels = load_published("gamma")[:5]
+    # A failing relation in the batch must not change the others' outcomes.
+    bad = PublishedRelation("gamma", "I002", "I010^2", "gamma:bad")
+    rels = (bad,) + load_published("gamma")[:5]
     shared = spotcheck_relations(rels, gamma_basis, trials=4, seed=9)
     for rel, outcome in zip(rels, shared):
         single = numeric_spotcheck(rel, gamma_basis, trials=4, seed=9)
         assert (single.ok, single.failed_trial) == \
             (outcome.ok, outcome.failed_trial)
+    assert not shared[0].ok and all(o.ok for o in shared[1:])
 
 
 def test_spotcheck_accepts_engine_relations(theta_basis):
