@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .poly import Polynomial
-from .tensor3 import PolyMat3, PolyVec3, dbar, ddev, outer
+from .tensor3 import Entry, PolyMat3, PolyVec3, dbar, ddev, double_contract, outer
 
 
 class TensorParts:
@@ -44,11 +43,15 @@ class TensorParts:
         self.md = ddev(mm)
 
 
-def _tr(*mats: PolyMat3) -> Polynomial:
+def _tr(*mats: PolyMat3) -> Entry:
+    """tr(mats[0] @ ... @ mats[-1]); the last product forms only its trace.
+
+    Every part is symmetric, so tr(a @ b) = a : transpose(b) = a : b.
+    """
     prod = mats[0]
-    for x in mats[1:]:
+    for x in mats[1:-1]:
         prod = prod @ x
-    return prod.trace()
+    return double_contract(prod, mats[-1])
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class InvariantDef:
     label: str
     formula: str
     bidegree: tuple[int, int]
-    recipe: Callable[[TensorParts], Polynomial]
+    recipe: Callable[[TensorParts], Entry]
 
 
 def build_catalog() -> tuple[InvariantDef, ...]:
@@ -118,15 +121,16 @@ BY_NAME: Mapping[str, InvariantDef] = {defn.name: defn for defn in CATALOG}
 CATALOG_INDEX: Mapping[str, int] = {name: i for i, name in enumerate(CATALOG_NAMES)}
 
 
-def evaluate_invariant(defn: InvariantDef, sigma: PolyMat3, m: PolyVec3) -> Polynomial:
+def evaluate_invariant(defn: InvariantDef, sigma: PolyMat3, m: PolyVec3) -> Entry:
     return defn.recipe(TensorParts(sigma, m))
 
 
 def evaluate_all(catalog: Sequence[InvariantDef], sigma: PolyMat3,
-                 m: PolyVec3) -> dict[str, Polynomial]:
+                 m: PolyVec3) -> dict[str, Entry]:
     """Evaluate every catalog entry on one (sigma, m), sharing the parts.
 
-    The result preserves catalog order.
+    The entries may be Polynomials or Fractions; the values are of the same
+    kind.  The result preserves catalog order.
     """
     parts = TensorParts(sigma, m)
     return {defn.name: defn.recipe(parts) for defn in catalog}

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
-from math import lcm
+from math import comb, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -155,6 +155,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (0 for the zero polynomial)."""
         if not self.terms:
@@ -163,11 +166,6 @@ class Polynomial:
         if set(self.terms) != {zero}:
             raise ValueError("polynomial is not constant")
         return self.terms[zero]
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomialError("the zero polynomial has no degree")
-        return max(sum(m) for m in self.terms)
 
     def bidegree(self) -> tuple[int, int]:
         """Common (mag, stress) bi-degree of every term.
@@ -388,6 +386,30 @@ def coefficient_matrix(polys: Sequence[Polynomial]) -> tuple[list[tuple[int, ...
 #
 # No implicit multiplication; '/' only between integer literals.
 
+# What one literal, product or power may build: a short text such as
+# "2^99999999" or "((s1 + s2 + s3)^64)^64" is refused instead of exhausting
+# time and memory, and no coefficient grows past what str() can print.  The
+# bounds are far above anything a substitution or a relation needs.
+MAX_LITERAL_DIGITS = 300
+MAX_SIZE = 1000
+MAX_POWER_TERMS = 1000
+
+
+def _size(p: Polynomial) -> int:
+    """The largest total degree, coefficient numerator bit length or
+    denominator bit length among p's terms (0 for the zero polynomial)."""
+    return max((max(sum(m), c.numerator.bit_length(), c.denominator.bit_length())
+                for m, c in p.terms.items()), default=0)
+
+
+def _power_too_large(p: Polynomial, n: int) -> bool:
+    """Whether p ** n may exceed MAX_SIZE or MAX_POWER_TERMS terms."""
+    if n < 2 or not p.terms:
+        return False
+    return (n * _size(p) > MAX_SIZE
+            or comb(n + len(p.terms) - 1, n) > MAX_POWER_TERMS)
+
+
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])")
 
@@ -399,6 +421,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup == "int" and len(m.group()) > MAX_LITERAL_DIGITS:
+            raise ParseError("integer literal too long", pos)
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
@@ -443,10 +467,12 @@ class _Parser:
     def term(self) -> Polynomial:
         p = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
                 p = p * self.factor()
+                if _size(p) > MAX_SIZE:
+                    raise ParseError("product too large", pos)
             else:
                 return p
 
@@ -465,7 +491,10 @@ class _Parser:
             nkind, nvalue, npos = self.advance()
             if nkind != "int":
                 raise ParseError("exponent must be a nonnegative integer", npos)
-            p = p ** int(nvalue)
+            n = int(nvalue)
+            if _power_too_large(p, n):
+                raise ParseError("power too large", npos)
+            p = p ** n
         return p
 
     def atom(self) -> Polynomial:
@@ -498,4 +527,8 @@ class _Parser:
 
 def parse_polynomial(text: str, table: VarTable) -> Polynomial:
     """Parse an expression in the grammar above into a Polynomial."""
-    return _Parser(text, table).parse()
+    parser = _Parser(text, table)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None

@@ -79,14 +79,11 @@ def validate_substitution(sub: Substitution) -> None:
                 f"m entry {i + 1} must be linear in magnetization variables, "
                 f"got {e}")
     if sub.normal is not None:
-        n = sub.normal
-        for i in range(3):
-            row = sum((sub.sigma[i][j] * n[j] for j in range(3)),
-                      Polynomial.zero(sub.table))
-            if not row.is_zero():
+        n = PolyVec3(sub.normal)
+        for i, row in enumerate(sub.sigma.mul_vec(n).entries):
+            if row:
                 raise SubstitutionError(f"sigma . n has nonzero component {i + 1}")
-        mn = sum((sub.m[i] * n[i] for i in range(3)), Polynomial.zero(sub.table))
-        if not mn.is_zero():
+        if sub.m.dot(n):
             raise SubstitutionError("m . n is nonzero")
 
 
@@ -215,7 +212,7 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
                       for i in range(3)])
 
     raw_m = data.get("m")
-    if not isinstance(raw_m, Sequence) or len(raw_m) != 3:
+    if not isinstance(raw_m, (list, tuple)) or len(raw_m) != 3:
         raise SubstitutionError("'m' block must list exactly 3 expressions")
     m = PolyVec3([parse(text, f"m entry {i + 1}") for i, text in enumerate(raw_m)])
 
@@ -239,17 +236,6 @@ class RestrictedBasis:
     substitution: Substitution
     entries: tuple[tuple[str, Polynomial], ...]
     vanished: tuple[str, ...]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
-
-    def poly(self, name: str) -> Polynomial:
-        for n, p in self.entries:
-            if n == name:
-                return p
-        if name in self.vanished:
-            return Polynomial.zero(self.substitution.table)
-        raise ValueError(f"unknown invariant name {name!r}")
 
     def as_dict(self) -> dict[str, Polynomial]:
         return dict(self.entries)

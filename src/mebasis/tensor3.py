@@ -1,4 +1,10 @@
-"""3-vectors and 3x3 matrices with polynomial entries.
+"""3-vectors and 3x3 matrices over an exact commutative ring.
+
+The entries are Polynomials (restriction of the catalog to a substitution)
+or Fractions (numeric spot-check values at one rational point); one set of
+recipes serves both.  Every sum starts from the ring's own zero (x * 0),
+products with a zero factor are skipped, and Polynomial entries must share
+one VarTable.
 
 Carries the two diagonal/off-diagonal projectors used throughout the
 invariant catalog:
@@ -14,28 +20,45 @@ and both maps are idempotent and mutually annihilating.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Union
 
 from .poly import Polynomial, VarTable
+
+Entry = Union[Polynomial, Fraction]
+
+
+def _table(entries: Iterable[Entry]) -> VarTable | None:
+    """The VarTable shared by Polynomial entries; None for plain numbers."""
+    tables = {e.table if isinstance(e, Polynomial) else None for e in entries}
+    if len(tables) != 1:
+        raise ValueError("entries built on different variable tables")
+    return tables.pop()
+
+
+def _sum_products(zero: Entry, pairs: Iterable[tuple[Entry, Entry]]) -> Entry:
+    """zero + sum of x * y over the pairs, skipping pairs with a zero factor."""
+    total = zero
+    for x, y in pairs:
+        if x and y:
+            total = total + x * y
+    return total
 
 
 class PolyVec3:
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Iterable[Polynomial]):
+    def __init__(self, entries: Iterable[Entry]):
         entries = tuple(entries)
         if len(entries) != 3:
             raise ValueError("need exactly 3 entries")
-        t = entries[0].table
-        if any(e.table != t for e in entries):
-            raise ValueError("entries built on different variable tables")
+        _table(entries)
         self.entries = entries
 
     @property
-    def table(self) -> VarTable:
-        return self.entries[0].table
+    def table(self) -> VarTable | None:
+        return _table(self.entries)
 
-    def __getitem__(self, i: int) -> Polynomial:
+    def __getitem__(self, i: int) -> Entry:
         return self.entries[i]
 
     def __eq__(self, other: object) -> bool:
@@ -43,9 +66,8 @@ class PolyVec3:
 
     __hash__ = None
 
-    def dot(self, other: "PolyVec3") -> Polynomial:
-        return sum((self.entries[i] * other.entries[i] for i in range(3)),
-                   Polynomial.zero(self.table))
+    def dot(self, other: "PolyVec3") -> Entry:
+        return _sum_products(self.entries[0] * 0, zip(self.entries, other.entries))
 
     def __repr__(self) -> str:
         return "PolyVec3(%s)" % ", ".join(str(e) for e in self.entries)
@@ -54,26 +76,27 @@ class PolyVec3:
 class PolyMat3:
     __slots__ = ("entries",)
 
-    def __init__(self, rows: Iterable[Iterable[Polynomial]]):
+    def __init__(self, rows: Iterable[Iterable[Entry]]):
         rows = tuple(tuple(r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("need a 3x3 entry grid")
-        t = rows[0][0].table
-        if any(e.table != t for r in rows for e in r):
-            raise ValueError("entries built on different variable tables")
+        _table(e for r in rows for e in r)
         self.entries = rows
 
     @property
-    def table(self) -> VarTable:
-        return self.entries[0][0].table
+    def table(self) -> VarTable | None:
+        return _table(e for r in self.entries for e in r)
 
-    def __getitem__(self, i: int) -> tuple[Polynomial, ...]:
+    def __getitem__(self, i: int) -> tuple[Entry, ...]:
         return self.entries[i]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyMat3) and self.entries == other.entries
 
     __hash__ = None
+
+    def zero(self) -> Entry:
+        return self.entries[0][0] * 0
 
     def __add__(self, other: "PolyMat3") -> "PolyMat3":
         return PolyMat3([[self.entries[i][j] + other.entries[i][j]
@@ -84,12 +107,11 @@ class PolyMat3:
                           for j in range(3)] for i in range(3)])
 
     def __matmul__(self, other: "PolyMat3") -> "PolyMat3":
-        a, b = self.entries, other.entries
-        return PolyMat3([[sum((a[i][k] * b[k][j] for k in range(3)),
-                              Polynomial.zero(self.table))
+        a, b, z = self.entries, other.entries, self.zero()
+        return PolyMat3([[_sum_products(z, ((a[i][k], b[k][j]) for k in range(3)))
                           for j in range(3)] for i in range(3)])
 
-    def scale(self, c: Polynomial | Fraction | int) -> "PolyMat3":
+    def scale(self, c: Entry | int) -> "PolyMat3":
         return PolyMat3([[self.entries[i][j] * c for j in range(3)] for i in range(3)])
 
     def power(self, n: int) -> "PolyMat3":
@@ -100,7 +122,7 @@ class PolyMat3:
             out = out @ self
         return out
 
-    def trace(self) -> Polynomial:
+    def trace(self) -> Entry:
         e = self.entries
         return e[0][0] + e[1][1] + e[2][2]
 
@@ -112,8 +134,9 @@ class PolyMat3:
         return e[0][1] == e[1][0] and e[0][2] == e[2][0] and e[1][2] == e[2][1]
 
     def mul_vec(self, v: PolyVec3) -> PolyVec3:
-        return PolyVec3([sum((self.entries[i][j] * v[j] for j in range(3)),
-                             Polynomial.zero(self.table)) for i in range(3)])
+        z = self.zero()
+        return PolyVec3([_sum_products(z, zip(self.entries[i], v.entries))
+                         for i in range(3)])
 
     def __repr__(self) -> str:
         return "PolyMat3(%s)" % "; ".join(
@@ -135,24 +158,24 @@ def outer(v: PolyVec3) -> PolyMat3:
     return PolyMat3([[v[i] * v[j] for j in range(3)] for i in range(3)])
 
 
-def double_contract(a: PolyMat3, b: PolyMat3) -> Polynomial:
-    return sum((a[i][j] * b[i][j] for i in range(3) for j in range(3)),
-               Polynomial.zero(a.table))
+def double_contract(a: PolyMat3, b: PolyMat3) -> Entry:
+    return _sum_products(a.zero(), ((a[i][j], b[i][j])
+                                    for i in range(3) for j in range(3)))
 
 
 def dbar(a: PolyMat3) -> PolyMat3:
-    z = Polynomial.zero(a.table)
+    z = a.zero()
     return PolyMat3([[z if i == j else a[i][j] for j in range(3)] for i in range(3)])
 
 
 def ddev(a: PolyMat3) -> PolyMat3:
-    z = Polynomial.zero(a.table)
+    z = a.zero()
     third = Fraction(1, 3) * a.trace()
     return PolyMat3([[a[i][i] - third if i == j else z
                       for j in range(3)] for i in range(3)])
 
 
-def cubic_split(a: PolyMat3) -> tuple[PolyMat3, PolyMat3, Polynomial]:
+def cubic_split(a: PolyMat3) -> tuple[PolyMat3, PolyMat3, Entry]:
     """Split a symmetric matrix into (ddev(a), dbar(a), tr(a))."""
     if not a.is_symmetric():
         raise ValueError("cubic split expects a symmetric matrix")

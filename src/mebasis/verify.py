@@ -8,8 +8,9 @@ Three checks that deliberately avoid the reduction engine's own code paths:
                         candidate survivor set, by direct linear algebra
                         over free monomials in the candidate names,
   numeric_spotcheck     seeded random rational points, with every invariant
-                        value recomputed through the tensor recipes rather
-                        than read off the restricted polynomials.
+                        value recomputed through the tensor recipes on plain
+                        Fraction matrices rather than read off the
+                        restricted polynomials.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomia
 from .ratlinalg import solve_columns
 from .reduction import DEFAULT_BOUNDS, Relation, enumerate_products
 from .restriction import RestrictedBasis, Substitution
+from .tensor3 import PolyMat3, PolyVec3
 from . import catalog as catalog_mod
 
 DATA_PATH = Path(__file__).with_name("data") / "published_relations.json"
@@ -103,14 +105,10 @@ def verify_published(rel: PublishedRelation, rb: RestrictedBasis) -> VerifyOutco
 def numeric_invariants(sub: Substitution,
                        point: Mapping[str, Fraction]) -> dict[str, Fraction]:
     """All 30 invariant values at one rational point, recomputed through the
-    tensor recipes on constant matrices."""
-    table = sub.table
-    csigma = [[Polynomial.constant(table, sub.sigma[i][j].evaluate(point))
-               for j in range(3)] for i in range(3)]
-    cm = [Polynomial.constant(table, sub.m[i].evaluate(point)) for i in range(3)]
-    from .tensor3 import PolyMat3, PolyVec3
-    values = catalog_mod.evaluate_all(CATALOG, PolyMat3(csigma), PolyVec3(cm))
-    return {name: p.constant_value() for name, p in values.items()}
+    tensor recipes on the Fraction matrix and vector of (sigma, m) there."""
+    sigma = PolyMat3([[e.evaluate(point) for e in row] for row in sub.sigma.entries])
+    m = PolyVec3([e.evaluate(point) for e in sub.m.entries])
+    return catalog_mod.evaluate_all(CATALOG, sigma, m)
 
 
 @dataclass(frozen=True)

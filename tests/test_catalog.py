@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mebasis.catalog import (BY_NAME, CATALOG, CATALOG_INDEX, CATALOG_NAMES,
                              evaluate_all, evaluate_invariant)
@@ -117,6 +119,32 @@ def test_recipes_reject_non_symmetric_stress():
     m = PolyVec3([c(1), c(0), c(0)])
     with pytest.raises(ValueError):
         evaluate_invariant(BY_NAME["I010"], skew, m)
+
+
+# -- Fraction entries ----------------------------------------------------
+
+# Rationals with zero drawn often, so that zero entries, a zero matrix and a
+# zero vector all come up.
+rationals = st.one_of(st.just(F(0)),
+                      st.fractions(min_value=-20, max_value=20, max_denominator=9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(rationals, min_size=6, max_size=6),
+       st.lists(rationals, min_size=3, max_size=3))
+@example([F(0)] * 6, [F(0)] * 3)
+@example([F(0)] * 6, [F(1), F(-2), F(3, 4)])
+@example([F(1), F(0), F(-2), F(5, 3), F(0), F(0)], [F(0)] * 3)
+def test_fraction_entries_match_constant_polynomials(upper, m_entries):
+    # The recipes run on plain Fraction arrays (the numeric spot-check)
+    # and on constant Polynomial arrays give the same value, and the
+    # Fraction route returns Fractions even where everything is zero.
+    (a, b, c, d, e, f) = upper
+    sigma_rows = [[a, b, c], [b, d, e], [c, e, f]]
+    expected = _constant_values(sigma_rows, m_entries)
+    values = evaluate_all(CATALOG, PolyMat3(sigma_rows), PolyVec3(m_entries))
+    assert values == expected
+    assert all(type(v) is Fraction for v in values.values())
 
 
 # -- cubic symmetry ------------------------------------------------------

@@ -164,6 +164,12 @@ def test_custom_theta_named_theta_is_pinned(tmp_path, capsys):
     ("sigma", {"11": "s1 + m1", "12": "s3", "13": "0",
                "22": "s2", "23": "0", "33": "0"}),
     ("m", ["m1 + s1", "m2", "0"]),
+    ("m", "000"),
+    ("sigma", {"11": "(" * 400 + "s1" + ")" * 400, "12": "s3", "13": "0",
+               "22": "s2", "23": "0", "33": "0"}),
+    ("m", ["m1", "m2", "2^99999999"]),
+    ("m", ["m1", "m2", "9" * 5000 + "*m1"]),
+    ("m", ["m1", "m2", "*".join(["9" * 300] * 16) + "*m1^2"]),
 ])
 def test_malformed_custom_file_is_usage_error(tmp_path, capsys, field, value):
     fiber = write_custom(tmp_path, dict(json.loads(EQ3_TEXT), **{field: value}))

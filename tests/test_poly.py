@@ -40,6 +40,12 @@ def test_subtraction_cancels_to_zero(vars4):
     assert (x - x).is_zero()
 
 
+def test_truth_value_is_nonzero(table, vars4):
+    x, _, _, _ = vars4
+    assert x and Polynomial.constant(table, F(-1, 2))
+    assert not (x - x) and not Polynomial.zero(table)
+
+
 def test_scalar_staging(table, vars4):
     x, _, s, _ = vars4
     assert 2 * (F(1, 2) * x) == x
@@ -74,7 +80,7 @@ def test_bidegree_counts_kinds_separately(vars4):
     x, y, s, _ = vars4
     p = 2 * x ** 2 * s + y ** 2 * s
     assert p.bidegree() == (2, 1)
-    assert p.total_degree() == 3
+    assert sum(p.bidegree()) == 3
     assert p.is_bihomogeneous()
 
 
@@ -195,6 +201,49 @@ def test_parse_rejects_zero_denominator(table):
 def test_parse_rejects_trailing_garbage(table):
     with pytest.raises(ParseError):
         parse_polynomial("m1 +", table)
+
+
+@pytest.mark.parametrize("text", ["(" * 400 + "m1" + ")" * 400,
+                                  "-" * 2000 + "m1"], ids=["parens", "minus"])
+def test_parse_rejects_deep_nesting(table, text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_polynomial(text, table)
+
+
+@pytest.mark.parametrize("text", ["2^99999999", "m1^1001", "(3/2)^999",
+                                  "((m1 + m2 + s1)^20)^20", "(m1 + s2)^1000"])
+def test_parse_rejects_oversized_powers(table, text):
+    with pytest.raises(ParseError, match="power too large"):
+        parse_polynomial(text, table)
+
+
+@pytest.mark.parametrize("text", ["9" * 5000, "1/" + "7" * 301, "m1^" + "2" * 400],
+                         ids=["integer", "denominator", "exponent"])
+def test_parse_rejects_overlong_literals(table, text):
+    # 5000 digits used to escape as the interpreter's ValueError on
+    # integer string conversion.
+    with pytest.raises(ParseError, match="literal too long"):
+        parse_polynomial(text, table)
+
+
+def test_parse_rejects_oversized_products(table):
+    # 16 factors of 300 digits used to parse, and then raised the
+    # interpreter's ValueError when the coefficient was printed.
+    with pytest.raises(ParseError, match="product too large"):
+        parse_polynomial("*".join(["9" * 300] * 16) + "*m1", table)
+    with pytest.raises(ParseError, match="product too large"):
+        parse_polynomial("*".join(["m1"] * 1001), table)
+
+
+def test_parse_allows_powers_up_to_the_bounds(table, vars4):
+    x = vars4[0]
+    # 2 has bit length 2; m1 has degree 1 and coefficient 1.
+    assert parse_polynomial("2^500", table) == Polynomial.constant(table, 2 ** 500)
+    assert parse_polynomial("m1^1000", table) == x ** 1000
+    assert len(parse_polynomial("(m1 + m2 + s1)^43", table).terms) == 990
+    assert parse_polynomial("0^99999999", table).is_zero()
+    assert parse_polynomial("9" * 300, table) == Polynomial.constant(table, 10 ** 300 - 1)
+    assert parse_polynomial("*".join(["m1"] * 1000), table) == x ** 1000
 
 
 # -- properties ----------------------------------------------------------

@@ -65,7 +65,7 @@ def test_reducible_products_smallest_cases(theta_basis):
 
 def test_reducible_products_multiply_correctly(theta_basis):
     ((factors, poly),) = reducible_products(theta_basis, (0, 2))
-    assert poly == theta_basis.poly("I010") ** 2
+    assert poly == theta_basis.as_dict()["I010"] ** 2
     assert poly.bidegree() == (0, 2)
 
 

@@ -1,9 +1,12 @@
 """In-plane substitutions and the restricted catalog."""
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mebasis.catalog import CATALOG, CATALOG_NAMES
 from mebasis.poly import MAG, STRESS, Polynomial, VarTable
@@ -141,7 +144,7 @@ def test_theta_vanished_names(theta_basis):
 
 
 def test_theta_survivor_names(theta_basis):
-    assert theta_basis.names() == (
+    assert tuple(theta_basis.as_dict()) == (
         "I010", "I002", "I020", "I012", "I030", "I022", "I200", "I201",
         "I210", "I202a", "I211", "I220", "I212a", "I221", "I213", "I400",
         "I410", "I601")
@@ -151,14 +154,14 @@ def test_theta_survivor_names(theta_basis):
 def test_other_fibers_have_no_vanishing(bases, fiber):
     rb = bases[fiber]
     assert rb.vanished == ()
-    assert rb.names() == CATALOG_NAMES
+    assert tuple(rb.as_dict()) == CATALOG_NAMES
 
 
 @pytest.mark.parametrize("fiber", FIBERS)
 def test_survivors_plus_vanished_cover_catalog(bases, fiber):
     rb = bases[fiber]
     assert len(rb.entries) + len(rb.vanished) == 30
-    assert set(rb.names()) | set(rb.vanished) == set(CATALOG_NAMES)
+    assert set(rb.as_dict()) | set(rb.vanished) == set(CATALOG_NAMES)
 
 
 @pytest.mark.parametrize("fiber", FIBERS)
@@ -171,22 +174,21 @@ def test_restriction_preserves_bidegrees(bases, fiber):
 def test_theta_product_identity(theta_basis):
     # On the plane-stress subspace the (0,3) mixed invariant collapses to
     # a product of lower ones: I012 = (1/6) * I002 * tr(sigma).
-    i012 = theta_basis.poly("I012")
-    i002 = theta_basis.poly("I002")
-    i010 = theta_basis.poly("I010")
+    values = theta_basis.as_dict()
+    i012, i002, i010 = values["I012"], values["I002"], values["I010"]
     assert i012 == F(1, 6) * i002 * i010
 
 
 def test_poly_lookup_covers_vanished_names(theta_basis):
-    assert theta_basis.poly("I003").is_zero()
-    with pytest.raises(ValueError, match="nope"):
-        theta_basis.poly("nope")
+    values = theta_basis.as_dict()
+    assert "I003" in theta_basis.vanished and "I003" not in values
+    assert "nope" not in theta_basis.vanished and "nope" not in values
 
 
 def test_generic_restriction_keeps_all_thirty():
     rb = restrict_basis(CATALOG, generic_substitution())
     assert rb.vanished == ()
-    assert rb.names() == CATALOG_NAMES
+    assert tuple(rb.as_dict()) == CATALOG_NAMES
 
 
 # -- custom substitution files -------------------------------------------
@@ -207,9 +209,7 @@ def test_custom_file_round_trip(tmp_path):
     rb = restrict_basis(CATALOG, sub)
     ref = restrict_basis(CATALOG, fiber_substitution("theta"))
     assert rb.vanished == ref.vanished
-    assert rb.names() == ref.names()
-    for name in rb.names():
-        assert rb.poly(name) == ref.poly(name)
+    assert rb.entries == ref.entries
 
 
 def test_custom_name_defaults_to_file_stem(tmp_path):
@@ -265,3 +265,71 @@ def test_custom_rejects_broken_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SubstitutionError):
         custom_substitution(path)
+
+
+def test_custom_rejects_m_given_as_a_string():
+    # A 3-character string is a sequence of 3 expressions to a naive
+    # check; "000" used to load as the zero magnetization.
+    doc = dict(EQ3_DOC, m="000")
+    with pytest.raises(SubstitutionError, match="'m' block"):
+        custom_substitution(doc)
+
+
+@pytest.mark.parametrize("text", ["(" * 400 + "s1" + ")" * 400, "2^99999999",
+                                  "9" * 5000 + "*s1",
+                                  "*".join(["9" * 300] * 16) + "*s1^2"],
+                         ids=["nesting", "power", "literal", "product"])
+def test_custom_rejects_runaway_expressions(text):
+    doc = dict(EQ3_DOC, sigma=dict(EQ3_DOC["sigma"], **{"11": text}))
+    with pytest.raises(SubstitutionError, match="sigma entry 11"):
+        custom_substitution(doc)
+
+
+# -- fuzzed substitution documents ---------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=10)
+EXPRESSIONS = st.text(alphabet="ms123x()+-*/^ 0", max_size=16)
+BLOCK_KEYS = (st.sampled_from(["11", "12", "21", "33", "44", "1", "m1", "s4"])
+              | st.text(max_size=3))
+
+
+@st.composite
+def malformed_documents(draw):
+    """EQ3_DOC with up to three blocks dropped, replaced by arbitrary JSON,
+    or given one changed entry."""
+    doc = copy.deepcopy(EQ3_DOC)
+    for key in draw(st.lists(st.sampled_from(sorted(EQ3_DOC)), min_size=1,
+                             max_size=3)):
+        action = draw(st.sampled_from(["drop", "replace", "entry"]))
+        block = doc.get(key)
+        if action == "drop":
+            doc.pop(key, None)
+        elif action == "replace" or not isinstance(block, (dict, list)):
+            doc[key] = draw(JSON_VALUES)
+        elif isinstance(block, dict):
+            block[draw(BLOCK_KEYS)] = draw(
+                EXPRESSIONS | st.sampled_from(["mag", "stress"]) | JSON_VALUES)
+        else:
+            i = draw(st.integers(0, len(block)))
+            block[i:i + 1] = [draw(EXPRESSIONS | JSON_VALUES)]
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(malformed_documents()
+       | st.dictionaries(st.sampled_from(sorted(EQ3_DOC)), JSON_VALUES)
+       | JSON_VALUES)
+def test_fuzzed_documents_raise_only_substitution_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-sub.json"
+    path.write_text(json.dumps(doc))
+    try:
+        sub = custom_substitution(path)
+    except SubstitutionError:
+        return
+    validate_substitution(sub)

@@ -201,3 +201,72 @@ def test_split_reconstructs_symmetric_part(rows):
 def test_double_contract_is_bilinear_trace_form(rows_a, rows_b):
     a, b = const_mat(rows_a), const_mat(rows_b)
     assert double_contract(a, b) == (a @ b.transpose()).trace()
+
+
+# -- other exact rings ---------------------------------------------------
+
+@settings(max_examples=50, deadline=None)
+@given(int_mats, int_mats, st.lists(ints, min_size=3, max_size=3))
+def test_fraction_entries_agree_with_constant_polynomials(rows_a, rows_b, v):
+    fa = PolyMat3([[F(x, 2) for x in row] for row in rows_a])
+    fb = PolyMat3([[F(x) for x in row] for row in rows_b])
+    fv = PolyVec3([F(x, 3) for x in v])
+    pa, pb = const_mat(fa.entries), const_mat(fb.entries)
+    pv = const_vec(fv.entries)
+    assert fa.table is None and fv.table is None
+
+    def values(m):
+        return [[e.constant_value() for e in row] for row in m.entries]
+
+    assert [list(r) for r in (fa @ fb).entries] == values(pa @ pb)
+    assert [list(r) for r in ddev(fa).entries] == values(ddev(pa))
+    assert [list(r) for r in dbar(fa).entries] == values(dbar(pa))
+    assert list(fa.mul_vec(fv).entries) == [e.constant_value()
+                                            for e in pa.mul_vec(pv).entries]
+    assert fv.dot(fv) == pv.dot(pv).constant_value()
+    assert double_contract(fa, fb) == double_contract(pa, pb).constant_value()
+
+
+class Counted:
+    """A rational that counts the products it takes part in."""
+    products = 0
+
+    def __init__(self, value):
+        self.value = F(value)
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Counted(self.value * other)
+        Counted.products += 1
+        return Counted(self.value * other.value)
+
+    def __add__(self, other):
+        return Counted(self.value + other.value)
+
+
+def test_products_with_a_zero_factor_are_skipped():
+    diag = PolyMat3([[Counted(x) for x in row]
+                     for row in ((2, 0, 0), (0, 3, 0), (0, 0, 5))])
+    Counted.products = 0
+    prod = diag @ diag
+    assert Counted.products == 3
+    assert [prod[i][i].value for i in range(3)] == [4, 9, 25]
+    assert not prod[0][1]
+    Counted.products = 0
+    assert double_contract(diag, diag).value == 38
+    assert diag.mul_vec(PolyVec3([Counted(1), Counted(0), Counted(0)]))[0].value == 2
+    assert Counted.products == 3 + 1
+
+
+def test_entries_must_not_mix_rings_or_tables():
+    other = VarTable([("m1", MAG)])
+    z = Polynomial.zero(TABLE)
+    with pytest.raises(ValueError, match="different variable tables"):
+        PolyVec3([F(1), z, z])
+    with pytest.raises(ValueError, match="different variable tables"):
+        PolyVec3([z, Polynomial.zero(other), z])
+    with pytest.raises(ValueError, match="different variable tables"):
+        PolyMat3([[z, z, z], [z, F(0), z], [z, z, z]])

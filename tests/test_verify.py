@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from mebasis.catalog import CATALOG_NAMES
 from mebasis.reduction import reduce_basis
 from mebasis.restriction import FIBERS
 from mebasis.verify import (DATA_PATH, GeneratingSetReport, PublishedRelation,
@@ -100,16 +101,40 @@ def test_verify_rejects_unknown_invariant_name(theta_basis):
 
 # -- numeric evaluation --------------------------------------------------
 
-def test_numeric_matches_restricted_polynomials(theta_basis):
+@pytest.mark.parametrize("fiber", FIBERS)
+def test_numeric_matches_restricted_polynomials(bases, fiber):
+    # The oracle recomputes through the recipes on Fraction arrays; reading
+    # the restricted polynomials happens only here, as the cross-check.
     import random
+    rb = bases[fiber]
     rng = random.Random(11)
     for _ in range(3):
-        point = random_point(theta_basis.substitution.table, rng)
-        values = numeric_invariants(theta_basis.substitution, point)
-        for name, poly in theta_basis.entries:
+        point = random_point(rb.substitution.table, rng)
+        values = numeric_invariants(rb.substitution, point)
+        assert tuple(values) == CATALOG_NAMES
+        for name, poly in rb.entries:
             assert values[name] == poly.evaluate(point), name
-        for name in theta_basis.vanished:
+        for name in rb.vanished:
             assert values[name] == 0, name
+
+
+def test_spotcheck_evaluates_one_point_per_trial(theta_basis, monkeypatch):
+    # Each trial calls numeric_invariants once, through the module
+    # attribute: the benchmark counts the points evaluated that way.
+    import mebasis.verify as verify_mod
+    calls = []
+    original = verify_mod.numeric_invariants
+
+    def counted(sub, point):
+        calls.append(point)
+        return original(sub, point)
+
+    monkeypatch.setattr(verify_mod, "numeric_invariants", counted)
+    rels = load_published("theta")
+    outcomes = spotcheck_relations(rels, theta_basis, trials=7, seed=4)
+    assert all(o.ok and o.trials == 7 for o in outcomes)
+    assert len(calls) == 7
+    assert len({tuple(sorted(p.items())) for p in calls}) == 7
 
 
 def test_random_point_is_seed_stable(theta_basis):
@@ -161,7 +186,7 @@ def test_dropping_a_needed_generator_breaks_spanning(theta_basis):
 
 
 def test_full_survivor_set_spans_but_is_not_minimal(theta_basis):
-    names = theta_basis.names()
+    names = tuple(theta_basis.as_dict())
     report = verify_generating_set(names, theta_basis)
     assert report.spanning_ok
     assert not report.minimal
