@@ -101,21 +101,21 @@ def test_verify_rejects_unknown_invariant_name(theta_basis):
 
 # -- numeric evaluation --------------------------------------------------
 
-@pytest.mark.parametrize("fiber", FIBERS)
-def test_numeric_matches_restricted_polynomials(bases, fiber):
+def test_numeric_matches_restricted_polynomials(bases):
     # The oracle recomputes through the recipes on Fraction arrays; reading
     # the restricted polynomials happens only here, as the cross-check.
     import random
-    rb = bases[fiber]
-    rng = random.Random(11)
-    for _ in range(3):
-        point = random_point(rb.substitution.table, rng)
-        values = numeric_invariants(rb.substitution, point)
-        assert tuple(values) == CATALOG_NAMES
-        for name, poly in rb.entries:
-            assert values[name] == poly.evaluate(point), name
-        for name in rb.vanished:
-            assert values[name] == 0, name
+    for fiber in FIBERS:
+        rb = bases[fiber]
+        rng = random.Random(11)
+        for _ in range(3):
+            point = random_point(rb.substitution.table, rng)
+            values = numeric_invariants(rb.substitution, point)
+            assert tuple(values) == CATALOG_NAMES
+            for name, poly in rb.entries:
+                assert values[name] == poly.evaluate(point), (fiber, name)
+            for name in rb.vanished:
+                assert values[name] == 0, (fiber, name)
 
 
 def test_spotcheck_evaluates_one_point_per_trial(theta_basis, monkeypatch):
