@@ -121,10 +121,6 @@ BY_NAME: Mapping[str, InvariantDef] = {defn.name: defn for defn in CATALOG}
 CATALOG_INDEX: Mapping[str, int] = {name: i for i, name in enumerate(CATALOG_NAMES)}
 
 
-def evaluate_invariant(defn: InvariantDef, sigma: PolyMat3, m: PolyVec3) -> Entry:
-    return defn.recipe(TensorParts(sigma, m))
-
-
 def evaluate_all(catalog: Sequence[InvariantDef], sigma: PolyMat3,
                  m: PolyVec3) -> dict[str, Entry]:
     """Evaluate every catalog entry on one (sigma, m), sharing the parts.

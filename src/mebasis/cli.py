@@ -24,8 +24,7 @@ from .reduction import (DEFAULT_BOUNDS, POLICIES, Relation, ReductionError,
 from .restriction import (FIBERS, RestrictedBasis, SubstitutionError,
                           custom_substitution, fiber_substitution,
                           generic_substitution, restrict_basis)
-from .verify import (load_published, numeric_spotcheck, spotcheck_relations,
-                     verify_published)
+from .verify import load_published, spotcheck_relations, verify_published
 
 _FIBER_HELP = "theta | alpha_prime | gamma | custom:PATH"
 
@@ -256,7 +255,7 @@ def verify_payload(fiber: str, rb: RestrictedBasis, trials: int, seed: int) -> d
                           if r.solved_for == rel.lhs), None)
             if fixed is not None:
                 entry["engine_relation"] = fixed.solved_str()
-                fspot = numeric_spotcheck(fixed, rb, trials=trials, seed=seed)
+                fspot = spotcheck_relations([fixed], rb, trials=trials, seed=seed)[0]
                 entry["engine_relation_numeric"] = "pass" if fspot.ok else "fail"
         elif not spot.ok:
             n_fail += 1

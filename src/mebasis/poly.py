@@ -158,15 +158,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial (0 for the zero polynomial)."""
-        if not self.terms:
-            return Fraction(0)
-        zero = (0,) * len(self.table)
-        if set(self.terms) != {zero}:
-            raise ValueError("polynomial is not constant")
-        return self.terms[zero]
-
     def bidegree(self) -> tuple[int, int]:
         """Common (mag, stress) bi-degree of every term.
 
@@ -225,8 +216,11 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
+            # A nonzero scalar times a nonzero Fraction is a nonzero Fraction.
+            if not other:
+                return Polynomial._wrap(self.table, {})
             c = Fraction(other)
-            return Polynomial(self.table, {m: c * v for m, v in self.terms.items()})
+            return Polynomial._wrap(self.table, {m: c * v for m, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.table != other.table:
@@ -283,26 +277,29 @@ class Polynomial:
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
-        """Exact value at a rational point.
+    def evaluate(self, point: Mapping[str, Fraction | int | Polynomial]
+                 ) -> Fraction | Polynomial:
+        """Exact value at a point.
 
-        Every variable that actually occurs in a term must be assigned;
-        extra assignments are ignored.
+        The coordinates may be rationals, giving a Fraction, or Polynomials
+        on one table, giving the composed Polynomial (a Fraction if self is
+        constant).  Every variable that actually occurs in a term must be
+        assigned; extra assignments are ignored.
         """
-        resolved: dict[int, Fraction] = {}
+        powers: dict[tuple[int, int], Fraction | int | Polynomial] = {}
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             v = coeff
             for i, e in enumerate(mono):
                 if not e:
                     continue
-                if i not in resolved:
+                if (i, e) not in powers:
                     name = self.table.names[i]
                     if name not in point:
                         raise ValueError(f"no value for variable {name!r}")
-                    resolved[i] = Fraction(point[name])
-                v *= resolved[i] ** e
-            total += v
+                    powers[i, e] = point[name] ** e
+                v = v * powers[i, e]
+            total = total + v
         return total
 
     # -- printing --------------------------------------------------------

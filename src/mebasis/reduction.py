@@ -18,8 +18,10 @@ entries express it over the pivot columns: a relation in solved form,
 scaled to coprime integer coefficients.  Every relation is checked by
 exact polynomial re-substitution.
 
-The default bounds (7, 6) cover every product of catalog entries that can
-match a catalog bi-degree; raising them only adds empty targets.
+The default bounds (7, 6) cover every catalog bi-degree, so raising them
+keeps the same generators and relations; the targets past them hold only
+products, and report more syzygies (theta: 126, 283 and 571 at max total
+degree 7, 8 and 9).
 """
 
 from __future__ import annotations
@@ -87,22 +89,15 @@ class Relation:
     terms: tuple[tuple[tuple[str, ...], int], ...]
     solved_for: str | None = None
 
-    def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
+    def substitute(self, values: Mapping[str, Fraction | Polynomial]
+                   ) -> Fraction | Polynomial:
+        """sum_k c_k * prod_k with every name replaced by its value: rationals,
+        or Polynomials on one table."""
+        total = 0
         for factors, coeff in self.terms:
-            prod = Fraction(coeff)
+            prod = coeff
             for f in factors:
-                prod *= values[f]
-            total += prod
-        return total
-
-    def substitute(self, polys: Mapping[str, Polynomial]) -> Polynomial:
-        table = next(iter(polys.values())).table
-        total = Polynomial.zero(table)
-        for factors, coeff in self.terms:
-            prod = Polynomial.constant(table, coeff)
-            for f in factors:
-                prod = prod * polys[f]
+                prod = prod * values[f]
             total = total + prod
         return total
 
@@ -218,7 +213,7 @@ def _relation(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
     its first term positive, once exact re-substitution confirms it."""
     labels, coeffs = zip(*raw_terms)
     rel = Relation(bd, tuple(zip(labels, normalize_integer_vector(coeffs))), solved_for)
-    if not rel.substitute(restricted).is_zero():
+    if rel.substitute(restricted):
         raise RelationIntegrityError(
             f"relation at {bd} does not substitute to zero: {rel.equation_str()}")
     return rel

@@ -114,14 +114,6 @@ class PolyMat3:
     def scale(self, c: Entry | int) -> "PolyMat3":
         return PolyMat3([[self.entries[i][j] * c for j in range(3)] for i in range(3)])
 
-    def power(self, n: int) -> "PolyMat3":
-        if n < 1:
-            raise ValueError("power expects n >= 1")
-        out = self
-        for _ in range(n - 1):
-            out = out @ self
-        return out
-
     def trace(self) -> Entry:
         e = self.entries
         return e[0][0] + e[1][1] + e[2][2]

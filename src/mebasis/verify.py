@@ -7,10 +7,15 @@ Three checks that deliberately avoid the reduction engine's own code paths:
   verify_generating_set spanning and minimality certificates for a
                         candidate survivor set, by direct linear algebra
                         over free monomials in the candidate names,
-  numeric_spotcheck     seeded random rational points, with every invariant
+  spotcheck_relations   seeded random rational points, with every invariant
                         value recomputed through the tensor recipes on plain
                         Fraction matrices rather than read off the
                         restricted polynomials.
+
+Both relation checks evaluate one expression, the relation's substitute():
+on the restricted polynomials for the symbolic check, on the Fraction
+values at each point for the numeric one.  A shipped relation's right-hand
+side is evaluated by Polynomial.evaluate, which the engine never calls.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -39,22 +45,30 @@ NAME_TABLE = VarTable((n, MAG) for n in CATALOG_NAMES)
 
 @dataclass(frozen=True)
 class PublishedRelation:
+    """lhs = rhs, rhs a polynomial in invariant names (parsed once, on use)."""
     fiber: str
     lhs: str
     rhs: str
     source: str
 
+    @cached_property
+    def rhs_poly(self) -> Polynomial:
+        return parse_polynomial(self.rhs, NAME_TABLE)
 
-def load_published(fiber: str | None = None,
-                   path: str | Path | None = None) -> tuple[PublishedRelation, ...]:
-    """The relation lists shipped with the package, optionally one fiber's."""
-    data = json.loads(Path(path or DATA_PATH).read_text())
+    def substitute(self, values: Mapping[str, Fraction | Polynomial]
+                   ) -> Fraction | Polynomial:
+        """lhs - rhs with every invariant name replaced by its value:
+        rationals, or Polynomials on one table."""
+        return values[self.lhs] - self.rhs_poly.evaluate(values)
+
+
+def load_published(fiber: str) -> tuple[PublishedRelation, ...]:
+    """The relation list shipped with the package for one fiber."""
+    data = json.loads(DATA_PATH.read_text())
     rels = tuple(PublishedRelation(r["fiber"], r["lhs"], r["rhs"], r["source"])
-                 for r in data["relations"])
-    if fiber is not None:
-        rels = tuple(r for r in rels if r.fiber == fiber)
-        if not rels:
-            raise ValueError(f"no relation list for fiber {fiber!r}")
+                 for r in data["relations"] if r["fiber"] == fiber)
+    if not rels:
+        raise ValueError(f"no relation list for fiber {fiber!r}")
     return rels
 
 
@@ -63,22 +77,6 @@ def _name_values(rb: RestrictedBasis) -> dict[str, Polynomial]:
     values = {name: zero for name in CATALOG_NAMES}
     values.update(rb.as_dict())
     return values
-
-
-def expand_names(p: Polynomial, values: Mapping[str, Polynomial]) -> Polynomial:
-    """Substitute a polynomial for every invariant name in p.
-
-    p lives on NAME_TABLE; the result lives on the table of the values.
-    """
-    table = next(iter(values.values())).table
-    total = Polynomial.zero(table)
-    for mono, coeff in p.terms.items():
-        prod = Polynomial.constant(table, coeff)
-        for name, e in zip(p.table.names, mono):
-            if e:
-                prod = prod * values[name] ** e
-        total = total + prod
-    return total
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,7 @@ def verify_published(rel: PublishedRelation, rb: RestrictedBasis) -> VerifyOutco
     """Exact check that restricted(lhs) - rhs(restricted values) is zero."""
     if rel.lhs not in CATALOG_NAMES:
         raise ValueError(f"unknown invariant name {rel.lhs!r}")
-    rhs = parse_polynomial(rel.rhs, NAME_TABLE)
-    values = _name_values(rb)
-    residual = values[rel.lhs] - expand_names(rhs, values)
+    residual = rel.substitute(_name_values(rb))
     ok = residual.is_zero()
     return VerifyOutcome(rel, ok, None if ok else residual)
 
@@ -125,28 +121,16 @@ def random_point(table: VarTable, rng: random.Random) -> dict[str, Fraction]:
             for name in table.names}
 
 
-def numeric_spotcheck(rel: PublishedRelation | Relation, rb: RestrictedBasis,
-                      trials: int = 100, seed: int = 0) -> SpotcheckOutcome:
-    """Evaluate the relation residual at seeded random rational points.
-
-    Exact rational evaluation; a pass means the residual was identically
-    zero at every sampled point.
-    """
-    return spotcheck_relations([rel], rb, trials=trials, seed=seed)[0]
-
-
 def spotcheck_relations(rels: Sequence[PublishedRelation | Relation],
                         rb: RestrictedBasis,
                         trials: int = 100, seed: int = 0) -> list[SpotcheckOutcome]:
-    """Spot-check several relations over one shared stream of points.
+    """Evaluate relation residuals at seeded random rational points.
 
-    Each point's invariant values are computed once for all relations; a
-    relation is no longer evaluated after its first failing trial.
+    Exact rational evaluation over one shared stream of points: each
+    point's invariant values are computed once for all relations, and a
+    relation is no longer evaluated after its first failing trial.  A pass
+    means the residual was zero at every sampled point.
     """
-    rhs: list[Polynomial | None] = [
-        parse_polynomial(r.rhs, NAME_TABLE) if isinstance(r, PublishedRelation)
-        else None
-        for r in rels]
     rng = random.Random(seed)
     failed_at: dict[int, int] = {}
     for t in range(trials):
@@ -155,13 +139,7 @@ def spotcheck_relations(rels: Sequence[PublishedRelation | Relation],
         point = random_point(rb.substitution.table, rng)
         values = numeric_invariants(rb.substitution, point)
         for i, rel in enumerate(rels):
-            if i in failed_at:
-                continue
-            if rhs[i] is not None:
-                residual = values[rel.lhs] - rhs[i].evaluate(values)
-            else:
-                residual = rel.evaluate(values)
-            if residual != 0:
+            if i not in failed_at and rel.substitute(values) != 0:
                 failed_at[i] = t
     return [SpotcheckOutcome(i not in failed_at, trials, seed, failed_at.get(i))
             for i in range(len(rels))]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mebasis.catalog import (BY_NAME, CATALOG, CATALOG_INDEX, CATALOG_NAMES,
-                             evaluate_all, evaluate_invariant)
+                             evaluate_all)
 from mebasis.poly import Polynomial, VarTable
 from mebasis.restriction import fiber_substitution, generic_substitution
 from mebasis.tensor3 import PolyMat3, PolyVec3
@@ -94,7 +94,7 @@ def test_theta_restriction_kills_exactly_twelve():
 
 def test_theta_kills_cubic_off_diagonal_trace():
     sub = fiber_substitution("theta")
-    assert evaluate_invariant(BY_NAME["I003"], sub.sigma, sub.m).is_zero()
+    assert evaluate_all(CATALOG, sub.sigma, sub.m)["I003"].is_zero()
 
 
 @pytest.mark.parametrize("fiber", ["alpha_prime", "gamma"])
@@ -104,21 +104,14 @@ def test_other_fibers_kill_nothing(fiber):
     assert [n for n, p in values.items() if p.is_zero()] == []
 
 
-def test_evaluate_invariant_agrees_with_evaluate_all():
-    sub = fiber_substitution("theta")
-    values = evaluate_all(CATALOG, sub.sigma, sub.m)
-    for defn in CATALOG:
-        assert evaluate_invariant(defn, sub.sigma, sub.m) == values[defn.name]
-
-
 def test_recipes_reject_non_symmetric_stress():
     table = VarTable([])
     c = lambda x: Polynomial.constant(table, F(x))
     skew = PolyMat3([[c(0), c(1), c(0)], [c(0), c(0), c(0)],
                      [c(0), c(0), c(0)]])
     m = PolyVec3([c(1), c(0), c(0)])
-    with pytest.raises(ValueError):
-        evaluate_invariant(BY_NAME["I010"], skew, m)
+    with pytest.raises(ValueError, match="symmetric"):
+        evaluate_all(CATALOG, skew, m)
 
 
 # -- Fraction entries ----------------------------------------------------
@@ -155,7 +148,7 @@ def _constant_values(sigma_rows, m_entries):
     sigma = PolyMat3([[c(x) for x in row] for row in sigma_rows])
     m = PolyVec3([c(x) for x in m_entries])
     values = evaluate_all(CATALOG, sigma, m)
-    return {n: p.constant_value() for n, p in values.items()}
+    return {n: p.evaluate({}) for n, p in values.items()}
 
 
 def _rotate(r, sigma_rows, m_entries):

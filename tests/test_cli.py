@@ -1,6 +1,7 @@
 """Command-line interface: payload shapes, formats, exit codes, stability."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -237,7 +238,7 @@ def test_verify_rejects_custom_fiber(capsys):
     assert "published relation list" in err
 
 
-def test_verify_reports_corrupted_relation(capsys, monkeypatch):
+def test_verify_reports_corrupted_relation(capsys, monkeypatch, theta_basis):
     rels = list(cli.load_published("theta"))
     rels[0] = PublishedRelation("theta", rels[0].lhs,
                                 "1/5*(I002*I010)", rels[0].source)
@@ -250,10 +251,21 @@ def test_verify_reports_corrupted_relation(capsys, monkeypatch):
               if e["symbolic"] == "fail"]
     assert len(failed) == 1
     entry = failed[0]
-    assert entry["residual"] != "0"
+    # I012 = 1/6*I002*I010 on theta, so the residual is (1/6 - 1/5)*I002*I010.
+    restricted = theta_basis.as_dict()
+    residual = Fraction(-1, 30) * restricted["I002"] * restricted["I010"]
+    assert not residual.is_zero()
+    assert entry["residual"] == str(residual)
     assert entry["engine_relation"] == "I012 = 1/6*(I002*I010)"
     assert entry["engine_relation_numeric"] == "pass"
     assert payload["result"]["counts"]["failed"] == 1
+
+    code, out, _ = run(capsys, "verify", "--fiber", "theta", "--trials", "2")
+    assert code == 1
+    assert "      residual: -1/15*s1*s3^2 - 1/15*s2*s3^2\n" in out
+    assert ("      engine relation: I012 = 1/6*(I002*I010) (numeric pass)\n"
+            in out)
+    assert out.endswith("10/11 relations verified\n")
 
 
 def assert_one_line_usage_error(code, out, err, option):

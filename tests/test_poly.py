@@ -50,6 +50,7 @@ def test_scalar_staging(table, vars4):
     x, _, s, _ = vars4
     assert 2 * (F(1, 2) * x) == x
     assert str(F(1, 6) * (x * s)) == "1/6*m1*s1"
+    assert (0 * (x + s)).terms == {} and ((x + s) * F(0)).terms == {}
 
 
 def test_power_zero_is_one(table, vars4):
@@ -118,9 +119,36 @@ def test_evaluate_exact(vars4):
     assert p.evaluate(point) == F(25, 36)
 
 
+def test_evaluate_missing_variable_raises(vars4):
+    x, y, _, _ = vars4
+    with pytest.raises(ValueError, match="m2"):
+        (x * y).evaluate({"m1": F(1)})
+    with pytest.raises(ValueError, match="m1"):
+        x.evaluate({})
+
+
+def test_evaluate_at_polynomials_composes(table, vars4):
+    # p(x, y) at x = m1 + s1, y = 2*m2 - 1/3 is the composed polynomial.
+    x, y, s, _ = vars4
+    p = F(3, 2) * x ** 2 * y - 4 * y ** 3 + 5
+    fx, fy = x + s, 2 * y - F(1, 3)
+    composed = F(3, 2) * fx ** 2 * fy - 4 * fy ** 3 + 5
+    value = p.evaluate({"m1": fx, "m2": fy})
+    assert value == composed
+    assert value.table == table
+    # Extra assignments are ignored, and a rational point still gives a
+    # Fraction through the composition.
+    point = {"m1": F(1, 2), "m2": F(-2), "s1": F(3), "s2": F(7)}
+    assert p.evaluate({**point, "m1": fx, "m2": fy}) == composed
+    assert value.evaluate(point) == p.evaluate(
+        {"m1": fx.evaluate(point), "m2": fy.evaluate(point)})
+
+
 def test_evaluate_constant_ignores_point(table):
     p = Polynomial.constant(table, F(7, 3))
     assert p.evaluate({n: F(5) for n in table.names}) == F(7, 3)
+    assert p.evaluate({}) == F(7, 3)
+    assert Polynomial.zero(table).evaluate({}) == 0
 
 
 # -- coefficient matrices ------------------------------------------------

@@ -158,6 +158,19 @@ def test_relations_substitute_to_zero(bases, reductions, fiber):
         assert rel.substitute(polys).is_zero(), rel.equation_str()
 
 
+def test_bounds_past_the_catalog_add_only_syzygies(theta_basis, reductions):
+    # Every catalog bi-degree lies within the default bounds: raising the
+    # total degree keeps the generators and relations, and the new targets
+    # hold products only, so their kernels are syzygies.
+    default = reductions["theta"]
+    wider = reduce_basis(theta_basis, bounds=(8, 6))
+    assert wider.generators == default.generators
+    assert [r.solved_str() for r in wider.relations] == \
+        [r.solved_str() for r in default.relations]
+    assert len(default.syzygies) == 126
+    assert len(wider.syzygies) == 283
+
+
 @pytest.mark.parametrize("fiber", sorted(TABLE3))
 def test_relations_vanish_at_random_points(bases, reductions, fiber):
     rels = reductions[fiber].relations
@@ -308,8 +321,12 @@ def test_relation_evaluate_and_strings():
                    solved_for="I002")
     assert rel.equation_str() == "I002 - 2*I010^2 = 0"
     assert rel.solved_str() == "I002 = 2*I010^2"
-    assert rel.evaluate({"I002": F(8), "I010": F(2)}) == 0
-    assert rel.evaluate({"I002": F(9), "I010": F(2)}) == 1
+    # Over rationals substitute gives the value of the left-hand side.
+    assert rel.substitute({"I002": F(8), "I010": F(2)}) == 0
+    assert rel.substitute({"I002": F(9), "I010": F(2)}) == 1
+    assert rel.substitute({"I002": F(1, 2), "I010": F(1, 2)}) == 0
+    assert rel.substitute({"I002": F(-1), "I010": F(1, 3)}) == F(-11, 9)
+    assert isinstance(rel.substitute({"I002": F(9), "I010": F(2)}), Fraction)
 
 
 def test_relation_solved_str_requires_target():

@@ -1,10 +1,10 @@
 """Independent checks of the shipped relation lists and generator sets.
 
-verify_published composes the relation right-hand sides with the
-restricted catalog symbolically; numeric_spotcheck re-evaluates the
-tensor recipes on concrete rational points.  The two routes share no
-intermediate results, so their agreement here is evidence, not
-circularity.
+verify_published substitutes the restricted catalog into each relation
+symbolically; spotcheck_relations substitutes invariant values recomputed
+through the tensor recipes at concrete rational points.  Both evaluate the
+same relation expression, but the two routes share no intermediate
+results, so their agreement here is evidence, not circularity.
 """
 
 from fractions import Fraction
@@ -16,9 +16,8 @@ from mebasis.reduction import reduce_basis
 from mebasis.restriction import FIBERS
 from mebasis.verify import (DATA_PATH, GeneratingSetReport, PublishedRelation,
                             load_published, numeric_invariants,
-                            numeric_spotcheck, random_point,
-                            spotcheck_relations, verify_generating_set,
-                            verify_published)
+                            random_point, spotcheck_relations,
+                            verify_generating_set, verify_published)
 
 F = Fraction
 
@@ -82,7 +81,7 @@ def test_corrupted_coefficient_is_caught(theta_basis):
     assert not outcome.residual.is_zero()
     assert outcome.residual_str() != "0"
 
-    spot = numeric_spotcheck(bad, theta_basis, trials=10, seed=0)
+    (spot,) = spotcheck_relations([bad], theta_basis, trials=10, seed=0)
     assert not spot.ok
     assert spot.failed_trial is not None
 
@@ -90,7 +89,7 @@ def test_corrupted_coefficient_is_caught(theta_basis):
 def test_symbolic_pass_implies_numeric_pass(theta_basis):
     for rel in load_published("theta"):
         assert verify_published(rel, theta_basis).ok
-        assert numeric_spotcheck(rel, theta_basis, trials=3, seed=5).ok
+        assert spotcheck_relations([rel], theta_basis, trials=3, seed=5)[0].ok
 
 
 def test_verify_rejects_unknown_invariant_name(theta_basis):
@@ -152,7 +151,7 @@ def test_spotcheck_matches_per_relation_calls(gamma_basis):
     rels = (bad,) + load_published("gamma")[:5]
     shared = spotcheck_relations(rels, gamma_basis, trials=4, seed=9)
     for rel, outcome in zip(rels, shared):
-        single = numeric_spotcheck(rel, gamma_basis, trials=4, seed=9)
+        (single,) = spotcheck_relations([rel], gamma_basis, trials=4, seed=9)
         assert (single.ok, single.failed_trial) == \
             (outcome.ok, outcome.failed_trial)
     assert not shared[0].ok and all(o.ok for o in shared[1:])
