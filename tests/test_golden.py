@@ -39,6 +39,17 @@ CASES = {
     "reduce_plane_123_table-order.json":
         ["reduce", "--fiber", f"custom:{PLANE}", "--policy", "table-order",
          "--format", "json"],
+    **{f"reduce_{fiber}_paper.{ext}":
+       ["reduce", "--fiber", fiber, "--policy", "paper", "--format", fmt]
+       for fiber in ("theta", "gamma")
+       for fmt, ext in (("text", "txt"), ("latex", "tex"))},
+    **{f"verify_theta.{ext}":
+       ["verify", "--fiber", "theta", "--trials", "100", "--seed", "0",
+        "--format", fmt]
+       for fmt, ext in (("text", "txt"), ("latex", "tex"))},
+    "union.txt": ["union", "--format", "text"],
+    **{f"catalog.{ext}": ["catalog", "--format", fmt]
+       for fmt, ext in (("text", "txt"), ("latex", "tex"))},
 }
 GENERIC = "generic_reduce.txt"
 
