@@ -46,7 +46,7 @@ class TensorParts:
 def _tr(*mats: PolyMat3) -> Entry:
     """tr(mats[0] @ ... @ mats[-1]); the last product forms only its trace.
 
-    Every part is symmetric, so tr(a @ b) = a : transpose(b) = a : b.
+    Every part is symmetric, so tr(a @ b) = a : b^T = a : b.
     """
     prod = mats[0]
     for x in mats[1:-1]:
@@ -117,7 +117,6 @@ def build_catalog() -> tuple[InvariantDef, ...]:
 
 CATALOG: tuple[InvariantDef, ...] = build_catalog()
 CATALOG_NAMES: tuple[str, ...] = tuple(defn.name for defn in CATALOG)
-BY_NAME: Mapping[str, InvariantDef] = {defn.name: defn for defn in CATALOG}
 CATALOG_INDEX: Mapping[str, int] = {name: i for i, name in enumerate(CATALOG_NAMES)}
 
 

@@ -152,9 +152,6 @@ class Polynomial:
 
     # -- predicates and degrees -----------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -170,11 +167,6 @@ class Polynomial:
         if len(degs) > 1:
             raise NotBiHomogeneousError(f"mixed bi-degrees {sorted(degs)}")
         return degs.pop()
-
-    def is_bihomogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        return len({self.table.monomial_bidegree(m) for m in self.terms}) == 1
 
     # -- arithmetic ------------------------------------------------------
 

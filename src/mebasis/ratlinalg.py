@@ -66,9 +66,6 @@ class RatMatrix:
         mat.data, mat.rows, mat.cols = data, len(data), cols
         return mat
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
-
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns.
 

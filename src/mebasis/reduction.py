@@ -312,8 +312,10 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             order = invs
         kept, syz_here, rels = _eliminate(bd, restricted, prods, invs, order)
         if pinned is not None and kept != want:
-            problem = ("does not span the restricted invariants there"
-                       if set(want) <= set(kept) else "contains a redundant invariant")
+            redundant = [n for n in want if n not in kept]
+            problem = (f"contains a redundant invariant (not a pivot: {', '.join(redundant)})"
+                       if redundant else "does not span the restricted invariants there "
+                       f"(also kept: {', '.join(n for n in kept if n not in want)})")
             raise PolicyConflictError(f"keep set {want} at bi-degree {bd} {problem}")
 
         kernel_dim = len(syz_here) + len(rels)

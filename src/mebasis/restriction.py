@@ -51,7 +51,8 @@ def _plane_table() -> VarTable:
 
 
 def _has_bidegree(p: Polynomial, bidegree: tuple[int, int]) -> bool:
-    return p.is_bihomogeneous() and p.bidegree() == bidegree
+    """Whether every term of p has this bi-degree (true for zero)."""
+    return all(p.table.monomial_bidegree(m) == bidegree for m in p.terms)
 
 
 def validate_substitution(sub: Substitution) -> None:
@@ -68,13 +69,13 @@ def validate_substitution(sub: Substitution) -> None:
     for i in range(3):
         for j in range(3):
             e = sub.sigma[i][j]
-            if not e.is_zero() and not _has_bidegree(e, (0, 1)):
+            if not _has_bidegree(e, (0, 1)):
                 raise SubstitutionError(
                     f"sigma entry ({i + 1},{j + 1}) must be linear in stress "
                     f"variables, got {e}")
     for i in range(3):
         e = sub.m[i]
-        if not e.is_zero() and not _has_bidegree(e, (1, 0)):
+        if not _has_bidegree(e, (1, 0)):
             raise SubstitutionError(
                 f"m entry {i + 1} must be linear in magnetization variables, "
                 f"got {e}")
@@ -254,7 +255,7 @@ def restrict_basis(catalog: Sequence[catalog_mod.InvariantDef],
     vanished = []
     for defn in catalog:
         p = values[defn.name]
-        if p.is_zero():
+        if not p:
             vanished.append(defn.name)
             continue
         if p.bidegree() != defn.bidegree:

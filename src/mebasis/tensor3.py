@@ -6,15 +6,16 @@ recipes serves both.  Every sum starts from the ring's own zero (x * 0),
 products with a zero factor are skipped, and Polynomial entries must share
 one VarTable.
 
-Carries the two diagonal/off-diagonal projectors used throughout the
-invariant catalog:
+Holds only what the catalog recipes and the substitution checks use:
+products, traces, dyads, a symmetry test and the two diagonal/off-diagonal
+projectors:
 
   dbar(a)  zeroes the diagonal (keeps the off-diagonal part),
   ddev(a)  keeps the diagonal of the deviator (subtracts tr(a)/3 from each
            diagonal entry, zeroes the off-diagonal part).
 
-For symmetric a these reconstruct a as ddev(a) + dbar(a) + (tr(a)/3) * id,
-and both maps are idempotent and mutually annihilating.
+Entry by entry a = ddev(a) + dbar(a) + tr(a)/3 on the diagonal, and both
+maps are idempotent and mutually annihilating.
 """
 
 from __future__ import annotations
@@ -98,28 +99,14 @@ class PolyMat3:
     def zero(self) -> Entry:
         return self.entries[0][0] * 0
 
-    def __add__(self, other: "PolyMat3") -> "PolyMat3":
-        return PolyMat3([[self.entries[i][j] + other.entries[i][j]
-                          for j in range(3)] for i in range(3)])
-
-    def __sub__(self, other: "PolyMat3") -> "PolyMat3":
-        return PolyMat3([[self.entries[i][j] - other.entries[i][j]
-                          for j in range(3)] for i in range(3)])
-
     def __matmul__(self, other: "PolyMat3") -> "PolyMat3":
         a, b, z = self.entries, other.entries, self.zero()
         return PolyMat3([[_sum_products(z, ((a[i][k], b[k][j]) for k in range(3)))
                           for j in range(3)] for i in range(3)])
 
-    def scale(self, c: Entry | int) -> "PolyMat3":
-        return PolyMat3([[self.entries[i][j] * c for j in range(3)] for i in range(3)])
-
     def trace(self) -> Entry:
         e = self.entries
         return e[0][0] + e[1][1] + e[2][2]
-
-    def transpose(self) -> "PolyMat3":
-        return PolyMat3([[self.entries[j][i] for j in range(3)] for i in range(3)])
 
     def is_symmetric(self) -> bool:
         e = self.entries
@@ -133,17 +120,6 @@ class PolyMat3:
     def __repr__(self) -> str:
         return "PolyMat3(%s)" % "; ".join(
             ", ".join(str(e) for e in row) for row in self.entries)
-
-
-def zero_matrix(table: VarTable) -> PolyMat3:
-    z = Polynomial.zero(table)
-    return PolyMat3([[z, z, z] for _ in range(3)])
-
-
-def identity(table: VarTable) -> PolyMat3:
-    z = Polynomial.zero(table)
-    one = Polynomial.constant(table, 1)
-    return PolyMat3([[one if i == j else z for j in range(3)] for i in range(3)])
 
 
 def outer(v: PolyVec3) -> PolyMat3:
@@ -165,10 +141,3 @@ def ddev(a: PolyMat3) -> PolyMat3:
     third = Fraction(1, 3) * a.trace()
     return PolyMat3([[a[i][i] - third if i == j else z
                       for j in range(3)] for i in range(3)])
-
-
-def cubic_split(a: PolyMat3) -> tuple[PolyMat3, PolyMat3, Entry]:
-    """Split a symmetric matrix into (ddev(a), dbar(a), tr(a))."""
-    if not a.is_symmetric():
-        raise ValueError("cubic split expects a symmetric matrix")
-    return ddev(a), dbar(a), a.trace()

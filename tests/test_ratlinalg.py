@@ -238,7 +238,7 @@ def test_rank_agrees_with_bareiss_oracle(rows):
 @given(matrices, st.data())
 def test_solve_columns_reconstructs_target(rows, data):
     m = RatMatrix(rows)
-    cols = [m.column(j) for j in range(m.cols)]
+    cols = list(zip(*m.data))
     coeffs = data.draw(st.lists(small_fraction, min_size=m.cols,
                                 max_size=m.cols))
     target = tuple(sum((cols[j][i] * coeffs[j] for j in range(m.cols)),

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from mebasis.poly import MAG, STRESS, Polynomial, VarTable
 from mebasis.restriction import fiber_substitution, generic_substitution
-from mebasis.tensor3 import (PolyMat3, PolyVec3, cubic_split, dbar, ddev,
-                             double_contract, identity, outer, zero_matrix)
+from mebasis.tensor3 import (PolyMat3, PolyVec3, dbar, ddev, double_contract,
+                             outer)
 
 F = Fraction
 
@@ -30,10 +30,25 @@ def var(name):
     return Polynomial.variable(TABLE, name)
 
 
+def identity():
+    return const_mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+ZERO = const_mat([[0] * 3] * 3).entries
+
+
+def assert_reconstructs(a):
+    """a = ddev(a) + dbar(a) + tr(a)/3 * id, entry by entry."""
+    d, off, third = ddev(a), dbar(a), F(1, 3) * a.trace()
+    for i in range(3):
+        for j in range(3):
+            assert d[i][j] + off[i][j] + (third if i == j else 0) == a[i][j]
+
+
 # -- basics --------------------------------------------------------------
 
 def test_identity_trace_is_three():
-    assert identity(TABLE).trace() == Polynomial.constant(TABLE, 3)
+    assert identity().trace() == Polynomial.constant(TABLE, 3)
 
 
 def test_outer_entries_are_products():
@@ -42,12 +57,12 @@ def test_outer_entries_are_products():
     assert m.entries[0][0] == var("m1") ** 2
     assert m.entries[0][1] == var("m1") * var("m2")
     assert m.entries[1][0] == m.entries[0][1]
-    assert m.entries[2][2].is_zero()
+    assert not m.entries[2][2]
     assert m.is_symmetric()
 
 
 def test_double_contract_identity_with_itself():
-    assert double_contract(identity(TABLE), identity(TABLE)) == \
+    assert double_contract(identity(), identity()) == \
         Polynomial.constant(TABLE, 3)
 
 
@@ -76,11 +91,11 @@ def test_mul_vec():
 # -- projectors ----------------------------------------------------------
 
 def test_dbar_of_identity_is_zero():
-    assert dbar(identity(TABLE)).entries == zero_matrix(TABLE).entries
+    assert dbar(identity()).entries == ZERO
 
 
 def test_ddev_of_identity_is_zero():
-    assert ddev(identity(TABLE)).entries == zero_matrix(TABLE).entries
+    assert ddev(identity()).entries == ZERO
 
 
 def test_dbar_keeps_only_off_diagonal_of_plane_stress():
@@ -105,26 +120,24 @@ def test_ddev_of_plane_diagonal():
     assert d.entries[0][0] == s11 - t3
     assert d.entries[1][1] == s22 - t3
     assert d.entries[2][2] == -t3
-    assert d.trace().is_zero()
+    assert not d.trace()
 
 
 def test_split_identity():
-    d, off, tr = cubic_split(identity(TABLE))
-    assert d.entries == zero_matrix(TABLE).entries
-    assert off.entries == zero_matrix(TABLE).entries
-    assert tr == Polynomial.constant(TABLE, 3)
+    a = identity()
+    assert ddev(a).entries == ZERO
+    assert dbar(a).entries == ZERO
+    assert a.trace() == Polynomial.constant(TABLE, 3)
+    assert_reconstructs(a)
 
 
 @pytest.mark.parametrize("fiber", ["theta", "alpha_prime", "gamma"])
 def test_split_reconstructs_fiber_stress(fiber):
     sigma = fiber_substitution(fiber).sigma
-    d, off, tr = cubic_split(sigma)
-    third = Polynomial.constant(sigma.table, F(1, 3))
-    rebuilt = d + off + identity(sigma.table).scale(third * tr)
-    assert rebuilt.entries == sigma.entries
-    assert d.trace().is_zero()
+    assert_reconstructs(sigma)
+    assert not ddev(sigma).trace()
     for i in range(3):
-        assert off.entries[i][i].is_zero()
+        assert not dbar(sigma).entries[i][i]
 
 
 def test_gamma_stress_trace_by_hand():
@@ -138,23 +151,17 @@ def test_gamma_stress_trace_by_hand():
     assert sub.sigma.trace() == F(-2) * total
 
 
-def test_split_rejects_non_symmetric():
-    a = const_mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    with pytest.raises(ValueError):
-        cubic_split(a)
-
-
 def test_projector_algebra_on_generic_symmetric_matrix():
     # The generic symmetric matrix covers every symmetric specialization,
     # so these identities hold symbolically once and for all.
     sigma = generic_substitution().sigma
-    zero = zero_matrix(sigma.table).entries
+    zero = PolyMat3([[Polynomial.zero(sigma.table)] * 3] * 3).entries
     assert ddev(ddev(sigma)).entries == ddev(sigma).entries
     assert dbar(dbar(sigma)).entries == dbar(sigma).entries
     assert ddev(dbar(sigma)).entries == zero
     assert dbar(ddev(sigma)).entries == zero
-    assert ddev(sigma).trace().is_zero()
-    assert double_contract(ddev(sigma), dbar(sigma)).is_zero()
+    assert not ddev(sigma).trace()
+    assert not double_contract(ddev(sigma), dbar(sigma))
 
 
 # -- properties ----------------------------------------------------------
@@ -170,10 +177,10 @@ def test_projectors_are_orthogonal_idempotents(rows_a, rows_b):
     a, b = const_mat(rows_a), const_mat(rows_b)
     assert ddev(ddev(a)).entries == ddev(a).entries
     assert dbar(dbar(a)).entries == dbar(a).entries
-    assert ddev(dbar(a)).entries == zero_matrix(TABLE).entries
-    assert dbar(ddev(a)).entries == zero_matrix(TABLE).entries
-    assert ddev(a).trace().is_zero()
-    assert double_contract(ddev(a), dbar(b)).is_zero()
+    assert ddev(dbar(a)).entries == ZERO
+    assert dbar(ddev(a)).entries == ZERO
+    assert not ddev(a).trace()
+    assert not double_contract(ddev(a), dbar(b))
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,18 +188,14 @@ def test_projectors_are_orthogonal_idempotents(rows_a, rows_b):
 def test_split_reconstructs_symmetric_part(rows):
     sym = [[F(rows[i][j] + rows[j][i], 2) for j in range(3)]
            for i in range(3)]
-    a = const_mat(sym)
-    d, off, tr = cubic_split(a)
-    third = Polynomial.constant(TABLE, F(1, 3))
-    rebuilt = d + off + identity(TABLE).scale(third * tr)
-    assert rebuilt.entries == a.entries
+    assert_reconstructs(const_mat(sym))
 
 
 @settings(max_examples=50, deadline=None)
 @given(int_mats, int_mats)
 def test_double_contract_is_bilinear_trace_form(rows_a, rows_b):
-    a, b = const_mat(rows_a), const_mat(rows_b)
-    assert double_contract(a, b) == (a @ b.transpose()).trace()
+    a, b_transposed = const_mat(rows_a), const_mat(zip(*rows_b))
+    assert double_contract(a, const_mat(rows_b)) == (a @ b_transposed).trace()
 
 
 # -- other exact rings ---------------------------------------------------

@@ -78,7 +78,7 @@ def test_corrupted_coefficient_is_caught(theta_basis):
     outcome = verify_published(bad, theta_basis)
     assert not outcome.ok
     assert outcome.residual is not None
-    assert not outcome.residual.is_zero()
+    assert outcome.residual
     assert outcome.residual_str() != "0"
 
     (spot,) = spotcheck_relations([bad], theta_basis, trials=10, seed=0)
@@ -93,9 +93,12 @@ def test_symbolic_pass_implies_numeric_pass(theta_basis):
 
 
 def test_verify_rejects_unknown_invariant_name(theta_basis):
+    # The symbolic and the numeric route reject it alike.
     rel = PublishedRelation("theta", "I999", "I010", "theta:99")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown invariant name 'I999'"):
         verify_published(rel, theta_basis)
+    with pytest.raises(ValueError, match="unknown invariant name 'I999'"):
+        spotcheck_relations([rel], theta_basis, trials=1)
 
 
 # -- numeric evaluation --------------------------------------------------
@@ -196,9 +199,3 @@ def test_full_survivor_set_spans_but_is_not_minimal(theta_basis):
 def test_certificate_rejects_non_survivor(theta_basis):
     with pytest.raises(ValueError, match="I003"):
         verify_generating_set(("I010", "I003"), theta_basis)
-
-
-def test_certificate_respects_explicit_bounds(theta_basis):
-    report = verify_generating_set(TABLE3["theta"], theta_basis,
-                                   bounds=(7, 6))
-    assert report.ok
