@@ -174,6 +174,12 @@ def test_coefficient_matrix_rejects_mixed_bidegrees(vars4):
         coefficient_matrix([x ** 2, s])
 
 
+def test_coefficient_matrix_rejects_a_non_bihomogeneous_polynomial(vars4):
+    x, _, s, _ = vars4
+    with pytest.raises(NotBiHomogeneousError):
+        coefficient_matrix([x ** 2 + s])
+
+
 def test_coefficient_matrix_rejects_zero(vars4):
     x = vars4[0]
     with pytest.raises(ZeroPolynomialError):

@@ -6,7 +6,8 @@ import pytest
 
 from mebasis.catalog import CATALOG_INDEX, CATALOG_NAMES
 from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
-                               PolicyConflictError, Relation, bidegree_grid,
+                               PolicyConflictError, Relation,
+                               RelationIntegrityError, bidegree_grid,
                                check_union_property, deglex_key,
                                enumerate_products, partition_bidegrees,
                                reduce_basis, reducible_products)
@@ -119,6 +120,40 @@ def test_theta_pure_syzygies_at_degree_six(table_order):
     assert all(r.solved_for is None for r in rels)
     eqs = {r.equation_str() for r in rels}
     assert "I002*I400 - I201^2 = 0" in eqs
+
+
+# -- the relation self-check --------------------------------------------
+
+def test_selfcheck_catches_a_product_under_the_wrong_label(theta_basis, monkeypatch):
+    # Swapping two product polynomials only permutes two matrix columns, so
+    # the kernel vectors still satisfy A*v = 0; re-multiplying the named
+    # factors shows that the syzygies at (4, 2) now name the wrong products.
+    import mebasis.reduction as reduction
+    original = reduction.reducible_products
+
+    def swapped(rb, target):
+        prods = original(rb, target)
+        if target == (4, 2):
+            (f0, p0), (f1, p1) = prods[:2]
+            prods[:2] = [(f0, p1), (f1, p0)]
+        return prods
+
+    monkeypatch.setattr(reduction, "reducible_products", swapped)
+    with pytest.raises(RelationIntegrityError, match=r"^relation at \(4, 2\) does not"):
+        reduce_basis(theta_basis)
+
+
+def test_selfcheck_catches_a_wrong_coefficient(theta_basis, monkeypatch):
+    import mebasis.reduction as reduction
+    original = reduction.normalize_integer_vector
+
+    def perturbed(v):
+        ints = original(v)
+        return ints[:-1] + (ints[-1] + 1,)
+
+    monkeypatch.setattr(reduction, "normalize_integer_vector", perturbed)
+    with pytest.raises(RelationIntegrityError, match="does not substitute to zero"):
+        reduce_basis(theta_basis)
 
 
 # -- full reduction ------------------------------------------------------
