@@ -232,18 +232,11 @@ class Polynomial:
             return Polynomial._wrap(self.table, {m: c * cb for m, c in a.items()})
         # Multiply integer numerators over each operand's common denominator
         # and build one Fraction per output term.
-        da = lcm(*(c.denominator for c in a.values()))
-        db = lcm(*(c.denominator for c in b.values()))
-        ib = [(m, c.numerator * (db // c.denominator)) for m, c in b.items()]
-        acc: dict[tuple[int, ...], int] = {}
-        for m1, c1 in a.items():
-            c1 = c1.numerator * (da // c1.denominator)
-            for m2, c2 in ib:
-                mono = tuple(map(add, m1, m2))
-                acc[mono] = acc.get(mono, 0) + c1 * c2
+        da, ia = integer_terms(a)
+        db, ib = integer_terms(b)
         den = da * db
         return Polynomial._wrap(self.table, {m: Fraction(v, den)
-                                             for m, v in acc.items() if v})
+                                             for m, v in integer_product(ia, ib).items() if v})
 
     __rmul__ = __mul__
 
@@ -308,6 +301,26 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def integer_terms(terms: Mapping[tuple[int, ...], Fraction]
+                  ) -> tuple[int, dict[tuple[int, ...], int]]:
+    """(d, numerators) for a term map: every coefficient is numerators[m] / d,
+    over the lcm d of the denominators (1 for the empty map)."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
+def integer_product(a: Mapping[tuple[int, ...], int],
+                    b: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The product of two integer term maps; a cancelled term stays as 0."""
+    acc: dict[tuple[int, ...], int] = {}
+    bl = list(b.items())
+    for m1, c1 in a.items():
+        for m2, c2 in bl:
+            mono = tuple(map(add, m1, m2))
+            acc[mono] = acc.get(mono, 0) + c1 * c2
+    return acc
+
+
 def _power(name: str, e: int) -> str:
     return name if e == 1 else f"{name}^{e}"
 
@@ -352,16 +365,21 @@ def coefficient_matrix(polys: Sequence[Polynomial]) -> tuple[list[tuple[int, ...
     if not polys:
         raise ValueError("need at least one polynomial")
     table = polys[0].table
-    degs = set()
     for p in polys:
         if p.table != table:
             raise ValueError("polynomials built on different variable tables")
-        degs.add(p.bidegree())
-    if len(degs) > 1:
-        raise ValueError(f"polynomials of mixed bi-degree {sorted(degs)}")
-    monos = sorted({m for p in polys for m in p.terms}, key=monomial_key, reverse=True)
-    rows = [[p.terms.get(m, Fraction(0)) for p in polys] for m in monos]
-    return monos, RatMatrix(rows, cols=len(polys))
+        if not p.terms:
+            raise ZeroPolynomialError("the zero polynomial has no bi-degree")
+    union = {m for p in polys for m in p.terms}
+    if len({table.monomial_bidegree(m) for m in union}) > 1:
+        # Name the culprit as bidegree() would: one mixed polynomial, or
+        # bi-homogeneous polynomials of different bi-degrees.
+        degs = sorted({p.bidegree() for p in polys})
+        raise ValueError(f"polynomials of mixed bi-degree {degs}")
+    monos = sorted(union, key=monomial_key, reverse=True)
+    zero = Fraction(0)
+    rows = [tuple(p.terms.get(m, zero) for p in polys) for m in monos]
+    return monos, RatMatrix._wrap(rows, len(polys))
 
 
 # -- parser --------------------------------------------------------------

@@ -15,8 +15,12 @@ columns are pivots are the kept ones.  A free product column gives a
 syzygy between products of lower-degree invariants; it is reported but
 eliminates nothing.  A free invariant column is eliminated, and its RREF
 entries express it over the pivot columns: a relation in solved form,
-scaled to coprime integer coefficients.  Every relation is checked by
-exact polynomial re-substitution.
+scaled to coprime integer coefficients.  Every relation and syzygy is
+checked exactly before it is reported: its products are multiplied again
+from the restricted invariants, never read from the matrix, with each
+product built once per bi-degree from its prefix, and the sum of
+coefficient times product must vanish as integer numerators over one
+common denominator.
 
 The default bounds (7, 6) cover every catalog bi-degree, so raising them
 keeps the same generators and relations; the targets past them hold only
@@ -28,10 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
-from .catalog import CATALOG_INDEX
-from .poly import Polynomial, coefficient_matrix, product_str, signed_sum
+from .catalog import CATALOG, CATALOG_INDEX
+from .poly import (Polynomial, coefficient_matrix, integer_product, integer_terms,
+                   product_str, signed_sum)
 # Unused here; perfbench/tracing.py wraps these two names in this module.
 from .ratlinalg import rank_of_columns, solve_columns  # noqa: F401
 from .ratlinalg import normalize_integer_vector
@@ -74,6 +80,12 @@ def deglex_key(bidegree: tuple[int, int]) -> tuple[int, int, int]:
 
 def _catalog_order(names) -> tuple[str, ...]:
     return tuple(sorted(names, key=CATALOG_INDEX.__getitem__))
+
+
+def _bidegree(name: str) -> tuple[int, int]:
+    """The bi-degree of a survivor, from its catalog entry (restrict_basis
+    checks that the restriction keeps it)."""
+    return CATALOG[CATALOG_INDEX[name]].bidegree
 
 
 @dataclass(frozen=True)
@@ -154,8 +166,8 @@ class ReductionResult:
 def partition_bidegrees(rb: RestrictedBasis) -> list[tuple[tuple[int, int], tuple[str, ...]]]:
     """Surviving invariant names grouped by bi-degree, deglex ascending."""
     groups: dict[tuple[int, int], list[str]] = {}
-    for name, p in rb.entries:
-        groups.setdefault(p.bidegree(), []).append(name)
+    for name, _ in rb.entries:
+        groups.setdefault(_bidegree(name), []).append(name)
     return [(bd, tuple(groups[bd])) for bd in sorted(groups, key=deglex_key)]
 
 
@@ -193,7 +205,7 @@ def enumerate_products(items: Sequence[tuple[str, Polynomial, tuple[int, int]]],
 def reducible_products(rb: RestrictedBasis,
                        target: tuple[int, int]) -> list[tuple[tuple[str, ...], Polynomial]]:
     """Products of two or more surviving invariants with bi-degree sum target."""
-    items = [(name, p, p.bidegree()) for name, p in rb.entries]
+    items = [(name, p, _bidegree(name)) for name, p in rb.entries]
     return enumerate_products(items, target, min_factors=2)
 
 
@@ -206,14 +218,50 @@ def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[in
             yield (a, k - a)
 
 
+# An integer polynomial (d, numerators): monomial m has coefficient
+# numerators[m] / d.
+_IntPoly = tuple[int, dict[tuple[int, ...], int]]
+
+
+def _product(factors: tuple[str, ...], restricted: Mapping[str, Polynomial],
+             memo: dict[tuple[str, ...], _IntPoly]) -> _IntPoly:
+    """The product of the restricted invariants named by factors, built from
+    its prefix and kept in memo."""
+    got = memo.get(factors)
+    if got is None:
+        if len(factors) == 1:
+            got = integer_terms(restricted[factors[0]].terms)
+        else:
+            d, head = _product(factors[:-1], restricted, memo)
+            e, last = _product(factors[-1:], restricted, memo)
+            got = (d * e, integer_product(head, last))
+        memo[factors] = got
+    return got
+
+
 def _relation(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
+              memo: dict[tuple[str, ...], _IntPoly],
               raw_terms: Sequence[tuple[tuple[str, ...], Fraction]],
               solved_for: str | None = None) -> Relation:
     """The relation over nonzero raw terms, scaled to coprime integers with
-    its first term positive, once exact re-substitution confirms it."""
+    its first term positive, once exact re-multiplication confirms it.
+
+    The check multiplies each term's factors out of the restricted
+    invariants (through memo, so each product is built once per bi-degree),
+    never from the matrix it came from, sums c_k * prod_k as integer
+    numerators over one common denominator, and requires every numerator
+    to be 0.
+    """
     labels, coeffs = zip(*raw_terms)
     rel = Relation(bd, tuple(zip(labels, normalize_integer_vector(coeffs))), solved_for)
-    if rel.substitute(restricted):
+    prods = [(c, _product(f, restricted, memo)) for f, c in rel.terms]
+    den = lcm(*(d for _, (d, _) in prods))
+    residual: dict[tuple[int, ...], int] = {}
+    for c, (d, ints) in prods:
+        scale = c * (den // d)
+        for m, v in ints.items():
+            residual[m] = residual.get(m, 0) + scale * v
+    if any(residual.values()):
         raise RelationIntegrityError(
             f"relation at {bd} does not substitute to zero: {rel.equation_str()}")
     return rel
@@ -231,8 +279,10 @@ def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
     catalog order); a syzygy for every free product column; and, for every
     invariant whose column is not a pivot, its relation solved over the
     pivot columns, read from that column's RREF entries (in catalog order
-    of the solved-for names).  Every relation is checked by exact
-    re-substitution before it is returned.
+    of the solved-for names).  Every relation is checked by _relation,
+    which re-multiplies its products from the restricted invariants; the
+    integer products it builds are shared by the checks at bd and freed
+    on return.
     """
     n_prods = len(prods)
     labels = [factors for factors, _ in prods] + [(n,) for n in order]
@@ -243,6 +293,7 @@ def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
     pivot_set = set(pivots)
     # Column -> its position with the invariants in catalog order.
     catalog_pos = list(range(n_prods)) + [n_prods + invs.index(n) for n in order]
+    memo: dict[tuple[str, ...], _IntPoly] = {}
 
     def over_pivots(f: int) -> list[tuple[int, Fraction]]:
         """Column f = sum of c * column p over these (p, -c), p ascending."""
@@ -252,7 +303,8 @@ def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
     for f in range(n_prods):
         if f not in pivot_set:
             raw = [(labels[p], c) for p, c in over_pivots(f)]
-            syzygies.append(_relation(bd, restricted, raw + [(labels[f], Fraction(1))]))
+            syzygies.append(_relation(bd, restricted, memo,
+                                      raw + [(labels[f], Fraction(1))]))
 
     column = {name: n_prods + k for k, name in enumerate(order)}
     relations = []
@@ -262,7 +314,7 @@ def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
             continue
         terms = sorted(over_pivots(f), key=lambda t: catalog_pos[t[0]])
         raw = [((name,), Fraction(1))] + [(labels[p], c) for p, c in terms]
-        relations.append(_relation(bd, restricted, raw, name))
+        relations.append(_relation(bd, restricted, memo, raw, name))
     kept = tuple(n for n in invs if column[n] in pivot_set)
     return kept, syzygies, relations
 
