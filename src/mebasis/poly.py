@@ -12,6 +12,11 @@ The canonical monomial order used for printing and for coefficient-matrix
 rows is graded lexicographic on the exponent vector (total degree first,
 then the exponent tuple), highest first.  The printer and the parser round
 trip: parse_polynomial(str(p), p.table) == p.
+
+Products can also be taken on the integer form (d, numerators) of a term
+map, where each coefficient is numerators[m] / d (integer_terms,
+integer_product); Polynomial.__mul__ does so, and coefficient matrices are
+built from that form, as integer columns.
 """
 
 from __future__ import annotations
@@ -355,31 +360,38 @@ def signed_sum(terms: Iterable[tuple[Fraction | int, str]], sep: str = "*") -> s
     return " ".join(parts) or "0"
 
 
-def coefficient_matrix(polys: Sequence[Polynomial]) -> tuple[list[tuple[int, ...]], RatMatrix]:
-    """Monomial list and coefficient matrix of bi-homogeneous polynomials.
+def coefficient_matrix(table: VarTable,
+                       columns: Sequence[tuple[int, Mapping[tuple[int, ...], int]]]
+                       ) -> tuple[list[tuple[int, ...]], RatMatrix]:
+    """Monomial list and integer coefficient matrix of bi-homogeneous
+    polynomials on table, each given as (d, numerators) with nonzero
+    numerators, as integer_terms gives them.
 
-    All inputs must share a VarTable and one common bi-degree.  Rows follow
-    the canonical monomial order (graded lex, highest first); column j
-    reconstructs polys[j] as sum_i A[i][j] * monomial_i.
+    All columns must share one bi-degree.  Rows follow the canonical
+    monomial order (graded lex, highest first); column j holds the
+    numerators of columns[j], that is d_j times its coefficient vector:
+    the polynomial is sum_i A[i][j] * monomial_i / d_j.  Scaling a column
+    moves no pivot of the RREF, and a reader of the RREF multiplies by d_j
+    to get back to the polynomials.
     """
-    if not polys:
+    if not columns:
         raise ValueError("need at least one polynomial")
-    table = polys[0].table
-    for p in polys:
-        if p.table != table:
-            raise ValueError("polynomials built on different variable tables")
-        if not p.terms:
-            raise ZeroPolynomialError("the zero polynomial has no bi-degree")
-    union = {m for p in polys for m in p.terms}
+    maps = [nums for _, nums in columns]
+    if not all(maps):
+        raise ZeroPolynomialError("the zero polynomial has no bi-degree")
+    union = {m for nums in maps for m in nums}
     if len({table.monomial_bidegree(m) for m in union}) > 1:
         # Name the culprit as bidegree() would: one mixed polynomial, or
         # bi-homogeneous polynomials of different bi-degrees.
-        degs = sorted({p.bidegree() for p in polys})
+        per_column = [{table.monomial_bidegree(m) for m in nums} for nums in maps]
+        for degs in per_column:
+            if len(degs) > 1:
+                raise NotBiHomogeneousError(f"mixed bi-degrees {sorted(degs)}")
+        degs = sorted({d for degs in per_column for d in degs})
         raise ValueError(f"polynomials of mixed bi-degree {degs}")
     monos = sorted(union, key=monomial_key, reverse=True)
-    zero = Fraction(0)
-    rows = [tuple(p.terms.get(m, zero) for p in polys) for m in monos]
-    return monos, RatMatrix._wrap(rows, len(polys))
+    rows = [tuple(nums.get(m, 0) for nums in maps) for m in monos]
+    return monos, RatMatrix._wrap(rows, len(maps))
 
 
 # -- parser --------------------------------------------------------------

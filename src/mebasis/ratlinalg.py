@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the rationals.
 
 Small matrices only (tens of rows and columns).  Entries are stored as
-`fractions.Fraction`, but elimination runs on integers: `rref` scales each
-row to integers by the lcm of its denominators, runs fraction-free
+`fractions.Fraction` or `int` (a coefficient matrix holds integer columns),
+and elimination runs on integers: `rref` scales each row with a
+denominator to integers by the lcm of its denominators, runs fraction-free
 Gauss-Jordan (Bareiss 1968) with each rewritten row divided by the gcd of
 its entries so that entries stay small, and divides by the pivots once at
 the end.  The reduced row echelon form is unique, so this gives exactly the
@@ -39,7 +40,7 @@ def normalize_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 class RatMatrix:
-    """Dense matrix of Fractions, row-major."""
+    """Dense matrix of Fractions (or ints), row-major."""
 
     __slots__ = ("data", "rows", "cols")
 
@@ -61,7 +62,8 @@ class RatMatrix:
 
     @classmethod
     def _wrap(cls, data: list[tuple[Fraction, ...]], cols: int) -> "RatMatrix":
-        """A matrix on rows already made of Fractions, without re-checking."""
+        """A matrix on rows already made of Fractions or ints, without
+        re-checking."""
         mat = object.__new__(cls)
         mat.data, mat.rows, mat.cols = data, len(data), cols
         return mat
@@ -75,7 +77,8 @@ class RatMatrix:
         m = []
         for row in self.data:
             den = lcm(*(x.denominator for x in row))
-            ints = [x.numerator * (den // x.denominator) for x in row]
+            ints = ([x.numerator * (den // x.denominator) for x in row] if den > 1
+                    else [x.numerator for x in row])
             g = gcd(*ints)
             m.append([x // g for x in ints] if g > 1 else ints)
         pivots: list[int] = []

@@ -5,9 +5,18 @@ The engine walks target bi-degrees (a, b) in degree-lexicographic order
 (max total degree, max magnetization degree).  At each target it assembles
 one column per reducible product (a multiset of two or more surviving
 invariant names whose bi-degrees sum to the target) and one column per
-surviving invariant of that exact bi-degree, builds the exact coefficient
-matrix over the shared monomials, and runs one exact elimination (RREF) on
-it.
+surviving invariant of that exact bi-degree, builds the integer
+coefficient matrix over the shared monomials, and runs one exact
+elimination (RREF) on it.
+
+The multisets are enumerated from names and bi-degrees alone.  Each
+product is then built once, on integer numerators over a denominator, as
+its prefix (all factors but the last, in sorted-name order) times its last
+invariant.  The prefixes of two or more factors sit in a table owned by one
+reduce_basis call, which holds nothing else and is freed when it returns.
+Each column is its polynomial times that denominator; the RREF pivots do
+not depend on such scaling, and relations read from the RREF multiply it
+back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
@@ -17,10 +26,10 @@ eliminates nothing.  A free invariant column is eliminated, and its RREF
 entries express it over the pivot columns: a relation in solved form,
 scaled to coprime integer coefficients.  Every relation and syzygy is
 checked exactly before it is reported: its products are multiplied again
-from the restricted invariants, never read from the matrix, with each
-product built once per bi-degree from its prefix, and the sum of
-coefficient times product must vanish as integer numerators over one
-common denominator.
+from the restricted invariants, never read from the matrix or the prefix
+table, with each product built once per bi-degree from its prefix, and the
+sum of coefficient times product must vanish as integer numerators over
+one common denominator.
 
 The default bounds (7, 6) cover every catalog bi-degree, so raising them
 keeps the same generators and relations; the targets past them hold only
@@ -36,8 +45,8 @@ from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX
-from .poly import (Polynomial, coefficient_matrix, integer_product, integer_terms,
-                   product_str, signed_sum)
+from .poly import (Polynomial, VarTable, coefficient_matrix, integer_product,
+                   integer_terms, product_str, signed_sum)
 # Unused here; perfbench/tracing.py wraps these two names in this module.
 from .ratlinalg import rank_of_columns, solve_columns  # noqa: F401
 from .ratlinalg import normalize_integer_vector
@@ -171,42 +180,69 @@ def partition_bidegrees(rb: RestrictedBasis) -> list[tuple[tuple[int, int], tupl
     return [(bd, tuple(groups[bd])) for bd in sorted(groups, key=deglex_key)]
 
 
+# An integer polynomial (d, numerators): monomial m has coefficient
+# numerators[m] / d.
+_IntPoly = tuple[int, dict[tuple[int, ...], int]]
+
+
 def enumerate_products(items: Sequence[tuple[str, Polynomial, tuple[int, int]]],
-                       target: tuple[int, int],
-                       min_factors: int = 2) -> list[tuple[tuple[str, ...], Polynomial]]:
-    """Multisets of at least min_factors items whose bi-degrees sum to target.
+                       target: tuple[int, int], min_factors: int = 2,
+                       prefixes: dict[tuple[str, ...], _IntPoly] | None = None
+                       ) -> list[tuple[tuple[str, ...], _IntPoly]]:
+    """Multisets of at least min_factors items whose bi-degrees sum to target,
+    each with its product as an integer polynomial (d, numerators).
 
     Output order is lexicographic by the sorted factor-name tuple.  The
-    polynomial attached to each multiset is the product of the members'
-    polynomials; products of nonzero polynomials never vanish, so every
-    column this produces is usable.
+    multisets are found from names and bi-degrees alone; then each product
+    is one integer multiplication, of its prefix (all factors but the last)
+    by its last factor, with cancelled terms dropped.  A prefix of two or
+    more factors is read from prefixes, or built the same way and stored
+    there on first use; a returned product is never stored.  Share one
+    table between calls on the same items to build each prefix once (None:
+    a table for this call only).  Products of nonzero polynomials never
+    vanish, so every product this returns is a usable column.
     """
     pool = sorted(items, key=lambda it: it[0])
-    out: list[tuple[tuple[str, ...], Polynomial]] = []
+    found: list[tuple[str, ...]] = []
     factors: list[str] = []
 
-    def rec(start: int, remaining: tuple[int, int], poly: Polynomial | None) -> None:
-        ra, rb_ = remaining
+    def rec(start: int, ra: int, rb_: int) -> None:
         if ra == 0 and rb_ == 0:
             if len(factors) >= min_factors:
-                out.append((tuple(factors), poly))
+                found.append(tuple(factors))
             return
         for idx in range(start, len(pool)):
-            name, p, (a, b) = pool[idx]
+            name, _, (a, b) = pool[idx]
             if a <= ra and b <= rb_:
                 factors.append(name)
-                rec(idx, (ra - a, rb_ - b), p if poly is None else poly * p)
+                rec(idx, ra - a, rb_ - b)
                 factors.pop()
 
-    rec(0, target, None)
-    return out
+    rec(0, *target)
+    used = {name for fs in found for name in fs}
+    ints = {name: integer_terms(p.terms) for name, p, _ in pool if name in used}
+    table = {} if prefixes is None else prefixes
+
+    def product(fs: tuple[str, ...]) -> _IntPoly:
+        if len(fs) == 1:
+            return ints[fs[0]]
+        head = fs[:-1]
+        got = ints[head[0]] if len(head) == 1 else table.get(head)
+        if got is None:
+            got = table[head] = product(head)
+        (d, h), (e, last) = got, ints[fs[-1]]
+        return d * e, {m: v for m, v in integer_product(h, last).items() if v}
+
+    return [(fs, product(fs)) for fs in found]
 
 
-def reducible_products(rb: RestrictedBasis,
-                       target: tuple[int, int]) -> list[tuple[tuple[str, ...], Polynomial]]:
-    """Products of two or more surviving invariants with bi-degree sum target."""
+def reducible_products(rb: RestrictedBasis, target: tuple[int, int],
+                       prefixes: dict[tuple[str, ...], _IntPoly] | None = None
+                       ) -> list[tuple[tuple[str, ...], _IntPoly]]:
+    """Products of two or more surviving invariants with bi-degree sum
+    target, as integer polynomials; prefixes as in enumerate_products."""
     items = [(name, p, _bidegree(name)) for name, p in rb.entries]
-    return enumerate_products(items, target, min_factors=2)
+    return enumerate_products(items, target, 2, prefixes)
 
 
 def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[int, int]]:
@@ -216,11 +252,6 @@ def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[in
     for k in range(1, dmax + 1):
         for a in range(0, min(amax, k) + 1):
             yield (a, k - a)
-
-
-# An integer polynomial (d, numerators): monomial m has coefficient
-# numerators[m] / d.
-_IntPoly = tuple[int, dict[tuple[int, ...], int]]
 
 
 def _product(factors: tuple[str, ...], restricted: Mapping[str, Polynomial],
@@ -241,7 +272,7 @@ def _product(factors: tuple[str, ...], restricted: Mapping[str, Polynomial],
 
 def _relation(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
               memo: dict[tuple[str, ...], _IntPoly],
-              raw_terms: Sequence[tuple[tuple[str, ...], Fraction]],
+              raw_terms: Sequence[tuple[tuple[str, ...], Fraction | int]],
               solved_for: str | None = None) -> Relation:
     """The relation over nonzero raw terms, scaled to coprime integers with
     its first term positive, once exact re-multiplication confirms it.
@@ -267,27 +298,32 @@ def _relation(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
     return rel
 
 
-def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
-               prods: Sequence[tuple[tuple[str, ...], Polynomial]],
+def _eliminate(bd: tuple[int, int], table: VarTable,
+               restricted: Mapping[str, Polynomial],
+               prods: Sequence[tuple[tuple[str, ...], _IntPoly]],
                invs: Sequence[str], order: Sequence[str]
                ) -> tuple[tuple[str, ...], list[Relation], list[Relation]]:
     """One exact elimination at bi-degree bd.
 
-    The columns are the products, then the invariants invs (catalog order)
-    arranged in the policy order `order`.  A single RREF gives everything:
-    the pivot invariant columns, which are the kept names (returned in
-    catalog order); a syzygy for every free product column; and, for every
-    invariant whose column is not a pivot, its relation solved over the
-    pivot columns, read from that column's RREF entries (in catalog order
-    of the solved-for names).  Every relation is checked by _relation,
-    which re-multiplies its products from the restricted invariants; the
-    integer products it builds are shared by the checks at bd and freed
-    on return.
+    The columns are the integer products, then the invariants invs
+    (catalog order) arranged in the policy order `order`, each column
+    holding the numerators of its polynomial over its denominator d.  A
+    single RREF gives everything: the pivot invariant columns, which are
+    the kept names (returned in catalog order); a syzygy for every free
+    product column; and, for every invariant whose column is not a pivot,
+    its relation solved over the pivot columns, read from that column's
+    RREF entries (in catalog order of the solved-for names).  Column f is
+    d_f times its polynomial, so the RREF entry R[r][f] of pivot p
+    contributes -R[r][f] * d_p, and the free column itself d_f.  Every
+    relation is checked by _relation, which re-multiplies its products
+    from the restricted invariants; the integer products it builds are
+    shared by the checks at bd and freed on return.
     """
     n_prods = len(prods)
     labels = [factors for factors, _ in prods] + [(n,) for n in order]
-    polys = [p for _, p in prods] + [restricted[n] for n in order]
-    _, mat = coefficient_matrix(polys)
+    columns = [c for _, c in prods] + [integer_terms(restricted[n].terms) for n in order]
+    dens = [d for d, _ in columns]
+    _, mat = coefficient_matrix(table, columns)
     rrefm, pivots = mat.rref()
     rows = rrefm.data
     pivot_set = set(pivots)
@@ -296,15 +332,15 @@ def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
     memo: dict[tuple[str, ...], _IntPoly] = {}
 
     def over_pivots(f: int) -> list[tuple[int, Fraction]]:
-        """Column f = sum of c * column p over these (p, -c), p ascending."""
-        return [(p, -rows[r][f]) for r, p in enumerate(pivots) if rows[r][f]]
+        """d_f * column f = sum of c * column p over these (p, -c), p ascending."""
+        return [(p, -rows[r][f] * dens[p]) for r, p in enumerate(pivots) if rows[r][f]]
 
     syzygies = []
     for f in range(n_prods):
         if f not in pivot_set:
             raw = [(labels[p], c) for p, c in over_pivots(f)]
             syzygies.append(_relation(bd, restricted, memo,
-                                      raw + [(labels[f], Fraction(1))]))
+                                      raw + [(labels[f], dens[f])]))
 
     column = {name: n_prods + k for k, name in enumerate(order)}
     relations = []
@@ -313,7 +349,7 @@ def _eliminate(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
         if f in pivot_set:
             continue
         terms = sorted(over_pivots(f), key=lambda t: catalog_pos[t[0]])
-        raw = [((name,), Fraction(1))] + [(labels[p], c) for p, c in terms]
+        raw = [((name,), dens[f])] + [(labels[p], c) for p, c in terms]
         relations.append(_relation(bd, restricted, memo, raw, name))
     kept = tuple(n for n in invs if column[n] in pivot_set)
     return kept, syzygies, relations
@@ -344,14 +380,17 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             effective = "table-order"
 
     restricted = rb.as_dict()
+    table = rb.substitution.table
     partition = dict(partition_bidegrees(rb))
+    # Products that are the prefix of a later product, for this call only.
+    prefixes: dict[tuple[str, ...], _IntPoly] = {}
     generators: list[str] = []
     relations: list[Relation] = []
     syzygies: list[Relation] = []
     reports: list[BidegreeReport] = []
 
     for bd in bidegree_grid(bounds):
-        prods = reducible_products(rb, bd)
+        prods = reducible_products(rb, bd, prefixes)
         invs = partition.get(bd, ())
         if not prods and not invs:
             continue
@@ -362,7 +401,7 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             order = invs[::-1]
         else:
             order = invs
-        kept, syz_here, rels = _eliminate(bd, restricted, prods, invs, order)
+        kept, syz_here, rels = _eliminate(bd, table, restricted, prods, invs, order)
         if pinned is not None and kept != want:
             redundant = [n for n in want if n not in kept]
             problem = (f"contains a redundant invariant (not a pivot: {', '.join(redundant)})"

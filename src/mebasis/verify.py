@@ -1,13 +1,17 @@
-"""Independent verification oracles.
+"""Verification oracles.
 
-Three checks that deliberately avoid the reduction engine's own code paths:
+Three checks, two of which avoid the reduction engine's own code paths:
 
   verify_published      exact symbolic substitution of relation lists
                         shipped as data (data/published_relations.json),
   verify_generating_set spanning and minimality certificates for a
                         candidate survivor set, checked for every survivor
                         by one RREF per question over free monomials in
-                        the candidate names,
+                        the candidate names; it shares the engine's
+                        product builder (reduction.enumerate_products),
+                        its integer coefficient matrix
+                        (poly.coefficient_matrix) and RatMatrix.rref, so it
+                        is a check of the chosen set, not of that code,
   spotcheck_relations   seeded random rational points, with every invariant
                         value recomputed through the tensor recipes on plain
                         Fraction matrices rather than read off the
@@ -30,7 +34,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
-from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomial
+from .poly import (MAG, Polynomial, VarTable, coefficient_matrix, integer_terms,
+                   parse_polynomial)
 # Unused here; perfbench/tracing.py wraps this name in this module.
 from .ratlinalg import solve_columns  # noqa: F401
 from .reduction import Relation, enumerate_products
@@ -161,10 +166,12 @@ class GeneratingSetReport:
         return self.spanning_ok and self.minimal
 
 
-def _in_span(target: Polynomial, columns: Sequence[Polynomial]) -> bool:
-    """Whether target is a linear combination of columns: the target's
-    column, placed last, is not a pivot of their joint RREF."""
-    return len(columns) not in coefficient_matrix([*columns, target])[1].rref()[1]
+def _in_span(table: VarTable, target: tuple[int, Mapping[tuple[int, ...], int]],
+             columns: Sequence[tuple[int, Mapping[tuple[int, ...], int]]]) -> bool:
+    """Whether target is a linear combination of columns (integer
+    polynomials on table): the target's column, placed last, is not a pivot
+    of their joint RREF."""
+    return len(columns) not in coefficient_matrix(table, [*columns, target])[1].rref()[1]
 
 
 def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> GeneratingSetReport:
@@ -180,25 +187,17 @@ def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> Generati
     for n in names:
         if n not in surviving:
             raise ValueError(f"{n!r} is not a surviving invariant of this basis")
+    table = rb.substitution.table
     info = [(n, surviving[n], surviving[n].bidegree()) for n in names]
 
-    spanning_failures = []
-    for name, p in rb.entries:
-        if name in names:
-            continue
-        cols = [poly for _, poly in enumerate_products(info, p.bidegree(),
-                                                       min_factors=1)]
-        if not _in_span(p, cols):
-            spanning_failures.append(name)
+    def in_span(p: Polynomial, items) -> bool:
+        cols = [c for _, c in enumerate_products(items, p.bidegree(), min_factors=1)]
+        return _in_span(table, integer_terms(p.terms), cols)
 
-    redundant = []
-    for g in names:
-        others = [item for item in info if item[0] != g]
-        p = surviving[g]
-        cols = [poly for _, poly in enumerate_products(others, p.bidegree(),
-                                                       min_factors=1)]
-        if _in_span(p, cols):
-            redundant.append(g)
+    spanning_failures = [name for name, p in rb.entries
+                         if name not in names and not in_span(p, info)]
+    redundant = [g for g in names
+                 if in_span(surviving[g], [item for item in info if item[0] != g])]
 
     return GeneratingSetReport(tuple(names), not spanning_failures,
                                tuple(spanning_failures), not redundant,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from mebasis.poly import (MAG, STRESS, NotBiHomogeneousError, ParseError,
                           Polynomial, VarTable, ZeroPolynomialError,
-                          coefficient_matrix, monomial_key, parse_polynomial)
+                          coefficient_matrix, integer_terms, monomial_key,
+                          parse_polynomial)
 
 F = Fraction
 
@@ -151,16 +152,21 @@ def test_evaluate_constant_ignores_point(table):
 
 # -- coefficient matrices ------------------------------------------------
 
-def test_coefficient_matrix_two_by_two(vars4):
+def columns(*polys):
+    """The integer columns (d, numerators) of polynomials."""
+    return [integer_terms(p.terms) for p in polys]
+
+
+def test_coefficient_matrix_two_by_two(table, vars4):
     x, y, _, _ = vars4
-    mons, mat = coefficient_matrix([x ** 2 + y ** 2, x ** 2 - y ** 2])
+    mons, mat = coefficient_matrix(table, columns(x ** 2 + y ** 2, x ** 2 - y ** 2))
     assert mons == [(2, 0, 0, 0), (0, 2, 0, 0)]
     assert [list(r) for r in mat.data] == [[1, 1], [1, -1]]
 
 
-def test_coefficient_matrix_proportional_columns(vars4):
+def test_coefficient_matrix_proportional_columns(table, vars4):
     x = vars4[0]
-    mons, mat = coefficient_matrix([x ** 2, 2 * x ** 2])
+    mons, mat = coefficient_matrix(table, columns(x ** 2, 2 * x ** 2))
     assert mons == [(2, 0, 0, 0)]
     assert [list(r) for r in mat.data] == [[1, 2]]
     # Column 2 is twice column 1.
@@ -168,22 +174,22 @@ def test_coefficient_matrix_proportional_columns(vars4):
     assert [list(r) for r in mat.rref()[0].data] == [[1, 2]]
 
 
-def test_coefficient_matrix_rejects_mixed_bidegrees(vars4):
+def test_coefficient_matrix_rejects_mixed_bidegrees(table, vars4):
     x, _, s, _ = vars4
     with pytest.raises(ValueError):
-        coefficient_matrix([x ** 2, s])
+        coefficient_matrix(table, columns(x ** 2, s))
 
 
-def test_coefficient_matrix_rejects_a_non_bihomogeneous_polynomial(vars4):
+def test_coefficient_matrix_rejects_a_non_bihomogeneous_polynomial(table, vars4):
     x, _, s, _ = vars4
     with pytest.raises(NotBiHomogeneousError):
-        coefficient_matrix([x ** 2 + s])
+        coefficient_matrix(table, columns(x ** 2 + s))
 
 
-def test_coefficient_matrix_rejects_zero(vars4):
+def test_coefficient_matrix_rejects_zero(table, vars4):
     x = vars4[0]
     with pytest.raises(ZeroPolynomialError):
-        coefficient_matrix([x - x])
+        coefficient_matrix(table, columns(x - x))
 
 
 # -- parsing -------------------------------------------------------------
@@ -374,7 +380,8 @@ def test_coefficient_matrix_reconstructs_polynomials(items):
     polys = [p for p, _ in items if p and p.bidegree() == (a, b)]
     if not polys:
         return
-    mons, mat = coefficient_matrix(polys)
+    cols = columns(*polys)
+    mons, mat = coefficient_matrix(_TABLE, cols)
     one = Polynomial.constant(_TABLE, 1)
     for j, p in enumerate(polys):
         rebuilt = Polynomial.zero(_TABLE)
@@ -382,7 +389,7 @@ def test_coefficient_matrix_reconstructs_polynomials(items):
             mono = one
             for name, e in zip(_TABLE.names, exps):
                 mono = mono * Polynomial.variable(_TABLE, name) ** e
-            rebuilt = rebuilt + mat.data[i][j] * mono
+            rebuilt = rebuilt + Fraction(mat.data[i][j], cols[j][0]) * mono
         assert rebuilt == p
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mebasis.catalog import CATALOG_INDEX, CATALOG_NAMES
+from mebasis.poly import integer_terms
 from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, Relation,
                                RelationIntegrityError, bidegree_grid,
@@ -64,10 +65,40 @@ def test_reducible_products_smallest_cases(theta_basis):
         [("I010", "I200")]
 
 
+def as_fractions(product):
+    """The coefficients of an integer polynomial (d, numerators)."""
+    d, nums = product
+    return {m: F(v, d) for m, v in nums.items()}
+
+
 def test_reducible_products_multiply_correctly(theta_basis):
-    ((factors, poly),) = reducible_products(theta_basis, (0, 2))
-    assert poly == theta_basis.as_dict()["I010"] ** 2
-    assert poly.bidegree() == (0, 2)
+    ((factors, product),) = reducible_products(theta_basis, (0, 2))
+    assert as_fractions(product) == (theta_basis.as_dict()["I010"] ** 2).terms
+    table = theta_basis.substitution.table
+    assert {table.monomial_bidegree(m) for m in product[1]} == {(0, 2)}
+
+
+@pytest.mark.parametrize("fiber", ["theta", "gamma"])
+def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
+    # One table over the whole grid, as reduce_basis shares it: every
+    # product is its factors multiplied out, and the table ends up holding
+    # exactly the proper prefixes of two or more factors, never a product
+    # that no later product extends.
+    rb = bases[fiber]
+    restricted = rb.as_dict()
+    prefixes = {}
+    built = {}
+    for bd in bidegree_grid():
+        for factors, product in reducible_products(rb, bd, prefixes):
+            chained = restricted[factors[0]]
+            for name in factors[1:]:
+                chained = chained * restricted[name]
+            assert as_fractions(product) == as_fractions(integer_terms(chained.terms))
+            assert all(product[1].values())
+            built[factors] = product
+    assert set(prefixes) == {f[:-1] for f in built if len(f) > 2}
+    for f, product in prefixes.items():
+        assert as_fractions(product) == as_fractions(built[f])
 
 
 def test_enumerate_products_allows_single_factors(theta_basis):
@@ -131,8 +162,8 @@ def test_selfcheck_catches_a_product_under_the_wrong_label(theta_basis, monkeypa
     import mebasis.reduction as reduction
     original = reduction.reducible_products
 
-    def swapped(rb, target):
-        prods = original(rb, target)
+    def swapped(rb, target, prefixes):
+        prods = original(rb, target, prefixes)
         if target == (4, 2):
             (f0, p0), (f1, p1) = prods[:2]
             prods[:2] = [(f0, p1), (f1, p0)]
