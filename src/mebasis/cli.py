@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import __version__
 from .catalog import CATALOG
-from .poly import product_str, signed_sum
+from .poly import MAX_EXPONENT, product_str, signed_sum
 from .reduction import (DEFAULT_BOUNDS, POLICIES, Relation, ReductionError,
                         ReductionResult, check_union_property, reduce_basis)
 from .restriction import (FIBERS, RestrictedBasis, SubstitutionError,
@@ -47,9 +47,12 @@ def _load_basis(fiber: str) -> RestrictedBasis:
 
 
 def _bounds(args) -> tuple[int, int]:
-    """--dmax and --alpha-max, refused when they explore no bi-degree."""
+    """--dmax and --alpha-max, refused when they explore no bi-degree or
+    when reduce_basis would refuse them."""
     if args.dmax < 1:
         raise UsageError(f"--dmax must be at least 1, got {args.dmax}")
+    if args.dmax > MAX_EXPONENT:
+        raise UsageError(f"--dmax must be at most {MAX_EXPONENT}, got {args.dmax}")
     if args.alpha_max < 0:
         raise UsageError(f"--alpha-max must be at least 0, got {args.alpha_max}")
     return (args.dmax, args.alpha_max)

@@ -13,10 +13,19 @@ rows is graded lexicographic on the exponent vector (total degree first,
 then the exponent tuple), highest first.  The printer and the parser round
 trip: parse_polynomial(str(p), p.table) == p.
 
-Products can also be taken on the integer form (d, numerators) of a term
-map, where each coefficient is numerators[m] / d (integer_terms,
-integer_product); Polynomial.__mul__ does so, and coefficient matrices are
-built from that form, as integer columns.
+A Polynomial keys its terms by exponent tuple.  The integer form
+(d, numerators) of a term map, where each coefficient is numerators[k] / d,
+keys them by packed monomial instead (integer_terms, integer_product), and
+coefficient matrices are built from that form, as integer columns.  A
+packed monomial is one int made of SLOT_BITS-bit slots, most significant
+first: the mag degree, the stress degree, then the exponent of each
+variable in table order.  Only VarTable.pack, unpack and packed_bidegree
+know this layout.  Multiplying two monomials adds their packed ints, which
+carries nothing from slot to slot as long as every degree of the product is
+at most MAX_EXPONENT; packing refuses any larger exponent, and
+reduction.reduce_basis refuses bounds that would build one.  Within one
+bi-degree the ints sort as monomial_key sorts the exponent tuples, and the
+top two slots are the bi-degree.
 """
 
 from __future__ import annotations
@@ -34,6 +43,11 @@ MAG = "mag"
 STRESS = "stress"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# Width of one slot of a packed monomial, and the largest degree or
+# exponent a slot holds.
+SLOT_BITS = 8
+MAX_EXPONENT = (1 << SLOT_BITS) - 1
 
 
 class PolyError(Exception):
@@ -58,10 +72,12 @@ class VarTable:
     """Ordered variable list, each variable tagged mag or stress.
 
     The order fixes the exponent-vector layout of every monomial built on
-    the table.  Tables compare by value (names and kinds).
+    the table, and the slots of its packed form.  Tables compare by value
+    (names and kinds).
     """
 
-    __slots__ = ("names", "kinds", "_index", "_mag", "_stress")
+    __slots__ = ("names", "kinds", "_index", "_mag", "_stress", "_is_mag",
+                 "_shifts", "_degree_shift")
 
     def __init__(self, variables: Iterable[tuple[str, str]]):
         pairs = tuple(variables)
@@ -80,6 +96,9 @@ class VarTable:
         self._index = {name: i for i, name in enumerate(names)}
         self._mag = tuple(i for i, k in enumerate(kinds) if k == MAG)
         self._stress = tuple(i for i, k in enumerate(kinds) if k == STRESS)
+        self._is_mag = tuple(k == MAG for k in kinds)
+        self._shifts = tuple(SLOT_BITS * i for i in reversed(range(len(names))))
+        self._degree_shift = SLOT_BITS * len(names)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -104,6 +123,35 @@ class VarTable:
     def monomial_bidegree(self, exponents: Sequence[int]) -> tuple[int, int]:
         return (sum(exponents[i] for i in self._mag),
                 sum(exponents[i] for i in self._stress))
+
+    def pack(self, exponents: Sequence[int]) -> int:
+        """The packed monomial of an exponent vector (layout in the module
+        docstring).  Raises ValueError for a negative exponent, or for a
+        degree above MAX_EXPONENT, which would not fit its slot."""
+        a = b = key = 0
+        for e, is_mag in zip(exponents, self._is_mag):
+            if e < 0:
+                break
+            if is_mag:
+                a += e
+            else:
+                b += e
+            key = key << SLOT_BITS | e
+        else:
+            if a <= MAX_EXPONENT and b <= MAX_EXPONENT:
+                return (a << SLOT_BITS | b) << self._degree_shift | key
+        raise ValueError(f"exponent vector {tuple(exponents)!r} does not fit "
+                         f"{SLOT_BITS}-bit slots")
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of a packed monomial."""
+        return tuple(key >> s & MAX_EXPONENT for s in self._shifts)
+
+    def packed_bidegree(self, key: int) -> tuple[int, int]:
+        """The (mag, stress) bi-degree of a packed monomial, from its top
+        two slots."""
+        top = key >> self._degree_shift
+        return (top >> SLOT_BITS, top & MAX_EXPONENT)
 
 
 def monomial_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -236,12 +284,20 @@ class Polynomial:
                                                      for m, c in a.items()})
             return Polynomial._wrap(self.table, {m: c * cb for m, c in a.items()})
         # Multiply integer numerators over each operand's common denominator
-        # and build one Fraction per output term.
-        da, ia = integer_terms(a)
-        db, ib = integer_terms(b)
+        # and build one Fraction per output term.  The monomials stay tuples:
+        # packing them here costs more than it saves.
+        da = lcm(*(c.denominator for c in a.values()))
+        db = lcm(*(c.denominator for c in b.values()))
+        bl = [(m, c.numerator * (db // c.denominator)) for m, c in b.items()]
+        acc: dict[tuple[int, ...], int] = {}
+        for m1, c1 in a.items():
+            v1 = c1.numerator * (da // c1.denominator)
+            for m2, v2 in bl:
+                mono = tuple(map(add, m1, m2))
+                acc[mono] = acc.get(mono, 0) + v1 * v2
         den = da * db
         return Polynomial._wrap(self.table, {m: Fraction(v, den)
-                                             for m, v in integer_product(ia, ib).items() if v})
+                                             for m, v in acc.items() if v})
 
     __rmul__ = __mul__
 
@@ -306,23 +362,26 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def integer_terms(terms: Mapping[tuple[int, ...], Fraction]
-                  ) -> tuple[int, dict[tuple[int, ...], int]]:
-    """(d, numerators) for a term map: every coefficient is numerators[m] / d,
-    over the lcm d of the denominators (1 for the empty map)."""
+def integer_terms(table: VarTable, terms: Mapping[tuple[int, ...], Fraction]
+                  ) -> tuple[int, dict[int, int]]:
+    """(d, numerators) for a term map on table, keyed by packed monomial:
+    the coefficient of monomial k is numerators[k] / d, over the lcm d of
+    the denominators (1 for the empty map)."""
     d = lcm(*(c.denominator for c in terms.values()))
-    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+    pack = table.pack
+    return d, {pack(m): c.numerator * (d // c.denominator) for m, c in terms.items()}
 
 
-def integer_product(a: Mapping[tuple[int, ...], int],
-                    b: Mapping[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """The product of two integer term maps; a cancelled term stays as 0."""
-    acc: dict[tuple[int, ...], int] = {}
+def integer_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The product of two integer term maps keyed by packed monomial; a
+    cancelled term stays as 0.  The caller keeps every degree of the
+    product within MAX_EXPONENT."""
+    acc: dict[int, int] = {}
     bl = list(b.items())
-    for m1, c1 in a.items():
-        for m2, c2 in bl:
-            mono = tuple(map(add, m1, m2))
-            acc[mono] = acc.get(mono, 0) + c1 * c2
+    for k1, c1 in a.items():
+        for k2, c2 in bl:
+            k = k1 + k2
+            acc[k] = acc.get(k, 0) + c1 * c2
     return acc
 
 
@@ -361,11 +420,12 @@ def signed_sum(terms: Iterable[tuple[Fraction | int, str]], sep: str = "*") -> s
 
 
 def coefficient_matrix(table: VarTable,
-                       columns: Sequence[tuple[int, Mapping[tuple[int, ...], int]]]
+                       columns: Sequence[tuple[int, Mapping[int, int]]]
                        ) -> tuple[list[tuple[int, ...]], RatMatrix]:
-    """Monomial list and integer coefficient matrix of bi-homogeneous
-    polynomials on table, each given as (d, numerators) with nonzero
-    numerators, as integer_terms gives them.
+    """Monomial list (exponent tuples) and integer coefficient matrix of
+    bi-homogeneous polynomials on table, each given as (d, numerators)
+    keyed by packed monomial with nonzero numerators, as integer_terms
+    gives them.
 
     All columns must share one bi-degree.  Rows follow the canonical
     monomial order (graded lex, highest first); column j holds the
@@ -379,19 +439,21 @@ def coefficient_matrix(table: VarTable,
     maps = [nums for _, nums in columns]
     if not all(maps):
         raise ZeroPolynomialError("the zero polynomial has no bi-degree")
-    union = {m for nums in maps for m in nums}
-    if len({table.monomial_bidegree(m) for m in union}) > 1:
+    union = {k for nums in maps for k in nums}
+    shift = table._degree_shift
+    if len({k >> shift for k in union}) > 1:
         # Name the culprit as bidegree() would: one mixed polynomial, or
         # bi-homogeneous polynomials of different bi-degrees.
-        per_column = [{table.monomial_bidegree(m) for m in nums} for nums in maps]
+        per_column = [{table.packed_bidegree(k) for k in nums} for nums in maps]
         for degs in per_column:
             if len(degs) > 1:
                 raise NotBiHomogeneousError(f"mixed bi-degrees {sorted(degs)}")
         degs = sorted({d for degs in per_column for d in degs})
         raise ValueError(f"polynomials of mixed bi-degree {degs}")
-    monos = sorted(union, key=monomial_key, reverse=True)
-    rows = [tuple(nums.get(m, 0) for nums in maps) for m in monos]
-    return monos, RatMatrix._wrap(rows, len(maps))
+    # One bi-degree: the packed ints sort as monomial_key sorts the tuples.
+    keys = sorted(union, reverse=True)
+    rows = [tuple(nums.get(k, 0) for nums in maps) for k in keys]
+    return [table.unpack(k) for k in keys], RatMatrix._wrap(rows, len(maps))
 
 
 # -- parser --------------------------------------------------------------

@@ -3,13 +3,16 @@
 Small matrices only (tens of rows and columns).  Entries are stored as
 `fractions.Fraction` or `int` (a coefficient matrix holds integer columns),
 and elimination runs on integers: `rref` scales each row with a
-denominator to integers by the lcm of its denominators, runs fraction-free
-Gauss-Jordan (Bareiss 1968) with each rewritten row divided by the gcd of
-its entries so that entries stay small, and divides by the pivots once at
-the end.  The reduced row echelon form is unique, so this gives exactly the
-matrix that Gauss-Jordan on Fractions gives.  Downstream code reads the
-reduced row echelon form and its pivot columns (whose count is the rank),
-and scales relations with normalize_integer_vector.
+denominator to integers by the lcm of its denominators, and runs
+fraction-free Gauss-Jordan (Bareiss 1968) with each rewritten row divided
+by the gcd of its entries so that entries stay small.  It returns the
+primitive integer RREF: the reduced row echelon form with each nonzero row
+scaled to coprime integers and a positive pivot, without dividing by the
+pivots.  The reduced row echelon form is unique up to the scale of each
+row, so this form is unique too: each row is normalize_integer_vector of
+the row Gauss-Jordan on Fractions gives.  Downstream code reads the
+primitive RREF and its pivot columns (whose count is the rank), and scales
+relations with normalize_integer_vector.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-_ZERO = Fraction(0)
-
 
 def normalize_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, first nonzero entry > 0.
@@ -40,7 +40,7 @@ def normalize_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 class RatMatrix:
-    """Dense matrix of Fractions (or ints), row-major."""
+    """Dense matrix of Fractions or ints, row-major."""
 
     __slots__ = ("data", "rows", "cols")
 
@@ -69,10 +69,14 @@ class RatMatrix:
         return mat
 
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and the tuple of pivot columns.
+        """Primitive integer RREF and the tuple of pivot columns.
 
-        Pivot selection is the first nonzero entry scanning rows downward,
-        columns left to right.  Deterministic by construction.
+        Row r of the result is the r-th row of the reduced row echelon form
+        scaled to coprime integers with a positive pivot, so entry
+        [r][c] / [r][pivots[r]] is the Fraction RREF entry; the rows past
+        the rank are integer zeros.  Pivot selection is the first nonzero
+        entry scanning rows downward, columns left to right.  Deterministic
+        by construction.
         """
         m = []
         for row in self.data:
@@ -103,10 +107,13 @@ class RatMatrix:
                 m[i] = [x // g for x in row] if g > 1 else row
             pivots.append(c)
             r += 1
-        out = [tuple(Fraction(x, m[i][p]) if x else _ZERO for x in m[i])
+        # Every row is primitive already: divided by its gcd when scaled or
+        # last rewritten.
+        out = [tuple(m[i]) if m[i][p] > 0 else tuple(-x for x in m[i])
                for i, p in enumerate(pivots)]
-        out += [(_ZERO,) * self.cols] * (len(m) - r)
+        out += [(0,) * self.cols] * (len(m) - r)
         return RatMatrix._wrap(out, self.cols), tuple(pivots)
+
 
 def matrix_from_columns(columns: Sequence[Sequence[Fraction | int]], nrows: int) -> RatMatrix:
     return RatMatrix([[Fraction(col[i]) for col in columns] for i in range(nrows)],
@@ -140,5 +147,5 @@ def solve_columns(columns: Sequence[Sequence[Fraction | int]],
         return None
     x = [Fraction(0)] * n
     for r, p in enumerate(pivots):
-        x[p] = rrefm.data[r][n]
+        x[p] = Fraction(rrefm.data[r][n], rrefm.data[r][p])
     return x

@@ -10,13 +10,14 @@ coefficient matrix over the shared monomials, and runs one exact
 elimination (RREF) on it.
 
 The multisets are enumerated from names and bi-degrees alone.  Each
-product is then built once, on integer numerators over a denominator, as
-its prefix (all factors but the last, in sorted-name order) times its last
-invariant.  The prefixes of two or more factors sit in a table owned by one
-reduce_basis call, which holds nothing else and is freed when it returns.
-Each column is its polynomial times that denominator; the RREF pivots do
-not depend on such scaling, and relations read from the RREF multiply it
-back in.
+product is then built once, on integer numerators over a denominator keyed
+by packed monomial (poly.integer_terms), as its prefix (all factors but
+the last, in sorted-name order) times its last invariant.  One reduce_basis
+call converts each survivor to that form once, and keeps the prefixes of
+two or more factors in a table of their own; both are freed when it
+returns.  Each column is its polynomial times that denominator; the RREF
+pivots do not depend on such scaling, and relations read from the RREF
+multiply it back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
@@ -24,7 +25,11 @@ columns are pivots are the kept ones.  A free product column gives a
 syzygy between products of lower-degree invariants; it is reported but
 eliminates nothing.  A free invariant column is eliminated, and its RREF
 entries express it over the pivot columns: a relation in solved form,
-scaled to coprime integer coefficients.  Every relation and syzygy is
+scaled to coprime integer coefficients.  The RREF is the primitive
+integer one (ratlinalg), so a free column f is read without a Fraction:
+with L the lcm of the pivots R[r][p] of the rows where f has an entry, the
+free column contributes L * d_f and each such pivot column p
+-R[r][f] * (L / R[r][p]) * d_p.  Every relation and syzygy is
 checked exactly before it is reported: its products are multiplied again
 from the restricted invariants, never read from the matrix or the prefix
 table, with each product built once per bi-degree from its prefix, and the
@@ -34,7 +39,8 @@ one common denominator.
 The default bounds (7, 6) cover every catalog bi-degree, so raising them
 keeps the same generators and relations; the targets past them hold only
 products, and report more syzygies (theta: 126, 283 and 571 at max total
-degree 7, 8 and 9).
+degree 7, 8 and 9).  The max total degree may not exceed poly.MAX_EXPONENT,
+the largest degree a packed monomial holds.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX
-from .poly import (Polynomial, VarTable, coefficient_matrix, integer_product,
-                   integer_terms, product_str, signed_sum)
+from .poly import (MAX_EXPONENT, Polynomial, VarTable, coefficient_matrix,
+                   integer_product, integer_terms, product_str, signed_sum)
 # Unused here; perfbench/tracing.py wraps these two names in this module.
 from .ratlinalg import rank_of_columns, solve_columns  # noqa: F401
 from .ratlinalg import normalize_integer_vector
@@ -180,14 +186,15 @@ def partition_bidegrees(rb: RestrictedBasis) -> list[tuple[tuple[int, int], tupl
     return [(bd, tuple(groups[bd])) for bd in sorted(groups, key=deglex_key)]
 
 
-# An integer polynomial (d, numerators): monomial m has coefficient
-# numerators[m] / d.
-_IntPoly = tuple[int, dict[tuple[int, ...], int]]
+# An integer polynomial (d, numerators): packed monomial k has coefficient
+# numerators[k] / d.
+_IntPoly = tuple[int, dict[int, int]]
 
 
 def enumerate_products(items: Sequence[tuple[str, Polynomial, tuple[int, int]]],
                        target: tuple[int, int], min_factors: int = 2,
-                       prefixes: dict[tuple[str, ...], _IntPoly] | None = None
+                       prefixes: dict[tuple[str, ...], _IntPoly] | None = None,
+                       ints: Mapping[str, _IntPoly] | None = None
                        ) -> list[tuple[tuple[str, ...], _IntPoly]]:
     """Multisets of at least min_factors items whose bi-degrees sum to target,
     each with its product as an integer polynomial (d, numerators).
@@ -199,8 +206,10 @@ def enumerate_products(items: Sequence[tuple[str, Polynomial, tuple[int, int]]],
     more factors is read from prefixes, or built the same way and stored
     there on first use; a returned product is never stored.  Share one
     table between calls on the same items to build each prefix once (None:
-    a table for this call only).  Products of nonzero polynomials never
-    vanish, so every product this returns is a usable column.
+    a table for this call only).  ints maps each item's name to its
+    integer_terms form, to share the conversions between calls (None:
+    converted here).  Products of nonzero polynomials never vanish, so
+    every product this returns is a usable column.
     """
     pool = sorted(items, key=lambda it: it[0])
     found: list[tuple[str, ...]] = []
@@ -219,8 +228,10 @@ def enumerate_products(items: Sequence[tuple[str, Polynomial, tuple[int, int]]],
                 factors.pop()
 
     rec(0, *target)
-    used = {name for fs in found for name in fs}
-    ints = {name: integer_terms(p.terms) for name, p, _ in pool if name in used}
+    if ints is None:
+        used = {name for fs in found for name in fs}
+        ints = {name: integer_terms(p.table, p.terms) for name, p, _ in pool
+                if name in used}
     table = {} if prefixes is None else prefixes
 
     def product(fs: tuple[str, ...]) -> _IntPoly:
@@ -237,12 +248,14 @@ def enumerate_products(items: Sequence[tuple[str, Polynomial, tuple[int, int]]],
 
 
 def reducible_products(rb: RestrictedBasis, target: tuple[int, int],
-                       prefixes: dict[tuple[str, ...], _IntPoly] | None = None
+                       prefixes: dict[tuple[str, ...], _IntPoly] | None = None,
+                       ints: Mapping[str, _IntPoly] | None = None
                        ) -> list[tuple[tuple[str, ...], _IntPoly]]:
     """Products of two or more surviving invariants with bi-degree sum
-    target, as integer polynomials; prefixes as in enumerate_products."""
+    target, as integer polynomials; prefixes and ints as in
+    enumerate_products."""
     items = [(name, p, _bidegree(name)) for name, p in rb.entries]
-    return enumerate_products(items, target, 2, prefixes)
+    return enumerate_products(items, target, 2, prefixes, ints)
 
 
 def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[int, int]]:
@@ -261,7 +274,8 @@ def _product(factors: tuple[str, ...], restricted: Mapping[str, Polynomial],
     got = memo.get(factors)
     if got is None:
         if len(factors) == 1:
-            got = integer_terms(restricted[factors[0]].terms)
+            p = restricted[factors[0]]
+            got = integer_terms(p.table, p.terms)
         else:
             d, head = _product(factors[:-1], restricted, memo)
             e, last = _product(factors[-1:], restricted, memo)
@@ -272,7 +286,7 @@ def _product(factors: tuple[str, ...], restricted: Mapping[str, Polynomial],
 
 def _relation(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
               memo: dict[tuple[str, ...], _IntPoly],
-              raw_terms: Sequence[tuple[tuple[str, ...], Fraction | int]],
+              raw_terms: Sequence[tuple[tuple[str, ...], int]],
               solved_for: str | None = None) -> Relation:
     """The relation over nonzero raw terms, scaled to coprime integers with
     its first term positive, once exact re-multiplication confirms it.
@@ -287,7 +301,7 @@ def _relation(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
     rel = Relation(bd, tuple(zip(labels, normalize_integer_vector(coeffs))), solved_for)
     prods = [(c, _product(f, restricted, memo)) for f, c in rel.terms]
     den = lcm(*(d for _, (d, _) in prods))
-    residual: dict[tuple[int, ...], int] = {}
+    residual: dict[int, int] = {}
     for c, (d, ints) in prods:
         scale = c * (den // d)
         for m, v in ints.items():
@@ -300,28 +314,30 @@ def _relation(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
 
 def _eliminate(bd: tuple[int, int], table: VarTable,
                restricted: Mapping[str, Polynomial],
+               ints: Mapping[str, _IntPoly],
                prods: Sequence[tuple[tuple[str, ...], _IntPoly]],
                invs: Sequence[str], order: Sequence[str]
                ) -> tuple[tuple[str, ...], list[Relation], list[Relation]]:
     """One exact elimination at bi-degree bd.
 
     The columns are the integer products, then the invariants invs
-    (catalog order) arranged in the policy order `order`, each column
-    holding the numerators of its polynomial over its denominator d.  A
-    single RREF gives everything: the pivot invariant columns, which are
-    the kept names (returned in catalog order); a syzygy for every free
-    product column; and, for every invariant whose column is not a pivot,
-    its relation solved over the pivot columns, read from that column's
-    RREF entries (in catalog order of the solved-for names).  Column f is
-    d_f times its polynomial, so the RREF entry R[r][f] of pivot p
-    contributes -R[r][f] * d_p, and the free column itself d_f.  Every
-    relation is checked by _relation, which re-multiplies its products
-    from the restricted invariants; the integer products it builds are
-    shared by the checks at bd and freed on return.
+    (catalog order, their integer forms in ints) arranged in the policy
+    order `order`, each column holding the numerators of its polynomial
+    over its denominator d.  A single RREF gives everything: the pivot
+    invariant columns, which are the kept names (returned in catalog
+    order); a syzygy for every free product column; and, for every
+    invariant whose column is not a pivot, its relation solved over the
+    pivot columns, read from that column's entries in the primitive RREF
+    (in catalog order of the solved-for names), in integers with the lcm
+    L of the pivots it meets as the module docstring says: column f is d_f
+    times its polynomial, and row r is the Fraction RREF row times its
+    pivot R[r][p].  Every relation is checked by _relation, which
+    re-multiplies its products from the restricted invariants; the integer
+    products it builds are shared by the checks at bd and freed on return.
     """
     n_prods = len(prods)
     labels = [factors for factors, _ in prods] + [(n,) for n in order]
-    columns = [c for _, c in prods] + [integer_terms(restricted[n].terms) for n in order]
+    columns = [c for _, c in prods] + [ints[n] for n in order]
     dens = [d for d, _ in columns]
     _, mat = coefficient_matrix(table, columns)
     rrefm, pivots = mat.rref()
@@ -331,16 +347,20 @@ def _eliminate(bd: tuple[int, int], table: VarTable,
     catalog_pos = list(range(n_prods)) + [n_prods + invs.index(n) for n in order]
     memo: dict[tuple[str, ...], _IntPoly] = {}
 
-    def over_pivots(f: int) -> list[tuple[int, Fraction]]:
-        """d_f * column f = sum of c * column p over these (p, -c), p ascending."""
-        return [(p, -rows[r][f] * dens[p]) for r, p in enumerate(pivots) if rows[r][f]]
+    def over_pivots(f: int) -> tuple[int, list[tuple[int, int]]]:
+        """(L * d_f, terms): L * d_f * column f = sum of c * column p over the
+        terms (p, -c), p ascending."""
+        hits = [(r, p) for r, p in enumerate(pivots) if rows[r][f]]
+        scale = lcm(*(rows[r][p] for r, p in hits))
+        return scale * dens[f], [(p, -rows[r][f] * (scale // rows[r][p]) * dens[p])
+                                 for r, p in hits]
 
     syzygies = []
     for f in range(n_prods):
         if f not in pivot_set:
-            raw = [(labels[p], c) for p, c in over_pivots(f)]
-            syzygies.append(_relation(bd, restricted, memo,
-                                      raw + [(labels[f], dens[f])]))
+            own, terms = over_pivots(f)
+            raw = [(labels[p], c) for p, c in terms]
+            syzygies.append(_relation(bd, restricted, memo, raw + [(labels[f], own)]))
 
     column = {name: n_prods + k for k, name in enumerate(order)}
     relations = []
@@ -348,8 +368,9 @@ def _eliminate(bd: tuple[int, int], table: VarTable,
         f = column[name]
         if f in pivot_set:
             continue
-        terms = sorted(over_pivots(f), key=lambda t: catalog_pos[t[0]])
-        raw = [((name,), dens[f])] + [(labels[p], c) for p, c in terms]
+        own, terms = over_pivots(f)
+        terms.sort(key=lambda t: catalog_pos[t[0]])
+        raw = [((name,), own)] + [(labels[p], c) for p, c in terms]
         relations.append(_relation(bd, restricted, memo, raw, name))
     kept = tuple(n for n in invs if column[n] in pivot_set)
     return kept, syzygies, relations
@@ -370,6 +391,10 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    if bounds[0] > MAX_EXPONENT:
+        # Every degree and exponent of a product is at most its total degree.
+        raise ValueError(f"max total degree {bounds[0]} exceeds {MAX_EXPONENT}, "
+                         "the largest degree a packed monomial holds")
     pinned = None
     effective = policy
     if policy == "paper":
@@ -382,7 +407,9 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     restricted = rb.as_dict()
     table = rb.substitution.table
     partition = dict(partition_bidegrees(rb))
-    # Products that are the prefix of a later product, for this call only.
+    # Each survivor's integer form, and the products that are the prefix of
+    # a later product, for this call only.
+    ints = {name: integer_terms(table, p.terms) for name, p in rb.entries}
     prefixes: dict[tuple[str, ...], _IntPoly] = {}
     generators: list[str] = []
     relations: list[Relation] = []
@@ -390,7 +417,7 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     reports: list[BidegreeReport] = []
 
     for bd in bidegree_grid(bounds):
-        prods = reducible_products(rb, bd, prefixes)
+        prods = reducible_products(rb, bd, prefixes, ints)
         invs = partition.get(bd, ())
         if not prods and not invs:
             continue
@@ -401,7 +428,8 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             order = invs[::-1]
         else:
             order = invs
-        kept, syz_here, rels = _eliminate(bd, table, restricted, prods, invs, order)
+        kept, syz_here, rels = _eliminate(bd, table, restricted, ints, prods, invs,
+                                          order)
         if pinned is not None and kept != want:
             redundant = [n for n in want if n not in kept]
             problem = (f"contains a redundant invariant (not a pivot: {', '.join(redundant)})"

@@ -166,8 +166,8 @@ class GeneratingSetReport:
         return self.spanning_ok and self.minimal
 
 
-def _in_span(table: VarTable, target: tuple[int, Mapping[tuple[int, ...], int]],
-             columns: Sequence[tuple[int, Mapping[tuple[int, ...], int]]]) -> bool:
+def _in_span(table: VarTable, target: tuple[int, Mapping[int, int]],
+             columns: Sequence[tuple[int, Mapping[int, int]]]) -> bool:
     """Whether target is a linear combination of columns (integer
     polynomials on table): the target's column, placed last, is not a pivot
     of their joint RREF."""
@@ -188,16 +188,18 @@ def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> Generati
         if n not in surviving:
             raise ValueError(f"{n!r} is not a surviving invariant of this basis")
     table = rb.substitution.table
+    ints = {n: integer_terms(table, p.terms) for n, p in rb.entries}
     info = [(n, surviving[n], surviving[n].bidegree()) for n in names]
 
-    def in_span(p: Polynomial, items) -> bool:
-        cols = [c for _, c in enumerate_products(items, p.bidegree(), min_factors=1)]
-        return _in_span(table, integer_terms(p.terms), cols)
+    def in_span(name: str, items) -> bool:
+        bd = surviving[name].bidegree()
+        cols = [c for _, c in enumerate_products(items, bd, 1, None, ints)]
+        return _in_span(table, ints[name], cols)
 
-    spanning_failures = [name for name, p in rb.entries
-                         if name not in names and not in_span(p, info)]
+    spanning_failures = [name for name, _ in rb.entries
+                         if name not in names and not in_span(name, info)]
     redundant = [g for g in names
-                 if in_span(surviving[g], [item for item in info if item[0] != g])]
+                 if in_span(g, [item for item in info if item[0] != g])]
 
     return GeneratingSetReport(tuple(names), not spanning_failures,
                                tuple(spanning_failures), not redundant,

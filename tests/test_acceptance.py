@@ -208,7 +208,8 @@ def _exact_kernels_hold(rng):
         for _ in range(rng.randint(0, 5)):
             rows.append([F(rng.randint(-9, 9)) for _ in range(width)])
         # One kernel vector per free column of the RREF: x_f = 1, the
-        # pivot variables solved, every other free variable 0.
+        # pivot variables solved, every other free variable 0.  Row r of
+        # the primitive RREF is the Fraction RREF row times its pivot.
         rrefm, pivots = RatMatrix(rows).rref()
         kernel = []
         for f in range(width):
@@ -216,7 +217,7 @@ def _exact_kernels_hold(rng):
                 v = [F(0)] * width
                 v[f] = F(1)
                 for r, p in enumerate(pivots):
-                    v[p] = -rrefm.data[r][f]
+                    v[p] = -F(rrefm.data[r][f], rrefm.data[r][p])
                 kernel.append(v)
         rank = len(pivots)
         if (len(kernel) != width - rank

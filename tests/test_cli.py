@@ -9,6 +9,7 @@ import pytest
 import mebasis.cli as cli
 from mebasis import __version__
 from mebasis.cli import main
+from mebasis.poly import MAX_EXPONENT
 from mebasis.reduction import PolicyConflictError
 from mebasis.verify import PublishedRelation
 
@@ -315,6 +316,18 @@ def test_union_json(capsys):
 def test_bounds_exploring_nothing_are_usage_errors(capsys, command, bound):
     code, out, err = run(capsys, *command, *bound, "--format", "json")
     assert_one_line_usage_error(code, out, err, bound[0])
+
+
+@pytest.mark.parametrize("command", [["reduce", "--fiber", "theta"], ["union"]])
+def test_dmax_past_a_packed_slot_is_a_usage_error(capsys, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("the reduction started")
+
+    monkeypatch.setattr(cli, "reduce_basis", never)
+    code, out, err = run(capsys, *command, "--dmax", str(MAX_EXPONENT + 1),
+                         "--format", "json")
+    assert_one_line_usage_error(code, out, err, "--dmax")
+    assert f"at most {MAX_EXPONENT}" in err
 
 
 @pytest.mark.parametrize("command", [["reduce", "--fiber", "theta"], ["union"]])

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mebasis.poly import (MAG, STRESS, NotBiHomogeneousError, ParseError,
-                          Polynomial, VarTable, ZeroPolynomialError,
-                          coefficient_matrix, integer_terms, monomial_key,
-                          parse_polynomial)
+from mebasis.poly import (MAG, MAX_EXPONENT, STRESS, NotBiHomogeneousError,
+                          ParseError, Polynomial, VarTable, ZeroPolynomialError,
+                          coefficient_matrix, integer_product, integer_terms,
+                          monomial_key, parse_polynomial)
 
 F = Fraction
 
@@ -154,7 +154,7 @@ def test_evaluate_constant_ignores_point(table):
 
 def columns(*polys):
     """The integer columns (d, numerators) of polynomials."""
-    return [integer_terms(p.terms) for p in polys]
+    return [integer_terms(p.table, p.terms) for p in polys]
 
 
 def test_coefficient_matrix_two_by_two(table, vars4):
@@ -391,6 +391,53 @@ def test_coefficient_matrix_reconstructs_polynomials(items):
                 mono = mono * Polynomial.variable(_TABLE, name) ** e
             rebuilt = rebuilt + Fraction(mat.data[i][j], cols[j][0]) * mono
         assert rebuilt == p
+
+
+# -- packed monomials ----------------------------------------------------
+
+# Kinds interleaved, so that no run of slots belongs to one kind.
+_MIXED = VarTable([("s1", STRESS), ("m1", MAG), ("s2", STRESS), ("m2", MAG),
+                   ("s3", STRESS)])
+mixed_exponents = st.tuples(*(st.integers(min_value=0, max_value=3),) * 5)
+
+
+@st.composite
+def mixed_polynomials(draw):
+    terms = draw(st.dictionaries(mixed_exponents, coeffs, max_size=6))
+    return Polynomial(_MIXED, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_polynomials(), mixed_polynomials())
+def test_packed_integer_product_matches_polynomial_product(p, q):
+    da, a = integer_terms(_MIXED, p.terms)
+    db, b = integer_terms(_MIXED, q.terms)
+    unpacked = {_MIXED.unpack(k): Fraction(v, da * db)
+                for k, v in integer_product(a, b).items() if v}
+    assert unpacked == (p * q).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mixed_exponents, min_size=1, max_size=12))
+def test_packed_keys_sort_as_monomial_key_within_a_bidegree(monos):
+    for m in monos:
+        key = _MIXED.pack(m)
+        assert _MIXED.unpack(key) == m
+        assert _MIXED.packed_bidegree(key) == _MIXED.monomial_bidegree(m)
+    for bd in {_MIXED.monomial_bidegree(m) for m in monos}:
+        same = [m for m in monos if _MIXED.monomial_bidegree(m) == bd]
+        assert sorted(map(_MIXED.pack, same)) == \
+            [_MIXED.pack(m) for m in sorted(same, key=monomial_key)]
+
+
+def test_pack_refuses_what_does_not_fit_a_slot():
+    top = MAX_EXPONENT
+    assert _MIXED.unpack(_MIXED.pack((0, top, 0, 0, 0))) == (0, top, 0, 0, 0)
+    # One exponent too large, a mag degree too large from exponents that
+    # each fit, and a negative exponent: none may carry into a neighbour.
+    for exps in [(top + 1, 0, 0, 0, 0), (0, top, 0, 1, 0), (1, 0, -1, 0, 0)]:
+        with pytest.raises(ValueError, match="does not fit"):
+            _MIXED.pack(exps)
 
 
 # -- multiplication against a schoolbook reference -------------------------

@@ -4,8 +4,9 @@ The rank is the number of RREF pivots, and the kernel is read off the RREF
 by the helpers below.  Two independent oracles are implemented locally too.  The one-step
 Bareiss elimination gives the rank without forming a fraction.  The
 textbook Gauss-Jordan on Fraction entries gives the reduced row echelon
-form, which is unique, so the integer elimination in RatMatrix.rref must
-reproduce it entry for entry.
+form, which is unique, so the primitive integer RREF that RatMatrix.rref
+returns must be that form with each row scaled by normalize_integer_vector,
+entry for entry.
 """
 
 from fractions import Fraction
@@ -29,7 +30,8 @@ def kernel_with_free(m):
 
     The vector for free column f solves the pivot variables with x_f = 1
     and every other free variable 0, scaled to coprime integers whose
-    first nonzero entry is positive.
+    first nonzero entry is positive.  Row r of the primitive RREF is the
+    Fraction RREF row times its pivot entry.
     """
     rrefm, pivots = m.rref()
     out = []
@@ -38,7 +40,7 @@ def kernel_with_free(m):
             v = [F(0)] * m.cols
             v[f] = F(1)
             for r, p in enumerate(pivots):
-                v[p] = -rrefm.data[r][f]
+                v[p] = -F(rrefm.data[r][f], rrefm.data[r][p])
             out.append((f, normalize_integer_vector(v)))
     return out
 
@@ -127,6 +129,14 @@ def test_rref_halves_pivot_row():
 def test_rref_swaps_to_identity():
     rrefm, pivots = RatMatrix([[0, 1], [1, 0]]).rref()
     assert [list(r) for r in rrefm.data] == [[1, 0], [0, 1]]
+    assert pivots == (0, 1)
+
+
+def test_rref_rows_are_primitive_with_positive_pivots():
+    # The Fraction RREF is [[1, 0, -1/2], [0, 1, 3/4]]; each row is scaled
+    # to coprime integers with a positive pivot, never divided by it.
+    rrefm, pivots = RatMatrix([[-4, 0, 2], [0, 8, 6], [-2, 4, 4]]).rref()
+    assert rrefm.data == [(2, 0, -1), (0, 4, 3), (0, 0, 0)]
     assert pivots == (0, 1)
 
 
@@ -281,15 +291,21 @@ def rational_matrices(draw):
     return rows
 
 
+def primitive_fraction_rref(rows, ncols):
+    """fraction_rref with every row scaled by normalize_integer_vector."""
+    expected, pivots = fraction_rref(rows, ncols)
+    return [normalize_integer_vector(row) for row in expected], pivots
+
+
 @settings(max_examples=300, deadline=None)
 @given(rational_matrices())
 def test_rref_matches_fraction_gauss_jordan(rows):
     rrefm, pivots = RatMatrix(rows).rref()
-    expected, expected_pivots = fraction_rref(rows, len(rows[0]))
+    expected, expected_pivots = primitive_fraction_rref(rows, len(rows[0]))
     assert pivots == expected_pivots
     assert rrefm.data == expected
     assert (rrefm.rows, rrefm.cols) == (len(rows), len(rows[0]))
-    assert all(type(x) is Fraction for row in rrefm.data for x in row)
+    assert all(type(x) is int for row in rrefm.data for x in row)
 
 
 def test_rref_of_large_entries_matches_fraction_gauss_jordan():
@@ -297,4 +313,4 @@ def test_rref_of_large_entries_matches_fraction_gauss_jordan():
             for i in range(5)]
     rows[3] = [a + b for a, b in zip(rows[0], rows[1])]
     rrefm, pivots = RatMatrix(rows).rref()
-    assert (rrefm.data, pivots) == fraction_rref(rows, 6)
+    assert (rrefm.data, pivots) == primitive_fraction_rref(rows, 6)

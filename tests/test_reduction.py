@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mebasis.catalog import CATALOG_INDEX, CATALOG_NAMES
-from mebasis.poly import integer_terms
+from mebasis.poly import MAX_EXPONENT, integer_terms
 from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, Relation,
                                RelationIntegrityError, bidegree_grid,
@@ -65,40 +65,43 @@ def test_reducible_products_smallest_cases(theta_basis):
         [("I010", "I200")]
 
 
-def as_fractions(product):
-    """The coefficients of an integer polynomial (d, numerators)."""
+def as_fractions(product, table):
+    """The coefficients of an integer polynomial (d, numerators) on table,
+    keyed by exponent tuple."""
     d, nums = product
-    return {m: F(v, d) for m, v in nums.items()}
+    return {table.unpack(k): F(v, d) for k, v in nums.items()}
 
 
 def test_reducible_products_multiply_correctly(theta_basis):
     ((factors, product),) = reducible_products(theta_basis, (0, 2))
-    assert as_fractions(product) == (theta_basis.as_dict()["I010"] ** 2).terms
     table = theta_basis.substitution.table
-    assert {table.monomial_bidegree(m) for m in product[1]} == {(0, 2)}
+    assert as_fractions(product, table) == (theta_basis.as_dict()["I010"] ** 2).terms
+    assert {table.monomial_bidegree(table.unpack(k)) for k in product[1]} == {(0, 2)}
 
 
 @pytest.mark.parametrize("fiber", ["theta", "gamma"])
 def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
-    # One table over the whole grid, as reduce_basis shares it: every
-    # product is its factors multiplied out, and the table ends up holding
-    # exactly the proper prefixes of two or more factors, never a product
-    # that no later product extends.
+    # One table and one map of survivor conversions over the whole grid, as
+    # reduce_basis shares them: every product is its factors multiplied
+    # out, and the table ends up holding exactly the proper prefixes of two
+    # or more factors, never a product that no later product extends.
     rb = bases[fiber]
+    table = rb.substitution.table
     restricted = rb.as_dict()
+    ints = {name: integer_terms(table, p.terms) for name, p in rb.entries}
     prefixes = {}
     built = {}
     for bd in bidegree_grid():
-        for factors, product in reducible_products(rb, bd, prefixes):
+        for factors, product in reducible_products(rb, bd, prefixes, ints):
             chained = restricted[factors[0]]
             for name in factors[1:]:
                 chained = chained * restricted[name]
-            assert as_fractions(product) == as_fractions(integer_terms(chained.terms))
+            assert as_fractions(product, table) == chained.terms
             assert all(product[1].values())
             built[factors] = product
     assert set(prefixes) == {f[:-1] for f in built if len(f) > 2}
     for f, product in prefixes.items():
-        assert as_fractions(product) == as_fractions(built[f])
+        assert as_fractions(product, table) == as_fractions(built[f], table)
 
 
 def test_enumerate_products_allows_single_factors(theta_basis):
@@ -162,8 +165,8 @@ def test_selfcheck_catches_a_product_under_the_wrong_label(theta_basis, monkeypa
     import mebasis.reduction as reduction
     original = reduction.reducible_products
 
-    def swapped(rb, target, prefixes):
-        prods = original(rb, target, prefixes)
+    def swapped(rb, target, *shared):
+        prods = original(rb, target, *shared)
         if target == (4, 2):
             (f0, p0), (f1, p1) = prods[:2]
             prods[:2] = [(f0, p1), (f1, p0)]
@@ -235,6 +238,21 @@ def test_bounds_past_the_catalog_add_only_syzygies(theta_basis, reductions):
         [r.solved_str() for r in default.relations]
     assert len(default.syzygies) == 126
     assert len(wider.syzygies) == 283
+
+
+def test_bounds_past_a_packed_slot_are_refused_up_front(theta_basis, monkeypatch):
+    # A product of total degree d has every packed slot at most d, so a
+    # max total degree above MAX_EXPONENT could carry between slots.
+    import mebasis.reduction as reduction
+
+    def never(*args):
+        raise AssertionError("the reduction started")
+
+    monkeypatch.setattr(reduction, "reducible_products", never)
+    with pytest.raises(ValueError, match=f"max total degree {MAX_EXPONENT + 1} exceeds"):
+        reduce_basis(theta_basis, bounds=(MAX_EXPONENT + 1, 6))
+    with pytest.raises(AssertionError, match="started"):
+        reduce_basis(theta_basis, bounds=(MAX_EXPONENT, 6))
 
 
 @pytest.mark.parametrize("fiber", sorted(TABLE3))
