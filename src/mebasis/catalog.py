@@ -64,55 +64,52 @@ class InvariantDef:
 
 
 def build_catalog() -> tuple[InvariantDef, ...]:
-    def d(name, label, formula, bidegree, recipe):
-        return InvariantDef(name, label, formula, bidegree, recipe)
-
-    return (
-        d("I010", "I_{010}", "tr(s)", (0, 1), lambda p: p.tr),
-        d("I002", "I_{002}", "tr(sb^2)", (0, 2), lambda p: _tr(p.sb, p.sb)),
-        d("I020", "I_{020}", "tr(sd^2)", (0, 2), lambda p: _tr(p.sd, p.sd)),
-        d("I003", "I_{003}", "tr(sb^3)", (0, 3), lambda p: _tr(p.sb, p.sb, p.sb)),
-        d("I012", "I_{012}", "tr(sb^2*sd)", (0, 3), lambda p: _tr(p.sb, p.sb, p.sd)),
-        d("I030", "I_{030}", "tr(sd^3)", (0, 3), lambda p: _tr(p.sd, p.sd, p.sd)),
-        d("I004", "I_{004}", "tr(bar(sb^2)^2)", (0, 4),
-          lambda p: _tr(p.sb2_bar, p.sb2_bar)),
-        d("I022", "I_{022}", "tr(sb*sd*sb*sd)", (0, 4),
-          lambda p: _tr(p.sb, p.sd, p.sb, p.sd)),
-        d("I014", "I_{014}", "tr(sb*bar(sb^2)*sb*sd)", (0, 5),
-          lambda p: _tr(p.sb, p.sb2_bar, p.sb, p.sd)),
-        d("I200", "I_{200}", "dot(m,m)", (2, 0), lambda p: p.m.dot(p.m)),
-        d("I201", "I_{201}", "tr(mb*sb)", (2, 1), lambda p: _tr(p.mb, p.sb)),
-        d("I210", "I_{210}", "tr(md*sd)", (2, 1), lambda p: _tr(p.md, p.sd)),
-        d("I202a", "I_{202}^{a}", "tr(md*sb^2)", (2, 2), lambda p: _tr(p.md, p.sb2)),
-        d("I202b", "I_{202}^{b}", "tr(mb*bar(sb^2))", (2, 2),
-          lambda p: _tr(p.mb, p.sb2_bar)),
-        d("I211", "I_{211}", "tr(mb*sb*sd)", (2, 2), lambda p: _tr(p.mb, p.sb, p.sd)),
-        d("I220", "I_{220}", "tr(md*sd^2)", (2, 2), lambda p: _tr(p.md, p.sd, p.sd)),
-        d("I203", "I_{203}", "tr(mb*bar(sb^2)*sb)", (2, 3),
-          lambda p: _tr(p.mb, p.sb2_bar, p.sb)),
-        d("I212a", "I_{212}^{a}", "tr(md*dev(sb^2)*sd)", (2, 3),
-          lambda p: _tr(p.md, p.sb2_dev, p.sd)),
-        d("I212b", "I_{212}^{b}", "tr(mb*bar(sb^2)*sd)", (2, 3),
-          lambda p: _tr(p.mb, p.sb2_bar, p.sd)),
-        d("I221", "I_{221}", "tr(mb*sd*sb*sd)", (2, 3),
-          lambda p: _tr(p.mb, p.sd, p.sb, p.sd)),
-        d("I204", "I_{204}", "tr(md*sb*bar(sb^2)*sb)", (2, 4),
-          lambda p: _tr(p.md, p.sb, p.sb2_bar, p.sb)),
-        d("I213", "I_{213}", "tr(mb*dev(sb^2)*sb*sd)", (2, 4),
-          lambda p: _tr(p.mb, p.sb2_dev, p.sb, p.sd)),
-        d("I222", "I_{222}", "tr(mb*sd*bar(sb^2)*sd)", (2, 4),
-          lambda p: _tr(p.mb, p.sd, p.sb2_bar, p.sd)),
-        d("I400", "I_{400}", "tr(mb^2)", (4, 0), lambda p: _tr(p.mb, p.mb)),
-        d("I401", "I_{401}", "tr(mb*sb*mb)", (4, 1), lambda p: _tr(p.mb, p.sb, p.mb)),
-        d("I410", "I_{410}", "tr(mb*sd*mb)", (4, 1), lambda p: _tr(p.mb, p.sd, p.mb)),
-        d("I402", "I_{402}", "tr(mb*bar(sb^2)*mb)", (4, 2),
-          lambda p: _tr(p.mb, p.sb2_bar, p.mb)),
-        d("I411", "I_{411}", "tr(mb*sd*sb*mb)", (4, 2),
-          lambda p: _tr(p.mb, p.sd, p.sb, p.mb)),
-        d("I600", "I_{600}", "tr(mb^3)", (6, 0), lambda p: _tr(p.mb, p.mb, p.mb)),
-        d("I601", "I_{601}", "tr(md*mb*md*sb)", (6, 1),
-          lambda p: _tr(p.md, p.mb, p.md, p.sb)),
-    )
+    return tuple(InvariantDef(*row) for row in (
+        ("I010", "I_{010}", "tr(s)", (0, 1), lambda p: p.tr),
+        ("I002", "I_{002}", "tr(sb^2)", (0, 2), lambda p: _tr(p.sb, p.sb)),
+        ("I020", "I_{020}", "tr(sd^2)", (0, 2), lambda p: _tr(p.sd, p.sd)),
+        ("I003", "I_{003}", "tr(sb^3)", (0, 3), lambda p: _tr(p.sb, p.sb, p.sb)),
+        ("I012", "I_{012}", "tr(sb^2*sd)", (0, 3), lambda p: _tr(p.sb, p.sb, p.sd)),
+        ("I030", "I_{030}", "tr(sd^3)", (0, 3), lambda p: _tr(p.sd, p.sd, p.sd)),
+        ("I004", "I_{004}", "tr(bar(sb^2)^2)", (0, 4),
+         lambda p: _tr(p.sb2_bar, p.sb2_bar)),
+        ("I022", "I_{022}", "tr(sb*sd*sb*sd)", (0, 4),
+         lambda p: _tr(p.sb, p.sd, p.sb, p.sd)),
+        ("I014", "I_{014}", "tr(sb*bar(sb^2)*sb*sd)", (0, 5),
+         lambda p: _tr(p.sb, p.sb2_bar, p.sb, p.sd)),
+        ("I200", "I_{200}", "dot(m,m)", (2, 0), lambda p: p.m.dot(p.m)),
+        ("I201", "I_{201}", "tr(mb*sb)", (2, 1), lambda p: _tr(p.mb, p.sb)),
+        ("I210", "I_{210}", "tr(md*sd)", (2, 1), lambda p: _tr(p.md, p.sd)),
+        ("I202a", "I_{202}^{a}", "tr(md*sb^2)", (2, 2), lambda p: _tr(p.md, p.sb2)),
+        ("I202b", "I_{202}^{b}", "tr(mb*bar(sb^2))", (2, 2),
+         lambda p: _tr(p.mb, p.sb2_bar)),
+        ("I211", "I_{211}", "tr(mb*sb*sd)", (2, 2), lambda p: _tr(p.mb, p.sb, p.sd)),
+        ("I220", "I_{220}", "tr(md*sd^2)", (2, 2), lambda p: _tr(p.md, p.sd, p.sd)),
+        ("I203", "I_{203}", "tr(mb*bar(sb^2)*sb)", (2, 3),
+         lambda p: _tr(p.mb, p.sb2_bar, p.sb)),
+        ("I212a", "I_{212}^{a}", "tr(md*dev(sb^2)*sd)", (2, 3),
+         lambda p: _tr(p.md, p.sb2_dev, p.sd)),
+        ("I212b", "I_{212}^{b}", "tr(mb*bar(sb^2)*sd)", (2, 3),
+         lambda p: _tr(p.mb, p.sb2_bar, p.sd)),
+        ("I221", "I_{221}", "tr(mb*sd*sb*sd)", (2, 3),
+         lambda p: _tr(p.mb, p.sd, p.sb, p.sd)),
+        ("I204", "I_{204}", "tr(md*sb*bar(sb^2)*sb)", (2, 4),
+         lambda p: _tr(p.md, p.sb, p.sb2_bar, p.sb)),
+        ("I213", "I_{213}", "tr(mb*dev(sb^2)*sb*sd)", (2, 4),
+         lambda p: _tr(p.mb, p.sb2_dev, p.sb, p.sd)),
+        ("I222", "I_{222}", "tr(mb*sd*bar(sb^2)*sd)", (2, 4),
+         lambda p: _tr(p.mb, p.sd, p.sb2_bar, p.sd)),
+        ("I400", "I_{400}", "tr(mb^2)", (4, 0), lambda p: _tr(p.mb, p.mb)),
+        ("I401", "I_{401}", "tr(mb*sb*mb)", (4, 1), lambda p: _tr(p.mb, p.sb, p.mb)),
+        ("I410", "I_{410}", "tr(mb*sd*mb)", (4, 1), lambda p: _tr(p.mb, p.sd, p.mb)),
+        ("I402", "I_{402}", "tr(mb*bar(sb^2)*mb)", (4, 2),
+         lambda p: _tr(p.mb, p.sb2_bar, p.mb)),
+        ("I411", "I_{411}", "tr(mb*sd*sb*mb)", (4, 2),
+         lambda p: _tr(p.mb, p.sd, p.sb, p.mb)),
+        ("I600", "I_{600}", "tr(mb^3)", (6, 0), lambda p: _tr(p.mb, p.mb, p.mb)),
+        ("I601", "I_{601}", "tr(md*mb*md*sb)", (6, 1),
+         lambda p: _tr(p.md, p.mb, p.md, p.sb)),
+    ))
 
 
 CATALOG: tuple[InvariantDef, ...] = build_catalog()

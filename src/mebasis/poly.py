@@ -373,16 +373,16 @@ def integer_terms(table: VarTable, terms: Mapping[tuple[int, ...], Fraction]
 
 
 def integer_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """The product of two integer term maps keyed by packed monomial; a
-    cancelled term stays as 0.  The caller keeps every degree of the
-    product within MAX_EXPONENT."""
+    """The product of two integer term maps keyed by packed monomial, with
+    cancelled terms dropped.  The caller keeps every degree of the product
+    within MAX_EXPONENT."""
     acc: dict[int, int] = {}
     bl = list(b.items())
     for k1, c1 in a.items():
         for k2, c2 in bl:
             k = k1 + k2
             acc[k] = acc.get(k, 0) + c1 * c2
-    return acc
+    return {k: v for k, v in acc.items() if v}
 
 
 def _power(name: str, e: int) -> str:
@@ -421,18 +421,18 @@ def signed_sum(terms: Iterable[tuple[Fraction | int, str]], sep: str = "*") -> s
 
 def coefficient_matrix(table: VarTable,
                        columns: Sequence[tuple[int, Mapping[int, int]]]
-                       ) -> tuple[list[tuple[int, ...]], RatMatrix]:
-    """Monomial list (exponent tuples) and integer coefficient matrix of
-    bi-homogeneous polynomials on table, each given as (d, numerators)
-    keyed by packed monomial with nonzero numerators, as integer_terms
-    gives them.
+                       ) -> tuple[list[int], RatMatrix]:
+    """Row monomials as packed keys (VarTable.unpack reads them) and the
+    integer coefficient matrix of bi-homogeneous polynomials on table, each
+    (d, numerators) keyed by packed monomial with nonzero numerators, as
+    integer_terms gives them.
 
     All columns must share one bi-degree.  Rows follow the canonical
-    monomial order (graded lex, highest first); column j holds the
-    numerators of columns[j], that is d_j times its coefficient vector:
-    the polynomial is sum_i A[i][j] * monomial_i / d_j.  Scaling a column
-    moves no pivot of the RREF, and a reader of the RREF multiplies by d_j
-    to get back to the polynomials.
+    monomial order (graded lex, highest first: descending packed keys);
+    column j holds the numerators of columns[j], that is d_j times its
+    coefficient vector: the polynomial is sum_i A[i][j] * monomial_i / d_j.
+    Scaling a column moves no pivot of the RREF, and a reader of the RREF
+    multiplies by d_j to get back to the polynomials.
     """
     if not columns:
         raise ValueError("need at least one polynomial")
@@ -453,7 +453,7 @@ def coefficient_matrix(table: VarTable,
     # One bi-degree: the packed ints sort as monomial_key sorts the tuples.
     keys = sorted(union, reverse=True)
     rows = [tuple(nums.get(k, 0) for nums in maps) for k in keys]
-    return [table.unpack(k) for k in keys], RatMatrix._wrap(rows, len(maps))
+    return keys, RatMatrix._wrap(rows, len(maps))
 
 
 # -- parser --------------------------------------------------------------

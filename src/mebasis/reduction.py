@@ -9,15 +9,16 @@ surviving invariant of that exact bi-degree, builds the integer
 coefficient matrix over the shared monomials, and runs one exact
 elimination (RREF) on it.
 
-The multisets are enumerated from names and bi-degrees alone.  Each
-product is then built once, on integer numerators over a denominator keyed
-by packed monomial (poly.integer_terms), as its prefix (all factors but
-the last, in sorted-name order) times its last invariant.  One reduce_basis
-call converts each survivor to that form once, and keeps the prefixes of
-two or more factors in a table of their own; both are freed when it
-returns.  Each column is its polynomial times that denominator; the RREF
-pivots do not depend on such scaling, and relations read from the RREF
-multiply it back in.
+The multisets are enumerated from names and bi-degrees alone.  One
+builder, _product, makes every product, for the engine's columns, the
+self-check and verify.verify_generating_set: on integer numerators over a
+denominator keyed by packed monomial (poly.integer_terms), its prefix (all
+factors but the last, in sorted-name order) times its last invariant, with
+prefixes of two or more factors kept in its caller's table.  One
+reduce_basis call converts each survivor once and keeps one prefix table
+for the engine; both are freed when it returns.  Each column is its
+polynomial times that denominator; the RREF pivots do not depend on such
+scaling, and relations read from the RREF multiply it back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
@@ -31,8 +32,8 @@ with L the lcm of the pivots R[r][p] of the rows where f has an entry, the
 free column contributes L * d_f and each such pivot column p
 -R[r][f] * (L / R[r][p]) * d_p.  Every relation and syzygy is
 checked exactly before it is reported: its products are multiplied again
-from the restricted invariants, never read from the matrix or the prefix
-table, with each product built once per bi-degree from its prefix, and the
+from the self-check's own survivor forms, never from the engine's forms,
+the matrix or the engine's prefix table, each once per bi-degree, and the
 sum of coefficient times product must vanish as integer numerators over
 one common denominator.
 
@@ -191,27 +192,38 @@ def partition_bidegrees(rb: RestrictedBasis) -> list[tuple[tuple[int, int], tupl
 _IntPoly = tuple[int, dict[int, int]]
 
 
-def enumerate_products(items: Sequence[tuple[str, Polynomial, tuple[int, int]]],
-                       target: tuple[int, int], min_factors: int = 2,
-                       prefixes: dict[tuple[str, ...], _IntPoly] | None = None,
-                       ints: Mapping[str, _IntPoly] | None = None
+def _product(factors: tuple[str, ...], ints: Mapping[str, _IntPoly],
+             prefixes: dict[tuple[str, ...], _IntPoly]) -> _IntPoly:
+    """The integer product of the survivors named by factors (sorted), from
+    their integer forms in ints: one integer multiplication of its prefix
+    (all factors but the last) by its last factor.  A prefix of two or more
+    factors is read from prefixes, or built the same way and stored there;
+    the product returned is never stored."""
+    if len(factors) == 1:
+        return ints[factors[0]]
+    head = factors[:-1]
+    got = ints[head[0]] if len(head) == 1 else prefixes.get(head)
+    if got is None:
+        got = prefixes[head] = _product(head, ints, prefixes)
+    (d, h), (e, last) = got, ints[factors[-1]]
+    return d * e, integer_product(h, last)
+
+
+def enumerate_products(items: Sequence[tuple[str, tuple[int, int]]],
+                       target: tuple[int, int], min_factors: int,
+                       ints: Mapping[str, _IntPoly],
+                       prefixes: dict[tuple[str, ...], _IntPoly]
                        ) -> list[tuple[tuple[str, ...], _IntPoly]]:
-    """Multisets of at least min_factors items whose bi-degrees sum to target,
-    each with its product as an integer polynomial (d, numerators).
+    """Multisets of at least min_factors items (name, bi-degree) whose
+    bi-degrees sum to target, each with its _product over ints and prefixes.
 
     Output order is lexicographic by the sorted factor-name tuple.  The
-    multisets are found from names and bi-degrees alone; then each product
-    is one integer multiplication, of its prefix (all factors but the last)
-    by its last factor, with cancelled terms dropped.  A prefix of two or
-    more factors is read from prefixes, or built the same way and stored
-    there on first use; a returned product is never stored.  Share one
-    table between calls on the same items to build each prefix once (None:
-    a table for this call only).  ints maps each item's name to its
-    integer_terms form, to share the conversions between calls (None:
-    converted here).  Products of nonzero polynomials never vanish, so
-    every product this returns is a usable column.
+    multisets are found from names and bi-degrees alone.  Share prefixes
+    between calls on the same ints to build each prefix once.  Products of
+    nonzero polynomials never vanish, so every product this returns is a
+    usable column.
     """
-    pool = sorted(items, key=lambda it: it[0])
+    pool = sorted(items)
     found: list[tuple[str, ...]] = []
     factors: list[str] = []
 
@@ -221,41 +233,25 @@ def enumerate_products(items: Sequence[tuple[str, Polynomial, tuple[int, int]]],
                 found.append(tuple(factors))
             return
         for idx in range(start, len(pool)):
-            name, _, (a, b) = pool[idx]
+            name, (a, b) = pool[idx]
             if a <= ra and b <= rb_:
                 factors.append(name)
                 rec(idx, ra - a, rb_ - b)
                 factors.pop()
 
     rec(0, *target)
-    if ints is None:
-        used = {name for fs in found for name in fs}
-        ints = {name: integer_terms(p.table, p.terms) for name, p, _ in pool
-                if name in used}
-    table = {} if prefixes is None else prefixes
-
-    def product(fs: tuple[str, ...]) -> _IntPoly:
-        if len(fs) == 1:
-            return ints[fs[0]]
-        head = fs[:-1]
-        got = ints[head[0]] if len(head) == 1 else table.get(head)
-        if got is None:
-            got = table[head] = product(head)
-        (d, h), (e, last) = got, ints[fs[-1]]
-        return d * e, {m: v for m, v in integer_product(h, last).items() if v}
-
-    return [(fs, product(fs)) for fs in found]
+    return [(fs, _product(fs, ints, prefixes)) for fs in found]
 
 
 def reducible_products(rb: RestrictedBasis, target: tuple[int, int],
-                       prefixes: dict[tuple[str, ...], _IntPoly] | None = None,
-                       ints: Mapping[str, _IntPoly] | None = None
+                       ints: Mapping[str, _IntPoly],
+                       prefixes: dict[tuple[str, ...], _IntPoly]
                        ) -> list[tuple[tuple[str, ...], _IntPoly]]:
     """Products of two or more surviving invariants with bi-degree sum
-    target, as integer polynomials; prefixes and ints as in
+    target, as integer polynomials; ints and prefixes as in
     enumerate_products."""
-    items = [(name, p, _bidegree(name)) for name, p in rb.entries]
-    return enumerate_products(items, target, 2, prefixes, ints)
+    items = [(name, _bidegree(name)) for name, _ in rb.entries]
+    return enumerate_products(items, target, 2, ints, prefixes)
 
 
 def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[int, int]]:
@@ -267,44 +263,30 @@ def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[in
             yield (a, k - a)
 
 
-def _product(factors: tuple[str, ...], restricted: Mapping[str, Polynomial],
-             memo: dict[tuple[str, ...], _IntPoly]) -> _IntPoly:
-    """The product of the restricted invariants named by factors, built from
-    its prefix and kept in memo."""
-    got = memo.get(factors)
-    if got is None:
-        if len(factors) == 1:
-            p = restricted[factors[0]]
-            got = integer_terms(p.table, p.terms)
-        else:
-            d, head = _product(factors[:-1], restricted, memo)
-            e, last = _product(factors[-1:], restricted, memo)
-            got = (d * e, integer_product(head, last))
-        memo[factors] = got
-    return got
-
-
-def _relation(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
-              memo: dict[tuple[str, ...], _IntPoly],
+def _relation(bd: tuple[int, int], ints: Mapping[str, _IntPoly],
+              checked: dict[tuple[str, ...], _IntPoly],
               raw_terms: Sequence[tuple[tuple[str, ...], int]],
               solved_for: str | None = None) -> Relation:
     """The relation over nonzero raw terms, scaled to coprime integers with
     its first term positive, once exact re-multiplication confirms it.
 
-    The check multiplies each term's factors out of the restricted
-    invariants (through memo, so each product is built once per bi-degree),
-    never from the matrix it came from, sums c_k * prod_k as integer
-    numerators over one common denominator, and requires every numerator
-    to be 0.
+    The check multiplies each term's factors out of ints, the self-check's
+    own survivor forms, never out of the matrix.  checked, its table for
+    one bi-degree, keeps every product checked there and their prefixes,
+    so each is built once.  c_k * prod_k must sum to 0 as integer
+    numerators over one common denominator.
     """
     labels, coeffs = zip(*raw_terms)
     rel = Relation(bd, tuple(zip(labels, normalize_integer_vector(coeffs))), solved_for)
-    prods = [(c, _product(f, restricted, memo)) for f, c in rel.terms]
-    den = lcm(*(d for _, (d, _) in prods))
+    for f, _ in rel.terms:
+        if f not in checked:
+            checked[f] = _product(f, ints, checked)
+    den = lcm(*(checked[f][0] for f, _ in rel.terms))
     residual: dict[int, int] = {}
-    for c, (d, ints) in prods:
+    for f, c in rel.terms:
+        d, nums = checked[f]
         scale = c * (den // d)
-        for m, v in ints.items():
+        for m, v in nums.items():
             residual[m] = residual.get(m, 0) + scale * v
     if any(residual.values()):
         raise RelationIntegrityError(
@@ -313,8 +295,7 @@ def _relation(bd: tuple[int, int], restricted: Mapping[str, Polynomial],
 
 
 def _eliminate(bd: tuple[int, int], table: VarTable,
-               restricted: Mapping[str, Polynomial],
-               ints: Mapping[str, _IntPoly],
+               ints: Mapping[str, _IntPoly], check_ints: Mapping[str, _IntPoly],
                prods: Sequence[tuple[tuple[str, ...], _IntPoly]],
                invs: Sequence[str], order: Sequence[str]
                ) -> tuple[tuple[str, ...], list[Relation], list[Relation]]:
@@ -332,8 +313,8 @@ def _eliminate(bd: tuple[int, int], table: VarTable,
     L of the pivots it meets as the module docstring says: column f is d_f
     times its polynomial, and row r is the Fraction RREF row times its
     pivot R[r][p].  Every relation is checked by _relation, which
-    re-multiplies its products from the restricted invariants; the integer
-    products it builds are shared by the checks at bd and freed on return.
+    re-multiplies its products from check_ints, never from ints, sharing
+    them between the checks at bd and freeing them on return.
     """
     n_prods = len(prods)
     labels = [factors for factors, _ in prods] + [(n,) for n in order]
@@ -345,7 +326,7 @@ def _eliminate(bd: tuple[int, int], table: VarTable,
     pivot_set = set(pivots)
     # Column -> its position with the invariants in catalog order.
     catalog_pos = list(range(n_prods)) + [n_prods + invs.index(n) for n in order]
-    memo: dict[tuple[str, ...], _IntPoly] = {}
+    checked: dict[tuple[str, ...], _IntPoly] = {}
 
     def over_pivots(f: int) -> tuple[int, list[tuple[int, int]]]:
         """(L * d_f, terms): L * d_f * column f = sum of c * column p over the
@@ -360,7 +341,7 @@ def _eliminate(bd: tuple[int, int], table: VarTable,
         if f not in pivot_set:
             own, terms = over_pivots(f)
             raw = [(labels[p], c) for p, c in terms]
-            syzygies.append(_relation(bd, restricted, memo, raw + [(labels[f], own)]))
+            syzygies.append(_relation(bd, check_ints, checked, raw + [(labels[f], own)]))
 
     column = {name: n_prods + k for k, name in enumerate(order)}
     relations = []
@@ -371,7 +352,7 @@ def _eliminate(bd: tuple[int, int], table: VarTable,
         own, terms = over_pivots(f)
         terms.sort(key=lambda t: catalog_pos[t[0]])
         raw = [((name,), own)] + [(labels[p], c) for p, c in terms]
-        relations.append(_relation(bd, restricted, memo, raw, name))
+        relations.append(_relation(bd, check_ints, checked, raw, name))
     kept = tuple(n for n in invs if column[n] in pivot_set)
     return kept, syzygies, relations
 
@@ -404,12 +385,12 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
         else:
             effective = "table-order"
 
-    restricted = rb.as_dict()
     table = rb.substitution.table
     partition = dict(partition_bidegrees(rb))
-    # Each survivor's integer form, and the products that are the prefix of
-    # a later product, for this call only.
+    # For this call only: the engine's integer form of each survivor and its
+    # table of product prefixes, and the self-check's own survivor forms.
     ints = {name: integer_terms(table, p.terms) for name, p in rb.entries}
+    check_ints = {name: integer_terms(table, p.terms) for name, p in rb.entries}
     prefixes: dict[tuple[str, ...], _IntPoly] = {}
     generators: list[str] = []
     relations: list[Relation] = []
@@ -417,7 +398,7 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     reports: list[BidegreeReport] = []
 
     for bd in bidegree_grid(bounds):
-        prods = reducible_products(rb, bd, prefixes, ints)
+        prods = reducible_products(rb, bd, ints, prefixes)
         invs = partition.get(bd, ())
         if not prods and not invs:
             continue
@@ -428,8 +409,8 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             order = invs[::-1]
         else:
             order = invs
-        kept, syz_here, rels = _eliminate(bd, table, restricted, ints, prods, invs,
-                                          order)
+        kept, syz_here, rels = _eliminate(bd, table, ints, check_ints, prods,
+                                          invs, order)
         if pinned is not None and kept != want:
             redundant = [n for n in want if n not in kept]
             problem = (f"contains a redundant invariant (not a pivot: {', '.join(redundant)})"

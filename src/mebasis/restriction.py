@@ -154,11 +154,13 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
         path = Path(source)
         default_name = path.stem
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise SubstitutionError(f"cannot read substitution file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SubstitutionError(f"substitution file is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise SubstitutionError("substitution file is nested too deeply") from None
+        except ValueError as exc:
+            raise SubstitutionError(f"substitution file is not UTF-8 JSON: {exc}") from exc
     if not isinstance(data, Mapping):
         raise SubstitutionError("substitution document must be a JSON object")
 

@@ -189,11 +189,12 @@ def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> Generati
             raise ValueError(f"{n!r} is not a surviving invariant of this basis")
     table = rb.substitution.table
     ints = {n: integer_terms(table, p.terms) for n, p in rb.entries}
-    info = [(n, surviving[n], surviving[n].bidegree()) for n in names]
+    prefixes: dict = {}
+    info = [(n, surviving[n].bidegree()) for n in names]
 
     def in_span(name: str, items) -> bool:
         bd = surviving[name].bidegree()
-        cols = [c for _, c in enumerate_products(items, bd, 1, None, ints)]
+        cols = [c for _, c in enumerate_products(items, bd, 1, ints, prefixes)]
         return _in_span(table, ints[name], cols)
 
     spanning_failures = [name for name, _ in rb.entries

@@ -179,6 +179,20 @@ def test_malformed_custom_file_is_usage_error(tmp_path, capsys, field, value):
     assert_one_line_usage_error(code, out, err, field)
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "codec can't decode"),
+    (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+    # Past the interpreter's digit limit where it has one (a ValueError from
+    # json.loads that is no JSONDecodeError); a bad name where it has none.
+    (b'{"name": ' + b"1" * 5000 + b"}", "error: "),
+])
+def test_unreadable_custom_file_is_usage_error(tmp_path, capsys, content, message):
+    path = tmp_path / "sub.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "reduce", "--fiber", f"custom:{path}")
+    assert_one_line_usage_error(code, out, err, message)
+
+
 def test_engine_error_exits_3(capsys, monkeypatch):
     def conflict(*args, **kwargs):
         raise PolicyConflictError("keep set ('I010',) at bi-degree (0, 1) "

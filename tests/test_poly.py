@@ -159,15 +159,15 @@ def columns(*polys):
 
 def test_coefficient_matrix_two_by_two(table, vars4):
     x, y, _, _ = vars4
-    mons, mat = coefficient_matrix(table, columns(x ** 2 + y ** 2, x ** 2 - y ** 2))
-    assert mons == [(2, 0, 0, 0), (0, 2, 0, 0)]
+    keys, mat = coefficient_matrix(table, columns(x ** 2 + y ** 2, x ** 2 - y ** 2))
+    assert [table.unpack(k) for k in keys] == [(2, 0, 0, 0), (0, 2, 0, 0)]
     assert [list(r) for r in mat.data] == [[1, 1], [1, -1]]
 
 
 def test_coefficient_matrix_proportional_columns(table, vars4):
     x = vars4[0]
-    mons, mat = coefficient_matrix(table, columns(x ** 2, 2 * x ** 2))
-    assert mons == [(2, 0, 0, 0)]
+    keys, mat = coefficient_matrix(table, columns(x ** 2, 2 * x ** 2))
+    assert [table.unpack(k) for k in keys] == [(2, 0, 0, 0)]
     assert [list(r) for r in mat.data] == [[1, 2]]
     # Column 2 is twice column 1.
     assert mat.rref()[1] == (0,)
@@ -381,11 +381,12 @@ def test_coefficient_matrix_reconstructs_polynomials(items):
     if not polys:
         return
     cols = columns(*polys)
-    mons, mat = coefficient_matrix(_TABLE, cols)
+    keys, mat = coefficient_matrix(_TABLE, cols)
     one = Polynomial.constant(_TABLE, 1)
     for j, p in enumerate(polys):
         rebuilt = Polynomial.zero(_TABLE)
-        for i, exps in enumerate(mons):
+        for i, key in enumerate(keys):
+            exps = _TABLE.unpack(key)
             mono = one
             for name, e in zip(_TABLE.names, exps):
                 mono = mono * Polynomial.variable(_TABLE, name) ** e
@@ -412,9 +413,10 @@ def mixed_polynomials(draw):
 def test_packed_integer_product_matches_polynomial_product(p, q):
     da, a = integer_terms(_MIXED, p.terms)
     db, b = integer_terms(_MIXED, q.terms)
-    unpacked = {_MIXED.unpack(k): Fraction(v, da * db)
-                for k, v in integer_product(a, b).items() if v}
-    assert unpacked == (p * q).terms
+    prod = integer_product(a, b)
+    assert all(prod.values())
+    assert {_MIXED.unpack(k): Fraction(v, da * db) for k, v in prod.items()} == \
+        (p * q).terms
 
 
 @settings(max_examples=200, deadline=None)

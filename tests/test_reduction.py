@@ -55,14 +55,21 @@ def test_partition_groups_by_bidegree(theta_basis):
     assert total == len(theta_basis.entries)
 
 
+def integer_forms(rb):
+    """Each survivor's integer form, as reduce_basis converts it."""
+    return {name: integer_terms(rb.substitution.table, p.terms)
+            for name, p in rb.entries}
+
+
+def products(rb, target):
+    return reducible_products(rb, target, integer_forms(rb), {})
+
+
 def test_reducible_products_smallest_cases(theta_basis):
-    assert [f for f, _ in reducible_products(theta_basis, (0, 2))] == \
-        [("I010", "I010")]
-    assert reducible_products(theta_basis, (0, 1)) == []
-    assert [f for f, _ in reducible_products(theta_basis, (4, 0))] == \
-        [("I200", "I200")]
-    assert [f for f, _ in reducible_products(theta_basis, (2, 1))] == \
-        [("I010", "I200")]
+    assert [f for f, _ in products(theta_basis, (0, 2))] == [("I010", "I010")]
+    assert products(theta_basis, (0, 1)) == []
+    assert [f for f, _ in products(theta_basis, (4, 0))] == [("I200", "I200")]
+    assert [f for f, _ in products(theta_basis, (2, 1))] == [("I010", "I200")]
 
 
 def as_fractions(product, table):
@@ -73,7 +80,7 @@ def as_fractions(product, table):
 
 
 def test_reducible_products_multiply_correctly(theta_basis):
-    ((factors, product),) = reducible_products(theta_basis, (0, 2))
+    ((factors, product),) = products(theta_basis, (0, 2))
     table = theta_basis.substitution.table
     assert as_fractions(product, table) == (theta_basis.as_dict()["I010"] ** 2).terms
     assert {table.monomial_bidegree(table.unpack(k)) for k in product[1]} == {(0, 2)}
@@ -92,7 +99,7 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
     prefixes = {}
     built = {}
     for bd in bidegree_grid():
-        for factors, product in reducible_products(rb, bd, prefixes, ints):
+        for factors, product in reducible_products(rb, bd, ints, prefixes):
             chained = restricted[factors[0]]
             for name in factors[1:]:
                 chained = chained * restricted[name]
@@ -105,8 +112,8 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
 
 
 def test_enumerate_products_allows_single_factors(theta_basis):
-    items = [(n, p, p.bidegree()) for n, p in theta_basis.entries]
-    singles = enumerate_products(items, (0, 2), min_factors=1)
+    items = [(n, p.bidegree()) for n, p in theta_basis.entries]
+    singles = enumerate_products(items, (0, 2), 1, integer_forms(theta_basis), {})
     assert [f for f, _ in singles] == \
         [("I002",), ("I010", "I010"), ("I020",)]
 
@@ -175,6 +182,23 @@ def test_selfcheck_catches_a_product_under_the_wrong_label(theta_basis, monkeypa
     monkeypatch.setattr(reduction, "reducible_products", swapped)
     with pytest.raises(RelationIntegrityError, match=r"^relation at \(4, 2\) does not"):
         reduce_basis(theta_basis)
+
+
+def test_selfcheck_does_not_read_the_engines_survivor_forms(theta_basis, monkeypatch):
+    # Swapping the engine's integer forms of I012 and I030 at (0, 3) only
+    # relabels two matrix columns; the self-check multiplies from its own
+    # survivor forms, so the relation read for the wrong label fails there.
+    import mebasis.reduction as reduction
+    original = reduction._eliminate
+
+    def swapped(bd, table, ints, *rest):
+        if bd == (0, 3):
+            ints = dict(ints, I012=ints["I030"], I030=ints["I012"])
+        return original(bd, table, ints, *rest)
+
+    monkeypatch.setattr(reduction, "_eliminate", swapped)
+    with pytest.raises(RelationIntegrityError, match=r"^relation at \(0, 3\) does not"):
+        reduce_basis(theta_basis, policy="table-order")
 
 
 def test_selfcheck_catches_a_wrong_coefficient(theta_basis, monkeypatch):
