@@ -20,7 +20,8 @@ from . import __version__
 from .catalog import CATALOG
 from .poly import MAX_EXPONENT, product_str, signed_sum
 from .reduction import (DEFAULT_BOUNDS, POLICIES, Relation, ReductionError,
-                        ReductionResult, check_union_property, reduce_basis)
+                        ReductionResult, check_union_property,
+                        partition_bidegrees, reduce_basis, unexplored)
 from .restriction import (FIBERS, RestrictedBasis, SubstitutionError,
                           custom_substitution, fiber_substitution,
                           generic_substitution, restrict_basis)
@@ -48,7 +49,8 @@ def _load_basis(fiber: str) -> RestrictedBasis:
 
 def _bounds(args) -> tuple[int, int]:
     """--dmax and --alpha-max, refused when they explore no bi-degree or
-    when reduce_basis would refuse them."""
+    exceed the degree a packed monomial holds (whether they cover every
+    survivor is checked once the basis is loaded)."""
     if args.dmax < 1:
         raise UsageError(f"--dmax must be at least 1, got {args.dmax}")
     if args.dmax > MAX_EXPONENT:
@@ -220,6 +222,16 @@ def render_reduce_latex(result: ReductionResult) -> str:
 def _run_reduce(args) -> int:
     bounds = _bounds(args)
     rb = _load_basis(args.fiber)
+    missed = unexplored(rb, bounds)
+    if missed is not None:
+        # Name every flag short of covering all survivors, so one fix works.
+        bds = [bd for bd, _ in partition_bidegrees(rb)]
+        short = [f"{flag} to at least {need}" for flag, need, got in
+                 (("--dmax", max(map(sum, bds)), bounds[0]),
+                  ("--alpha-max", max(a for a, _ in bds), bounds[1]))
+                 if need > got]
+        raise UsageError(f"the bounds leave {missed[0]} at bi-degree {missed[1]} "
+                         f"unexplored; raise {' and '.join(short)}")
     result = reduce_basis(rb, bounds=bounds, policy=args.policy)
     if args.format == "json":
         print(json.dumps(reduce_payload(result), indent=2))
@@ -313,16 +325,16 @@ def _run_verify(args) -> int:
 
 # -- union ---------------------------------------------------------------
 
-def union_payload(policy: str, bounds: tuple[int, int]) -> dict:
+def union_payload(policy: str) -> dict:
     results = {}
     for fiber in FIBERS:
         rb = restrict_basis(CATALOG, fiber_substitution(fiber))
-        results[fiber] = reduce_basis(rb, bounds=bounds, policy=policy)
+        results[fiber] = reduce_basis(rb, policy=policy)
     report = check_union_property(results)
     return {
         "tool": _tool_payload(),
-        "config": {"policy": policy, "max_total_degree": bounds[0],
-                   "max_mag_degree": bounds[1]},
+        "config": {"policy": policy, "max_total_degree": DEFAULT_BOUNDS[0],
+                   "max_mag_degree": DEFAULT_BOUNDS[1]},
         "result": {
             "generators": {fiber: list(results[fiber].generators)
                            for fiber in FIBERS},
@@ -335,7 +347,7 @@ def union_payload(policy: str, bounds: tuple[int, int]) -> dict:
 
 
 def _run_union(args) -> int:
-    payload = union_payload(args.policy, _bounds(args))
+    payload = union_payload(args.policy)
     r = payload["result"]
     ok = r["theta_included_in_alpha_prime"] and r["gamma_included_in_alpha_prime"]
     if args.format == "json":
@@ -367,12 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "latex"),
                        default="text")
 
-    def add_bounds(p):
-        p.add_argument("--dmax", type=int, default=DEFAULT_BOUNDS[0],
-                       help="max total degree of explored bi-degrees")
-        p.add_argument("--alpha-max", type=int, default=DEFAULT_BOUNDS[1],
-                       help="max magnetization degree of explored bi-degrees")
-
     p_cat = sub.add_parser("catalog", help="dump the 30-invariant catalog")
     add_format(p_cat)
     p_cat.set_defaults(func=_run_catalog)
@@ -380,7 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_red = sub.add_parser("reduce", help="reduce a restricted basis")
     p_red.add_argument("--fiber", required=True, help=_FIBER_HELP)
     p_red.add_argument("--policy", choices=POLICIES, default="paper")
-    add_bounds(p_red)
+    p_red.add_argument("--dmax", type=int, default=DEFAULT_BOUNDS[0],
+                       help="max total degree of explored bi-degrees")
+    p_red.add_argument("--alpha-max", type=int, default=DEFAULT_BOUNDS[1],
+                       help="max magnetization degree of explored bi-degrees")
     add_format(p_red)
     p_red.set_defaults(func=_run_reduce)
 
@@ -397,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="survivor sets of all three fibers and their "
                                 "union")
     p_uni.add_argument("--policy", choices=POLICIES, default="paper")
-    add_bounds(p_uni)
     add_format(p_uni)
     p_uni.set_defaults(func=_run_union)
 

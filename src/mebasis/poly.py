@@ -76,8 +76,7 @@ class VarTable:
     (names and kinds).
     """
 
-    __slots__ = ("names", "kinds", "_index", "_mag", "_stress", "_is_mag",
-                 "_shifts", "_degree_shift")
+    __slots__ = ("names", "kinds", "_index", "_is_mag", "_shifts", "_degree_shift")
 
     def __init__(self, variables: Iterable[tuple[str, str]]):
         pairs = tuple(variables)
@@ -94,8 +93,6 @@ class VarTable:
         self.names = names
         self.kinds = kinds
         self._index = {name: i for i, name in enumerate(names)}
-        self._mag = tuple(i for i, k in enumerate(kinds) if k == MAG)
-        self._stress = tuple(i for i, k in enumerate(kinds) if k == STRESS)
         self._is_mag = tuple(k == MAG for k in kinds)
         self._shifts = tuple(SLOT_BITS * i for i in reversed(range(len(names))))
         self._degree_shift = SLOT_BITS * len(names)
@@ -121,8 +118,8 @@ class VarTable:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def monomial_bidegree(self, exponents: Sequence[int]) -> tuple[int, int]:
-        return (sum(exponents[i] for i in self._mag),
-                sum(exponents[i] for i in self._stress))
+        a = sum(e for e, is_mag in zip(exponents, self._is_mag) if is_mag)
+        return (a, sum(exponents) - a)
 
     def pack(self, exponents: Sequence[int]) -> int:
         """The packed monomial of an exponent vector (layout in the module
@@ -260,24 +257,17 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            # A nonzero scalar times a nonzero Fraction is a nonzero Fraction.
-            if not other:
-                return Polynomial._wrap(self.table, {})
-            c = Fraction(other)
-            return Polynomial._wrap(self.table, {m: c * v for m, v in self.terms.items()})
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        if self.table != other.table:
-            raise ValueError("polynomials built on different variable tables")
         a, b = self.terms, other.terms
         if len(a) == 1:
             a, b = b, a
         if not a or not b:
             return Polynomial._wrap(self.table, {})
         if len(b) == 1:
-            # A single term shifts every monomial of the other operand by the
-            # same exponent vector, so nothing collides and nothing cancels.
+            # A single term (a scalar too) shifts every monomial of the other
+            # operand by one exponent vector: nothing collides or cancels.
             ((mb, cb),) = b.items()
             if any(mb):
                 return Polynomial._wrap(self.table, {tuple(map(add, m, mb)): c * cb
@@ -439,9 +429,10 @@ def coefficient_matrix(table: VarTable,
     maps = [nums for _, nums in columns]
     if not all(maps):
         raise ZeroPolynomialError("the zero polynomial has no bi-degree")
-    union = {k for nums in maps for k in nums}
-    shift = table._degree_shift
-    if len({k >> shift for k in union}) > 1:
+    keys = sorted({k for nums in maps for k in nums}, reverse=True)
+    # The bi-degree is the top of a packed key, so the largest and the
+    # smallest key share it only when every key does.
+    if table.packed_bidegree(keys[0]) != table.packed_bidegree(keys[-1]):
         # Name the culprit as bidegree() would: one mixed polynomial, or
         # bi-homogeneous polynomials of different bi-degrees.
         per_column = [{table.packed_bidegree(k) for k in nums} for nums in maps]
@@ -451,9 +442,8 @@ def coefficient_matrix(table: VarTable,
         degs = sorted({d for degs in per_column for d in degs})
         raise ValueError(f"polynomials of mixed bi-degree {degs}")
     # One bi-degree: the packed ints sort as monomial_key sorts the tuples.
-    keys = sorted(union, reverse=True)
     rows = [tuple(nums.get(k, 0) for nums in maps) for k in keys]
-    return keys, RatMatrix._wrap(rows, len(maps))
+    return keys, RatMatrix(rows, len(maps))
 
 
 # -- parser --------------------------------------------------------------

@@ -12,7 +12,12 @@ pivots.  The reduced row echelon form is unique up to the scale of each
 row, so this form is unique too: each row is normalize_integer_vector of
 the row Gauss-Jordan on Fractions gives.  Downstream code reads the
 primitive RREF and its pivot columns (whose count is the rank), and scales
-relations with normalize_integer_vector.
+relations with normalize_integer_vector, which shares rref's row scaling.
+
+matrix_from_columns, rank_of_columns and solve_columns have no caller in
+the package.  They are kept only because the benchmark tracer
+(perfbench/tracing.py) wraps them, and they go with the next change to the
+benchmark.
 """
 
 from __future__ import annotations
@@ -21,21 +26,25 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-def normalize_integer_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
+
+def _primitive(row: Sequence[Fraction | int]) -> list[int]:
+    """A rational row scaled to integers by the lcm of its denominators,
+    then divided by the gcd of its entries (a zero row stays zero)."""
+    den = lcm(*(x.denominator for x in row))
+    ints = ([x.numerator * (den // x.denominator) for x in row] if den > 1
+            else [x.numerator for x in row])
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def normalize_integer_vector(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, first nonzero entry > 0.
 
     The zero vector is returned unchanged (as integer zeros).
     """
-    den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
+    ints = _primitive(v)
+    if next((x for x in ints if x), 0) < 0:
+        return tuple(-x for x in ints)
     return tuple(ints)
 
 
@@ -45,7 +54,7 @@ class RatMatrix:
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, rows: Iterable[Sequence[Fraction | int]], cols: int | None = None):
-        data = [tuple(Fraction(x) for x in row) for row in rows]
+        data = [tuple(row) for row in rows]
         widths = {len(r) for r in data}
         if len(widths) > 1:
             raise ValueError("ragged rows")
@@ -60,14 +69,6 @@ class RatMatrix:
                 raise ValueError("empty matrix needs an explicit column count")
             self.cols = cols
 
-    @classmethod
-    def _wrap(cls, data: list[tuple[Fraction, ...]], cols: int) -> "RatMatrix":
-        """A matrix on rows already made of Fractions or ints, without
-        re-checking."""
-        mat = object.__new__(cls)
-        mat.data, mat.rows, mat.cols = data, len(data), cols
-        return mat
-
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
         """Primitive integer RREF and the tuple of pivot columns.
 
@@ -78,13 +79,7 @@ class RatMatrix:
         entry scanning rows downward, columns left to right.  Deterministic
         by construction.
         """
-        m = []
-        for row in self.data:
-            den = lcm(*(x.denominator for x in row))
-            ints = ([x.numerator * (den // x.denominator) for x in row] if den > 1
-                    else [x.numerator for x in row])
-            g = gcd(*ints)
-            m.append([x // g for x in ints] if g > 1 else ints)
+        m = [_primitive(row) for row in self.data]
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
@@ -107,12 +102,12 @@ class RatMatrix:
                 m[i] = [x // g for x in row] if g > 1 else row
             pivots.append(c)
             r += 1
-        # Every row is primitive already: divided by its gcd when scaled or
-        # last rewritten.
+        # Every row is primitive already: made so by _primitive or divided
+        # by its gcd when last rewritten.
         out = [tuple(m[i]) if m[i][p] > 0 else tuple(-x for x in m[i])
                for i, p in enumerate(pivots)]
         out += [(0,) * self.cols] * (len(m) - r)
-        return RatMatrix._wrap(out, self.cols), tuple(pivots)
+        return RatMatrix(out, self.cols), tuple(pivots)
 
 
 def matrix_from_columns(columns: Sequence[Sequence[Fraction | int]], nrows: int) -> RatMatrix:

@@ -14,11 +14,12 @@ builder, _product, makes every product, for the engine's columns, the
 self-check and verify.verify_generating_set: on integer numerators over a
 denominator keyed by packed monomial (poly.integer_terms), its prefix (all
 factors but the last, in sorted-name order) times its last invariant, with
-prefixes of two or more factors kept in its caller's table.  One
-reduce_basis call converts each survivor once and keeps one prefix table
-for the engine; both are freed when it returns.  Each column is its
-polynomial times that denominator; the RREF pivots do not depend on such
-scaling, and relations read from the RREF multiply it back in.
+prefixes of two or more factors kept in its caller's table.  Each caller
+takes a dict of its own from integer_forms; one reduce_basis call keeps
+one such dict and one prefix table for the engine, both freed when it
+returns.  Each column is its polynomial times that denominator; the RREF
+pivots do not depend on such scaling, and relations read from the RREF
+multiply it back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
@@ -40,8 +41,10 @@ one common denominator.
 The default bounds (7, 6) cover every catalog bi-degree, so raising them
 keeps the same generators and relations; the targets past them hold only
 products, and report more syzygies (theta: 126, 283 and 571 at max total
-degree 7, 8 and 9).  The max total degree may not exceed poly.MAX_EXPONENT,
-the largest degree a packed monomial holds.
+degree 7, 8 and 9).  Bounds must cover the bi-degree of every survivor,
+or it would be neither kept nor eliminated; all three built-in fibers need
+the defaults.  The max total degree may not exceed poly.MAX_EXPONENT, the
+largest degree a packed monomial holds.
 """
 
 from __future__ import annotations
@@ -192,6 +195,12 @@ def partition_bidegrees(rb: RestrictedBasis) -> list[tuple[tuple[int, int], tupl
 _IntPoly = tuple[int, dict[int, int]]
 
 
+def integer_forms(rb: RestrictedBasis) -> dict[str, _IntPoly]:
+    """A new dict of the integer form (poly.integer_terms) of each survivor."""
+    table = rb.substitution.table
+    return {name: integer_terms(table, p.terms) for name, p in rb.entries}
+
+
 def _product(factors: tuple[str, ...], ints: Mapping[str, _IntPoly],
              prefixes: dict[tuple[str, ...], _IntPoly]) -> _IntPoly:
     """The integer product of the survivors named by factors (sorted), from
@@ -252,6 +261,15 @@ def reducible_products(rb: RestrictedBasis, target: tuple[int, int],
     enumerate_products."""
     items = [(name, _bidegree(name)) for name, _ in rb.entries]
     return enumerate_products(items, target, 2, ints, prefixes)
+
+
+def unexplored(rb: RestrictedBasis, bounds: tuple[int, int]
+               ) -> tuple[str, tuple[int, int]] | None:
+    """The first survivor, in catalog order, whose bi-degree lies outside
+    bounds, with that bi-degree; None when bounds explore every survivor."""
+    dmax, amax = bounds
+    return next(((name, bd) for name, _ in rb.entries for bd in [_bidegree(name)]
+                 if sum(bd) > dmax or bd[0] > amax), None)
 
 
 def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[int, int]]:
@@ -376,6 +394,10 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
         # Every degree and exponent of a product is at most its total degree.
         raise ValueError(f"max total degree {bounds[0]} exceeds {MAX_EXPONENT}, "
                          "the largest degree a packed monomial holds")
+    missed = unexplored(rb, bounds)
+    if missed is not None:
+        raise ValueError(f"bounds {tuple(bounds)} leave {missed[0]} at bi-degree "
+                         f"{missed[1]} unexplored")
     pinned = None
     effective = policy
     if policy == "paper":
@@ -389,8 +411,8 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     partition = dict(partition_bidegrees(rb))
     # For this call only: the engine's integer form of each survivor and its
     # table of product prefixes, and the self-check's own survivor forms.
-    ints = {name: integer_terms(table, p.terms) for name, p in rb.entries}
-    check_ints = {name: integer_terms(table, p.terms) for name, p in rb.entries}
+    ints = integer_forms(rb)
+    check_ints = integer_forms(rb)
     prefixes: dict[tuple[str, ...], _IntPoly] = {}
     generators: list[str] = []
     relations: list[Relation] = []

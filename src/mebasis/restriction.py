@@ -26,6 +26,8 @@ from .tensor3 import PolyMat3, PolyVec3
 
 FIBERS = ("theta", "alpha_prime", "gamma")
 
+_DOCUMENT_KEYS = ("name", "variables", "sigma", "m", "normal")
+
 
 class SubstitutionError(Exception):
     pass
@@ -141,11 +143,13 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
           "normal": [0, 0, 1]                      (optional; not all zero)
         }
 
-    variables may also be a list of [name, kind] pairs; the order given is
-    the variable order.  sigma keys are entry positions "ij"; giving both
-    "ij" and "ji" is allowed only when the expressions agree.  All six
-    distinct positions must be covered.  Expressions use the polynomial
-    grammar (explicit '*', '^' powers, integer or a/b literals).
+    Any other top-level key is refused, so a misspelt "normal" cannot
+    skip the plane check.  variables may also be a list of [name, kind]
+    pairs; the order given is the variable order.  sigma keys are entry
+    positions "ij"; giving both "ij" and "ji" is allowed only when the
+    expressions agree.  All six distinct positions must be covered.
+    Expressions use the polynomial grammar (explicit '*', '^' powers,
+    integer or a/b literals).
     """
     default_name = "custom"
     if isinstance(source, Mapping):
@@ -163,6 +167,10 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
             raise SubstitutionError(f"substitution file is not UTF-8 JSON: {exc}") from exc
     if not isinstance(data, Mapping):
         raise SubstitutionError("substitution document must be a JSON object")
+    for key in data:
+        if key not in _DOCUMENT_KEYS:
+            raise SubstitutionError(f"unknown key {key!r} in substitution document; "
+                                    f"expected {', '.join(_DOCUMENT_KEYS)}")
 
     name = data.get("name", default_name)
     if not isinstance(name, str) or not name:

@@ -34,11 +34,10 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
-from .poly import (MAG, Polynomial, VarTable, coefficient_matrix, integer_terms,
-                   parse_polynomial)
+from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomial
 # Unused here; perfbench/tracing.py wraps this name in this module.
 from .ratlinalg import solve_columns  # noqa: F401
-from .reduction import Relation, enumerate_products
+from .reduction import Relation, enumerate_products, integer_forms
 from .restriction import RestrictedBasis, Substitution
 from .tensor3 import PolyMat3, PolyVec3
 from . import catalog as catalog_mod
@@ -188,7 +187,7 @@ def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> Generati
         if n not in surviving:
             raise ValueError(f"{n!r} is not a surviving invariant of this basis")
     table = rb.substitution.table
-    ints = {n: integer_terms(table, p.terms) for n, p in rb.entries}
+    ints = integer_forms(rb)
     prefixes: dict = {}
     info = [(n, surviving[n].bidegree()) for n in names]
 

@@ -193,6 +193,22 @@ def test_unreadable_custom_file_is_usage_error(tmp_path, capsys, content, messag
     assert_one_line_usage_error(code, out, err, message)
 
 
+def test_unknown_key_in_custom_file_is_usage_error(tmp_path, capsys):
+    fiber = write_custom(tmp_path, dict(json.loads(EQ3_TEXT), nomal=[1, 1, 1]))
+    code, out, err = run(capsys, "reduce", "--fiber", fiber)
+    assert_one_line_usage_error(code, out, err, "'nomal'")
+
+
+@pytest.mark.parametrize("bound, flag", [(["--dmax", "3"], "--dmax"),
+                                         (["--alpha-max", "5"], "--alpha-max")],
+                         ids=["dmax", "alpha-max"])
+def test_bounds_that_miss_a_survivor_are_usage_errors(capsys, bound, flag):
+    # gamma at (3, 6) used to list 9 of its 30 names, and at (7, 5) it
+    # dropped the pinned generator I600 without a conflict.
+    code, out, err = run(capsys, "reduce", "--fiber", "gamma", *bound)
+    assert_one_line_usage_error(code, out, err, f"raise {flag} to at least")
+
+
 def test_engine_error_exits_3(capsys, monkeypatch):
     def conflict(*args, **kwargs):
         raise PolicyConflictError("keep set ('I010',) at bi-degree (0, 1) "
@@ -323,7 +339,7 @@ def test_union_json(capsys):
 
 # -- bounds --------------------------------------------------------------
 
-@pytest.mark.parametrize("command", [["reduce", "--fiber", "theta"], ["union"]])
+@pytest.mark.parametrize("command", [["reduce", "--fiber", "theta"]])
 @pytest.mark.parametrize("bound", [["--dmax", "0"], ["--dmax", "-1"],
                                    ["--alpha-max", "-1"],
                                    ["--alpha-max", "-5"]])
@@ -332,7 +348,7 @@ def test_bounds_exploring_nothing_are_usage_errors(capsys, command, bound):
     assert_one_line_usage_error(code, out, err, bound[0])
 
 
-@pytest.mark.parametrize("command", [["reduce", "--fiber", "theta"], ["union"]])
+@pytest.mark.parametrize("command", [["reduce", "--fiber", "theta"]])
 def test_dmax_past_a_packed_slot_is_a_usage_error(capsys, monkeypatch, command):
     def never(*args, **kwargs):
         raise AssertionError("the reduction started")
@@ -344,12 +360,18 @@ def test_dmax_past_a_packed_slot_is_a_usage_error(capsys, monkeypatch, command):
     assert f"at most {MAX_EXPONENT}" in err
 
 
-@pytest.mark.parametrize("command", [["reduce", "--fiber", "theta"], ["union"]])
+@pytest.mark.parametrize("command", [["reduce", "--fiber", "theta"]])
 def test_smallest_bounds_are_accepted(capsys, command):
-    code, out, _ = run(capsys, *command, "--dmax", "1", "--alpha-max", "0",
+    # Every fiber has a survivor of total degree 7 and one of mag degree 6,
+    # so (7, 6) are the smallest bounds reduce accepts; (1, 0) would list
+    # 1 of theta's 18 survivors as if it were the whole result.
+    code, out, err = run(capsys, *command, "--dmax", "1", "--alpha-max", "0",
+                         "--format", "json")
+    assert_one_line_usage_error(code, out, err, "--dmax")
+    code, out, _ = run(capsys, *command, "--dmax", "7", "--alpha-max", "6",
                        "--format", "json")
     assert code == 0
-    assert json.loads(out)["config"]["max_total_degree"] == 1
+    assert json.loads(out)["config"]["max_total_degree"] == 7
 
 
 # -- entry point ---------------------------------------------------------

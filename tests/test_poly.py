@@ -71,6 +71,30 @@ def test_cross_table_arithmetic_rejected(vars4):
         vars4[0] + other
 
 
+@pytest.mark.parametrize("c", [3, F(-2, 5), 0, 1, -1])
+def test_scalar_product_is_the_constant_product(table, vars4, c):
+    # Both orders go through one path: the scalar as a constant polynomial.
+    x, y, s, _ = vars4
+    const = Polynomial.constant(table, c)
+    for p in (x * y * s + F(1, 3) * s, F(2, 7) * x, const + 4,
+              Polynomial.zero(table)):
+        assert c * p == p * c == const * p
+        assert (p * c).terms == {m: c * v for m, v in p.terms.items() if c}
+        assert all(type(v) is Fraction for v in (c * p).terms.values())
+
+
+def test_cross_table_product_keeps_its_message(vars4):
+    other = Polynomial.variable(VarTable([("m1", MAG)]), "m1")
+    for a, b in ((vars4[0], other), (other, vars4[0])):
+        with pytest.raises(ValueError, match="built on different variable tables"):
+            a * b
+    for bad in ("m1", 1.5):
+        with pytest.raises(TypeError):
+            vars4[0] * bad
+        with pytest.raises(TypeError):
+            bad * vars4[0]
+
+
 def test_duplicate_variable_names_rejected():
     with pytest.raises(ValueError):
         VarTable([("a", MAG), ("a", STRESS)])

@@ -168,6 +168,12 @@ def test_normalize_clears_denominators_and_content():
     assert normalize_integer_vector([0, 0]) == (0, 0)
 
 
+def test_matrix_keeps_integer_entries():
+    m = RatMatrix([[2, 4], [1, F(1, 2)]])
+    assert [[type(x) for x in row] for row in m.data] == [[int, int], [int, F]]
+    assert all(type(x) is int for row in m.rref()[0].data for x in row)
+
+
 def test_matrix_from_columns_orientation():
     m = matrix_from_columns([(1, 2), (3, 4)], 2)
     assert [list(r) for r in m.data] == [[1, 3], [2, 4]]
@@ -242,6 +248,15 @@ def test_rref_is_idempotent(rows):
 @given(int_matrices_6x6)
 def test_rank_agrees_with_bareiss_oracle(rows):
     assert rank(RatMatrix(rows)) == bareiss_rank(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrices_6x6)
+def test_rref_of_integers_equals_rref_of_the_same_fractions(rows):
+    ints, int_pivots = RatMatrix(rows).rref()
+    fracs, frac_pivots = RatMatrix([[F(x) for x in row] for row in rows]).rref()
+    assert ints.data == fracs.data
+    assert int_pivots == frac_pivots
 
 
 @settings(max_examples=40, deadline=None)

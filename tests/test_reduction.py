@@ -264,6 +264,44 @@ def test_bounds_past_the_catalog_add_only_syzygies(theta_basis, reductions):
     assert len(wider.syzygies) == 283
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ((3, 6), r"bounds \(3, 6\) leave I004 at bi-degree \(0, 4\) unexplored"),
+    ((7, 5), r"bounds \(7, 5\) leave I600 at bi-degree \(6, 0\) unexplored"),
+])
+def test_bounds_that_miss_a_survivor_are_refused_up_front(gamma_basis, monkeypatch,
+                                                          bounds, message):
+    # A survivor whose bi-degree lies outside the grid would be neither kept
+    # nor eliminated: the result would silently lose it.
+    import mebasis.reduction as reduction
+
+    def never(*args):
+        raise AssertionError("the reduction started")
+
+    monkeypatch.setattr(reduction, "reducible_products", never)
+    with pytest.raises(ValueError, match=message):
+        reduce_basis(gamma_basis, bounds=bounds)
+
+
+@pytest.mark.parametrize("bounds", [(7, 6), (8, 6)])
+@pytest.mark.parametrize("fiber", sorted(TABLE3))
+def test_every_catalog_name_is_accounted_for_once(bases, fiber, bounds):
+    result = reduce_basis(bases[fiber], bounds=bounds)
+    names = (list(result.generators) + [r.solved_for for r in result.relations]
+             + list(result.vanished))
+    assert sorted(names) == sorted(CATALOG_NAMES)
+
+
+def test_integer_forms_are_a_new_dict_per_call(theta_basis):
+    import mebasis.reduction as reduction
+
+    first = reduction.integer_forms(theta_basis)
+    second = reduction.integer_forms(theta_basis)
+    assert first == second == integer_forms(theta_basis)
+    assert first is not second
+    first.clear()
+    assert reduction.integer_forms(theta_basis) == second
+
+
 def test_bounds_past_a_packed_slot_are_refused_up_front(theta_basis, monkeypatch):
     # A product of total degree d has every packed slot at most d, so a
     # max total degree above MAX_EXPONENT could carry between slots.

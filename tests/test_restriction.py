@@ -267,6 +267,14 @@ def test_custom_rejects_broken_json(tmp_path):
         custom_substitution(path)
 
 
+def test_custom_rejects_unknown_top_level_keys():
+    # A misspelt "normal" used to load with no plane check at all.
+    doc = {k: v for k, v in EQ3_DOC.items() if k != "normal"}
+    with pytest.raises(SubstitutionError, match="unknown key 'nomal'"):
+        custom_substitution(dict(doc, nomal=[1, 1, 1]))
+    assert custom_substitution(doc).normal is None
+
+
 def test_custom_rejects_m_given_as_a_string():
     # A 3-character string is a sequence of 3 expressions to a naive
     # check; "000" used to load as the zero magnetization.
