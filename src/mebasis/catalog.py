@@ -41,12 +41,17 @@ class TensorParts:
         mm = outer(m)
         self.mb = dbar(mm)
         self.md = ddev(mm)
+        # Prefixes that several recipes share.
+        self.mb_sb = self.mb @ self.sb
+        self.mb_sb2_bar = self.mb @ self.sb2_bar
+        self.mb_sd = self.mb @ self.sd
+        self.mb_sd_sb = self.mb_sd @ self.sb
 
 
 def _tr(*mats: PolyMat3) -> Entry:
     """tr(mats[0] @ ... @ mats[-1]); the last product forms only its trace.
 
-    Every part is symmetric, so tr(a @ b) = a : b^T = a : b.
+    The last factor is always a symmetric part, so tr(a @ b) = a : b^T = a : b.
     """
     prod = mats[0]
     for x in mats[1:-1]:
@@ -68,8 +73,8 @@ def build_catalog() -> tuple[InvariantDef, ...]:
         ("I010", "I_{010}", "tr(s)", (0, 1), lambda p: p.tr),
         ("I002", "I_{002}", "tr(sb^2)", (0, 2), lambda p: _tr(p.sb, p.sb)),
         ("I020", "I_{020}", "tr(sd^2)", (0, 2), lambda p: _tr(p.sd, p.sd)),
-        ("I003", "I_{003}", "tr(sb^3)", (0, 3), lambda p: _tr(p.sb, p.sb, p.sb)),
-        ("I012", "I_{012}", "tr(sb^2*sd)", (0, 3), lambda p: _tr(p.sb, p.sb, p.sd)),
+        ("I003", "I_{003}", "tr(sb^3)", (0, 3), lambda p: _tr(p.sb2, p.sb)),
+        ("I012", "I_{012}", "tr(sb^2*sd)", (0, 3), lambda p: _tr(p.sb2, p.sd)),
         ("I030", "I_{030}", "tr(sd^3)", (0, 3), lambda p: _tr(p.sd, p.sd, p.sd)),
         ("I004", "I_{004}", "tr(bar(sb^2)^2)", (0, 4),
          lambda p: _tr(p.sb2_bar, p.sb2_bar)),
@@ -83,29 +88,29 @@ def build_catalog() -> tuple[InvariantDef, ...]:
         ("I202a", "I_{202}^{a}", "tr(md*sb^2)", (2, 2), lambda p: _tr(p.md, p.sb2)),
         ("I202b", "I_{202}^{b}", "tr(mb*bar(sb^2))", (2, 2),
          lambda p: _tr(p.mb, p.sb2_bar)),
-        ("I211", "I_{211}", "tr(mb*sb*sd)", (2, 2), lambda p: _tr(p.mb, p.sb, p.sd)),
+        ("I211", "I_{211}", "tr(mb*sb*sd)", (2, 2), lambda p: _tr(p.mb_sb, p.sd)),
         ("I220", "I_{220}", "tr(md*sd^2)", (2, 2), lambda p: _tr(p.md, p.sd, p.sd)),
         ("I203", "I_{203}", "tr(mb*bar(sb^2)*sb)", (2, 3),
-         lambda p: _tr(p.mb, p.sb2_bar, p.sb)),
+         lambda p: _tr(p.mb_sb2_bar, p.sb)),
         ("I212a", "I_{212}^{a}", "tr(md*dev(sb^2)*sd)", (2, 3),
          lambda p: _tr(p.md, p.sb2_dev, p.sd)),
         ("I212b", "I_{212}^{b}", "tr(mb*bar(sb^2)*sd)", (2, 3),
-         lambda p: _tr(p.mb, p.sb2_bar, p.sd)),
+         lambda p: _tr(p.mb_sb2_bar, p.sd)),
         ("I221", "I_{221}", "tr(mb*sd*sb*sd)", (2, 3),
-         lambda p: _tr(p.mb, p.sd, p.sb, p.sd)),
+         lambda p: _tr(p.mb_sd_sb, p.sd)),
         ("I204", "I_{204}", "tr(md*sb*bar(sb^2)*sb)", (2, 4),
          lambda p: _tr(p.md, p.sb, p.sb2_bar, p.sb)),
         ("I213", "I_{213}", "tr(mb*dev(sb^2)*sb*sd)", (2, 4),
          lambda p: _tr(p.mb, p.sb2_dev, p.sb, p.sd)),
         ("I222", "I_{222}", "tr(mb*sd*bar(sb^2)*sd)", (2, 4),
-         lambda p: _tr(p.mb, p.sd, p.sb2_bar, p.sd)),
+         lambda p: _tr(p.mb_sd, p.sb2_bar, p.sd)),
         ("I400", "I_{400}", "tr(mb^2)", (4, 0), lambda p: _tr(p.mb, p.mb)),
-        ("I401", "I_{401}", "tr(mb*sb*mb)", (4, 1), lambda p: _tr(p.mb, p.sb, p.mb)),
-        ("I410", "I_{410}", "tr(mb*sd*mb)", (4, 1), lambda p: _tr(p.mb, p.sd, p.mb)),
+        ("I401", "I_{401}", "tr(mb*sb*mb)", (4, 1), lambda p: _tr(p.mb_sb, p.mb)),
+        ("I410", "I_{410}", "tr(mb*sd*mb)", (4, 1), lambda p: _tr(p.mb_sd, p.mb)),
         ("I402", "I_{402}", "tr(mb*bar(sb^2)*mb)", (4, 2),
-         lambda p: _tr(p.mb, p.sb2_bar, p.mb)),
+         lambda p: _tr(p.mb_sb2_bar, p.mb)),
         ("I411", "I_{411}", "tr(mb*sd*sb*mb)", (4, 2),
-         lambda p: _tr(p.mb, p.sd, p.sb, p.mb)),
+         lambda p: _tr(p.mb_sd_sb, p.mb)),
         ("I600", "I_{600}", "tr(mb^3)", (6, 0), lambda p: _tr(p.mb, p.mb, p.mb)),
         ("I601", "I_{601}", "tr(md*mb*md*sb)", (6, 1),
          lambda p: _tr(p.md, p.mb, p.md, p.sb)),
@@ -121,8 +126,10 @@ def evaluate_all(catalog: Sequence[InvariantDef], sigma: PolyMat3,
                  m: PolyVec3) -> dict[str, Entry]:
     """Evaluate every catalog entry on one (sigma, m), sharing the parts.
 
-    The entries may be Polynomials or Fractions; the values are of the same
-    kind.  The result preserves catalog order.
+    The entries may be Polynomials or plain numbers (ints or Fractions);
+    the values are of the same kind, ints when every entry is an int and
+    every trace that ddev divides is a multiple of 3.  The result
+    preserves catalog order.
     """
     parts = TensorParts(sigma, m)
     return {defn.name: defn.recipe(parts) for defn in catalog}

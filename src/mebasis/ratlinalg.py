@@ -26,13 +26,28 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+_INT = frozenset((int,))
+_ENTRY_TYPES = frozenset((int, Fraction))
+
 
 def _primitive(row: Sequence[Fraction | int]) -> list[int]:
     """A rational row scaled to integers by the lcm of its denominators,
-    then divided by the gcd of its entries (a zero row stays zero)."""
-    den = lcm(*(x.denominator for x in row))
-    ints = ([x.numerator * (den // x.denominator) for x in row] if den > 1
-            else [x.numerator for x in row])
+    then divided by the gcd of its entries (a zero row stays zero).
+
+    Every entry must be an int or a Fraction; any other raises TypeError
+    naming it.  A row of exact ints, as the engine builds them, is told
+    apart by one pass over its entry types and taken as it is.
+    """
+    kinds = set(map(type, row))
+    if kinds <= _INT:
+        ints = list(row)
+    else:
+        if not kinds <= _ENTRY_TYPES:
+            for x in row:
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"entry {x!r} is not an int or a Fraction")
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 

@@ -1,8 +1,9 @@
 """3-vectors and 3x3 matrices over an exact commutative ring.
 
 The entries are Polynomials (restriction of the catalog to a substitution)
-or Fractions (numeric spot-check values at one rational point); one set of
-recipes serves both.  Every sum starts from the ring's own zero (x * 0),
+or plain numbers, ints or Fractions (numeric spot-check values at one
+point, all ints at the spot-check's integer points); one set of recipes
+serves both.  Every sum starts from the ring's own zero (x * 0),
 products with a zero factor are skipped, and Polynomial entries must share
 one VarTable.
 
@@ -12,7 +13,8 @@ projectors:
 
   dbar(a)  zeroes the diagonal (keeps the off-diagonal part),
   ddev(a)  keeps the diagonal of the deviator (subtracts tr(a)/3 from each
-           diagonal entry, zeroes the off-diagonal part).
+           diagonal entry, zeroes the off-diagonal part); an int trace
+           divisible by 3 is divided as an int, so int entries stay ints.
 
 Entry by entry a = ddev(a) + dbar(a) + tr(a)/3 on the diagonal, and both
 maps are idempotent and mutually annihilating.
@@ -25,7 +27,7 @@ from typing import Iterable, Union
 
 from .poly import Polynomial, VarTable
 
-Entry = Union[Polynomial, Fraction]
+Entry = Union[Polynomial, Fraction, int]
 
 
 def _table(entries: Iterable[Entry]) -> VarTable | None:
@@ -138,6 +140,7 @@ def dbar(a: PolyMat3) -> PolyMat3:
 
 def ddev(a: PolyMat3) -> PolyMat3:
     z = a.zero()
-    third = Fraction(1, 3) * a.trace()
+    tr = a.trace()
+    third = tr // 3 if isinstance(tr, int) and not tr % 3 else Fraction(1, 3) * tr
     return PolyMat3([[a[i][i] - third if i == j else z
                       for j in range(3)] for i in range(3)])

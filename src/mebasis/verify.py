@@ -12,15 +12,18 @@ Three checks, two of which avoid the reduction engine's own code paths:
                         its integer coefficient matrix
                         (poly.coefficient_matrix) and RatMatrix.rref, so it
                         is a check of the chosen set, not of that code,
-  spotcheck_relations   seeded random rational points, with every invariant
-                        value recomputed through the tensor recipes on plain
-                        Fraction matrices rather than read off the
+  spotcheck_relations   seeded random rational points, each scaled to an
+                        integer point of the same plane, with every
+                        invariant value recomputed through the tensor
+                        recipes on int matrices rather than read off the
                         restricted polynomials.
 
 Both relation checks evaluate one expression, the relation's substitute():
-on the restricted polynomials for the symbolic check, on the Fraction
-values at each point for the numeric one.  A shipped relation's right-hand
-side is evaluated by Polynomial.evaluate, which the engine never calls.
+on the restricted polynomials for the symbolic check, on the int values at
+each point for the numeric one.  A shipped relation is parsed once into an
+integer-keyed form, D * rhs = sum of c * (product of invariant names), and
+substitute() sums D * lhs - sum c * prod itself, with none of the engine's
+code.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -39,7 +43,7 @@ from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomia
 from .ratlinalg import solve_columns  # noqa: F401
 from .reduction import Relation, enumerate_products, integer_forms
 from .restriction import RestrictedBasis, Substitution
-from .tensor3 import PolyMat3, PolyVec3
+from .tensor3 import Entry, PolyMat3, PolyVec3
 from . import catalog as catalog_mod
 
 DATA_PATH = Path(__file__).with_name("data") / "published_relations.json"
@@ -61,14 +65,39 @@ class PublishedRelation:
     def rhs_poly(self) -> Polynomial:
         return parse_polynomial(self.rhs, NAME_TABLE)
 
-    def substitute(self, values: Mapping[str, Fraction | Polynomial]
-                   ) -> Fraction | Polynomial:
-        """lhs - rhs with every invariant name replaced by its value:
-        rationals, or Polynomials on one table.  An lhs outside the
-        catalog raises ValueError."""
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[tuple[tuple[str, ...], int], ...]]:
+        """(D, terms): D * rhs = sum of c * (product of the factor names)
+        over terms (factors, c), with D the lcm of rhs's denominators and
+        each c an int.  A name appears once per power in its factors."""
+        terms = self.rhs_poly.terms
+        d = lcm(*(c.denominator for c in terms.values()))
+        names = NAME_TABLE.names
+        return d, tuple((tuple(n for n, e in zip(names, mono) for _ in range(e)),
+                         c.numerator * (d // c.denominator))
+                        for mono, c in terms.items())
+
+    def scaled_residual(self, values: Mapping[str, Entry]) -> Entry:
+        """D * (lhs - rhs) with every invariant name replaced by its value:
+        ints or Fractions, or Polynomials on one table.  An lhs outside
+        the catalog raises ValueError."""
         if self.lhs not in CATALOG_INDEX:
             raise ValueError(f"unknown invariant name {self.lhs!r}")
-        return values[self.lhs] - self.rhs_poly.evaluate(values)
+        d, terms = self.integer_form
+        total = d * values[self.lhs]
+        for factors, c in terms:
+            prod = c
+            for f in factors:
+                prod = prod * values[f]
+            total = total - prod
+        return total
+
+    def substitute(self, values: Mapping[str, Entry]) -> Entry:
+        """lhs - rhs with every invariant name replaced by its value: the
+        scaled residual divided by D."""
+        d = self.integer_form[0]
+        total = self.scaled_residual(values)
+        return total if d == 1 else Fraction(1, d) * total
 
 
 def load_published(fiber: str) -> tuple[PublishedRelation, ...]:
@@ -105,12 +134,19 @@ def verify_published(rel: PublishedRelation, rb: RestrictedBasis) -> VerifyOutco
     return VerifyOutcome(rel, ok, None if ok else residual)
 
 
-def numeric_invariants(sub: Substitution,
-                       point: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    """All 30 invariant values at one rational point, recomputed through the
-    tensor recipes on the Fraction matrix and vector of (sigma, m) there."""
-    sigma = PolyMat3([[e.evaluate(point) for e in row] for row in sub.sigma.entries])
-    m = PolyVec3([e.evaluate(point) for e in sub.m.entries])
+def _whole(x: Fraction) -> Fraction | int:
+    return x.numerator if x.denominator == 1 else x
+
+
+def numeric_invariants(sub: Substitution, point: Mapping[str, Fraction | int]
+                       ) -> dict[str, Fraction | int]:
+    """All 30 invariant values at one rational point, exact, recomputed
+    through the tensor recipes on the matrix and vector of (sigma, m)
+    there.  Whole entries of sigma and m are passed on as ints, so the
+    recipes run on ints wherever the point makes them whole."""
+    sigma = PolyMat3([[_whole(e.evaluate(point)) for e in row]
+                      for row in sub.sigma.entries])
+    m = PolyVec3([_whole(e.evaluate(point)) for e in sub.m.entries])
     return catalog_mod.evaluate_all(CATALOG, sigma, m)
 
 
@@ -128,22 +164,42 @@ def random_point(table: VarTable, rng: random.Random) -> dict[str, Fraction]:
             for name in table.names}
 
 
+def integer_point(table: VarTable, point: Mapping[str, Fraction]) -> dict[str, int]:
+    """The point with its stress variables scaled by 3 * the lcm of their
+    denominators, and its magnetization variables by 3 * the lcm of
+    theirs: integer coordinates, each a multiple of 3.
+
+    A substitution is linear and kind-preserving, so this scales sigma by
+    lambda and m by mu and stays on its plane; an invariant of bi-degree
+    (a, b) scales by mu^a * lambda^b, and so does a bi-homogeneous
+    relation's residual, which is zero exactly where it was.  The factor 3
+    keeps the tr/3 of ddev an int on integer-coefficient substitutions.
+    """
+    scale = {kind: 3 * lcm(*(point[n].denominator
+                             for n, k in zip(table.names, table.kinds) if k == kind))
+             for kind in set(table.kinds)}
+    return {n: point[n].numerator * (scale[k] // point[n].denominator)
+            for n, k in zip(table.names, table.kinds)}
+
+
 def spotcheck_relations(rels: Sequence[PublishedRelation | Relation],
                         rb: RestrictedBasis,
                         trials: int = 100, seed: int = 0) -> list[SpotcheckOutcome]:
     """Evaluate relation residuals at seeded random rational points.
 
-    Exact rational evaluation over one shared stream of points: each
-    point's invariant values are computed once for all relations, and a
-    relation is no longer evaluated after its first failing trial.  A pass
-    means the residual was zero at every sampled point.
+    Exact evaluation over one shared stream of points: each random point is
+    moved to its integer_point, its invariant values are computed once for
+    all relations, and a relation is no longer evaluated after its first
+    failing trial.  A pass means the residual was zero at every sampled
+    point.
     """
     rng = random.Random(seed)
+    table = rb.substitution.table
     failed_at: dict[int, int] = {}
     for t in range(trials):
         if len(failed_at) == len(rels):
             break
-        point = random_point(rb.substitution.table, rng)
+        point = integer_point(table, random_point(table, rng))
         values = numeric_invariants(rb.substitution, point)
         for i, rel in enumerate(rels):
             if i not in failed_at and rel.substitute(values) != 0:

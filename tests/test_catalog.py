@@ -138,6 +138,37 @@ def test_fraction_entries_match_constant_polynomials(upper, m_entries):
     assert all(type(v) is Fraction for v in values.values())
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=6, max_size=6),
+       st.lists(st.integers(-20, 20), min_size=3, max_size=3))
+@example([0] * 6, [0] * 3)
+def test_int_entries_divisible_by_three_give_ints(upper, m_entries):
+    # The spot-check's integer points: entries that are multiples of 3 keep
+    # each tr/3 whole, so every value is an int, equal to the Fraction one.
+    (a, b, c, d, e, f) = (3 * x for x in upper)
+    m_entries = [3 * x for x in m_entries]
+    sigma_rows = [[a, b, c], [b, d, e], [c, e, f]]
+    values = evaluate_all(CATALOG, PolyMat3(sigma_rows), PolyVec3(m_entries))
+    assert values == _constant_values(sigma_rows, m_entries)
+    assert all(type(v) is int for v in values.values())
+
+
+def test_one_point_costs_twenty_matrix_products(monkeypatch):
+    # TensorParts shares sb@sb and the mb@sb, mb@bar(sb^2), mb@sd and
+    # mb@sd@sb prefixes between recipes.
+    calls = []
+    matmul = PolyMat3.__matmul__
+
+    def counted(a, b):
+        calls.append(None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(PolyMat3, "__matmul__", counted)
+    sigma = PolyMat3([[3, 6, 0], [6, -9, 0], [0, 0, 0]])
+    evaluate_all(CATALOG, sigma, PolyVec3([3, 12, 0]))
+    assert len(calls) == 20
+
+
 # -- cubic symmetry ------------------------------------------------------
 
 def _constant_values(sigma_rows, m_entries):

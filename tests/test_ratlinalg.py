@@ -9,8 +9,10 @@ returns must be that form with each row scaled by normalize_integer_vector,
 entry for entry.
 """
 
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,6 +174,18 @@ def test_matrix_keeps_integer_entries():
     m = RatMatrix([[2, 4], [1, F(1, 2)]])
     assert [[type(x) for x in row] for row in m.data] == [[int, int], [int, F]]
     assert all(type(x) is int for row in m.rref()[0].data for x in row)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", None, complex(1, 0)])
+def test_entry_that_is_not_int_or_fraction_is_a_type_error(bad):
+    # Named by the row scaling that rref and normalize_integer_vector share;
+    # an int subclass such as bool is still an int.
+    message = re.escape(f"entry {bad!r} is not an int or a Fraction")
+    with pytest.raises(TypeError, match=message):
+        RatMatrix([[1, F(1, 2)], [3, bad]]).rref()
+    with pytest.raises(TypeError, match=message):
+        normalize_integer_vector([bad, 1])
+    assert RatMatrix([[True, 2]]).rref()[0].data == [(1, 2)]
 
 
 def test_matrix_from_columns_orientation():

@@ -10,8 +10,9 @@ from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, Relation,
                                RelationIntegrityError, bidegree_grid,
                                check_union_property, deglex_key,
-                               enumerate_products, partition_bidegrees,
-                               reduce_basis, reducible_products)
+                               enumerate_products, integer_forms,
+                               partition_bidegrees, reduce_basis,
+                               reducible_products)
 from mebasis.verify import spotcheck_relations
 
 F = Fraction
@@ -55,12 +56,6 @@ def test_partition_groups_by_bidegree(theta_basis):
     assert total == len(theta_basis.entries)
 
 
-def integer_forms(rb):
-    """Each survivor's integer form, as reduce_basis converts it."""
-    return {name: integer_terms(rb.substitution.table, p.terms)
-            for name, p in rb.entries}
-
-
 def products(rb, target):
     return reducible_products(rb, target, integer_forms(rb), {})
 
@@ -95,7 +90,7 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
     rb = bases[fiber]
     table = rb.substitution.table
     restricted = rb.as_dict()
-    ints = {name: integer_terms(table, p.terms) for name, p in rb.entries}
+    ints = integer_forms(rb)
     prefixes = {}
     built = {}
     for bd in bidegree_grid():
@@ -292,14 +287,14 @@ def test_every_catalog_name_is_accounted_for_once(bases, fiber, bounds):
 
 
 def test_integer_forms_are_a_new_dict_per_call(theta_basis):
-    import mebasis.reduction as reduction
-
-    first = reduction.integer_forms(theta_basis)
-    second = reduction.integer_forms(theta_basis)
-    assert first == second == integer_forms(theta_basis)
+    table = theta_basis.substitution.table
+    first = integer_forms(theta_basis)
+    second = integer_forms(theta_basis)
+    assert first == second == {name: integer_terms(table, p.terms)
+                               for name, p in theta_basis.entries}
     assert first is not second
     first.clear()
-    assert reduction.integer_forms(theta_basis) == second
+    assert integer_forms(theta_basis) == second
 
 
 def test_bounds_past_a_packed_slot_are_refused_up_front(theta_basis, monkeypatch):

@@ -123,6 +123,16 @@ def test_ddev_of_plane_diagonal():
     assert not d.trace()
 
 
+def test_ddev_keeps_ints_when_the_trace_divides_by_three():
+    d = ddev(PolyMat3([[4, 1, 0], [1, 2, 0], [0, 0, 3]]))
+    assert d.entries == ((1, 0, 0), (0, -1, 0), (0, 0, 0))
+    assert all(type(x) is int for row in d.entries for x in row)
+    # Otherwise tr/3 is a Fraction, as for Fraction entries.
+    d = ddev(PolyMat3([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    assert d.entries == ((F(2, 3), 0, 0), (0, F(-1, 3), 0), (0, 0, F(-1, 3)))
+    assert type(d.entries[0][0]) is F
+
+
 def test_split_identity():
     a = identity()
     assert ddev(a).entries == ZERO

@@ -14,8 +14,9 @@ import pytest
 from mebasis.catalog import CATALOG_NAMES
 from mebasis.reduction import reduce_basis
 from mebasis.restriction import FIBERS
+from mebasis.poly import Polynomial
 from mebasis.verify import (DATA_PATH, GeneratingSetReport, PublishedRelation,
-                            load_published, numeric_invariants,
+                            integer_point, load_published, numeric_invariants,
                             random_point, spotcheck_relations,
                             verify_generating_set, verify_published)
 
@@ -164,6 +165,85 @@ def test_spotcheck_accepts_engine_relations(theta_basis):
     rels = reduce_basis(theta_basis).relations
     outcomes = spotcheck_relations(rels, theta_basis, trials=5, seed=2)
     assert all(o.ok for o in outcomes)
+
+
+# -- the integer path ----------------------------------------------------
+
+def _restricted_values(rb):
+    zero = Polynomial.zero(rb.substitution.table)
+    return {name: zero for name in rb.vanished} | rb.as_dict()
+
+
+def _integer_points(rb, seed, count):
+    import random
+    table = rb.substitution.table
+    rng = random.Random(seed)
+    for _ in range(count):
+        point = random_point(table, rng)
+        yield point, integer_point(table, point)
+
+
+@pytest.mark.parametrize("fiber", FIBERS)
+def test_integer_point_values_are_all_ints(bases, fiber):
+    # A silent fall-back to Fractions anywhere in the recipes would show.
+    rb = bases[fiber]
+    for _, point in _integer_points(rb, 7, 5):
+        values = numeric_invariants(rb.substitution, point)
+        assert tuple(values) == CATALOG_NAMES
+        assert all(type(v) is int for v in values.values()), fiber
+
+
+@pytest.mark.parametrize("fiber", FIBERS)
+def test_integer_point_is_a_scaled_point_of_the_plane(bases, fiber):
+    rb = bases[fiber]
+    sub = rb.substitution
+    for point, scaled in _integer_points(rb, 8, 5):
+        for kind in ("mag", "stress"):
+            names = [n for n, k in zip(sub.table.names, sub.table.kinds) if k == kind]
+            ratios = {scaled[n] / point[n] for n in names if point[n]}
+            assert len(ratios) <= 1, (fiber, kind)
+            assert all(type(scaled[n]) is int and scaled[n] % 3 == 0 for n in names)
+        sigma = [[e.evaluate(scaled) for e in row] for row in sub.sigma.entries]
+        m = [e.evaluate(scaled) for e in sub.m.entries]
+        n = sub.normal
+        assert [sum(sigma[i][k] * n[k] for k in range(3)) for i in range(3)] == [0, 0, 0]
+        assert sum(m[k] * n[k] for k in range(3)) == 0
+
+
+def test_integer_form_matches_the_parsed_right_hand_side(bases):
+    # On every fiber's restricted polynomials: the relation's own fiber,
+    # where the residual is zero, and the two others, where it mostly is not.
+    nonzero = 0
+    for fiber in FIBERS:
+        for rel in load_published(fiber):
+            d, terms = rel.integer_form
+            assert d >= 1 and all(type(c) is int for _, c in terms)
+            for other in FIBERS:
+                values = _restricted_values(bases[other])
+                expected = d * (values[rel.lhs] - rel.rhs_poly.evaluate(values))
+                assert rel.scaled_residual(values) == expected, (rel.source, other)
+                assert rel.substitute(values) == Fraction(1, d) * expected
+                nonzero += bool(expected)
+    assert nonzero > 48
+
+
+def test_corrupted_relation_fails_where_the_fraction_points_say(theta_basis):
+    # The residual at an integer point is mu^a * lambda^b times the one at
+    # the drawn point, so the first failing trial is the one the unscaled
+    # Fraction points give.
+    import random
+    bad = PublishedRelation("theta", "I012", "1/5*(I002*I010)", "theta:01")
+    sub = theta_basis.substitution
+    for seed in range(10):
+        rng = random.Random(seed)
+        failed = None
+        for t in range(10):
+            values = numeric_invariants(sub, random_point(sub.table, rng))
+            if values["I012"] != bad.rhs_poly.evaluate(values):
+                failed = t
+                break
+        (spot,) = spotcheck_relations([bad], theta_basis, trials=10, seed=seed)
+        assert (spot.ok, spot.failed_trial) == (failed is None, failed), seed
 
 
 # -- generating-set certificates -----------------------------------------
