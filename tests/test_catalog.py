@@ -127,9 +127,10 @@ rationals = st.one_of(st.just(F(0)),
 @example([F(0)] * 6, [F(1), F(-2), F(3, 4)])
 @example([F(1), F(0), F(-2), F(5, 3), F(0), F(0)], [F(0)] * 3)
 def test_fraction_entries_match_constant_polynomials(upper, m_entries):
-    # The recipes run on plain Fraction arrays (the numeric spot-check)
-    # and on constant Polynomial arrays give the same value, and the
-    # Fraction route returns Fractions even where everything is zero.
+    # The recipes run on plain Fraction arrays (numeric values at a
+    # rational point) and on constant Polynomial arrays give the same
+    # value, and the Fraction route returns Fractions even where
+    # everything is zero.
     (a, b, c, d, e, f) = upper
     sigma_rows = [[a, b, c], [b, d, e], [c, e, f]]
     expected = _constant_values(sigma_rows, m_entries)

@@ -2,9 +2,10 @@
 
 verify_published substitutes the restricted catalog into each relation
 symbolically; spotcheck_relations substitutes invariant values recomputed
-through the tensor recipes at concrete rational points.  Both evaluate the
-same relation expression, but the two routes share no intermediate
-results, so their agreement here is evidence, not circularity.
+through the tensor recipes at concrete integer points, scaled from seeded
+rational ones.  Both evaluate the same relation expression, but the two
+routes share no intermediate results, so their agreement here is
+evidence, not circularity.
 """
 
 from fractions import Fraction
