@@ -38,8 +38,11 @@ def _load_basis(fiber: str) -> RestrictedBasis:
     if fiber in FIBERS:
         sub = fiber_substitution(fiber)
     elif fiber.startswith("custom:"):
+        path = fiber[len("custom:"):]
+        if not path:
+            raise UsageError("custom: needs a file path, as in custom:PATH")
         try:
-            sub = custom_substitution(fiber[len("custom:"):])
+            sub = custom_substitution(path)
         except SubstitutionError as exc:
             raise UsageError(str(exc)) from exc
     else:
@@ -294,6 +297,8 @@ def _run_verify(args) -> int:
                          f"no published relation list exists for {args.fiber!r}")
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
     rb = _load_basis(args.fiber)
     payload = verify_payload(args.fiber, rb, args.trials, args.seed)
     failed = payload["result"]["counts"]["failed"]

@@ -3,9 +3,17 @@
 The entries are Polynomials (restriction of the catalog to a substitution)
 or plain numbers, ints or Fractions (numeric spot-check values at one
 point, all ints at the spot-check's integer points); one set of recipes
-serves both.  Every sum starts from the ring's own zero (x * 0),
-products with a zero factor are skipped, and Polynomial entries must share
-one VarTable.
+serves both.  Every sum starts from the ring's own zero (x * 0) and runs
+as a plain loop over zipped rows, skipping products with a zero factor.
+
+Entries are validated where a vector or matrix enters from outside: the
+public PolyVec3(...) and PolyMat3(...) constructors, and the .table
+property, check that they are all plain numbers or all Polynomials on one
+VarTable.  The results of @, mul_vec, outer, dbar and ddev are computed
+from operands checked that way and are built without a second scan.  The
+two-operand ones start their sums from the sum of both operands' zeros,
+so a number times a Polynomial matrix gives Polynomials only, and
+Polynomials on different tables raise ValueError.
 
 Holds only what the catalog recipes and the substitution checks use:
 products, traces, dyads, a symmetry test and the two diagonal/off-diagonal
@@ -38,10 +46,17 @@ def _table(entries: Iterable[Entry]) -> VarTable | None:
     return tables.pop()
 
 
-def _sum_products(zero: Entry, pairs: Iterable[tuple[Entry, Entry]]) -> Entry:
-    """zero + sum of x * y over the pairs, skipping pairs with a zero factor."""
-    total = zero
-    for x, y in pairs:
+def _built(cls, entries):
+    """A PolyVec3 or PolyMat3 on entries (a tuple, or a tuple of row tuples)
+    computed from validated operands, without re-checking them."""
+    obj = object.__new__(cls)
+    obj.entries = entries
+    return obj
+
+
+def _dot(total: Entry, xs: Iterable[Entry], ys: Iterable[Entry]) -> Entry:
+    """total + sum of x * y over zip(xs, ys), skipping pairs with a zero factor."""
+    for x, y in zip(xs, ys):
         if x and y:
             total = total + x * y
     return total
@@ -70,7 +85,7 @@ class PolyVec3:
     __hash__ = None
 
     def dot(self, other: "PolyVec3") -> Entry:
-        return _sum_products(self.entries[0] * 0, zip(self.entries, other.entries))
+        return _dot(self.entries[0] * 0, self.entries, other.entries)
 
     def __repr__(self) -> str:
         return "PolyVec3(%s)" % ", ".join(str(e) for e in self.entries)
@@ -102,9 +117,10 @@ class PolyMat3:
         return self.entries[0][0] * 0
 
     def __matmul__(self, other: "PolyMat3") -> "PolyMat3":
-        a, b, z = self.entries, other.entries, self.zero()
-        return PolyMat3([[_sum_products(z, ((a[i][k], b[k][j]) for k in range(3)))
-                          for j in range(3)] for i in range(3)])
+        z = self.zero() + other.zero()
+        cols = tuple(zip(*other.entries))
+        return _built(PolyMat3, tuple([tuple([_dot(z, row, col) for col in cols])
+                                       for row in self.entries]))
 
     def trace(self) -> Entry:
         e = self.entries
@@ -115,9 +131,8 @@ class PolyMat3:
         return e[0][1] == e[1][0] and e[0][2] == e[2][0] and e[1][2] == e[2][1]
 
     def mul_vec(self, v: PolyVec3) -> PolyVec3:
-        z = self.zero()
-        return PolyVec3([_sum_products(z, zip(self.entries[i], v.entries))
-                         for i in range(3)])
+        z = self.zero() + v.entries[0] * 0
+        return _built(PolyVec3, tuple([_dot(z, row, v.entries) for row in self.entries]))
 
     def __repr__(self) -> str:
         return "PolyMat3(%s)" % "; ".join(
@@ -125,22 +140,28 @@ class PolyMat3:
 
 
 def outer(v: PolyVec3) -> PolyMat3:
-    return PolyMat3([[v[i] * v[j] for j in range(3)] for i in range(3)])
+    e = v.entries
+    return _built(PolyMat3, tuple([tuple([x * y for y in e]) for x in e]))
 
 
 def double_contract(a: PolyMat3, b: PolyMat3) -> Entry:
-    return _sum_products(a.zero(), ((a[i][j], b[i][j])
-                                    for i in range(3) for j in range(3)))
+    total = a.zero()
+    for ra, rb in zip(a.entries, b.entries):
+        total = _dot(total, ra, rb)
+    return total
 
 
 def dbar(a: PolyMat3) -> PolyMat3:
     z = a.zero()
-    return PolyMat3([[z if i == j else a[i][j] for j in range(3)] for i in range(3)])
+    e = a.entries
+    return _built(PolyMat3, ((z, e[0][1], e[0][2]), (e[1][0], z, e[1][2]),
+                             (e[2][0], e[2][1], z)))
 
 
 def ddev(a: PolyMat3) -> PolyMat3:
     z = a.zero()
     tr = a.trace()
     third = tr // 3 if isinstance(tr, int) and not tr % 3 else Fraction(1, 3) * tr
-    return PolyMat3([[a[i][i] - third if i == j else z
-                      for j in range(3)] for i in range(3)])
+    e = a.entries
+    return _built(PolyMat3, ((e[0][0] - third, z, z), (z, e[1][1] - third, z),
+                             (z, z, e[2][2] - third)))

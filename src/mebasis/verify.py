@@ -18,12 +18,13 @@ Three checks, two of which avoid the reduction engine's own code paths:
                         recipes on int matrices rather than read off the
                         restricted polynomials.
 
-Both relation checks evaluate one expression, the relation's substitute():
-on the restricted polynomials for the symbolic check, on the int values at
-each point for the numeric one.  A shipped relation is parsed once into an
-integer-keyed form, D * rhs = sum of c * (product of invariant names), and
-substitute() sums D * lhs - sum c * prod itself, with none of the engine's
-code.
+Both relation checks evaluate one expression, the relation's scaled
+residual D * (lhs - rhs): divided by D (substitute()) on the restricted
+polynomials for the symbolic check, tested for zero as it is on the int
+values at each point for the numeric one (D >= 1).  A shipped relation is
+parsed once into an integer-keyed form, D * rhs = sum of c * (product of
+invariant names), and scaled_residual() sums D * lhs - sum c * prod itself,
+with none of the engine's code.
 """
 
 from __future__ import annotations
@@ -134,19 +135,35 @@ def verify_published(rel: PublishedRelation, rb: RestrictedBasis) -> VerifyOutco
     return VerifyOutcome(rel, ok, None if ok else residual)
 
 
-def _whole(x: Fraction) -> Fraction | int:
-    return x.numerator if x.denominator == 1 else x
+def _value(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction | int:
+    """p at a point, exact: p's integer numerators over the lcm d of its
+    denominators, summed at the point and divided by d once; an int where
+    the value is whole, a Fraction otherwise.  A variable that occurs in p
+    and has no value raises ValueError, as in Polynomial.evaluate."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    total = 0
+    for mono, c in p.terms.items():
+        v = c.numerator * (d // c.denominator)
+        for name, e in zip(p.table.names, mono):
+            if e:
+                if name not in point:
+                    raise ValueError(f"no value for variable {name!r}")
+                v = v * point[name] ** e
+        total = total + v
+    n, d = total.numerator, total.denominator * d
+    return n // d if not n % d else Fraction(n, d)
 
 
 def numeric_invariants(sub: Substitution, point: Mapping[str, Fraction | int]
                        ) -> dict[str, Fraction | int]:
     """All 30 invariant values at one rational point, exact, recomputed
     through the tensor recipes on the matrix and vector of (sigma, m)
-    there.  Whole entries of sigma and m are passed on as ints, so the
-    recipes run on ints wherever the point makes them whole."""
-    sigma = PolyMat3([[_whole(e.evaluate(point)) for e in row]
-                      for row in sub.sigma.entries])
-    m = PolyVec3([_whole(e.evaluate(point)) for e in sub.m.entries])
+    there.  Each entry of sigma and m is an int where it is whole and an
+    exact Fraction otherwise, and at an integer point it is evaluated in
+    integer arithmetic, so the recipes run on ints wherever the point
+    makes the entries whole."""
+    sigma = PolyMat3([[_value(e, point) for e in row] for row in sub.sigma.entries])
+    m = PolyVec3([_value(e, point) for e in sub.m.entries])
     return catalog_mod.evaluate_all(CATALOG, sigma, m)
 
 
@@ -191,18 +208,24 @@ def spotcheck_relations(rels: Sequence[PublishedRelation | Relation],
     moved to its integer_point, its invariant values are computed once for
     all relations, and a relation is no longer evaluated after its first
     failing trial.  A pass means the residual was zero at every sampled
-    point.
+    point.  The seed must be at least 0: random.Random draws the same
+    stream for -s as for s.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     rng = random.Random(seed)
     table = rb.substitution.table
+    # A shipped relation's residual is zero exactly where D times it is.
+    residuals = [rel.scaled_residual if isinstance(rel, PublishedRelation)
+                 else rel.substitute for rel in rels]
     failed_at: dict[int, int] = {}
     for t in range(trials):
         if len(failed_at) == len(rels):
             break
         point = integer_point(table, random_point(table, rng))
         values = numeric_invariants(rb.substitution, point)
-        for i, rel in enumerate(rels):
-            if i not in failed_at and rel.substitute(values) != 0:
+        for i, residual in enumerate(residuals):
+            if i not in failed_at and residual(values) != 0:
                 failed_at[i] = t
     return [SpotcheckOutcome(i not in failed_at, trials, seed, failed_at.get(i))
             for i in range(len(rels))]

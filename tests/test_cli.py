@@ -124,6 +124,13 @@ def test_reduce_missing_custom_file_is_usage_error(tmp_path, capsys):
     assert "absent" in err or "cannot read" in err
 
 
+def test_reduce_empty_custom_path_is_usage_error(capsys):
+    # Reading "" would open the working directory, a path never typed.
+    code, out, err = run(capsys, "reduce", "--fiber", "custom:")
+    assert_one_line_usage_error(code, out, err, "custom:")
+    assert "file path" in err and "directory" not in err
+
+
 def write_custom(tmp_path, doc) -> str:
     path = tmp_path / "sub.json"
     path.write_text(json.dumps(doc))
@@ -312,6 +319,15 @@ def test_verify_without_trials_is_usage_error(capsys, trials):
     code, out, err = run(capsys, "verify", "--fiber", "gamma",
                          "--trials", trials, "--format", "json")
     assert_one_line_usage_error(code, out, err, "--trials")
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_verify_negative_seed_is_usage_error(capsys, seed):
+    # random.Random(-s) draws the points of random.Random(s), so the
+    # echoed seed would not be the one used.
+    code, out, err = run(capsys, "verify", "--fiber", "theta",
+                         "--seed", seed, "--format", "json")
+    assert_one_line_usage_error(code, out, err, "--seed")
 
 
 # -- union ---------------------------------------------------------------

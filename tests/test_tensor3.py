@@ -275,3 +275,48 @@ def test_entries_must_not_mix_rings_or_tables():
         PolyVec3([z, Polynomial.zero(other), z])
     with pytest.raises(ValueError, match="different variable tables"):
         PolyMat3([[z, z, z], [z, F(0), z], [z, z, z]])
+
+
+# -- results built from validated operands -------------------------------
+
+def ring_operands(ring):
+    """A symmetric matrix, a second matrix and a vector over one ring, and
+    the table their entries share."""
+    if ring == "polynomial":
+        m1, m2, s1, s2, s3 = (var(n) for n in TABLE.names)
+        z = Polynomial.zero(TABLE)
+        a = PolyMat3([[s1, s3, z], [s3, s2, s1], [z, s1, s2 + s3]])
+        b = PolyMat3([[m1, z, s2], [s3, m2, z], [s1, z, m1 + s3]])
+        return a, b, PolyVec3([m1, m2, m1 - m2]), TABLE
+    num = int if ring == "int" else (lambda x: F(x, 2))
+    a = PolyMat3([[num(x) for x in row] for row in ((4, 1, 0), (1, 2, -3), (0, -3, 5))])
+    b = PolyMat3([[num(x) for x in row] for row in ((0, 7, 1), (2, 0, 0), (1, -1, 3))])
+    return a, b, PolyVec3([num(x) for x in (1, 0, -2)]), None
+
+
+@pytest.mark.parametrize("ring", ["polynomial", "int", "fraction"])
+def test_ring_results_equal_constructor_built_ones(ring):
+    a, b, v, table = ring_operands(ring)
+    for out in (a @ b, b @ a, ddev(a), dbar(a), ddev(b), dbar(b), outer(v)):
+        rebuilt = PolyMat3(out.entries)
+        assert out == rebuilt
+        assert out.table == rebuilt.table == table
+    for out in (a.mul_vec(v), b.mul_vec(v)):
+        rebuilt = PolyVec3(out.entries)
+        assert out == rebuilt
+        assert out.table == rebuilt.table == table
+
+
+def test_products_across_rings_do_not_mix_entries():
+    # Every entry of a number matrix times a Polynomial one is a Polynomial,
+    # even where all products were skipped; tables must agree.
+    ints = PolyMat3([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    a, _, v, _ = ring_operands("polynomial")
+    assert (ints @ a).table == TABLE
+    assert ints.mul_vec(v).table == TABLE
+    other = VarTable([("m1", MAG)])
+    b = PolyMat3([[Polynomial.variable(other, "m1")] * 3] * 3)
+    with pytest.raises(ValueError, match="different variable tables"):
+        a @ b
+    with pytest.raises(ValueError, match="different variable tables"):
+        b.mul_vec(v)

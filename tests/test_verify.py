@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from mebasis.catalog import CATALOG_NAMES
-from mebasis.reduction import reduce_basis
-from mebasis.restriction import FIBERS
+from mebasis.catalog import CATALOG, CATALOG_NAMES
+from mebasis.reduction import Relation, reduce_basis
+from mebasis.restriction import FIBERS, custom_substitution, restrict_basis
 from mebasis.poly import Polynomial
 from mebasis.verify import (DATA_PATH, GeneratingSetReport, PublishedRelation,
                             integer_point, load_published, numeric_invariants,
@@ -120,6 +120,11 @@ def test_numeric_matches_restricted_polynomials(bases):
                 assert values[name] == poly.evaluate(point), (fiber, name)
             for name in rb.vanished:
                 assert values[name] == 0, (fiber, name)
+
+
+def test_numeric_invariants_needs_every_occurring_variable(theta_basis):
+    with pytest.raises(ValueError, match="no value for variable 's1'"):
+        numeric_invariants(theta_basis.substitution, {"m1": 1, "m2": 2, "s2": 3, "s3": 4})
 
 
 def test_spotcheck_evaluates_one_point_per_trial(theta_basis, monkeypatch):
@@ -245,6 +250,83 @@ def test_corrupted_relation_fails_where_the_fraction_points_say(theta_basis):
                 break
         (spot,) = spotcheck_relations([bad], theta_basis, trials=10, seed=seed)
         assert (spot.ok, spot.failed_trial) == (failed is None, failed), seed
+
+
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_spotcheck_refuses_a_negative_seed(theta_basis, seed):
+    # random.Random(-3) draws random.Random(3)'s stream.
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        spotcheck_relations(load_published("theta"), theta_basis, trials=1, seed=seed)
+
+
+# -- rational coefficients: the Fraction fallback --------------------------
+
+# The plane normal to (0, 1, 1) with coefficients that are not whole, so
+# that sigma and m at an integer point have Fraction entries.
+RATIONAL_PLANE = {
+    "name": "rational-011",
+    "variables": {"m1": "mag", "m2": "mag",
+                  "s1": "stress", "s2": "stress", "s3": "stress"},
+    "sigma": {"11": "1/2*s1 + s3", "12": "1/3*s2", "13": "-1/3*s2",
+              "22": "-3/4*s3", "23": "3/4*s3", "33": "-3/4*s3"},
+    "m": ["1/2*m1", "2/3*m2", "-2/3*m2"],
+    "normal": [0, 1, 1],
+}
+
+
+@pytest.fixture(scope="module")
+def rational_basis():
+    return restrict_basis(CATALOG, custom_substitution(RATIONAL_PLANE))
+
+
+def test_rational_plane_values_match_restricted_polynomials(rational_basis):
+    import random
+    rb = rational_basis
+    table = rb.substitution.table
+    rng = random.Random(5)
+    for _ in range(3):
+        point = random_point(table, rng)
+        for p in (point, integer_point(table, point)):
+            values = numeric_invariants(rb.substitution, p)
+            assert tuple(values) == CATALOG_NAMES
+            for name, poly in rb.entries:
+                assert values[name] == poly.evaluate(p), name
+            for name in rb.vanished:
+                assert values[name] == 0, name
+
+
+def test_non_whole_entries_stay_exact_fractions(rational_basis, monkeypatch):
+    import mebasis.catalog as catalog_mod
+    seen = []
+    original = catalog_mod.evaluate_all
+
+    def capture(catalog, sigma, m):
+        seen.append((sigma, m))
+        return original(catalog, sigma, m)
+
+    monkeypatch.setattr(catalog_mod, "evaluate_all", capture)
+    point = {"m1": 1, "m2": 3, "s1": 2, "s2": 3, "s3": 1}
+    values = numeric_invariants(rational_basis.substitution, point)
+    ((sigma, m),) = seen
+    assert sigma.entries == ((2, 1, -1), (1, F(-3, 4), F(3, 4)), (-1, F(3, 4), F(-3, 4)))
+    assert [[type(x) for x in row] for row in sigma.entries] == \
+        [[int, int, int], [int, F, F], [int, F, F]]
+    assert m.entries == (F(1, 2), 2, -2)
+    assert [type(x) for x in m.entries] == [F, int, int]
+    assert values["I010"] == F(1, 2) and type(values["I010"]) is F
+
+
+def test_rational_plane_engine_relations_pass_spotcheck(rational_basis):
+    rels = reduce_basis(rational_basis).relations
+    assert rels
+    assert all(o.ok for o in spotcheck_relations(rels, rational_basis,
+                                                 trials=10, seed=3))
+    # A perturbed coefficient is caught on the same points.
+    rel = rels[-1]
+    (factors, c), *rest = rel.terms
+    bad = Relation(rel.bidegree, ((factors, c + 1), *rest), rel.solved_for)
+    (spot,) = spotcheck_relations([bad], rational_basis, trials=10, seed=3)
+    assert not spot.ok and spot.failed_trial == 0
 
 
 # -- generating-set certificates -----------------------------------------
