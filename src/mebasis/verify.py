@@ -208,9 +208,12 @@ def spotcheck_relations(rels: Sequence[PublishedRelation | Relation],
     moved to its integer_point, its invariant values are computed once for
     all relations, and a relation is no longer evaluated after its first
     failing trial.  A pass means the residual was zero at every sampled
-    point.  The seed must be at least 0: random.Random draws the same
-    stream for -s as for s.
+    point.  trials must be at least 1, or nothing would be evaluated.  The
+    seed must be at least 0: random.Random draws the same stream for -s as
+    for s.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
     rng = random.Random(seed)

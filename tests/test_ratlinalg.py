@@ -9,16 +9,22 @@ returns must be that form with each row scaled by normalize_integer_vector,
 entry for entry.
 """
 
+import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mebasis.catalog import CATALOG
+from mebasis.poly import coefficient_matrix
 from mebasis.ratlinalg import (RatMatrix, matrix_from_columns,
                                normalize_integer_vector, rank_of_columns,
                                solve_columns)
+from mebasis.reduction import integer_forms, reducible_products
+from mebasis.restriction import custom_substitution, restrict_basis
 
 F = Fraction
 
@@ -188,6 +194,12 @@ def test_entry_that_is_not_int_or_fraction_is_a_type_error(bad):
     assert RatMatrix([[True, 2]]).rref()[0].data == [(1, 2)]
 
 
+def test_a_repeated_row_is_still_type_checked():
+    # 0.5 == Fraction(1, 2), so the float row equals the row before it.
+    with pytest.raises(TypeError, match="entry 0.5 is not an int or a Fraction"):
+        RatMatrix([[F(1, 2), 1], [0.5, 1]]).rref()
+
+
 def test_matrix_from_columns_orientation():
     m = matrix_from_columns([(1, 2), (3, 4)], 2)
     assert [list(r) for r in m.data] == [[1, 3], [2, 4]]
@@ -343,3 +355,57 @@ def test_rref_of_large_entries_matches_fraction_gauss_jordan():
     rows[3] = [a + b for a, b in zip(rows[0], rows[1])]
     rrefm, pivots = RatMatrix(rows).rref()
     assert (rrefm.data, pivots) == primitive_fraction_rref(rows, 6)
+
+
+nonzero_fraction = small_fraction.filter(bool)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_matrices(), st.data())
+def test_rref_does_not_depend_on_row_order_or_pivot_choice(rows, data):
+    # Scaled copies of rows, zero rows and a shuffle change which row the
+    # elimination picks as pivot row at each column, but not the unique
+    # primitive RREF.
+    rrefm, pivots = RatMatrix(rows).rref()
+    ncols = len(rows[0])
+    copies = data.draw(st.lists(st.tuples(st.sampled_from(rows), nonzero_fraction),
+                                max_size=3))
+    zeros = data.draw(st.integers(min_value=0, max_value=2))
+    variant = data.draw(st.permutations(
+        rows + [[k * x for x in row] for row, k in copies] + [[F(0)] * ncols] * zeros))
+    got, got_pivots = RatMatrix(variant).rref()
+    rank = len(pivots)
+    assert got_pivots == pivots
+    assert got.data[:rank] == rrefm.data[:rank]
+    assert got.data[rank:] == [(0,) * ncols] * (len(variant) - rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rational_matrices(), int_matrices_6x6))
+def test_rref_leaves_the_input_unchanged(rows):
+    # The elimination rewrites its rows in place, on its own copies.
+    m = RatMatrix(rows)
+    before = list(m.data)
+    m.rref()
+    assert m.data == before
+    assert [list(row) for row in m.data] == rows
+
+
+PLANE_123 = Path(__file__).with_name("golden") / "plane_123.sub.json"
+
+
+def test_rref_of_an_engine_matrix_matches_fraction_gauss_jordan():
+    # The coefficient matrix the engine eliminates at bi-degree (4, 3) of
+    # the generic plane normal to (1, 2, 3): 50 monomials by 45 products.
+    rb = restrict_basis(CATALOG, custom_substitution(PLANE_123))
+    columns = [c for _, c in reducible_products(rb, (4, 3), integer_forms(rb), {})]
+    _, mat = coefficient_matrix(rb.substitution.table, columns)
+    assert (mat.rows, mat.cols) == (50, 45)
+    expected = primitive_fraction_rref(mat.data, mat.cols)
+    rrefm, pivots = mat.rref()
+    assert len(pivots) == 33
+    assert (rrefm.data, pivots) == expected
+    shuffled = list(mat.data)
+    random.Random(0).shuffle(shuffled)
+    again, again_pivots = RatMatrix(shuffled).rref()
+    assert (again.data, again_pivots) == expected

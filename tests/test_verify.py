@@ -259,6 +259,14 @@ def test_spotcheck_refuses_a_negative_seed(theta_basis, seed):
         spotcheck_relations(load_published("theta"), theta_basis, trials=1, seed=seed)
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_spotcheck_refuses_fewer_than_one_trial(theta_basis, trials):
+    # With no trial no point is evaluated, so a wrong relation would pass.
+    bad = PublishedRelation("theta", "I012", "1/5*(I002*I010)", "theta:01")
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        spotcheck_relations([bad], theta_basis, trials=trials)
+
+
 # -- rational coefficients: the Fraction fallback --------------------------
 
 # The plane normal to (0, 1, 1) with coefficients that are not whole, so
