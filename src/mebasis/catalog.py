@@ -19,15 +19,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .tensor3 import Entry, PolyMat3, PolyVec3, dbar, ddev, double_contract, outer
+from .tensor3 import (Entry, PolyMat3, PolyVec3, _table, dbar, ddev,
+                      double_contract, outer)
 
 
 class TensorParts:
-    """Shared building blocks for evaluating the catalog on one (sigma, m)."""
+    """Shared building blocks for evaluating the catalog on one (sigma, m).
+
+    The one check of its arguments: the entries of sigma and m are of one
+    kind, on one table, and sigma is symmetric.
+    """
 
     def __init__(self, sigma: PolyMat3, m: PolyVec3):
-        if sigma.table != m.table:
-            raise ValueError("sigma and m built on different variable tables")
+        r1, r2, r3 = sigma.entries
+        _table((*r1, *r2, *r3, *m.entries))
         if not sigma.is_symmetric():
             raise ValueError("stress tensor must be symmetric")
         self.sigma = sigma
@@ -126,10 +131,11 @@ def evaluate_all(catalog: Sequence[InvariantDef], sigma: PolyMat3,
                  m: PolyVec3) -> dict[str, Entry]:
     """Evaluate every catalog entry on one (sigma, m), sharing the parts.
 
-    The entries may be Polynomials or plain numbers (ints or Fractions);
-    the values are of the same kind, ints when every entry is an int and
-    every trace that ddev divides is a multiple of 3.  The result
-    preserves catalog order.
+    The entries may be IntegerPolynomials, Polynomials or plain numbers
+    (ints or Fractions); the values are of the same kind, ints when every
+    entry is an int and every trace that ddev divides is a multiple of 3.
+    The result preserves catalog order.  ValueError when the entries mix
+    kinds or tables, or sigma is not symmetric.
     """
     parts = TensorParts(sigma, m)
     return {defn.name: defn.recipe(parts) for defn in catalog}

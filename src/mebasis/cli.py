@@ -11,9 +11,9 @@ engine error (a ReductionError, e.g. a pinned keep set that conflicts).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import __version__
@@ -112,6 +112,55 @@ def _tool_payload() -> dict:
     return {"name": "mebasis", "version": __version__}
 
 
+def render_json(value) -> str:
+    """value (dicts with str keys, lists, str, int, bool, None) as
+    json.dumps(value, indent=2) writes it, without the pure-Python encoder
+    that an indent selects."""
+    parts: list[str] = []
+    _emit_json(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _emit_json(value, newline: str, out) -> None:
+    """Hand value's JSON text to out in pieces; newline starts its lines."""
+    if isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _emit_json(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {key!r}")
+            out(sep + encode_basestring_ascii(key) + ": ")
+            _emit_json(item, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable here")
+
+
 # -- catalog -------------------------------------------------------------
 
 def _run_catalog(args) -> int:
@@ -129,7 +178,7 @@ def _run_catalog(args) -> int:
                 for d in CATALOG
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(render_json(payload))
     elif args.format == "latex":
         lines = [r"\begin{tabular}{llll}",
                  r"name & label & bi-degree & formula \\ \hline"]
@@ -237,7 +286,7 @@ def _run_reduce(args) -> int:
                          f"unexplored; raise {' and '.join(short)}")
     result = reduce_basis(rb, bounds=bounds, policy=args.policy)
     if args.format == "json":
-        print(json.dumps(reduce_payload(result), indent=2))
+        print(render_json(reduce_payload(result)))
     elif args.format == "latex":
         print(render_reduce_latex(result))
     else:
@@ -303,7 +352,7 @@ def _run_verify(args) -> int:
     payload = verify_payload(args.fiber, rb, args.trials, args.seed)
     failed = payload["result"]["counts"]["failed"]
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(render_json(payload))
     elif args.format == "latex":
         lines = [r"\begin{tabular}{llll}",
                  r"source & invariant & symbolic & numeric \\ \hline"]
@@ -356,7 +405,7 @@ def _run_union(args) -> int:
     r = payload["result"]
     ok = r["theta_included_in_alpha_prime"] and r["gamma_included_in_alpha_prime"]
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(render_json(payload))
     elif args.format == "latex":
         print(",\\quad ".join("$%s$" % latex_name(n) for n in r["union"]))
     else:

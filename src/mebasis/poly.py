@@ -16,7 +16,9 @@ trip: parse_polynomial(str(p), p.table) == p.
 A Polynomial keys its terms by exponent tuple.  The integer form
 (d, numerators) of a term map, where each coefficient is numerators[k] / d,
 keys them by packed monomial instead (integer_terms, integer_product), and
-coefficient matrices are built from that form, as integer columns.  A
+coefficient matrices are built from that form, as integer columns.
+IntegerPolynomial is the ring of int-coefficient polynomials keyed the
+same way, on which restriction evaluates the catalog recipes.  A
 packed monomial is one int made of SLOT_BITS-bit slots, most significant
 first: the mag degree, the stress degree, then the exponent of each
 variable in table order.  Only VarTable.pack, unpack and packed_bidegree
@@ -142,7 +144,7 @@ class VarTable:
 
     def unpack(self, key: int) -> tuple[int, ...]:
         """The exponent vector of a packed monomial."""
-        return tuple(key >> s & MAX_EXPONENT for s in self._shifts)
+        return tuple([key >> s & MAX_EXPONENT for s in self._shifts])
 
     def packed_bidegree(self, key: int) -> tuple[int, int]:
         """The (mag, stress) bi-degree of a packed monomial, from its top
@@ -372,7 +374,120 @@ def integer_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int
         for k2, c2 in bl:
             k = k1 + k2
             acc[k] = acc.get(k, 0) + c1 * c2
-    return {k: v for k, v in acc.items() if v}
+    return {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc
+
+
+class IntegerPolynomial:
+    """Immutable sparse polynomial with int coefficients, its terms keyed by
+    packed monomial: the ring restriction evaluates the catalog recipes on.
+
+    It has +, - and * (with another on one table, or with an int), unary
+    minus, truth (nonzero), equality and exact_div; every product is one
+    integer_product.  scaled and divided convert from and to Polynomial.
+    """
+
+    __slots__ = ("table", "terms")
+
+    def __init__(self, table: VarTable, terms: Mapping[int, int]):
+        self.table = table
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    @classmethod
+    def _wrap(cls, table: VarTable, terms: dict[int, int]) -> "IntegerPolynomial":
+        """On a term map already known to have nonzero int coefficients."""
+        p = object.__new__(cls)
+        p.table = table
+        p.terms = terms
+        return p
+
+    @classmethod
+    def scaled(cls, p: Polynomial, scale: int) -> "IntegerPolynomial":
+        """scale * p, for a scale that every denominator of p divides;
+        ValueError otherwise."""
+        pack = p.table.pack
+        terms = {}
+        for mono, c in p.terms.items():
+            q, r = divmod(scale, c.denominator)
+            if r:
+                raise ValueError(f"scale {scale} leaves the coefficient {c} fractional")
+            terms[pack(mono)] = c.numerator * q
+        return cls._wrap(p.table, terms)
+
+    def divided(self, scale: int) -> Polynomial:
+        """self / scale as a Polynomial, for a positive int scale."""
+        unpack = self.table.unpack
+        return Polynomial._wrap(self.table, {unpack(k): Fraction(c, scale)
+                                             for k, c in self.terms.items()})
+
+    def _operand(self, other) -> Mapping[int, int] | None:
+        """other's term map: an int is a constant (packed key 0)."""
+        if isinstance(other, IntegerPolynomial):
+            if other.table is not self.table and other.table != self.table:
+                raise ValueError("polynomials built on different variable tables")
+            return other.terms
+        if isinstance(other, int):
+            return {0: other} if other else {}
+        return None
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other) -> "IntegerPolynomial":
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        if not self.terms and type(other) is IntegerPolynomial:
+            # Sums start from zero: share the immutable operand, uncopied.
+            return other
+        terms = dict(self.terms)
+        for k, c in b.items():
+            s = terms.get(k, 0) + c
+            if s:
+                terms[k] = s
+            else:
+                del terms[k]
+        return IntegerPolynomial._wrap(self.table, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "IntegerPolynomial":
+        return IntegerPolynomial._wrap(self.table, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other) -> "IntegerPolynomial":
+        if self._operand(other) is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "IntegerPolynomial":
+        return (-self) + other
+
+    def __mul__(self, other) -> "IntegerPolynomial":
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return IntegerPolynomial._wrap(self.table, integer_product(self.terms, b))
+
+    __rmul__ = __mul__
+
+    def exact_div(self, n: int) -> "IntegerPolynomial":
+        """self / n, for an int n that divides every coefficient; ValueError
+        otherwise."""
+        terms = {}
+        for k, c in self.terms.items():
+            q, r = divmod(c, n)
+            if r:
+                raise ValueError(f"{n} does not divide the coefficient {c}")
+            terms[k] = q
+        return IntegerPolynomial._wrap(self.table, terms)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, IntegerPolynomial)
+                and self.table == other.table and self.terms == other.terms)
+
+    __hash__ = None  # mutable term map inside
+
+    def __repr__(self) -> str:
+        return f"IntegerPolynomial({self.divided(1)})"
 
 
 def _power(name: str, e: int) -> str:

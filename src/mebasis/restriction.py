@@ -10,17 +10,28 @@ plane with unit normal n (sigma . n = 0 and m . n = 0):
 Each is parameterized by two magnetization variables (m1, m2) and three
 stress variables (s1, s2, s3).  User-defined substitutions load from a
 small JSON format; see custom_substitution.
+
+restrict_basis evaluates the catalog on integer polynomials.  It scales
+sigma by lambda = 3 * the lcm of the denominators of its coefficients and
+m by mu = 3 * the lcm of theirs, so every entry of (lambda sigma, mu m)
+has integer coefficients, each a multiple of 3.  An invariant of
+bi-degree (a, b) is a tensor function of degree a in m and b in sigma, so
+its value there is mu^a * lambda^b times its restriction, and one division
+per invariant gives the restriction back exactly.  Every argument of ddev
+(lambda sigma, sb^2 and mu^2 m o m) has coefficients that 3 divides, so
+tr/3 stays an integer polynomial; ddev raises if it ever would not.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import lcm
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import catalog as catalog_mod
-from .poly import (MAG, STRESS, ParseError, Polynomial, VarTable,
+from .poly import (MAG, STRESS, IntegerPolynomial, ParseError, Polynomial, VarTable,
                    parse_polynomial)
 from .tensor3 import PolyMat3, PolyVec3
 
@@ -252,25 +263,41 @@ class RestrictedBasis:
         return dict(self.entries)
 
 
+def _scale(entries: Iterable[Polynomial]) -> int:
+    """3 * the lcm of the denominators of the entries' coefficients."""
+    return 3 * lcm(*(c.denominator for e in entries for c in e.terms.values()))
+
+
 def restrict_basis(catalog: Sequence[catalog_mod.InvariantDef],
                    sub: Substitution) -> RestrictedBasis:
     """Evaluate the catalog on a substitution and split off the zeros.
 
+    The recipes run on (lambda sigma, mu m) as IntegerPolynomials, and
+    each value is divided by mu^a * lambda^b once (module docstring).
     Because the substitution is linear and kind-preserving, each nonzero
     restriction keeps the bi-degree of its catalog entry; this is asserted
     rather than assumed.
     """
-    values = catalog_mod.evaluate_all(catalog, sub.sigma, sub.m)
+    lam = _scale(e for row in sub.sigma.entries for e in row)
+    mu = _scale(sub.m.entries)
+    sigma = PolyMat3([[IntegerPolynomial.scaled(e, lam) for e in row]
+                      for row in sub.sigma.entries])
+    m = PolyVec3([IntegerPolynomial.scaled(e, mu) for e in sub.m.entries])
+    values = catalog_mod.evaluate_all(catalog, sigma, m)
+    bidegree = sub.table.packed_bidegree
     entries = []
     vanished = []
     for defn in catalog:
-        p = values[defn.name]
-        if not p:
+        v = values[defn.name]
+        if not v:
             vanished.append(defn.name)
             continue
-        if p.bidegree() != defn.bidegree:
+        degs = sorted({bidegree(k) for k in v.terms})
+        if degs != [defn.bidegree]:
             raise SubstitutionError(
-                f"restricted {defn.name} has bi-degree {p.bidegree()}, "
-                f"expected {defn.bidegree}; substitution is not kind-preserving")
-        entries.append((defn.name, p))
+                f"restricted {defn.name} has bi-degree "
+                f"{' and '.join(map(str, degs))}, expected {defn.bidegree}; "
+                f"substitution is not kind-preserving")
+        a, b = defn.bidegree
+        entries.append((defn.name, v.divided(mu ** a * lam ** b)))
     return RestrictedBasis(sub, tuple(entries), tuple(vanished))

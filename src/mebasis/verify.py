@@ -44,7 +44,7 @@ from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomia
 from .ratlinalg import solve_columns  # noqa: F401
 from .reduction import Relation, enumerate_products, integer_forms
 from .restriction import RestrictedBasis, Substitution
-from .tensor3 import Entry, PolyMat3, PolyVec3
+from .tensor3 import Entry, PolyMat3, PolyVec3, _built
 from . import catalog as catalog_mod
 
 DATA_PATH = Path(__file__).with_name("data") / "published_relations.json"
@@ -161,9 +161,11 @@ def numeric_invariants(sub: Substitution, point: Mapping[str, Fraction | int]
     there.  Each entry of sigma and m is an int where it is whole and an
     exact Fraction otherwise, and at an integer point it is evaluated in
     integer arithmetic, so the recipes run on ints wherever the point
-    makes the entries whole."""
-    sigma = PolyMat3([[_value(e, point) for e in row] for row in sub.sigma.entries])
-    m = PolyVec3([_value(e, point) for e in sub.m.entries])
+    makes the entries whole.  sigma and m are built unchecked:
+    evaluate_all checks them, once per point."""
+    sigma = _built(PolyMat3, tuple([tuple([_value(e, point) for e in row])
+                                    for row in sub.sigma.entries]))
+    m = _built(PolyVec3, tuple([_value(e, point) for e in sub.m.entries]))
     return catalog_mod.evaluate_all(CATALOG, sigma, m)
 
 

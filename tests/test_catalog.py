@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from mebasis.catalog import (CATALOG, CATALOG_INDEX, CATALOG_NAMES,
                              evaluate_all)
-from mebasis.poly import Polynomial, VarTable
+from mebasis.poly import MAG, IntegerPolynomial, Polynomial, VarTable
 from mebasis.restriction import fiber_substitution, generic_substitution
-from mebasis.tensor3 import PolyMat3, PolyVec3
+from mebasis.tensor3 import PolyMat3, PolyVec3, _built
 
 F = Fraction
 
@@ -110,6 +110,30 @@ def test_recipes_reject_non_symmetric_stress():
     m = PolyVec3([c(1), c(0), c(0)])
     with pytest.raises(ValueError, match="symmetric"):
         evaluate_all(CATALOG, skew, m)
+
+
+def _unchecked(sigma_rows, m_entries):
+    """sigma and m built as the spot-check builds them, without the
+    constructors' checks: evaluate_all must check them itself."""
+    return (_built(PolyMat3, tuple(tuple(row) for row in sigma_rows)),
+            _built(PolyVec3, tuple(m_entries)))
+
+
+def test_evaluate_all_checks_arguments_built_unchecked():
+    with pytest.raises(ValueError, match="symmetric"):
+        evaluate_all(CATALOG, *_unchecked([[3, 6, 0], [0, 3, 0], [0, 0, 0]], [3, 0, 0]))
+    a, b = VarTable([("m1", MAG)]), VarTable([("m2", MAG)])
+    za, zb = Polynomial.zero(a), Polynomial.zero(b)
+    with pytest.raises(ValueError, match="different variable tables"):
+        evaluate_all(CATALOG, *_unchecked([[za] * 3] * 3, [zb] * 3))
+    with pytest.raises(ValueError, match="different variable tables"):
+        evaluate_all(CATALOG, *_unchecked([[za] * 3] * 3, [za, zb, za]))
+    with pytest.raises(ValueError, match="different kinds"):
+        evaluate_all(CATALOG, *_unchecked([[za] * 3] * 3,
+                                          [IntegerPolynomial.scaled(za, 1)] * 3))
+    with pytest.raises(ValueError, match="different kinds"):
+        evaluate_all(CATALOG, *_unchecked([[za] * 3] * 3, [0, 0, 0]))
+
 
 
 # -- Fraction entries ----------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mebasis.cli as cli
 from mebasis import __version__
@@ -30,6 +32,34 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# -- JSON rendering --------------------------------------------------------
+
+# Text with quotes, backslashes, control characters and non-ASCII drawn often.
+json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€😀 '),
+                              st.characters()), max_size=8)
+json_values = st.recursive(
+    st.one_of(json_text, st.integers(), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [[], {}], "": [None, True, False, 0, -1, 10 ** 30]})
+@example({'q"uote': 'back\\slash', "ctl\x01": "\u2028 é 😀", "nested": {"x": [1, {"y": []}]}})
+def test_json_rendering_matches_json_dumps_with_indent(value):
+    assert cli.render_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": Fraction(1, 2)}])
+def test_json_rendering_refuses_what_the_payloads_never_hold(value):
+    with pytest.raises(TypeError):
+        cli.render_json(value)
 
 
 # -- reduce --------------------------------------------------------------

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mebasis.poly import (MAG, MAX_EXPONENT, STRESS, NotBiHomogeneousError,
-                          ParseError, Polynomial, VarTable, ZeroPolynomialError,
-                          coefficient_matrix, integer_product, integer_terms,
-                          monomial_key, parse_polynomial)
+from mebasis.poly import (MAG, MAX_EXPONENT, STRESS, IntegerPolynomial,
+                          NotBiHomogeneousError, ParseError, Polynomial, VarTable,
+                          ZeroPolynomialError, coefficient_matrix, integer_product,
+                          integer_terms, monomial_key, parse_polynomial)
 
 F = Fraction
 
@@ -454,6 +454,54 @@ def test_packed_keys_sort_as_monomial_key_within_a_bidegree(monos):
         same = [m for m in monos if _MIXED.monomial_bidegree(m) == bd]
         assert sorted(map(_MIXED.pack, same)) == \
             [_MIXED.pack(m) for m in sorted(same, key=monomial_key)]
+
+
+# -- the integer ring restriction runs on -----------------------------------
+
+def _integer(p):
+    """p scaled by the lcm of its denominators, and that scale."""
+    d = integer_terms(_MIXED, p.terms)[0]
+    return IntegerPolynomial.scaled(p, d), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_polynomials(), mixed_polynomials(), st.integers(-5, 5))
+def test_integer_ring_matches_polynomial_arithmetic(p, q, k):
+    a, da = _integer(p)
+    b, db = _integer(q)
+    assert a.divided(da) == p and b.divided(db) == q
+    # Bring both to one scale for sums and differences.
+    a2, b2 = IntegerPolynomial.scaled(p, da * db), IntegerPolynomial.scaled(q, da * db)
+    assert (a2 + b2).divided(da * db) == p + q
+    assert (a2 - b2).divided(da * db) == p - q
+    assert (-a2).divided(da * db) == -p
+    assert (a * b).divided(da * db) == p * q
+    assert (a * k).divided(da) == (k * a).divided(da) == p * k
+    assert (a + k).divided(da) == p + F(k, da) and (k - a).divided(da) == F(k, da) - p
+    assert bool(a) == bool(p)
+    assert (a2 == b2) == (p == q)
+    assert all(type(c) is int and c for r in (a2 + b2, a2 - b2, a * b, a * k)
+               for c in r.terms.values())
+
+
+def test_integer_ring_exact_division_and_its_checks():
+    s1 = Polynomial.variable(_MIXED, "s1")
+    m1 = Polynomial.variable(_MIXED, "m1")
+    a = IntegerPolynomial.scaled(6 * s1 - 3 * m1, 1)
+    assert a.exact_div(3) == IntegerPolynomial.scaled(2 * s1 - m1, 1)
+    with pytest.raises(ValueError, match="3 does not divide the coefficient 4"):
+        IntegerPolynomial.scaled(4 * s1 + 3 * m1, 1).exact_div(3)
+    with pytest.raises(ValueError, match="fractional"):
+        IntegerPolynomial.scaled(F(1, 2) * s1, 3)
+    other = IntegerPolynomial.scaled(Polynomial.variable(_TABLE, "s1"), 1)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(ValueError, match="different variable tables"):
+            op(a, other)
+    # No mixing with the Fraction ring: neither operand converts the other.
+    with pytest.raises(TypeError):
+        a * s1
+    with pytest.raises(TypeError):
+        a + F(1, 2)
 
 
 def test_pack_refuses_what_does_not_fit_a_slot():

@@ -3,13 +3,14 @@
 import copy
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mebasis.catalog import CATALOG, CATALOG_NAMES
-from mebasis.poly import MAG, STRESS, Polynomial, VarTable
+from mebasis.catalog import CATALOG, CATALOG_NAMES, evaluate_all
+from mebasis.poly import MAG, STRESS, IntegerPolynomial, Polynomial, VarTable
 from mebasis.restriction import (FIBERS, Substitution, SubstitutionError,
                                  custom_substitution, fiber_substitution,
                                  generic_substitution, restrict_basis,
@@ -189,6 +190,115 @@ def test_generic_restriction_keeps_all_thirty():
     rb = restrict_basis(CATALOG, generic_substitution())
     assert rb.vanished == ()
     assert tuple(rb.as_dict()) == CATALOG_NAMES
+
+
+# -- restriction on integer polynomials -----------------------------------
+
+# One plane normal per orbit class of the cubic group with an integer basis
+# (u, v) of the plane, and the substitution m = m1*u + m2*v,
+# sigma = s1*u(x)u + s2*v(x)v + s3*(u(x)v + v(x)u) on it.
+ORBIT_PLANES = {
+    "001": ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    "011": ((0, 1, 1), (1, 0, 0), (0, 1, -1)),
+    "111": ((1, 1, 1), (1, -1, 0), (0, 1, -1)),
+    "123": ((1, 2, 3), (2, -1, 0), (0, 3, -2)),
+}
+
+
+def orbit_plane(cls):
+    n, u, v = ORBIT_PLANES[cls]
+    return custom_substitution({
+        "name": f"plane-{cls}",
+        "variables": [["m1", "mag"], ["m2", "mag"],
+                      ["s1", "stress"], ["s2", "stress"], ["s3", "stress"]],
+        "sigma": {f"{i + 1}{j + 1}": f"{u[i] * u[j]}*s1 + {v[i] * v[j]}*s2 + "
+                                     f"{u[i] * v[j] + v[i] * u[j]}*s3"
+                  for i in range(3) for j in range(i, 3)},
+        "m": [f"{u[i]}*m1 + {v[i]}*m2" for i in range(3)],
+        "normal": list(n),
+    })
+
+
+# Denominators in sigma and in m, and a zero first row of sigma.
+RATIONAL_E1 = {
+    "name": "rational-e1",
+    "variables": {"m1": "mag", "m2": "mag",
+                  "s1": "stress", "s2": "stress", "s3": "stress"},
+    "sigma": {"11": "0", "12": "0", "13": "0",
+              "22": "1/2*s1 + s3", "23": "2/5*s3", "33": "s2 - 1/6*s1"},
+    "m": ["0", "1/3*m1", "m2 - 1/7*m1"],
+    "normal": [1, 0, 0],
+}
+
+SUBSTITUTIONS = {
+    **{fiber: lambda fiber=fiber: fiber_substitution(fiber) for fiber in FIBERS},
+    "generic": generic_substitution,
+    **{f"plane-{cls}": lambda cls=cls: orbit_plane(cls) for cls in ORBIT_PLANES},
+    "plane_123.sub.json": lambda: custom_substitution(
+        Path(__file__).parent / "golden" / "plane_123.sub.json"),
+    "rational-e1": lambda: custom_substitution(RATIONAL_E1),
+}
+
+
+@pytest.mark.parametrize("name", SUBSTITUTIONS)
+def test_integer_restriction_equals_the_fraction_recipes(name):
+    sub = SUBSTITUTIONS[name]()
+    rb = restrict_basis(CATALOG, sub)
+    reference = evaluate_all(CATALOG, sub.sigma, sub.m)
+    assert rb.vanished == tuple(n for n, p in reference.items() if not p)
+    assert [n for n, _ in rb.entries] == [n for n, p in reference.items() if p]
+    for n, p in rb.entries:
+        assert p.table == sub.table
+        assert p.terms == reference[n].terms, n
+        assert all(type(c) is F for c in p.terms.values()), n
+
+
+def test_recipes_run_on_integer_polynomials_only(monkeypatch):
+    # restrict_basis hands evaluate_all integer polynomials and gets integer
+    # polynomials back: Fractions appear only in the division afterwards.
+    import mebasis.catalog as catalog_mod
+    seen = []
+    original = catalog_mod.evaluate_all
+
+    def capture(catalog, sigma, m):
+        values = original(catalog, sigma, m)
+        seen.append((sigma, m, values))
+        return values
+
+    monkeypatch.setattr(catalog_mod, "evaluate_all", capture)
+    restrict_basis(CATALOG, custom_substitution(RATIONAL_E1))
+    ((sigma, m, values),) = seen
+    for e in (*sigma.entries[0], *sigma.entries[1], *sigma.entries[2], *m.entries,
+              *values.values()):
+        assert type(e) is IntegerPolynomial
+        assert all(type(c) is int for c in e.terms.values())
+    # lambda = 3 * lcm(2, 5, 6) = 90 and mu = 3 * lcm(3, 7) = 63.
+    assert sigma[1][1] == IntegerPolynomial.scaled(
+        custom_substitution(RATIONAL_E1).sigma[1][1], 90)
+    assert m[1] == IntegerPolynomial.scaled(
+        custom_substitution(RATIONAL_E1).m[1], 63)
+
+
+def test_restriction_refuses_a_substitution_that_swaps_kinds():
+    # Built without validate_substitution: sigma in a mag variable.
+    table, v = plane_vars()
+    z = Polynomial.zero(table)
+    sub = Substitution("swapped", table,
+                       PolyMat3([[v["m1"], z, z], [z, z, z], [z, z, z]]),
+                       PolyVec3([v["m2"], z, z]))
+    with pytest.raises(SubstitutionError, match=r"I010 has bi-degree \(1, 0\), "
+                                                 r"expected \(0, 1\)"):
+        restrict_basis(CATALOG, sub)
+
+
+def test_restriction_refuses_an_asymmetric_sigma():
+    table, v = plane_vars()
+    z = Polynomial.zero(table)
+    sub = Substitution("skew", table,
+                       PolyMat3([[v["s1"], v["s2"], z], [z, z, z], [z, z, z]]),
+                       PolyVec3([v["m1"], z, z]))
+    with pytest.raises(ValueError, match="symmetric"):
+        restrict_basis(CATALOG, sub)
 
 
 # -- custom substitution files -------------------------------------------

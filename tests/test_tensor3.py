@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mebasis.poly import MAG, STRESS, Polynomial, VarTable
+from mebasis.poly import MAG, STRESS, IntegerPolynomial, Polynomial, VarTable
 from mebasis.restriction import fiber_substitution, generic_substitution
 from mebasis.tensor3 import (PolyMat3, PolyVec3, dbar, ddev, double_contract,
                              outer)
@@ -131,6 +131,19 @@ def test_ddev_keeps_ints_when_the_trace_divides_by_three():
     d = ddev(PolyMat3([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
     assert d.entries == ((F(2, 3), 0, 0), (0, F(-1, 3), 0), (0, 0, F(-1, 3)))
     assert type(d.entries[0][0]) is F
+
+
+def test_ddev_on_integer_polynomials_divides_exactly_or_raises():
+    s1, s2, s3 = (IntegerPolynomial.scaled(var(n), 3) for n in ("s1", "s2", "s3"))
+    z = s1 * 0
+    d = ddev(PolyMat3([[s1, s3, z], [s3, s2, z], [z, z, z]]))
+    third = IntegerPolynomial.scaled(var("s1") + var("s2"), 1)
+    assert d.entries == ((s1 - third, z, z), (z, s2 - third, z), (z, z, -third))
+    # A trace with a coefficient that 3 does not divide has no integer third,
+    # and the integer ring has no Fraction to fall back on.
+    s1 = IntegerPolynomial.scaled(var("s1"), 1)
+    with pytest.raises(ValueError, match="3 does not divide the coefficient"):
+        ddev(PolyMat3([[s1 * 3, z, z], [z, s1 * 2, z], [z, z, s1 * 2]]))
 
 
 def test_split_identity():
@@ -275,6 +288,8 @@ def test_entries_must_not_mix_rings_or_tables():
         PolyVec3([z, Polynomial.zero(other), z])
     with pytest.raises(ValueError, match="different variable tables"):
         PolyMat3([[z, z, z], [z, F(0), z], [z, z, z]])
+    with pytest.raises(ValueError, match="different kinds"):
+        PolyVec3([z, IntegerPolynomial.scaled(z, 1), z])
 
 
 # -- results built from validated operands -------------------------------
@@ -288,13 +303,20 @@ def ring_operands(ring):
         a = PolyMat3([[s1, s3, z], [s3, s2, s1], [z, s1, s2 + s3]])
         b = PolyMat3([[m1, z, s2], [s3, m2, z], [s1, z, m1 + s3]])
         return a, b, PolyVec3([m1, m2, m1 - m2]), TABLE
+    if ring == "integer polynomial":
+        # Three times the polynomial operands: every trace divides by 3.
+        a, b, v, table = ring_operands("polynomial")
+        scaled = lambda e: IntegerPolynomial.scaled(e, 3)
+        return (PolyMat3([[scaled(e) for e in row] for row in a.entries]),
+                PolyMat3([[scaled(e) for e in row] for row in b.entries]),
+                PolyVec3([scaled(e) for e in v.entries]), table)
     num = int if ring == "int" else (lambda x: F(x, 2))
     a = PolyMat3([[num(x) for x in row] for row in ((4, 1, 0), (1, 2, -3), (0, -3, 5))])
     b = PolyMat3([[num(x) for x in row] for row in ((0, 7, 1), (2, 0, 0), (1, -1, 3))])
     return a, b, PolyVec3([num(x) for x in (1, 0, -2)]), None
 
 
-@pytest.mark.parametrize("ring", ["polynomial", "int", "fraction"])
+@pytest.mark.parametrize("ring", ["polynomial", "int", "fraction", "integer polynomial"])
 def test_ring_results_equal_constructor_built_ones(ring):
     a, b, v, table = ring_operands(ring)
     for out in (a @ b, b @ a, ddev(a), dbar(a), ddev(b), dbar(b), outer(v)):

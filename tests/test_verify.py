@@ -127,6 +127,25 @@ def test_numeric_invariants_needs_every_occurring_variable(theta_basis):
         numeric_invariants(theta_basis.substitution, {"m1": 1, "m2": 2, "s2": 3, "s3": 4})
 
 
+def test_one_table_scan_and_one_symmetry_test_per_point(gamma_basis, monkeypatch):
+    # sigma and m are built unchecked and evaluate_all checks them once.
+    import mebasis.catalog as catalog_mod
+    import mebasis.tensor3 as tensor3_mod
+    from mebasis.tensor3 import PolyMat3
+    calls = []
+    table, symmetric = tensor3_mod._table, PolyMat3.is_symmetric
+    for module in (catalog_mod, tensor3_mod):
+        monkeypatch.setattr(module, "_table",
+                            lambda entries: calls.append("table") or table(entries))
+    monkeypatch.setattr(PolyMat3, "is_symmetric",
+                        lambda a: calls.append("symmetric") or symmetric(a))
+    point = {"m1": 3, "m2": -6, "s1": 9, "s2": 3, "s3": -3}
+    values = numeric_invariants(gamma_basis.substitution, point)
+    assert calls == ["table", "symmetric"]
+    for name, poly in gamma_basis.entries:
+        assert values[name] == poly.evaluate(point), name
+
+
 def test_spotcheck_evaluates_one_point_per_trial(theta_basis, monkeypatch):
     # Each trial calls numeric_invariants once, through the module
     # attribute: the benchmark counts the points evaluated that way.
