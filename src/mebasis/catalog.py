@@ -16,8 +16,7 @@ reported name list follow it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .tensor3 import (Entry, PolyMat3, PolyVec3, _table, dbar, ddev,
                       double_contract, outer)
@@ -64,8 +63,7 @@ def _tr(*mats: PolyMat3) -> Entry:
     return double_contract(prod, mats[-1])
 
 
-@dataclass(frozen=True)
-class InvariantDef:
+class InvariantDef(NamedTuple):
     name: str
     label: str
     formula: str

@@ -49,10 +49,9 @@ largest degree a packed monomial holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX
 from .poly import (MAX_EXPONENT, Polynomial, VarTable, coefficient_matrix,
@@ -107,8 +106,7 @@ def _bidegree(name: str) -> tuple[int, int]:
     return CATALOG[CATALOG_INDEX[name]].bidegree
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """An exact linear relation sum_k c_k * prod_k = 0.
 
     terms maps sorted factor-name tuples to coprime integer coefficients.
@@ -153,8 +151,7 @@ class Relation:
         return f"{self.solved_for} = 1/{lead}*({body})"
 
 
-@dataclass(frozen=True)
-class BidegreeReport:
+class BidegreeReport(NamedTuple):
     bidegree: tuple[int, int]
     n_products: int
     n_invariants: int
@@ -169,8 +166,7 @@ class BidegreeReport:
         return self.n_products + self.n_invariants
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     basis: RestrictedBasis
     policy: str
     effective_policy: str
@@ -463,8 +459,7 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     )
 
 
-@dataclass(frozen=True)
-class UnionReport:
+class UnionReport(NamedTuple):
     theta_included: bool
     gamma_included: bool
     union: tuple[str, ...]

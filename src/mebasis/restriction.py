@@ -25,10 +25,9 @@ tr/3 stays an integer polynomial; ddev raises if it ever would not.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import lcm
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import catalog as catalog_mod
 from .poly import (MAG, STRESS, IntegerPolynomial, ParseError, Polynomial, VarTable,
@@ -44,8 +43,7 @@ class SubstitutionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(NamedTuple):
     """A linear, kind-preserving parameterization of (sigma, m).
 
     normal is the plane normal for in-plane substitutions (integer
@@ -251,8 +249,7 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
     return sub
 
 
-@dataclass(frozen=True)
-class RestrictedBasis:
+class RestrictedBasis(NamedTuple):
     """The catalog evaluated on a substitution: nonzero entries, in catalog
     order, plus the names that restricted to the zero polynomial."""
     substitution: Substitution

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomial
@@ -118,8 +118,7 @@ def _name_values(rb: RestrictedBasis) -> dict[str, Polynomial]:
     return values
 
 
-@dataclass(frozen=True)
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     relation: PublishedRelation
     ok: bool
     residual: Polynomial | None
@@ -169,8 +168,7 @@ def numeric_invariants(sub: Substitution, point: Mapping[str, Fraction | int]
     return catalog_mod.evaluate_all(CATALOG, sigma, m)
 
 
-@dataclass(frozen=True)
-class SpotcheckOutcome:
+class SpotcheckOutcome(NamedTuple):
     ok: bool
     trials: int
     seed: int
@@ -264,12 +262,15 @@ def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> Generati
     span of free monomials in the set's names at its own bi-degree.
     Minimality: no member may lie in the span of free monomials in the
     other members at its bi-degree (dropping it would break spanning).
-    Every survivor is checked.
+    Every survivor is checked.  A name given twice raises ValueError: the
+    minimality test drops every copy of the member it tests.
     """
     surviving = dict(rb.entries)
-    for n in names:
+    for i, n in enumerate(names):
         if n not in surviving:
             raise ValueError(f"{n!r} is not a surviving invariant of this basis")
+        if n in names[:i]:
+            raise ValueError(f"{n!r} is named more than once in the candidate set")
     table = rb.substitution.table
     ints = integer_forms(rb)
     prefixes: dict = {}

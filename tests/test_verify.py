@@ -389,3 +389,10 @@ def test_full_survivor_set_spans_but_is_not_minimal(theta_basis):
 def test_certificate_rejects_non_survivor(theta_basis):
     with pytest.raises(ValueError, match="I003"):
         verify_generating_set(("I010", "I003"), theta_basis)
+
+
+def test_certificate_rejects_a_repeated_name(theta_basis):
+    # With I010 twice, dropping "every other member" drops both copies, so
+    # each would test as needed and 8 names would pass as minimal.
+    with pytest.raises(ValueError, match="'I010' is named more than once"):
+        verify_generating_set(list(TABLE3["theta"]) + ["I010"], theta_basis)
