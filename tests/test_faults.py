@@ -40,9 +40,10 @@ def change_rref_entry(monkeypatch):
 
     def faulty(self):
         m, pivots = rref(self)
-        hit = next(((r, c) for r, row in enumerate(m.data) for c, x in enumerate(row)
-                    if x and c not in pivots), None)
-        if done or hit is None:
+        hit = None if done else next(((r, c) for r, row in enumerate(m.data)
+                                      for c, x in enumerate(row)
+                                      if x and c not in pivots), None)
+        if hit is None:
             return m, pivots
         done.append(hit)
         rows = [list(row) for row in m.data]
@@ -121,4 +122,5 @@ def test_planted_fault_is_caught(row, workdir, monkeypatch, capsys):
     plant(monkeypatch)
     got = main(argv)
     out, err = capsys.readouterr()
-    assert (got, says in out + err) == (code, True), err
+    assert got == code, err
+    assert says in out + err

@@ -95,11 +95,6 @@ def test_repr_names_each_field(cls, records):
     assert repr(rec) == f"{cls.__name__}({body})"
 
 
-def test_repr_of_a_small_record():
-    assert (repr(SpotcheckOutcome(True, 3, 0))
-            == "SpotcheckOutcome(ok=True, trials=3, seed=0, failed_trial=None)")
-
-
 def test_equality_is_field_by_field():
     # The paper policy pins generators only when rb.substitution equals the
     # fiber's own substitution, built afresh.
