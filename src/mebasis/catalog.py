@@ -129,9 +129,9 @@ def evaluate_all(catalog: Sequence[InvariantDef], sigma: PolyMat3,
                  m: PolyVec3) -> dict[str, Entry]:
     """Evaluate every catalog entry on one (sigma, m), sharing the parts.
 
-    The entries may be IntegerPolynomials, Polynomials or plain numbers
-    (ints or Fractions); the values are of the same kind, ints when every
-    entry is an int and every trace that ddev divides is a multiple of 3.
+    The entries may be Polynomials or plain numbers (ints or Fractions);
+    the values are of the same kind, ints when every entry is an int and
+    every trace that ddev divides is a multiple of 3.
     The result preserves catalog order.  ValueError when the entries mix
     kinds or tables, or sigma is not symmetric.
     """

@@ -13,21 +13,24 @@ rows is graded lexicographic on the exponent vector (total degree first,
 then the exponent tuple), highest first.  The printer and the parser round
 trip: parse_polynomial(str(p), p.table) == p.
 
-A Polynomial keys its terms by exponent tuple.  The integer form
-(d, numerators) of a term map, where each coefficient is numerators[k] / d,
-keys them by packed monomial instead (integer_terms, integer_product), and
-coefficient matrices are built from that form, as integer columns.
-IntegerPolynomial is the ring of int-coefficient polynomials keyed the
-same way, on which restriction evaluates the catalog recipes.  A
-packed monomial is one int made of SLOT_BITS-bit slots, most significant
-first: the mag degree, the stress degree, then the exponent of each
+A Polynomial holds integer numerators keyed by packed monomial over one
+positive denominator, in lowest terms: the coefficient of monomial k is
+nums[k] / den.  A product is one integer_product of the numerators, a sum
+one pass over a common denominator.  terms, the same polynomial keyed by
+exponent tuple with Fraction coefficients, is computed when read.  The
+engine takes (den, nums) as they are for its integer columns.
+
+A packed monomial is one int made of SLOT_BITS-bit slots, most significant
+first: the total degree, the mag degree, then the exponent of each
 variable in table order.  Only VarTable.pack, unpack and packed_bidegree
-know this layout.  Multiplying two monomials adds their packed ints, which
-carries nothing from slot to slot as long as every degree of the product is
-at most MAX_EXPONENT; packing refuses any larger exponent, and
-reduction.reduce_basis refuses bounds that would build one.  Within one
-bi-degree the ints sort as monomial_key sorts the exponent tuples, and the
-top two slots are the bi-degree.
+know this layout, and Polynomial.__mul__ reads the total degree from the
+top slot.  Multiplying two monomials adds their packed ints, which carries
+nothing from slot to slot as long as the total degree of the product is at
+most MAX_EXPONENT; packing refuses a larger one, Polynomial.__mul__
+refuses a product that would build one, and reduction.reduce_basis
+refuses bounds that would.  Within one bi-degree the ints sort as
+monomial_key sorts the exponent tuples, and the top two slots are the
+bi-degree.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
-from math import comb, lcm
-from operator import add
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .ratlinalg import RatMatrix
@@ -78,7 +80,8 @@ class VarTable:
     (names and kinds).
     """
 
-    __slots__ = ("names", "kinds", "_index", "_is_mag", "_shifts", "_degree_shift")
+    __slots__ = ("names", "kinds", "_index", "_is_mag", "_shifts", "_degree_shift",
+                 "_total_shift")
 
     def __init__(self, variables: Iterable[tuple[str, str]]):
         pairs = tuple(variables)
@@ -98,6 +101,7 @@ class VarTable:
         self._is_mag = tuple(k == MAG for k in kinds)
         self._shifts = tuple(SLOT_BITS * i for i in reversed(range(len(names))))
         self._degree_shift = SLOT_BITS * len(names)
+        self._total_shift = self._degree_shift + SLOT_BITS
 
     def __len__(self) -> int:
         return len(self.names)
@@ -119,26 +123,21 @@ class VarTable:
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
 
-    def monomial_bidegree(self, exponents: Sequence[int]) -> tuple[int, int]:
-        a = sum(e for e, is_mag in zip(exponents, self._is_mag) if is_mag)
-        return (a, sum(exponents) - a)
-
     def pack(self, exponents: Sequence[int]) -> int:
         """The packed monomial of an exponent vector (layout in the module
         docstring).  Raises ValueError for a negative exponent, or for a
-        degree above MAX_EXPONENT, which would not fit its slot."""
-        a = b = key = 0
+        total degree above MAX_EXPONENT, which would not fit its slot."""
+        a = n = key = 0
         for e, is_mag in zip(exponents, self._is_mag):
             if e < 0:
                 break
+            n += e
             if is_mag:
                 a += e
-            else:
-                b += e
             key = key << SLOT_BITS | e
         else:
-            if a <= MAX_EXPONENT and b <= MAX_EXPONENT:
-                return (a << SLOT_BITS | b) << self._degree_shift | key
+            if n <= MAX_EXPONENT:
+                return (n << SLOT_BITS | a) << self._degree_shift | key
         raise ValueError(f"exponent vector {tuple(exponents)!r} does not fit "
                          f"{SLOT_BITS}-bit slots")
 
@@ -150,7 +149,8 @@ class VarTable:
         """The (mag, stress) bi-degree of a packed monomial, from its top
         two slots."""
         top = key >> self._degree_shift
-        return (top >> SLOT_BITS, top & MAX_EXPONENT)
+        a = top & MAX_EXPONENT
+        return (a, (top >> SLOT_BITS) - a)
 
 
 def monomial_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -159,53 +159,61 @@ def monomial_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: exponent tuple -> nonzero Fraction."""
+    """Immutable sparse polynomial: integer numerators nums, keyed by packed
+    monomial, over one denominator den.
 
-    __slots__ = ("table", "terms")
+    Always in lowest terms: den > 0, no numerator is zero, and
+    gcd(den, *nums.values()) == 1, so the zero polynomial has den 1 and
+    equal polynomials have equal fields.
+    """
+
+    __slots__ = ("table", "den", "nums")
 
     def __init__(self, table: VarTable,
                  terms: Mapping[tuple[int, ...], Fraction | int]):
         width = len(table)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        fracs: dict[int, Fraction] = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
             if len(mono) != width or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r}")
             c = Fraction(coeff)
             if c:
-                clean[mono] = c
+                fracs[table.pack(mono)] = c
+        # Over the lcm of the denominators of coefficients in lowest terms,
+        # the numerators and the denominator are coprime.
+        den = lcm(*(c.denominator for c in fracs.values()))
         self.table = table
-        self.terms = clean
+        self.den = den
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
 
-    @classmethod
-    def _wrap(cls, table: VarTable, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
-        """A polynomial on a term map already known to be clean (valid
-        exponent tuples, nonzero Fraction coefficients), without re-checking."""
-        p = object.__new__(cls)
-        p.table = table
-        p.terms = terms
-        return p
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """A new map from exponent tuple to nonzero Fraction coefficient."""
+        unpack, den = self.table.unpack, self.den
+        return {unpack(k): Fraction(v, den) for k, v in self.nums.items()}
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, table: VarTable) -> "Polynomial":
-        return cls(table, {})
+        return _lowest(table, 1, {})
 
     @classmethod
     def constant(cls, table: VarTable, value: Fraction | int) -> "Polynomial":
-        return cls(table, {(0,) * len(table): Fraction(value)})
+        # The packed key of the constant monomial is 0.
+        return _lowest(table, value.denominator, {0: value.numerator} if value else {})
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Polynomial":
         exps = [0] * len(table)
         exps[table.index(name)] = 1
-        return cls(table, {tuple(exps): Fraction(1)})
+        return _lowest(table, 1, {table.pack(exps): 1})
 
     # -- predicates and degrees -----------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def bidegree(self) -> tuple[int, int]:
         """Common (mag, stress) bi-degree of every term.
@@ -213,9 +221,9 @@ class Polynomial:
         Raises ZeroPolynomialError on the zero polynomial and
         NotBiHomogeneousError when terms disagree.
         """
-        if not self.terms:
+        if not self.nums:
             raise ZeroPolynomialError("the zero polynomial has no bi-degree")
-        degs = {self.table.monomial_bidegree(m) for m in self.terms}
+        degs = {self.table.packed_bidegree(k) for k in self.nums}
         if len(degs) > 1:
             raise NotBiHomogeneousError(f"mixed bi-degrees {sorted(degs)}")
         return degs.pop()
@@ -223,37 +231,51 @@ class Polynomial:
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.table, other)
         if isinstance(other, Polynomial):
-            if self.table != other.table:
+            if other.table is not self.table and other.table != self.table:
                 raise ValueError("polynomials built on different variable tables")
             return other
+        if isinstance(other, (int, Fraction)):
+            return Polynomial.constant(self.table, other)
         return None
+
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, over the lcm of the two denominators."""
+        if not other.nums:
+            return self
+        if not self.nums and sign == 1:
+            # Sums start from zero: share the immutable operand, uncopied.
+            return other
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        nums = (dict(self.nums) if den == da
+                else {k: v * (den // da) for k, v in self.nums.items()})
+        scale = sign * (den // db)
+        for k, v in other.nums.items():
+            s = nums.get(k, 0) + scale * v
+            if s:
+                nums[k] = s
+            else:
+                del nums[k]
+        return _lowest(self.table, den, nums)
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms[mono] + c if mono in terms else c
-            if s:
-                terms[mono] = s
-            else:
-                del terms[mono]
-        return Polynomial._wrap(self.table, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return _lowest(self.table, self.den,
+                                  {k: -v for k, v in self.nums.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -262,34 +284,16 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) == 1:
-            a, b = b, a
+        a, b = self.nums, other.nums
         if not a or not b:
-            return Polynomial._wrap(self.table, {})
-        if len(b) == 1:
-            # A single term (a scalar too) shifts every monomial of the other
-            # operand by one exponent vector: nothing collides or cancels.
-            ((mb, cb),) = b.items()
-            if any(mb):
-                return Polynomial._wrap(self.table, {tuple(map(add, m, mb)): c * cb
-                                                     for m, c in a.items()})
-            return Polynomial._wrap(self.table, {m: c * cb for m, c in a.items()})
-        # Multiply integer numerators over each operand's common denominator
-        # and build one Fraction per output term.  The monomials stay tuples:
-        # packing them here costs more than it saves.
-        da = lcm(*(c.denominator for c in a.values()))
-        db = lcm(*(c.denominator for c in b.values()))
-        bl = [(m, c.numerator * (db // c.denominator)) for m, c in b.items()]
-        acc: dict[tuple[int, ...], int] = {}
-        for m1, c1 in a.items():
-            v1 = c1.numerator * (da // c1.denominator)
-            for m2, v2 in bl:
-                mono = tuple(map(add, m1, m2))
-                acc[mono] = acc.get(mono, 0) + v1 * v2
-        den = da * db
-        return Polynomial._wrap(self.table, {m: Fraction(v, den)
-                                             for m, v in acc.items() if v})
+            return Polynomial.zero(self.table)
+        # The top slot of a packed key is its total degree: the product's
+        # degree is the sum of the operands' highest ones.
+        shift = self.table._total_shift
+        if (max(a) >> shift) + (max(b) >> shift) > MAX_EXPONENT:
+            raise ValueError(f"product of total degree above {MAX_EXPONENT}, "
+                             "the largest a packed monomial holds")
+        return _lowest(self.table, self.den * other.den, integer_product(a, b))
 
     __rmul__ = __mul__
 
@@ -308,8 +312,8 @@ class Polynomial:
         return result
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Polynomial)
-                and self.table == other.table and self.terms == other.terms)
+        return (isinstance(other, Polynomial) and self.table == other.table
+                and self.den == other.den and self.nums == other.nums)
 
     __hash__ = None  # mutable term map inside
 
@@ -346,7 +350,8 @@ class Polynomial:
         return sorted(self.terms, key=monomial_key, reverse=True)
 
     def __str__(self) -> str:
-        return signed_sum((self.terms[mono], product_str(
+        terms = self.terms
+        return signed_sum((terms[mono], product_str(
             [n for n, e in zip(self.table.names, mono) for _ in range(e)]))
             for mono in self.sorted_monomials())
 
@@ -354,20 +359,25 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def integer_terms(table: VarTable, terms: Mapping[tuple[int, ...], Fraction]
-                  ) -> tuple[int, dict[int, int]]:
-    """(d, numerators) for a term map on table, keyed by packed monomial:
-    the coefficient of monomial k is numerators[k] / d, over the lcm d of
-    the denominators (1 for the empty map)."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    pack = table.pack
-    return d, {pack(m): c.numerator * (d // c.denominator) for m, c in terms.items()}
+def _lowest(table: VarTable, den: int, nums: dict[int, int]) -> Polynomial:
+    """The Polynomial nums / den (den > 0, no zero numerator) in lowest
+    terms."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    p = object.__new__(Polynomial)
+    p.table = table
+    p.den = den
+    p.nums = nums
+    return p
 
 
 def integer_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """The product of two integer term maps keyed by packed monomial, with
-    cancelled terms dropped.  The caller keeps every degree of the product
-    within MAX_EXPONENT."""
+    cancelled terms dropped.  The caller keeps the total degree of the
+    product within MAX_EXPONENT."""
     acc: dict[int, int] = {}
     bl = list(b.items())
     for k1, c1 in a.items():
@@ -375,119 +385,6 @@ def integer_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int
             k = k1 + k2
             acc[k] = acc.get(k, 0) + c1 * c2
     return {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc
-
-
-class IntegerPolynomial:
-    """Immutable sparse polynomial with int coefficients, its terms keyed by
-    packed monomial: the ring restriction evaluates the catalog recipes on.
-
-    It has +, - and * (with another on one table, or with an int), unary
-    minus, truth (nonzero), equality and exact_div; every product is one
-    integer_product.  scaled and divided convert from and to Polynomial.
-    """
-
-    __slots__ = ("table", "terms")
-
-    def __init__(self, table: VarTable, terms: Mapping[int, int]):
-        self.table = table
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    @classmethod
-    def _wrap(cls, table: VarTable, terms: dict[int, int]) -> "IntegerPolynomial":
-        """On a term map already known to have nonzero int coefficients."""
-        p = object.__new__(cls)
-        p.table = table
-        p.terms = terms
-        return p
-
-    @classmethod
-    def scaled(cls, p: Polynomial, scale: int) -> "IntegerPolynomial":
-        """scale * p, for a scale that every denominator of p divides;
-        ValueError otherwise."""
-        pack = p.table.pack
-        terms = {}
-        for mono, c in p.terms.items():
-            q, r = divmod(scale, c.denominator)
-            if r:
-                raise ValueError(f"scale {scale} leaves the coefficient {c} fractional")
-            terms[pack(mono)] = c.numerator * q
-        return cls._wrap(p.table, terms)
-
-    def divided(self, scale: int) -> Polynomial:
-        """self / scale as a Polynomial, for a positive int scale."""
-        unpack = self.table.unpack
-        return Polynomial._wrap(self.table, {unpack(k): Fraction(c, scale)
-                                             for k, c in self.terms.items()})
-
-    def _operand(self, other) -> Mapping[int, int] | None:
-        """other's term map: an int is a constant (packed key 0)."""
-        if isinstance(other, IntegerPolynomial):
-            if other.table is not self.table and other.table != self.table:
-                raise ValueError("polynomials built on different variable tables")
-            return other.terms
-        if isinstance(other, int):
-            return {0: other} if other else {}
-        return None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other) -> "IntegerPolynomial":
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        if not self.terms and type(other) is IntegerPolynomial:
-            # Sums start from zero: share the immutable operand, uncopied.
-            return other
-        terms = dict(self.terms)
-        for k, c in b.items():
-            s = terms.get(k, 0) + c
-            if s:
-                terms[k] = s
-            else:
-                del terms[k]
-        return IntegerPolynomial._wrap(self.table, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "IntegerPolynomial":
-        return IntegerPolynomial._wrap(self.table, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "IntegerPolynomial":
-        if self._operand(other) is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "IntegerPolynomial":
-        return (-self) + other
-
-    def __mul__(self, other) -> "IntegerPolynomial":
-        b = self._operand(other)
-        if b is None:
-            return NotImplemented
-        return IntegerPolynomial._wrap(self.table, integer_product(self.terms, b))
-
-    __rmul__ = __mul__
-
-    def exact_div(self, n: int) -> "IntegerPolynomial":
-        """self / n, for an int n that divides every coefficient; ValueError
-        otherwise."""
-        terms = {}
-        for k, c in self.terms.items():
-            q, r = divmod(c, n)
-            if r:
-                raise ValueError(f"{n} does not divide the coefficient {c}")
-            terms[k] = q
-        return IntegerPolynomial._wrap(self.table, terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, IntegerPolynomial)
-                and self.table == other.table and self.terms == other.terms)
-
-    __hash__ = None  # mutable term map inside
-
-    def __repr__(self) -> str:
-        return f"IntegerPolynomial({self.divided(1)})"
 
 
 def _power(name: str, e: int) -> str:
@@ -529,8 +426,8 @@ def coefficient_matrix(table: VarTable,
                        ) -> tuple[list[int], RatMatrix]:
     """Row monomials as packed keys (VarTable.unpack reads them) and the
     integer coefficient matrix of bi-homogeneous polynomials on table, each
-    (d, numerators) keyed by packed monomial with nonzero numerators, as
-    integer_terms gives them.
+    (d, numerators) keyed by packed monomial with nonzero numerators, as a
+    Polynomial's (den, nums).
 
     All columns must share one bi-degree.  Rows follow the canonical
     monomial order (graded lex, highest first: descending packed keys);
@@ -575,25 +472,31 @@ def coefficient_matrix(table: VarTable,
 # What one literal, product or power may build: a short text such as
 # "2^99999999" or "((s1 + s2 + s3)^64)^64" is refused instead of exhausting
 # time and memory, and no coefficient grows past what str() can print.  The
-# bounds are far above anything a substitution or a relation needs.
+# bounds are far above anything a substitution or a relation needs; the
+# total degree is bounded by MAX_EXPONENT, the most a packed monomial holds.
 MAX_LITERAL_DIGITS = 300
 MAX_SIZE = 1000
 MAX_POWER_TERMS = 1000
 
 
+def _degree(p: Polynomial) -> int:
+    """The total degree of p (0 for the zero polynomial), from the top slot
+    of its highest packed monomial."""
+    return max(p.nums) >> p.table._total_shift if p.nums else 0
+
+
 def _size(p: Polynomial) -> int:
-    """The largest total degree, coefficient numerator bit length or
-    denominator bit length among p's terms (0 for the zero polynomial)."""
-    return max((max(sum(m), c.numerator.bit_length(), c.denominator.bit_length())
-                for m, c in p.terms.items()), default=0)
+    """The largest bit length of p's numerators and denominator."""
+    return max(map(int.bit_length, (p.den, *p.nums.values())))
 
 
 def _power_too_large(p: Polynomial, n: int) -> bool:
-    """Whether p ** n may exceed MAX_SIZE or MAX_POWER_TERMS terms."""
-    if n < 2 or not p.terms:
+    """Whether p ** n may exceed MAX_EXPONENT in degree, MAX_SIZE bits or
+    MAX_POWER_TERMS terms."""
+    if n < 2 or not p.nums:
         return False
-    return (n * _size(p) > MAX_SIZE
-            or comb(n + len(p.terms) - 1, n) > MAX_POWER_TERMS)
+    return (n * _degree(p) > MAX_EXPONENT or n * _size(p) > MAX_SIZE
+            or comb(n + len(p.nums) - 1, n) > MAX_POWER_TERMS)
 
 
 _TOKEN_RE = re.compile(
@@ -656,7 +559,10 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                p = p * self.factor()
+                q = self.factor()
+                if _degree(p) + _degree(q) > MAX_EXPONENT:
+                    raise ParseError("product too large", pos)
+                p = p * q
                 if _size(p) > MAX_SIZE:
                     raise ParseError("product too large", pos)
             else:

@@ -12,14 +12,14 @@ elimination (RREF) on it.
 The multisets are enumerated from names and bi-degrees alone.  One
 builder, _product, makes every product, for the engine's columns, the
 self-check and verify.verify_generating_set: on integer numerators over a
-denominator keyed by packed monomial (poly.integer_terms), its prefix (all
-factors but the last, in sorted-name order) times its last invariant, with
-prefixes of two or more factors kept in its caller's table.  Each caller
-takes a dict of its own from integer_forms; one reduce_basis call keeps
-one such dict and one prefix table for the engine, both freed when it
-returns.  Each column is its polynomial times that denominator; the RREF
-pivots do not depend on such scaling, and relations read from the RREF
-multiply it back in.
+denominator keyed by packed monomial (a Polynomial's den and nums), its
+prefix (all factors but the last, in sorted-name order) times its last
+invariant, with prefixes of two or more factors kept in its caller's
+table.  Each caller takes a dict of its own from integer_forms; one
+reduce_basis call keeps one such dict and one prefix table for the
+engine, both freed when it returns.  Each column is its polynomial times
+that denominator; the RREF pivots do not depend on such scaling, and
+relations read from the RREF multiply it back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
@@ -55,7 +55,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX
 from .poly import (MAX_EXPONENT, Polynomial, VarTable, coefficient_matrix,
-                   integer_product, integer_terms, product_str, signed_sum)
+                   integer_product, product_str, signed_sum)
 # Unused here; perfbench/tracing.py wraps these two names in this module.
 from .ratlinalg import rank_of_columns, solve_columns  # noqa: F401
 from .ratlinalg import normalize_integer_vector
@@ -192,9 +192,9 @@ _IntPoly = tuple[int, dict[int, int]]
 
 
 def integer_forms(rb: RestrictedBasis) -> dict[str, _IntPoly]:
-    """A new dict of the integer form (poly.integer_terms) of each survivor."""
-    table = rb.substitution.table
-    return {name: integer_terms(table, p.terms) for name, p in rb.entries}
+    """A new dict of the integer form (den, nums) of each survivor: the
+    Polynomial's own fields, shared and never written to."""
+    return {name: (p.den, p.nums) for name, p in rb.entries}
 
 
 def _product(factors: tuple[str, ...], ints: Mapping[str, _IntPoly],

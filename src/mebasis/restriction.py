@@ -11,27 +11,19 @@ Each is parameterized by two magnetization variables (m1, m2) and three
 stress variables (s1, s2, s3).  User-defined substitutions load from a
 small JSON format; see custom_substitution.
 
-restrict_basis evaluates the catalog on integer polynomials.  It scales
-sigma by lambda = 3 * the lcm of the denominators of its coefficients and
-m by mu = 3 * the lcm of theirs, so every entry of (lambda sigma, mu m)
-has integer coefficients, each a multiple of 3.  An invariant of
-bi-degree (a, b) is a tensor function of degree a in m and b in sigma, so
-its value there is mu^a * lambda^b times its restriction, and one division
-per invariant gives the restriction back exactly.  Every argument of ddev
-(lambda sigma, sb^2 and mu^2 m o m) has coefficients that 3 divides, so
-tr/3 stays an integer polynomial; ddev raises if it ever would not.
+restrict_basis runs the catalog recipes directly on the substitution's
+Polynomials (integer numerators over one denominator), so each restricted
+invariant is in the form the reduction engine takes its columns from.
 """
 
 from __future__ import annotations
 
 import json
-from math import lcm
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import catalog as catalog_mod
-from .poly import (MAG, STRESS, IntegerPolynomial, ParseError, Polynomial, VarTable,
-                   parse_polynomial)
+from .poly import MAG, STRESS, ParseError, Polynomial, VarTable, parse_polynomial
 from .tensor3 import PolyMat3, PolyVec3
 
 FIBERS = ("theta", "alpha_prime", "gamma")
@@ -63,7 +55,7 @@ def _plane_table() -> VarTable:
 
 def _has_bidegree(p: Polynomial, bidegree: tuple[int, int]) -> bool:
     """Whether every term of p has this bi-degree (true for zero)."""
-    return all(p.table.monomial_bidegree(m) == bidegree for m in p.terms)
+    return all(p.table.packed_bidegree(k) == bidegree for k in p.nums)
 
 
 def validate_substitution(sub: Substitution) -> None:
@@ -260,27 +252,15 @@ class RestrictedBasis(NamedTuple):
         return dict(self.entries)
 
 
-def _scale(entries: Iterable[Polynomial]) -> int:
-    """3 * the lcm of the denominators of the entries' coefficients."""
-    return 3 * lcm(*(c.denominator for e in entries for c in e.terms.values()))
-
-
 def restrict_basis(catalog: Sequence[catalog_mod.InvariantDef],
                    sub: Substitution) -> RestrictedBasis:
     """Evaluate the catalog on a substitution and split off the zeros.
 
-    The recipes run on (lambda sigma, mu m) as IntegerPolynomials, and
-    each value is divided by mu^a * lambda^b once (module docstring).
     Because the substitution is linear and kind-preserving, each nonzero
     restriction keeps the bi-degree of its catalog entry; this is asserted
     rather than assumed.
     """
-    lam = _scale(e for row in sub.sigma.entries for e in row)
-    mu = _scale(sub.m.entries)
-    sigma = PolyMat3([[IntegerPolynomial.scaled(e, lam) for e in row]
-                      for row in sub.sigma.entries])
-    m = PolyVec3([IntegerPolynomial.scaled(e, mu) for e in sub.m.entries])
-    values = catalog_mod.evaluate_all(catalog, sigma, m)
+    values = catalog_mod.evaluate_all(catalog, sub.sigma, sub.m)
     bidegree = sub.table.packed_bidegree
     entries = []
     vanished = []
@@ -289,12 +269,11 @@ def restrict_basis(catalog: Sequence[catalog_mod.InvariantDef],
         if not v:
             vanished.append(defn.name)
             continue
-        degs = sorted({bidegree(k) for k in v.terms})
+        degs = sorted({bidegree(k) for k in v.nums})
         if degs != [defn.bidegree]:
             raise SubstitutionError(
                 f"restricted {defn.name} has bi-degree "
                 f"{' and '.join(map(str, degs))}, expected {defn.bidegree}; "
                 f"substitution is not kind-preserving")
-        a, b = defn.bidegree
-        entries.append((defn.name, v.divided(mu ** a * lam ** b)))
+        entries.append((defn.name, v))
     return RestrictedBasis(sub, tuple(entries), tuple(vanished))

@@ -1,23 +1,22 @@
 """3-vectors and 3x3 matrices over an exact commutative ring.
 
-The entries are of one of three kinds: IntegerPolynomials (restriction of
-the catalog to a scaled substitution), Polynomials (substitutions, and
-the restriction over the rationals that tests compare against), or plain
-numbers, ints or Fractions (numeric spot-check values at one point, all
-ints at the spot-check's integer points); one set of recipes serves all
-three.  Every sum starts from the ring's own zero (x * 0) and runs as a
-plain loop over zipped rows, skipping products with a zero factor.
+The entries are of one of two kinds: Polynomials (substitutions and the
+restriction of the catalog to them), or plain numbers, ints or Fractions
+(numeric spot-check values at one point, all ints at the spot-check's
+integer points); one set of recipes serves both.  Every sum starts from
+the ring's own zero (x * 0) and runs as a plain loop over zipped rows,
+skipping products with a zero factor.
 
 Entries are validated where a vector or matrix enters from outside: the
 public PolyVec3(...) and PolyMat3(...) constructors, and the .table
-property, check that they are all plain numbers, all Polynomials or all
-IntegerPolynomials, polynomials on one VarTable.  The results of @,
-mul_vec, outer, dbar and ddev are computed from operands checked that way
-and are built without a second scan (_built); so are the spot-check's
-arguments of catalog.evaluate_all, which checks its arguments once.  The
-two-operand ones start their sums from the sum of both operands' zeros,
-so a number times a polynomial matrix gives polynomials only, and
-polynomials on different tables raise ValueError.
+property, check that they are all plain numbers or all Polynomials on one
+VarTable.  The results of @, mul_vec, outer, dbar and ddev are computed
+from operands checked that way and are built without a second scan
+(_built); so are the spot-check's arguments of catalog.evaluate_all,
+which checks its arguments once.  The two-operand ones start their sums
+from the sum of both operands' zeros, so a number times a polynomial
+matrix gives polynomials only, and polynomials on different tables raise
+ValueError.
 
 Holds only what the catalog recipes and the substitution checks use:
 products, traces, dyads, a symmetry test and the two diagonal/off-diagonal
@@ -26,9 +25,7 @@ projectors:
   dbar(a)  zeroes the diagonal (keeps the off-diagonal part),
   ddev(a)  keeps the diagonal of the deviator (subtracts tr(a)/3 from each
            diagonal entry, zeroes the off-diagonal part); an int trace
-           divisible by 3 is divided as an int, so int entries stay ints,
-           and an IntegerPolynomial trace must be divisible by 3
-           (IntegerPolynomial.exact_div raises ValueError otherwise).
+           divisible by 3 is divided as an int, so int entries stay ints.
 
 Entry by entry a = ddev(a) + dbar(a) + tr(a)/3 on the diagonal, and both
 maps are idempotent and mutually annihilating.
@@ -39,22 +36,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .poly import IntegerPolynomial, Polynomial, VarTable
+from .poly import Polynomial, VarTable
 
-Entry = Union[IntegerPolynomial, Polynomial, Fraction, int]
+Entry = Union[Polynomial, Fraction, int]
 
 
 def _table(entries: Iterable[Entry]) -> VarTable | None:
     """The VarTable shared by polynomial entries; None for plain numbers.
-    The entries must be all numbers, all Polynomials or all
-    IntegerPolynomials, on one table."""
-    kinds = {(type(e), e.table) if isinstance(e, (Polynomial, IntegerPolynomial))
-             else None for e in entries}
+    The entries must be all numbers or all Polynomials on one table."""
+    kinds = {e.table if isinstance(e, Polynomial) else None for e in entries}
     if len(kinds) != 1:
         raise ValueError("entries of different kinds or built on different "
                          "variable tables")
-    kind = kinds.pop()
-    return kind and kind[1]
+    return kinds.pop()
 
 
 def _built(cls, entries):
@@ -173,12 +167,7 @@ def dbar(a: PolyMat3) -> PolyMat3:
 def ddev(a: PolyMat3) -> PolyMat3:
     z = a.zero()
     tr = a.trace()
-    if isinstance(tr, IntegerPolynomial):
-        third = tr.exact_div(3)
-    elif isinstance(tr, int) and not tr % 3:
-        third = tr // 3
-    else:
-        third = Fraction(1, 3) * tr
+    third = tr // 3 if isinstance(tr, int) and not tr % 3 else Fraction(1, 3) * tr
     e = a.entries
     return _built(PolyMat3, ((e[0][0] - third, z, z), (z, e[1][1] - third, z),
                              (z, z, e[2][2] - third)))

@@ -1,9 +1,12 @@
 """Verification oracles.
 
-Three checks, two of which avoid the reduction engine's own code paths:
+Three checks; the spot-check alone shares no code with the reduction engine:
 
   verify_published      exact symbolic substitution of relation lists
-                        shipped as data (data/published_relations.json),
+                        shipped as data (data/published_relations.json)
+                        into the restricted Polynomials; their products
+                        are Polynomial products, which share
+                        poly.integer_product with the engine,
   verify_generating_set spanning and minimality certificates for a
                         candidate survivor set, checked for every survivor
                         by one RREF per question over free monomials in
@@ -16,15 +19,18 @@ Three checks, two of which avoid the reduction engine's own code paths:
                         integer point of the same plane, with every
                         invariant value recomputed through the tensor
                         recipes on int matrices rather than read off the
-                        restricted polynomials.
+                        restricted polynomials: the route independent of
+                        the engine, sharing neither its polynomials nor
+                        integer_product.
 
 Both relation checks evaluate one expression, the relation's scaled
 residual D * (lhs - rhs): divided by D (substitute()) on the restricted
 polynomials for the symbolic check, tested for zero as it is on the int
 values at each point for the numeric one (D >= 1).  A shipped relation is
 parsed once into an integer-keyed form, D * rhs = sum of c * (product of
-invariant names), and scaled_residual() sums D * lhs - sum c * prod itself,
-with none of the engine's code.
+invariant names), read off the parsed Polynomial's den and nums, and
+scaled_residual() sums D * lhs - sum c * prod itself, with none of the
+engine's code.
 """
 
 from __future__ import annotations
@@ -69,14 +75,12 @@ class PublishedRelation:
     @cached_property
     def integer_form(self) -> tuple[int, tuple[tuple[tuple[str, ...], int], ...]]:
         """(D, terms): D * rhs = sum of c * (product of the factor names)
-        over terms (factors, c), with D the lcm of rhs's denominators and
-        each c an int.  A name appears once per power in its factors."""
-        terms = self.rhs_poly.terms
-        d = lcm(*(c.denominator for c in terms.values()))
-        names = NAME_TABLE.names
-        return d, tuple((tuple(n for n, e in zip(names, mono) for _ in range(e)),
-                         c.numerator * (d // c.denominator))
-                        for mono, c in terms.items())
+        over terms (factors, c), with D and each c the parsed rhs's den and
+        numerators.  A name appears once per power in its factors."""
+        p = self.rhs_poly
+        names, unpack = NAME_TABLE.names, NAME_TABLE.unpack
+        return p.den, tuple((tuple(n for n, e in zip(names, unpack(k)) for _ in range(e)), c)
+                            for k, c in p.nums.items())
 
     def scaled_residual(self, values: Mapping[str, Entry]) -> Entry:
         """D * (lhs - rhs) with every invariant name replaced by its value:
@@ -135,21 +139,20 @@ def verify_published(rel: PublishedRelation, rb: RestrictedBasis) -> VerifyOutco
 
 
 def _value(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction | int:
-    """p at a point, exact: p's integer numerators over the lcm d of its
-    denominators, summed at the point and divided by d once; an int where
-    the value is whole, a Fraction otherwise.  A variable that occurs in p
-    and has no value raises ValueError, as in Polynomial.evaluate."""
-    d = lcm(*(c.denominator for c in p.terms.values()))
+    """p at a point, exact: p's integer numerators summed at the point and
+    divided by its denominator once; an int where the value is whole, a
+    Fraction otherwise.  A variable that occurs in p and has no value
+    raises ValueError, as in Polynomial.evaluate."""
+    names, unpack = p.table.names, p.table.unpack
     total = 0
-    for mono, c in p.terms.items():
-        v = c.numerator * (d // c.denominator)
-        for name, e in zip(p.table.names, mono):
+    for k, v in p.nums.items():
+        for name, e in zip(names, unpack(k)):
             if e:
                 if name not in point:
                     raise ValueError(f"no value for variable {name!r}")
                 v = v * point[name] ** e
         total = total + v
-    n, d = total.numerator, total.denominator * d
+    n, d = total.numerator, total.denominator * p.den
     return n // d if not n % d else Fraction(n, d)
 
 

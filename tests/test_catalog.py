@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mebasis.catalog import (CATALOG, CATALOG_INDEX, CATALOG_NAMES,
                              evaluate_all)
-from mebasis.poly import MAG, IntegerPolynomial, Polynomial, VarTable
+from mebasis.poly import MAG, Polynomial, VarTable
 from mebasis.restriction import fiber_substitution, generic_substitution
 from mebasis.tensor3 import PolyMat3, PolyVec3, _built
 
@@ -128,9 +128,6 @@ def test_evaluate_all_checks_arguments_built_unchecked():
         evaluate_all(CATALOG, *_unchecked([[za] * 3] * 3, [zb] * 3))
     with pytest.raises(ValueError, match="different variable tables"):
         evaluate_all(CATALOG, *_unchecked([[za] * 3] * 3, [za, zb, za]))
-    with pytest.raises(ValueError, match="different kinds"):
-        evaluate_all(CATALOG, *_unchecked([[za] * 3] * 3,
-                                          [IntegerPolynomial.scaled(za, 1)] * 3))
     with pytest.raises(ValueError, match="different kinds"):
         evaluate_all(CATALOG, *_unchecked([[za] * 3] * 3, [0, 0, 0]))
 

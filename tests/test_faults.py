@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+import mebasis.catalog as catalog
+import mebasis.cli as cli
 import mebasis.reduction as reduction
 import mebasis.verify as verify
 from mebasis.cli import main
@@ -64,6 +66,23 @@ def change_published_coefficient(monkeypatch):
     monkeypatch.setattr(verify, "DATA_PATH", copy)
 
 
+def negate_recipe(monkeypatch):
+    """I201's recipe returns -tr(mb*sb), wherever the catalog is read: the
+    restriction and the spot-check both see it."""
+    negated = tuple(d._replace(recipe=lambda p, r=d.recipe: -r(p)) if d.name == "I201"
+                    else d for d in catalog.CATALOG)
+    for module in (catalog, cli, reduction, verify):
+        monkeypatch.setattr(module, "CATALOG", negated)
+
+
+def spotcheck_at_the_origin(monkeypatch):
+    """Every spot-check point is the origin, where every invariant is 0, and
+    theta:02 has a changed coefficient."""
+    change_published_coefficient(monkeypatch)
+    monkeypatch.setattr(verify, "random_point",
+                        lambda table, rng: {name: 0 for name in table.names})
+
+
 def move_sigma_off_plane(monkeypatch):
     """sigma_33 gains s1, so sigma . (1, 2, 3) has third component 3*s1."""
     doc = json.loads(Path(PLANE).read_text())
@@ -89,6 +108,13 @@ ROWS = {
     "published-coefficient-changed": (["verify", "--fiber", "theta", "--trials", "5"],
                                       change_published_coefficient, 1,
                                       "FAIL  theta:02  I030"),
+    # theta's published relations through I201 fail: I211, I221, I213, I601.
+    "recipe-sign-flipped": (["verify", "--fiber", "theta", "--trials", "5"],
+                            negate_recipe, 1, "7/11 relations verified"),
+    # Measured: the symbolic column fails theta:02, but every numeric column
+    # says pass, because each point is degenerate.
+    "spotcheck-at-the-origin": (["verify", "--fiber", "theta", "--trials", "5"],
+                                spotcheck_at_the_origin, 1, "numeric fail"),
     "sigma-out-of-plane": (["reduce", "--fiber", f"custom:{PLANE}",
                             "--policy", "table-order"],
                            move_sigma_off_plane, 2, "sigma . n has nonzero component 3"),
@@ -98,7 +124,7 @@ ROWS = {
                                 drop_products, 3, "error:"),
 }
 
-UNCAUGHT = {"product-columns-dropped"}
+UNCAUGHT = {"product-columns-dropped", "spotcheck-at-the-origin"}
 
 
 @pytest.fixture

@@ -1,15 +1,16 @@
 """Sparse exact polynomials, bi-grading, parsing, coefficient matrices."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mebasis.poly import (MAG, MAX_EXPONENT, STRESS, IntegerPolynomial,
-                          NotBiHomogeneousError, ParseError, Polynomial, VarTable,
-                          ZeroPolynomialError, coefficient_matrix, integer_product,
-                          integer_terms, monomial_key, parse_polynomial)
+from mebasis.poly import (MAG, MAX_EXPONENT, STRESS, NotBiHomogeneousError,
+                          ParseError, Polynomial, VarTable, ZeroPolynomialError,
+                          coefficient_matrix, integer_product, monomial_key,
+                          parse_polynomial)
 
 F = Fraction
 
@@ -178,7 +179,7 @@ def test_evaluate_constant_ignores_point(table):
 
 def columns(*polys):
     """The integer columns (d, numerators) of polynomials."""
-    return [integer_terms(p.table, p.terms) for p in polys]
+    return [(p.den, p.nums) for p in polys]
 
 
 def test_coefficient_matrix_two_by_two(table, vars4):
@@ -301,11 +302,22 @@ def test_parse_allows_powers_up_to_the_bounds(table, vars4):
     x = vars4[0]
     # 2 has bit length 2; m1 has degree 1 and coefficient 1.
     assert parse_polynomial("2^500", table) == Polynomial.constant(table, 2 ** 500)
-    assert parse_polynomial("m1^1000", table) == x ** 1000
+    assert parse_polynomial("m1^255", table) == x ** MAX_EXPONENT
     assert len(parse_polynomial("(m1 + m2 + s1)^43", table).terms) == 990
     assert not parse_polynomial("0^99999999", table)
     assert parse_polynomial("9" * 300, table) == Polynomial.constant(table, 10 ** 300 - 1)
-    assert parse_polynomial("*".join(["m1"] * 1000), table) == x ** 1000
+    assert parse_polynomial("*".join(["m1"] * 255), table) == x ** MAX_EXPONENT
+
+
+def test_parse_refuses_a_total_degree_past_a_packed_slot(table):
+    with pytest.raises(ParseError, match="power too large"):
+        parse_polynomial("m1^256", table)
+    with pytest.raises(ParseError, match="power too large"):
+        parse_polynomial("(m1*s1)^128", table)
+    with pytest.raises(ParseError, match="product too large"):
+        parse_polynomial("*".join(["m1"] * 256), table)
+    with pytest.raises(ParseError, match="product too large"):
+        parse_polynomial("m1^200*s2^56", table)
 
 
 # -- properties ----------------------------------------------------------
@@ -426,6 +438,12 @@ _MIXED = VarTable([("s1", STRESS), ("m1", MAG), ("s2", STRESS), ("m2", MAG),
 mixed_exponents = st.tuples(*(st.integers(min_value=0, max_value=3),) * 5)
 
 
+def kind_degrees(table, exps):
+    """(mag degree, stress degree) of an exponent vector, summed by kind."""
+    a = sum(e for e, kind in zip(exps, table.kinds) if kind == MAG)
+    return (a, sum(exps) - a)
+
+
 @st.composite
 def mixed_polynomials(draw):
     terms = draw(st.dictionaries(mixed_exponents, coeffs, max_size=6))
@@ -435,8 +453,8 @@ def mixed_polynomials(draw):
 @settings(max_examples=200, deadline=None)
 @given(mixed_polynomials(), mixed_polynomials())
 def test_packed_integer_product_matches_polynomial_product(p, q):
-    da, a = integer_terms(_MIXED, p.terms)
-    db, b = integer_terms(_MIXED, q.terms)
+    da, a = p.den, p.nums
+    db, b = q.den, q.nums
     prod = integer_product(a, b)
     assert all(prod.values())
     assert {_MIXED.unpack(k): Fraction(v, da * db) for k, v in prod.items()} == \
@@ -449,59 +467,46 @@ def test_packed_keys_sort_as_monomial_key_within_a_bidegree(monos):
     for m in monos:
         key = _MIXED.pack(m)
         assert _MIXED.unpack(key) == m
-        assert _MIXED.packed_bidegree(key) == _MIXED.monomial_bidegree(m)
-    for bd in {_MIXED.monomial_bidegree(m) for m in monos}:
-        same = [m for m in monos if _MIXED.monomial_bidegree(m) == bd]
+        assert _MIXED.packed_bidegree(key) == kind_degrees(_MIXED, m)
+    for bd in {kind_degrees(_MIXED, m) for m in monos}:
+        same = [m for m in monos if kind_degrees(_MIXED, m) == bd]
         assert sorted(map(_MIXED.pack, same)) == \
             [_MIXED.pack(m) for m in sorted(same, key=monomial_key)]
 
 
-# -- the integer ring restriction runs on -----------------------------------
+# -- the integer form: numerators over one denominator ---------------------
 
-def _integer(p):
-    """p scaled by the lcm of its denominators, and that scale."""
-    d = integer_terms(_MIXED, p.terms)[0]
-    return IntegerPolynomial.scaled(p, d), d
+def in_lowest_terms(p):
+    """den > 0, no zero numerator, and gcd(den, *nums) == 1 (den == 1 for zero)."""
+    return p.den > 0 and all(p.nums.values()) and gcd(p.den, *p.nums.values()) == 1
 
 
 @settings(max_examples=200, deadline=None)
-@given(mixed_polynomials(), mixed_polynomials(), st.integers(-5, 5))
-def test_integer_ring_matches_polynomial_arithmetic(p, q, k):
-    a, da = _integer(p)
-    b, db = _integer(q)
-    assert a.divided(da) == p and b.divided(db) == q
-    # Bring both to one scale for sums and differences.
-    a2, b2 = IntegerPolynomial.scaled(p, da * db), IntegerPolynomial.scaled(q, da * db)
-    assert (a2 + b2).divided(da * db) == p + q
-    assert (a2 - b2).divided(da * db) == p - q
-    assert (-a2).divided(da * db) == -p
-    assert (a * b).divided(da * db) == p * q
-    assert (a * k).divided(da) == (k * a).divided(da) == p * k
-    assert (a + k).divided(da) == p + F(k, da) and (k - a).divided(da) == F(k, da) - p
-    assert bool(a) == bool(p)
-    assert (a2 == b2) == (p == q)
-    assert all(type(c) is int and c for r in (a2 + b2, a2 - b2, a * b, a * k)
-               for c in r.terms.values())
+@given(mixed_polynomials(), mixed_polynomials(), coeffs, st.integers(-5, 5),
+       st.integers(0, 3))
+def test_every_result_is_in_lowest_terms(p, q, c, k, n):
+    results = [p, q, p + q, p - q, q - p, -p, p * q, p + c, c - p, p * c, c * p,
+               p * k, k * p, p + k, k - p, p - p, p * 0, p ** n]
+    for r in results:
+        assert in_lowest_terms(r), r
+        assert Polynomial(_MIXED, r.terms) == r
+        assert {_MIXED.unpack(k): F(v, r.den) for k, v in r.nums.items()} == r.terms
 
 
-def test_integer_ring_exact_division_and_its_checks():
-    s1 = Polynomial.variable(_MIXED, "s1")
-    m1 = Polynomial.variable(_MIXED, "m1")
-    a = IntegerPolynomial.scaled(6 * s1 - 3 * m1, 1)
-    assert a.exact_div(3) == IntegerPolynomial.scaled(2 * s1 - m1, 1)
-    with pytest.raises(ValueError, match="3 does not divide the coefficient 4"):
-        IntegerPolynomial.scaled(4 * s1 + 3 * m1, 1).exact_div(3)
-    with pytest.raises(ValueError, match="fractional"):
-        IntegerPolynomial.scaled(F(1, 2) * s1, 3)
-    other = IntegerPolynomial.scaled(Polynomial.variable(_TABLE, "s1"), 1)
-    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
-        with pytest.raises(ValueError, match="different variable tables"):
-            op(a, other)
-    # No mixing with the Fraction ring: neither operand converts the other.
-    with pytest.raises(TypeError):
-        a * s1
-    with pytest.raises(TypeError):
-        a + F(1, 2)
+def test_a_product_past_the_top_degree_is_refused_without_a_carry():
+    m1, s1 = Polynomial.variable(_MIXED, "m1"), Polynomial.variable(_MIXED, "s1")
+    with pytest.raises(ValueError, match=f"total degree above {MAX_EXPONENT}"):
+        m1 ** 200 * m1 ** 56
+    with pytest.raises(ValueError, match=f"total degree above {MAX_EXPONENT}"):
+        (m1 ** 128 + s1) * (s1 ** 128 + 1)
+    # At the top degree every slot still holds its own value.
+    for p in (m1 ** 200 * m1 ** 55, m1 ** 128 * s1 ** 127, s1 ** 254 * m1):
+        ((key, c),) = p.nums.items()
+        mono = _MIXED.unpack(key)
+        assert c == 1 and sum(mono) == MAX_EXPONENT
+        assert _MIXED.pack(mono) == key
+        assert p.bidegree() == kind_degrees(_MIXED, mono)
+    assert (m1 ** 200 * m1 ** 55).terms == {(0, MAX_EXPONENT, 0, 0, 0): 1}
 
 
 def test_pack_refuses_what_does_not_fit_a_slot():

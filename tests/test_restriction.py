@@ -3,6 +3,7 @@
 import copy
 import json
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mebasis.catalog import CATALOG, CATALOG_NAMES, evaluate_all
-from mebasis.poly import MAG, STRESS, IntegerPolynomial, Polynomial, VarTable
+from mebasis.poly import MAG, STRESS, Polynomial, VarTable
 from mebasis.restriction import (FIBERS, Substitution, SubstitutionError,
                                  custom_substitution, fiber_substitution,
                                  generic_substitution, restrict_basis,
@@ -253,9 +254,9 @@ def test_integer_restriction_equals_the_fraction_recipes(name):
         assert all(type(c) is F for c in p.terms.values()), n
 
 
-def test_recipes_run_on_integer_polynomials_only(monkeypatch):
-    # restrict_basis hands evaluate_all integer polynomials and gets integer
-    # polynomials back: Fractions appear only in the division afterwards.
+def test_recipes_run_on_the_substitution_polynomials(monkeypatch):
+    # restrict_basis hands evaluate_all the substitution's own sigma and m
+    # and keeps the values it gets back: no scaling, no second form.
     import mebasis.catalog as catalog_mod
     seen = []
     original = catalog_mod.evaluate_all
@@ -266,17 +267,16 @@ def test_recipes_run_on_integer_polynomials_only(monkeypatch):
         return values
 
     monkeypatch.setattr(catalog_mod, "evaluate_all", capture)
-    restrict_basis(CATALOG, custom_substitution(RATIONAL_E1))
+    sub = custom_substitution(RATIONAL_E1)
+    rb = restrict_basis(CATALOG, sub)
     ((sigma, m, values),) = seen
-    for e in (*sigma.entries[0], *sigma.entries[1], *sigma.entries[2], *m.entries,
-              *values.values()):
-        assert type(e) is IntegerPolynomial
-        assert all(type(c) is int for c in e.terms.values())
-    # lambda = 3 * lcm(2, 5, 6) = 90 and mu = 3 * lcm(3, 7) = 63.
-    assert sigma[1][1] == IntegerPolynomial.scaled(
-        custom_substitution(RATIONAL_E1).sigma[1][1], 90)
-    assert m[1] == IntegerPolynomial.scaled(
-        custom_substitution(RATIONAL_E1).m[1], 63)
+    assert sigma is sub.sigma and m is sub.m
+    assert all(p is values[n] for n, p in rb.entries)
+    # The rational coefficients stay over one denominator per invariant,
+    # in lowest terms.
+    assert any(p.den > 1 for _, p in rb.entries)
+    assert all(p.den > 0 and gcd(p.den, *p.nums.values()) == 1 and all(p.nums.values())
+               for _, p in rb.entries)
 
 
 def test_restriction_refuses_a_substitution_that_swaps_kinds():

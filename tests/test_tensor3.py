@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mebasis.poly import MAG, STRESS, IntegerPolynomial, Polynomial, VarTable
+from mebasis.poly import MAG, STRESS, Polynomial, VarTable
 from mebasis.restriction import fiber_substitution, generic_substitution
 from mebasis.tensor3 import (PolyMat3, PolyVec3, dbar, ddev, double_contract,
                              outer)
@@ -133,17 +133,18 @@ def test_ddev_keeps_ints_when_the_trace_divides_by_three():
     assert type(d.entries[0][0]) is F
 
 
-def test_ddev_on_integer_polynomials_divides_exactly_or_raises():
-    s1, s2, s3 = (IntegerPolynomial.scaled(var(n), 3) for n in ("s1", "s2", "s3"))
+def test_ddev_on_polynomials_divides_the_trace_by_three():
+    s1, s2, s3 = (var(n) for n in ("s1", "s2", "s3"))
     z = s1 * 0
     d = ddev(PolyMat3([[s1, s3, z], [s3, s2, z], [z, z, z]]))
-    third = IntegerPolynomial.scaled(var("s1") + var("s2"), 1)
+    third = F(1, 3) * (s1 + s2)
     assert d.entries == ((s1 - third, z, z), (z, s2 - third, z), (z, z, -third))
-    # A trace with a coefficient that 3 does not divide has no integer third,
-    # and the integer ring has no Fraction to fall back on.
-    s1 = IntegerPolynomial.scaled(var("s1"), 1)
-    with pytest.raises(ValueError, match="3 does not divide the coefficient"):
-        ddev(PolyMat3([[s1 * 3, z, z], [z, s1 * 2, z], [z, z, s1 * 2]]))
+    assert d.entries[2][2].den == 3 and sorted(d.entries[2][2].nums.values()) == [-1, -1]
+    # A trace that 3 divides leaves no denominator: the result is in
+    # lowest terms.
+    d = ddev(PolyMat3([[s1 * 3, z, z], [z, s2 * 3, z], [z, z, s3 * 3]]))
+    assert d.entries[0][0] == 2 * s1 - s2 - s3
+    assert all(e.den == 1 for row in d.entries for e in row)
 
 
 def test_split_identity():
@@ -289,7 +290,7 @@ def test_entries_must_not_mix_rings_or_tables():
     with pytest.raises(ValueError, match="different variable tables"):
         PolyMat3([[z, z, z], [z, F(0), z], [z, z, z]])
     with pytest.raises(ValueError, match="different kinds"):
-        PolyVec3([z, IntegerPolynomial.scaled(z, 1), z])
+        PolyVec3([z, 0, z])
 
 
 # -- results built from validated operands -------------------------------
@@ -304,9 +305,10 @@ def ring_operands(ring):
         b = PolyMat3([[m1, z, s2], [s3, m2, z], [s1, z, m1 + s3]])
         return a, b, PolyVec3([m1, m2, m1 - m2]), TABLE
     if ring == "integer polynomial":
-        # Three times the polynomial operands: every trace divides by 3.
+        # Three times the polynomial operands: every trace divides by 3, so
+        # ddev's thirds come out over denominator 1.
         a, b, v, table = ring_operands("polynomial")
-        scaled = lambda e: IntegerPolynomial.scaled(e, 3)
+        scaled = lambda e: 3 * e
         return (PolyMat3([[scaled(e) for e in row] for row in a.entries]),
                 PolyMat3([[scaled(e) for e in row] for row in b.entries]),
                 PolyVec3([scaled(e) for e in v.entries]), table)
