@@ -297,29 +297,29 @@ def _run_reduce(args) -> int:
 # -- verify --------------------------------------------------------------
 
 def verify_payload(fiber: str, rb: RestrictedBasis, trials: int, seed: int) -> dict:
-    rels = load_published(fiber)
+    pairs = load_published(fiber)
     entries = []
     n_fail = 0
     engine_result = None
-    spots = spotcheck_relations(rels, rb, trials=trials, seed=seed)
-    for rel, spot in zip(rels, spots):
-        outcome = verify_published(rel, rb)
+    spots = spotcheck_relations([rel for _, rel in pairs], rb, trials=trials, seed=seed)
+    for (source, rel), spot in zip(pairs, spots):
+        residual = verify_published(rel, rb)
         entry = {
-            "source": rel.source,
-            "lhs": rel.lhs,
-            "symbolic": "pass" if outcome.ok else "fail",
+            "source": source,
+            "lhs": rel.solved_for,
+            "symbolic": "fail" if residual else "pass",
             "numeric": "pass" if spot.ok else "fail",
         }
-        if not outcome.ok:
+        if residual:
             n_fail += 1
-            entry["residual"] = outcome.residual_str()
+            entry["residual"] = str(residual)
             # The engine's own solved relation for the same invariant, plus
             # its numeric spot-check, so a transcription defect in the data
             # file comes with a corrected candidate.
             if engine_result is None:
                 engine_result = reduce_basis(rb)
             fixed = next((r for r in engine_result.relations
-                          if r.solved_for == rel.lhs), None)
+                          if r.solved_for == rel.solved_for), None)
             if fixed is not None:
                 entry["engine_relation"] = fixed.solved_str()
                 fspot = spotcheck_relations([fixed], rb, trials=trials, seed=seed)[0]

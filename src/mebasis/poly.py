@@ -319,30 +319,22 @@ class Polynomial:
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate(self, point: Mapping[str, Fraction | int | Polynomial]
-                 ) -> Fraction | Polynomial:
-        """Exact value at a point.
-
-        The coordinates may be rationals, giving a Fraction, or Polynomials
-        on one table, giving the composed Polynomial (a Fraction if self is
-        constant).  Every variable that actually occurs in a term must be
-        assigned; extra assignments are ignored.
-        """
-        powers: dict[tuple[int, int], Fraction | int | Polynomial] = {}
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            v = coeff
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                if (i, e) not in powers:
-                    name = self.table.names[i]
+    def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction | int:
+        """Exact value at a rational point: the integer numerators summed at
+        the point and divided by den once; an int where the value is whole,
+        a Fraction otherwise.  Every variable that occurs in a term must be
+        assigned, or ValueError is raised; extra assignments are ignored."""
+        names, unpack = self.table.names, self.table.unpack
+        total = 0
+        for k, v in self.nums.items():
+            for name, e in zip(names, unpack(k)):
+                if e:
                     if name not in point:
                         raise ValueError(f"no value for variable {name!r}")
-                    powers[i, e] = point[name] ** e
-                v = v * powers[i, e]
+                    v = v * point[name] ** e
             total = total + v
-        return total
+        n, d = total.numerator, total.denominator * self.den
+        return n // d if not n % d else Fraction(n, d)
 
     # -- printing --------------------------------------------------------
 

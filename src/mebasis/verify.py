@@ -23,14 +23,14 @@ Three checks; the spot-check alone shares no code with the reduction engine:
                         the engine, sharing neither its polynomials nor
                         integer_product.
 
-Both relation checks evaluate one expression, the relation's scaled
-residual D * (lhs - rhs): divided by D (substitute()) on the restricted
-polynomials for the symbolic check, tested for zero as it is on the int
-values at each point for the numeric one (D >= 1).  A shipped relation is
-parsed once into an integer-keyed form, D * rhs = sum of c * (product of
-invariant names), read off the parsed Polynomial's den and nums, and
-scaled_residual() sums D * lhs - sum c * prod itself, with none of the
-engine's code.
+Both relation checks sum one expression.  A shipped relation lhs = rhs is
+parsed once, at load, into a reduction.Relation solved for lhs,
+D * lhs - sum of c * (product of invariant names) = 0, with D and each c
+the parsed rhs's den and numerators.  Relation.substitute sums it on the
+restricted polynomials for the symbolic check, divided by D there to give
+the residual lhs - rhs, and on the int values at each point for the
+numeric one, tested for zero as it is (D >= 1).  The engine builds
+Relations but never substitutes into them: its self-check is its own.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -50,7 +49,7 @@ from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomia
 from .ratlinalg import solve_columns  # noqa: F401
 from .reduction import Relation, enumerate_products, integer_forms
 from .restriction import RestrictedBasis, Substitution
-from .tensor3 import Entry, PolyMat3, PolyVec3, _built
+from .tensor3 import PolyMat3, PolyVec3, _built
 from . import catalog as catalog_mod
 
 DATA_PATH = Path(__file__).with_name("data") / "published_relations.json"
@@ -60,55 +59,26 @@ DATA_PATH = Path(__file__).with_name("data") / "published_relations.json"
 NAME_TABLE = VarTable((n, MAG) for n in CATALOG_NAMES)
 
 
-@dataclass(frozen=True)
-class PublishedRelation:
-    """lhs = rhs, rhs a polynomial in invariant names (parsed once, on use)."""
-    fiber: str
-    lhs: str
-    rhs: str
-    source: str
-
-    @cached_property
-    def rhs_poly(self) -> Polynomial:
-        return parse_polynomial(self.rhs, NAME_TABLE)
-
-    @cached_property
-    def integer_form(self) -> tuple[int, tuple[tuple[tuple[str, ...], int], ...]]:
-        """(D, terms): D * rhs = sum of c * (product of the factor names)
-        over terms (factors, c), with D and each c the parsed rhs's den and
-        numerators.  A name appears once per power in its factors."""
-        p = self.rhs_poly
-        names, unpack = NAME_TABLE.names, NAME_TABLE.unpack
-        return p.den, tuple((tuple(n for n, e in zip(names, unpack(k)) for _ in range(e)), c)
-                            for k, c in p.nums.items())
-
-    def scaled_residual(self, values: Mapping[str, Entry]) -> Entry:
-        """D * (lhs - rhs) with every invariant name replaced by its value:
-        ints or Fractions, or Polynomials on one table.  An lhs outside
-        the catalog raises ValueError."""
-        if self.lhs not in CATALOG_INDEX:
-            raise ValueError(f"unknown invariant name {self.lhs!r}")
-        d, terms = self.integer_form
-        total = d * values[self.lhs]
-        for factors, c in terms:
-            prod = c
-            for f in factors:
-                prod = prod * values[f]
-            total = total - prod
-        return total
-
-    def substitute(self, values: Mapping[str, Entry]) -> Entry:
-        """lhs - rhs with every invariant name replaced by its value: the
-        scaled residual divided by D."""
-        d = self.integer_form[0]
-        total = self.scaled_residual(values)
-        return total if d == 1 else Fraction(1, d) * total
+def published_relation(lhs: str, rhs: str) -> Relation:
+    """lhs = rhs, rhs a polynomial in invariant names, as the Relation
+    D * lhs - sum of c * (product of the factor names) = 0 solved for lhs,
+    with D and each c the parsed rhs's den and numerators: coprime, D > 0.
+    An lhs outside the catalog raises ValueError."""
+    if lhs not in CATALOG_INDEX:
+        raise ValueError(f"unknown invariant name {lhs!r}")
+    p = parse_polynomial(rhs, NAME_TABLE)
+    names, unpack = NAME_TABLE.names, NAME_TABLE.unpack
+    terms = [((lhs,), p.den)]
+    terms += [(tuple(sorted(n for n, e in zip(names, unpack(k)) for _ in range(e))), -c)
+              for k, c in p.nums.items()]
+    return Relation(CATALOG[CATALOG_INDEX[lhs]].bidegree, tuple(terms), lhs)
 
 
-def load_published(fiber: str) -> tuple[PublishedRelation, ...]:
-    """The relation list shipped with the package for one fiber."""
+def load_published(fiber: str) -> tuple[tuple[str, Relation], ...]:
+    """The relation list shipped with the package for one fiber, as
+    (source label, relation) pairs in file order."""
     data = json.loads(DATA_PATH.read_text())
-    rels = tuple(PublishedRelation(r["fiber"], r["lhs"], r["rhs"], r["source"])
+    rels = tuple((r["source"], published_relation(r["lhs"], r["rhs"]))
                  for r in data["relations"] if r["fiber"] == fiber)
     if not rels:
         raise ValueError(f"no relation list for fiber {fiber!r}")
@@ -122,38 +92,13 @@ def _name_values(rb: RestrictedBasis) -> dict[str, Polynomial]:
     return values
 
 
-class VerifyOutcome(NamedTuple):
-    relation: PublishedRelation
-    ok: bool
-    residual: Polynomial | None
-
-    def residual_str(self) -> str:
-        return "0" if self.ok else str(self.residual)
-
-
-def verify_published(rel: PublishedRelation, rb: RestrictedBasis) -> VerifyOutcome:
-    """Exact check that restricted(lhs) - rhs(restricted values) is zero."""
+def verify_published(rel: Relation, rb: RestrictedBasis) -> Polynomial:
+    """The residual lhs - rhs of a relation solved for lhs, with the
+    restricted polynomials substituted: zero exactly when the relation
+    holds on rb."""
+    lead = rel.solved_form()[0]
     residual = rel.substitute(_name_values(rb))
-    ok = not residual
-    return VerifyOutcome(rel, ok, None if ok else residual)
-
-
-def _value(p: Polynomial, point: Mapping[str, Fraction | int]) -> Fraction | int:
-    """p at a point, exact: p's integer numerators summed at the point and
-    divided by its denominator once; an int where the value is whole, a
-    Fraction otherwise.  A variable that occurs in p and has no value
-    raises ValueError, as in Polynomial.evaluate."""
-    names, unpack = p.table.names, p.table.unpack
-    total = 0
-    for k, v in p.nums.items():
-        for name, e in zip(names, unpack(k)):
-            if e:
-                if name not in point:
-                    raise ValueError(f"no value for variable {name!r}")
-                v = v * point[name] ** e
-        total = total + v
-    n, d = total.numerator, total.denominator * p.den
-    return n // d if not n % d else Fraction(n, d)
+    return residual if lead == 1 else Fraction(1, lead) * residual
 
 
 def numeric_invariants(sub: Substitution, point: Mapping[str, Fraction | int]
@@ -165,9 +110,9 @@ def numeric_invariants(sub: Substitution, point: Mapping[str, Fraction | int]
     integer arithmetic, so the recipes run on ints wherever the point
     makes the entries whole.  sigma and m are built unchecked:
     evaluate_all checks them, once per point."""
-    sigma = _built(PolyMat3, tuple([tuple([_value(e, point) for e in row])
+    sigma = _built(PolyMat3, tuple([tuple([e.evaluate(point) for e in row])
                                     for row in sub.sigma.entries]))
-    m = _built(PolyVec3, tuple([_value(e, point) for e in sub.m.entries]))
+    m = _built(PolyVec3, tuple([e.evaluate(point) for e in sub.m.entries]))
     return catalog_mod.evaluate_all(CATALOG, sigma, m)
 
 
@@ -202,8 +147,7 @@ def integer_point(table: VarTable, point: Mapping[str, Fraction]) -> dict[str, i
             for n, k in zip(table.names, table.kinds)}
 
 
-def spotcheck_relations(rels: Sequence[PublishedRelation | Relation],
-                        rb: RestrictedBasis,
+def spotcheck_relations(rels: Sequence[Relation], rb: RestrictedBasis,
                         trials: int = 100, seed: int = 0) -> list[SpotcheckOutcome]:
     """Evaluate relation residuals at seeded random rational points.
 
@@ -211,9 +155,11 @@ def spotcheck_relations(rels: Sequence[PublishedRelation | Relation],
     moved to its integer_point, its invariant values are computed once for
     all relations, and a relation is no longer evaluated after its first
     failing trial.  A pass means the residual was zero at every sampled
-    point.  trials must be at least 1, or nothing would be evaluated.  The
-    seed must be at least 0: random.Random draws the same stream for -s as
-    for s.
+    point and at least one point gave a nonzero value to an invariant the
+    relation names; a relation that no point tested fails with
+    failed_trial None.  trials must be at least 1, or nothing would be
+    evaluated.  The seed must be at least 0: random.Random draws the same
+    stream for -s as for s.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -221,19 +167,22 @@ def spotcheck_relations(rels: Sequence[PublishedRelation | Relation],
         raise ValueError(f"seed must be at least 0, got {seed}")
     rng = random.Random(seed)
     table = rb.substitution.table
-    # A shipped relation's residual is zero exactly where D times it is.
-    residuals = [rel.scaled_residual if isinstance(rel, PublishedRelation)
-                 else rel.substitute for rel in rels]
+    named = [{f for factors, _ in rel.terms for f in factors} for rel in rels]
+    untested = set(range(len(rels)))
     failed_at: dict[int, int] = {}
     for t in range(trials):
         if len(failed_at) == len(rels):
             break
         point = integer_point(table, random_point(table, rng))
         values = numeric_invariants(rb.substitution, point)
-        for i, residual in enumerate(residuals):
-            if i not in failed_at and residual(values) != 0:
+        for i, rel in enumerate(rels):
+            if i not in failed_at and rel.substitute(values) != 0:
                 failed_at[i] = t
-    return [SpotcheckOutcome(i not in failed_at, trials, seed, failed_at.get(i))
+        if untested:
+            nonzero = {n for n, v in values.items() if v}
+            untested = {i for i in untested if named[i].isdisjoint(nonzero)}
+    return [SpotcheckOutcome(i not in failed_at and i not in untested, trials, seed,
+                             failed_at.get(i))
             for i in range(len(rels))]
 
 

@@ -77,20 +77,20 @@ def test_acceptance_4_published_relations(bases, reductions):
     total = 0
     failures = []
     for fiber in FIBERS:
-        for rel in load_published(fiber):
+        for source, rel in load_published(fiber):
             total += 1
-            if not verify_published(rel, bases[fiber]).ok:
-                failures.append((fiber, rel))
+            if verify_published(rel, bases[fiber]):
+                failures.append((fiber, source, rel))
     # A transcription defect in the shipped list is acceptable only when
     # the engine supplies a replacement for the same invariant that
     # survives 100 seeded exact spot-checks.
     unrepaired = []
-    for fiber, rel in failures:
+    for fiber, source, rel in failures:
         engine = next((r for r in reductions[fiber].relations
-                       if r.solved_for == rel.lhs), None)
+                       if r.solved_for == rel.solved_for), None)
         if engine is None or not spotcheck_relations(
                 [engine], bases[fiber], trials=100, seed=0)[0].ok:
-            unrepaired.append(rel.source)
+            unrepaired.append(source)
     ok = total == 48 and not unrepaired
     detail = "48/48 published relations substitute to the zero polynomial"
     if failures:

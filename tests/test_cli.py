@@ -13,7 +13,7 @@ from mebasis import __version__
 from mebasis.cli import main
 from mebasis.poly import MAX_EXPONENT
 from mebasis.reduction import PolicyConflictError
-from mebasis.verify import PublishedRelation
+from mebasis.verify import published_relation
 
 PLANE_123 = Path(__file__).with_name("golden") / "plane_123.sub.json"
 
@@ -308,8 +308,8 @@ def test_verify_rejects_custom_fiber(capsys):
 
 def test_verify_reports_corrupted_relation(capsys, monkeypatch, theta_basis):
     rels = list(cli.load_published("theta"))
-    rels[0] = PublishedRelation("theta", rels[0].lhs,
-                                "1/5*(I002*I010)", rels[0].source)
+    source, rel = rels[0]
+    rels[0] = (source, published_relation(rel.solved_for, "1/5*(I002*I010)"))
     monkeypatch.setattr(cli, "load_published", lambda fiber: tuple(rels))
     code, out, _ = run(capsys, "verify", "--fiber", "theta",
                        "--trials", "2", "--format", "json")

@@ -111,8 +111,8 @@ ROWS = {
     # theta's published relations through I201 fail: I211, I221, I213, I601.
     "recipe-sign-flipped": (["verify", "--fiber", "theta", "--trials", "5"],
                             negate_recipe, 1, "7/11 relations verified"),
-    # Measured: the symbolic column fails theta:02, but every numeric column
-    # says pass, because each point is degenerate.
+    # Every invariant is 0 at the origin, so no point tests any relation:
+    # every numeric column says fail, and the symbolic one fails theta:02.
     "spotcheck-at-the-origin": (["verify", "--fiber", "theta", "--trials", "5"],
                                 spotcheck_at_the_origin, 1, "numeric fail"),
     "sigma-out-of-plane": (["reduce", "--fiber", f"custom:{PLANE}",
@@ -124,7 +124,7 @@ ROWS = {
                                 drop_products, 3, "error:"),
 }
 
-UNCAUGHT = {"product-columns-dropped", "spotcheck-at-the-origin"}
+UNCAUGHT = {"product-columns-dropped"}
 
 
 @pytest.fixture

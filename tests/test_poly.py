@@ -151,21 +151,18 @@ def test_evaluate_missing_variable_raises(vars4):
         x.evaluate({})
 
 
-def test_evaluate_at_polynomials_composes(table, vars4):
-    # p(x, y) at x = m1 + s1, y = 2*m2 - 1/3 is the composed polynomial.
-    x, y, s, _ = vars4
-    p = F(3, 2) * x ** 2 * y - 4 * y ** 3 + 5
-    fx, fy = x + s, 2 * y - F(1, 3)
-    composed = F(3, 2) * fx ** 2 * fy - 4 * fy ** 3 + 5
-    value = p.evaluate({"m1": fx, "m2": fy})
-    assert value == composed
-    assert value.table == table
-    # Extra assignments are ignored, and a rational point still gives a
-    # Fraction through the composition.
-    point = {"m1": F(1, 2), "m2": F(-2), "s1": F(3), "s2": F(7)}
-    assert p.evaluate({**point, "m1": fx, "m2": fy}) == composed
-    assert value.evaluate(point) == p.evaluate(
-        {"m1": fx.evaluate(point), "m2": fy.evaluate(point)})
+def test_evaluate_is_an_int_where_the_value_is_whole(vars4):
+    x, y, _, _ = vars4
+    p = F(1, 2) * x * y + F(1, 3) * y
+    whole = p.evaluate({"m1": 2, "m2": 3})
+    assert whole == 4 and type(whole) is int
+    whole = p.evaluate({"m1": F(2, 3), "m2": F(3, 2)})
+    assert whole == 1 and type(whole) is int
+    part = p.evaluate({"m1": 1, "m2": 1})
+    assert part == F(5, 6) and type(part) is F
+    part = p.evaluate({"m1": F(1, 2), "m2": 3})
+    assert part == F(7, 4) and type(part) is F
+    assert type(Polynomial.zero(p.table).evaluate({})) is int
 
 
 def test_evaluate_constant_ignores_point(table):

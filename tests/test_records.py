@@ -1,12 +1,11 @@
 """The value records: immutable, with fixed fields, defaults and repr.
 
 Records are typing.NamedTuple classes, which cost far less to create at
-import than dataclasses.  Exactly two stay dataclasses:
-- PublishedRelation, because its cached_property fields (rhs_poly,
-  integer_form) need an instance __dict__, which a NamedTuple lacks;
-- GeneratingSetReport, because the benchmark worker renders it with
-  dataclasses.asdict.
-"""
+import than dataclasses.  Exactly one stays a dataclass:
+GeneratingSetReport, because the benchmark worker renders it with
+dataclasses.asdict.  A shipped relation loads as a reduction.Relation, and
+the symbolic check returns its residual Polynomial, so neither has a
+record type of its own."""
 
 import dataclasses
 import importlib
@@ -20,8 +19,7 @@ from mebasis.catalog import CATALOG, InvariantDef
 from mebasis.reduction import (BidegreeReport, ReductionResult, Relation, UnionReport,
                                check_union_property)
 from mebasis.restriction import RestrictedBasis, Substitution, fiber_substitution
-from mebasis.verify import (SpotcheckOutcome, VerifyOutcome, load_published,
-                            spotcheck_relations, verify_published)
+from mebasis.verify import SpotcheckOutcome, load_published, spotcheck_relations
 
 FIELDS = {
     Relation: ("bidegree", "terms", "solved_for"),
@@ -33,7 +31,6 @@ FIELDS = {
     Substitution: ("name", "table", "sigma", "m", "normal"),
     RestrictedBasis: ("substitution", "entries", "vanished"),
     InvariantDef: ("name", "label", "formula", "bidegree", "recipe"),
-    VerifyOutcome: ("relation", "ok", "residual"),
     SpotcheckOutcome: ("ok", "trials", "seed", "failed_trial"),
 }
 DEFAULTS = {(Relation, "solved_for"), (Substitution, "normal"),
@@ -44,7 +41,7 @@ DEFAULTS = {(Relation, "solved_for"), (Substitution, "normal"),
 def records(bases, reductions):
     """One instance of every record type, built the way the program builds it."""
     theta = reductions["theta"]
-    rel = load_published("theta")[0]
+    _, rel = load_published("theta")[0]
     return {
         Relation: theta.relations[0],
         BidegreeReport: theta.reports[0],
@@ -53,7 +50,6 @@ def records(bases, reductions):
         Substitution: bases["theta"].substitution,
         RestrictedBasis: bases["theta"],
         InvariantDef: CATALOG[0],
-        VerifyOutcome: verify_published(rel, bases["theta"]),
         SpotcheckOutcome: spotcheck_relations([rel], bases["theta"], trials=1)[0],
     }
 
@@ -65,7 +61,7 @@ def test_the_dataclasses_are_exactly_the_two_that_need_to_be():
         found |= {name for name, obj in vars(module).items()
                   if inspect.isclass(obj) and obj.__module__ == info.name
                   and dataclasses.is_dataclass(obj)}
-    assert found == {"PublishedRelation", "GeneratingSetReport"}
+    assert found == {"GeneratingSetReport"}
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)

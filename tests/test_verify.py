@@ -1,24 +1,29 @@
 """Independent checks of the shipped relation lists and generator sets.
 
-verify_published substitutes the restricted catalog into each relation
-symbolically; spotcheck_relations substitutes invariant values recomputed
-through the tensor recipes at concrete integer points, scaled from seeded
-rational ones.  Both evaluate the same relation expression, but the two
-routes share no intermediate results, so their agreement here is
-evidence, not circularity.
+Each shipped relation loads as a Relation solved for its lhs.
+verify_published substitutes the restricted catalog into it symbolically;
+spotcheck_relations substitutes invariant values recomputed through the
+tensor recipes at concrete integer points, scaled from seeded rational
+ones.  Both sum the same relation expression, but the two routes share no
+intermediate results, so their agreement here is evidence, not
+circularity.  The parsed right-hand side, evaluated at those values, is
+the reference for the loaded form.
 """
 
+import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from mebasis.catalog import CATALOG, CATALOG_NAMES
+import mebasis.verify as verify_mod
+from mebasis.catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from mebasis.reduction import Relation, reduce_basis
 from mebasis.restriction import FIBERS, custom_substitution, restrict_basis
-from mebasis.poly import Polynomial
-from mebasis.verify import (DATA_PATH, GeneratingSetReport, PublishedRelation,
+from mebasis.poly import Polynomial, parse_polynomial
+from mebasis.verify import (DATA_PATH, NAME_TABLE, GeneratingSetReport,
                             integer_point, load_published, numeric_invariants,
-                            random_point, spotcheck_relations,
+                            published_relation, random_point, spotcheck_relations,
                             verify_generating_set, verify_published)
 
 F = Fraction
@@ -37,17 +42,56 @@ TABLE3 = {
 
 # -- the shipped relation lists ------------------------------------------
 
+def _rows(fiber):
+    """The raw rows of the data file for one fiber, in file order."""
+    return [r for r in json.loads(DATA_PATH.read_text())["relations"]
+            if r["fiber"] == fiber]
+
+
 def test_data_file_exists_and_loads():
     assert DATA_PATH.is_file()
     total = 0
     for fiber in FIBERS:
-        rels = load_published(fiber)
-        assert len(rels) == PUBLISHED_COUNTS[fiber]
-        total += len(rels)
-        for i, rel in enumerate(rels, start=1):
-            assert rel.fiber == fiber
-            assert rel.source == f"{fiber}:{i:02d}"
+        pairs = load_published(fiber)
+        assert len(pairs) == PUBLISHED_COUNTS[fiber]
+        total += len(pairs)
+        for i, ((source, rel), row) in enumerate(zip(pairs, _rows(fiber)), start=1):
+            assert source == row["source"] == f"{fiber}:{i:02d}"
+            assert type(rel) is Relation
+            assert rel.solved_for == row["lhs"]
     assert total == 48
+
+
+@pytest.mark.parametrize("fiber", FIBERS)
+def test_shipped_relations_keep_the_relation_contract(fiber):
+    # Coprime int coefficients, the bare lhs first with lead D > 0 and in
+    # no other term, sorted factor tuples, every term of the lhs's
+    # bi-degree.
+    for (source, rel), row in zip(load_published(fiber), _rows(fiber)):
+        lhs = row["lhs"]
+        bd = CATALOG[CATALOG_INDEX[lhs]].bidegree
+        assert rel.bidegree == bd, source
+        assert rel.terms[0] == ((lhs,), parse_polynomial(row["rhs"], NAME_TABLE).den)
+        assert rel.terms[0][1] > 0, source
+        assert all(type(c) is int and c for _, c in rel.terms), source
+        assert gcd(*(c for _, c in rel.terms)) == 1, source
+        factor_tuples = [f for f, _ in rel.terms]
+        assert len(set(factor_tuples)) == len(factor_tuples), source
+        assert all(lhs not in f for f in factor_tuples[1:]), source
+        for f in factor_tuples:
+            assert list(f) == sorted(f), source
+            degs = [CATALOG[CATALOG_INDEX[n]].bidegree for n in f]
+            assert (sum(a for a, _ in degs), sum(b for _, b in degs)) == bd, source
+        lead, rhs = rel.solved_form()
+        assert lead == rel.terms[0][1]
+        assert rhs == [(f, -c) for f, c in rel.terms[1:]]
+
+
+def test_published_relation_solves_for_its_lhs():
+    rel = published_relation("I030", "1/18*(9*I020*I010 - 2*I010^3)")
+    assert rel == Relation((0, 3), ((("I030",), 18), (("I010", "I020"), -9),
+                                    (("I010", "I010", "I010"), 2)), "I030")
+    assert rel.solved_str() == "I030 = 1/18*(9*I010*I020 - 2*I010^3)"
 
 
 def test_unknown_fiber_has_no_list():
@@ -57,16 +101,16 @@ def test_unknown_fiber_has_no_list():
 
 @pytest.mark.parametrize("fiber", FIBERS)
 def test_published_relations_hold_symbolically(bases, fiber):
-    for rel in load_published(fiber):
-        outcome = verify_published(rel, bases[fiber])
-        assert outcome.ok, f"{rel.source}: residual {outcome.residual_str()}"
-        assert outcome.residual is None
-        assert outcome.residual_str() == "0"
+    for source, rel in load_published(fiber):
+        residual = verify_published(rel, bases[fiber])
+        assert type(residual) is Polynomial
+        assert not residual, f"{source}: residual {residual}"
+        assert str(residual) == "0"
 
 
 @pytest.mark.parametrize("fiber", FIBERS)
 def test_published_relations_hold_numerically(bases, fiber):
-    rels = load_published(fiber)
+    rels = [rel for _, rel in load_published(fiber)]
     outcomes = spotcheck_relations(rels, bases[fiber], trials=10, seed=1)
     assert all(o.ok for o in outcomes)
 
@@ -74,14 +118,15 @@ def test_published_relations_hold_numerically(bases, fiber):
 def test_corrupted_coefficient_is_caught(theta_basis):
     # Damage the smallest relation on the plane-stress basis: the true
     # coefficient is 1/6.
-    good = PublishedRelation("theta", "I012", "1/6*(I002*I010)", "theta:01")
-    bad = PublishedRelation("theta", "I012", "1/5*(I002*I010)", "theta:01")
-    assert verify_published(good, theta_basis).ok
-    outcome = verify_published(bad, theta_basis)
-    assert not outcome.ok
-    assert outcome.residual is not None
-    assert outcome.residual
-    assert outcome.residual_str() != "0"
+    good = published_relation("I012", "1/6*(I002*I010)")
+    bad = published_relation("I012", "1/5*(I002*I010)")
+    assert not verify_published(good, theta_basis)
+    residual = verify_published(bad, theta_basis)
+    assert residual
+    # lhs - rhs = (1/6 - 1/5) * I002 * I010 on theta.
+    restricted = theta_basis.as_dict()
+    assert residual == Fraction(-1, 30) * restricted["I002"] * restricted["I010"]
+    assert str(residual) != "0"
 
     (spot,) = spotcheck_relations([bad], theta_basis, trials=10, seed=0)
     assert not spot.ok
@@ -89,18 +134,35 @@ def test_corrupted_coefficient_is_caught(theta_basis):
 
 
 def test_symbolic_pass_implies_numeric_pass(theta_basis):
-    for rel in load_published("theta"):
-        assert verify_published(rel, theta_basis).ok
+    for _, rel in load_published("theta"):
+        assert not verify_published(rel, theta_basis)
         assert spotcheck_relations([rel], theta_basis, trials=3, seed=5)[0].ok
 
 
-def test_verify_rejects_unknown_invariant_name(theta_basis):
-    # The symbolic and the numeric route reject it alike.
-    rel = PublishedRelation("theta", "I999", "I010", "theta:99")
+def test_verify_rejects_unknown_invariant_name(tmp_path, monkeypatch):
+    # Refused at load, before either route sees the relation.
     with pytest.raises(ValueError, match="unknown invariant name 'I999'"):
-        verify_published(rel, theta_basis)
+        published_relation("I999", "I010")
+    data = json.loads(DATA_PATH.read_text())
+    data["relations"][0]["lhs"] = "I999"
+    copy = tmp_path / "published_relations.json"
+    copy.write_text(json.dumps(data))
+    monkeypatch.setattr(verify_mod, "DATA_PATH", copy)
     with pytest.raises(ValueError, match="unknown invariant name 'I999'"):
-        spotcheck_relations([rel], theta_basis, trials=1)
+        load_published(data["relations"][0]["fiber"])
+
+
+def test_a_repeated_label_keeps_both_relations(tmp_path, monkeypatch):
+    data = json.loads(DATA_PATH.read_text())
+    first, second = data["relations"][:2]
+    second["source"] = first["source"]
+    copy = tmp_path / "published_relations.json"
+    copy.write_text(json.dumps(data))
+    monkeypatch.setattr(verify_mod, "DATA_PATH", copy)
+    pairs = load_published(first["fiber"])
+    assert len(pairs) == PUBLISHED_COUNTS[first["fiber"]]
+    assert [s for s, _ in pairs[:2]] == [first["source"]] * 2
+    assert [r.solved_for for _, r in pairs[:2]] == [first["lhs"], second["lhs"]]
 
 
 # -- numeric evaluation --------------------------------------------------
@@ -149,7 +211,6 @@ def test_one_table_scan_and_one_symmetry_test_per_point(gamma_basis, monkeypatch
 def test_spotcheck_evaluates_one_point_per_trial(theta_basis, monkeypatch):
     # Each trial calls numeric_invariants once, through the module
     # attribute: the benchmark counts the points evaluated that way.
-    import mebasis.verify as verify_mod
     calls = []
     original = verify_mod.numeric_invariants
 
@@ -158,7 +219,7 @@ def test_spotcheck_evaluates_one_point_per_trial(theta_basis, monkeypatch):
         return original(sub, point)
 
     monkeypatch.setattr(verify_mod, "numeric_invariants", counted)
-    rels = load_published("theta")
+    rels = [rel for _, rel in load_published("theta")]
     outcomes = spotcheck_relations(rels, theta_basis, trials=7, seed=4)
     assert all(o.ok and o.trials == 7 for o in outcomes)
     assert len(calls) == 7
@@ -176,8 +237,8 @@ def test_random_point_is_seed_stable(theta_basis):
 
 def test_spotcheck_matches_per_relation_calls(gamma_basis):
     # A failing relation in the batch must not change the others' outcomes.
-    bad = PublishedRelation("gamma", "I002", "I010^2", "gamma:bad")
-    rels = (bad,) + load_published("gamma")[:5]
+    bad = published_relation("I002", "I010^2")
+    rels = [bad] + [rel for _, rel in load_published("gamma")[:5]]
     shared = spotcheck_relations(rels, gamma_basis, trials=4, seed=9)
     for rel, outcome in zip(rels, shared):
         (single,) = spotcheck_relations([rel], gamma_basis, trials=4, seed=9)
@@ -193,11 +254,6 @@ def test_spotcheck_accepts_engine_relations(theta_basis):
 
 
 # -- the integer path ----------------------------------------------------
-
-def _restricted_values(rb):
-    zero = Polynomial.zero(rb.substitution.table)
-    return {name: zero for name in rb.vanished} | rb.as_dict()
-
 
 def _integer_points(rb, seed, count):
     import random
@@ -236,19 +292,22 @@ def test_integer_point_is_a_scaled_point_of_the_plane(bases, fiber):
 
 
 def test_integer_form_matches_the_parsed_right_hand_side(bases):
-    # On every fiber's restricted polynomials: the relation's own fiber,
-    # where the residual is zero, and the two others, where it mostly is not.
+    # At integer points of every fiber: the relation's own fiber, where the
+    # residual is zero, and the two others, where it mostly is not.  The
+    # reference is the parsed rhs evaluated at the numeric invariant values.
     nonzero = 0
-    for fiber in FIBERS:
-        for rel in load_published(fiber):
-            d, terms = rel.integer_form
-            assert d >= 1 and all(type(c) is int for _, c in terms)
-            for other in FIBERS:
-                values = _restricted_values(bases[other])
-                expected = d * (values[rel.lhs] - rel.rhs_poly.evaluate(values))
-                assert rel.scaled_residual(values) == expected, (rel.source, other)
-                assert rel.substitute(values) == Fraction(1, d) * expected
-                nonzero += bool(expected)
+    for other in FIBERS:
+        rb = bases[other]
+        for _, point in _integer_points(rb, 6, 2):
+            values = numeric_invariants(rb.substitution, point)
+            for fiber in FIBERS:
+                for (source, rel), row in zip(load_published(fiber), _rows(fiber)):
+                    rhs = parse_polynomial(row["rhs"], NAME_TABLE)
+                    expected = values[row["lhs"]] - rhs.evaluate(values)
+                    assert rel.substitute(values) == rhs.den * expected, (source, other)
+                    assert verify_published(rel, rb).evaluate(point) == expected, \
+                        (source, other)
+                    nonzero += bool(expected)
     assert nonzero > 48
 
 
@@ -257,14 +316,15 @@ def test_corrupted_relation_fails_where_the_fraction_points_say(theta_basis):
     # the drawn point, so the first failing trial is the one the unscaled
     # Fraction points give.
     import random
-    bad = PublishedRelation("theta", "I012", "1/5*(I002*I010)", "theta:01")
+    bad_rhs = parse_polynomial("1/5*(I002*I010)", NAME_TABLE)
+    bad = published_relation("I012", "1/5*(I002*I010)")
     sub = theta_basis.substitution
     for seed in range(10):
         rng = random.Random(seed)
         failed = None
         for t in range(10):
             values = numeric_invariants(sub, random_point(sub.table, rng))
-            if values["I012"] != bad.rhs_poly.evaluate(values):
+            if values["I012"] != bad_rhs.evaluate(values):
                 failed = t
                 break
         (spot,) = spotcheck_relations([bad], theta_basis, trials=10, seed=seed)
@@ -275,15 +335,58 @@ def test_corrupted_relation_fails_where_the_fraction_points_say(theta_basis):
 def test_spotcheck_refuses_a_negative_seed(theta_basis, seed):
     # random.Random(-3) draws random.Random(3)'s stream.
     with pytest.raises(ValueError, match="seed must be at least 0"):
-        spotcheck_relations(load_published("theta"), theta_basis, trials=1, seed=seed)
+        spotcheck_relations([rel for _, rel in load_published("theta")], theta_basis,
+                            trials=1, seed=seed)
 
 
 @pytest.mark.parametrize("trials", [0, -2])
 def test_spotcheck_refuses_fewer_than_one_trial(theta_basis, trials):
     # With no trial no point is evaluated, so a wrong relation would pass.
-    bad = PublishedRelation("theta", "I012", "1/5*(I002*I010)", "theta:01")
+    bad = published_relation("I012", "1/5*(I002*I010)")
     with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
         spotcheck_relations([bad], theta_basis, trials=trials)
+
+
+def test_a_relation_no_point_tests_fails_numerically(theta_basis):
+    # I003 and I004 vanish on theta: every point gives them 0, so the
+    # relation I003 = 2*I004 is zero everywhere and tested nowhere.
+    untested = published_relation("I003", "2*I004")
+    assert not verify_published(untested, theta_basis)
+    (spot,) = spotcheck_relations([untested], theta_basis, trials=5, seed=0)
+    assert (spot.ok, spot.failed_trial) == (False, None)
+
+
+def test_a_spotcheck_at_the_origin_tests_nothing(theta_basis, monkeypatch):
+    # Every invariant is 0 at the origin.  Each trial still evaluates its
+    # one point, and no relation passes on points that test nothing.
+    calls = []
+    original = verify_mod.numeric_invariants
+    monkeypatch.setattr(verify_mod, "random_point",
+                        lambda table, rng: {name: 0 for name in table.names})
+    monkeypatch.setattr(verify_mod, "numeric_invariants",
+                        lambda sub, point: calls.append(point) or original(sub, point))
+    rels = [rel for _, rel in load_published("theta")]
+    outcomes = spotcheck_relations(rels, theta_basis, trials=4, seed=0)
+    assert len(calls) == 4
+    assert [(o.ok, o.failed_trial) for o in outcomes] == [(False, None)] * len(rels)
+
+
+def test_one_point_that_tests_a_relation_is_enough(theta_basis, monkeypatch):
+    # The origin first, then seeded points: the later points test every
+    # relation, and none fails.
+    drawn = []
+    original = verify_mod.random_point
+
+    def origin_first(table, rng):
+        point = original(table, rng)
+        drawn.append(point)
+        return point if len(drawn) > 1 else {name: 0 for name in table.names}
+
+    monkeypatch.setattr(verify_mod, "random_point", origin_first)
+    rels = [rel for _, rel in load_published("theta")]
+    outcomes = spotcheck_relations(rels, theta_basis, trials=3, seed=0)
+    assert len(drawn) == 3
+    assert all(o.ok and o.failed_trial is None for o in outcomes)
 
 
 # -- rational coefficients: the Fraction fallback --------------------------
