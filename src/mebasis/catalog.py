@@ -12,54 +12,141 @@ magnetization vector):
 
 Catalog order is fixed and load-bearing: selection policies and every
 reported name list follow it.
+
+The recipes run on plain tuples: a 3-vector is a 3-tuple, a 3x3 matrix
+a 3-tuple of rows, with Polynomial entries (substitutions) or plain
+numbers, ints or Fractions (spot-check values).  Sums start from the
+zero (x * 0) of every operand, so a number times a polynomial matrix
+gives polynomials and polynomials on different tables raise ValueError;
+products with a zero factor are skipped.  Nothing here checks operands:
+TensorParts (so evaluate_all) checks shape, one entry_table and symmetry
+once, and restriction.validate_substitution checks a substitution.
+The two projectors:
+
+  dbar(a)  zeroes the diagonal (keeps the off-diagonal part),
+  ddev(a)  keeps the diagonal of the deviator (subtracts tr(a)/3 from each
+           diagonal entry, zeroes the off-diagonal part); an int trace
+           divisible by 3 is divided as an int, so int entries stay ints.
+
+Entry by entry a = ddev(a) + dbar(a) + tr(a)/3 on the diagonal, and both
+maps are idempotent and mutually annihilating.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Sequence
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .tensor3 import (Entry, PolyMat3, PolyVec3, _table, dbar, ddev,
-                      double_contract, outer)
+from .poly import Polynomial, VarTable
+
+Entry = Union[Polynomial, Fraction, int]
+Vec3 = tuple[Entry, Entry, Entry]
+Mat3 = tuple[Vec3, Vec3, Vec3]
+
+
+def entry_table(entries: Iterable[Entry]) -> VarTable | None:
+    """The VarTable shared by polynomial entries; None for plain numbers.
+    ValueError unless the entries are all numbers or all Polynomials on
+    one table."""
+    kinds = {e.table if isinstance(e, Polynomial) else None for e in entries}
+    if len(kinds) != 1:
+        raise ValueError("entries of different kinds or built on different variable tables")
+    return kinds.pop()
+
+
+def _dot(total: Entry, xs: Iterable[Entry], ys: Iterable[Entry]) -> Entry:
+    """total + sum of x * y over zip(xs, ys), skipping pairs with a zero factor."""
+    for x, y in zip(xs, ys):
+        if x and y:
+            total = total + x * y
+    return total
+
+
+def dot(u: Vec3, v: Vec3) -> Entry:
+    return _dot(u[0] * 0, u, v)
+
+
+def mul_vec(a: Mat3, v: Vec3) -> Vec3:
+    z = a[0][0] * 0 + v[0] * 0
+    return tuple([_dot(z, row, v) for row in a])
+
+
+def matmul(a: Mat3, b: Mat3) -> Mat3:
+    z = a[0][0] * 0 + b[0][0] * 0
+    cols = tuple(zip(*b))
+    return tuple([tuple([_dot(z, row, col) for col in cols]) for row in a])
+
+
+def trace(a: Mat3) -> Entry:
+    return a[0][0] + a[1][1] + a[2][2]
+
+
+def is_symmetric(a: Mat3) -> bool:
+    return a[0][1] == a[1][0] and a[0][2] == a[2][0] and a[1][2] == a[2][1]
+
+
+def outer(v: Vec3) -> Mat3:
+    return tuple([tuple([x * y for y in v]) for x in v])
+
+
+def double_contract(a: Mat3, b: Mat3) -> Entry:
+    total = a[0][0] * 0
+    for ra, rb in zip(a, b):
+        total = _dot(total, ra, rb)
+    return total
+
+
+def dbar(a: Mat3) -> Mat3:
+    z = a[0][0] * 0
+    return ((z, a[0][1], a[0][2]), (a[1][0], z, a[1][2]), (a[2][0], a[2][1], z))
+
+
+def ddev(a: Mat3) -> Mat3:
+    z = a[0][0] * 0
+    tr = trace(a)
+    third = tr // 3 if isinstance(tr, int) and not tr % 3 else Fraction(1, 3) * tr
+    return ((a[0][0] - third, z, z), (z, a[1][1] - third, z),
+            (z, z, a[2][2] - third))
 
 
 class TensorParts:
     """Shared building blocks for evaluating the catalog on one (sigma, m).
 
-    The one check of its arguments: the entries of sigma and m are of one
-    kind, on one table, and sigma is symmetric.
+    The one check of its arguments: sigma is 3x3 and m has 3 entries, the
+    entries are of one kind, on one table, and sigma is symmetric.
     """
 
-    def __init__(self, sigma: PolyMat3, m: PolyVec3):
-        r1, r2, r3 = sigma.entries
-        _table((*r1, *r2, *r3, *m.entries))
-        if not sigma.is_symmetric():
+    def __init__(self, sigma: Mat3, m: Vec3):
+        if len(sigma) != 3 or any(len(row) != 3 for row in sigma) or len(m) != 3:
+            raise ValueError("need a 3x3 stress tensor and a 3-entry magnetization")
+        entry_table((*sigma[0], *sigma[1], *sigma[2], *m))
+        if not is_symmetric(sigma):
             raise ValueError("stress tensor must be symmetric")
-        self.sigma = sigma
         self.m = m
-        self.tr = sigma.trace()
+        self.tr = trace(sigma)
         self.sd = ddev(sigma)
         self.sb = dbar(sigma)
-        self.sb2 = self.sb @ self.sb
+        self.sb2 = matmul(self.sb, self.sb)
         self.sb2_bar = dbar(self.sb2)
         self.sb2_dev = ddev(self.sb2)
         mm = outer(m)
         self.mb = dbar(mm)
         self.md = ddev(mm)
         # Prefixes that several recipes share.
-        self.mb_sb = self.mb @ self.sb
-        self.mb_sb2_bar = self.mb @ self.sb2_bar
-        self.mb_sd = self.mb @ self.sd
-        self.mb_sd_sb = self.mb_sd @ self.sb
+        self.mb_sb = matmul(self.mb, self.sb)
+        self.mb_sb2_bar = matmul(self.mb, self.sb2_bar)
+        self.mb_sd = matmul(self.mb, self.sd)
+        self.mb_sd_sb = matmul(self.mb_sd, self.sb)
 
 
-def _tr(*mats: PolyMat3) -> Entry:
+def _tr(*mats: Mat3) -> Entry:
     """tr(mats[0] @ ... @ mats[-1]); the last product forms only its trace.
 
     The last factor is always a symmetric part, so tr(a @ b) = a : b^T = a : b.
     """
     prod = mats[0]
     for x in mats[1:-1]:
-        prod = prod @ x
+        prod = matmul(prod, x)
     return double_contract(prod, mats[-1])
 
 
@@ -85,7 +172,7 @@ def build_catalog() -> tuple[InvariantDef, ...]:
          lambda p: _tr(p.sb, p.sd, p.sb, p.sd)),
         ("I014", "I_{014}", "tr(sb*bar(sb^2)*sb*sd)", (0, 5),
          lambda p: _tr(p.sb, p.sb2_bar, p.sb, p.sd)),
-        ("I200", "I_{200}", "dot(m,m)", (2, 0), lambda p: p.m.dot(p.m)),
+        ("I200", "I_{200}", "dot(m,m)", (2, 0), lambda p: dot(p.m, p.m)),
         ("I201", "I_{201}", "tr(mb*sb)", (2, 1), lambda p: _tr(p.mb, p.sb)),
         ("I210", "I_{210}", "tr(md*sd)", (2, 1), lambda p: _tr(p.md, p.sd)),
         ("I202a", "I_{202}^{a}", "tr(md*sb^2)", (2, 2), lambda p: _tr(p.md, p.sb2)),
@@ -125,15 +212,16 @@ CATALOG_NAMES: tuple[str, ...] = tuple(defn.name for defn in CATALOG)
 CATALOG_INDEX: Mapping[str, int] = {name: i for i, name in enumerate(CATALOG_NAMES)}
 
 
-def evaluate_all(catalog: Sequence[InvariantDef], sigma: PolyMat3,
-                 m: PolyVec3) -> dict[str, Entry]:
+def evaluate_all(catalog: Sequence[InvariantDef], sigma: Mat3,
+                 m: Vec3) -> dict[str, Entry]:
     """Evaluate every catalog entry on one (sigma, m), sharing the parts.
 
     The entries may be Polynomials or plain numbers (ints or Fractions);
     the values are of the same kind, ints when every entry is an int and
     every trace that ddev divides is a multiple of 3.
-    The result preserves catalog order.  ValueError when the entries mix
-    kinds or tables, or sigma is not symmetric.
+    The result preserves catalog order.  ValueError when sigma is not 3x3
+    or m has not 3 entries, the entries mix kinds or tables, or sigma is
+    not symmetric.
     """
     parts = TensorParts(sigma, m)
     return {defn.name: defn.recipe(parts) for defn in catalog}

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from . import catalog as catalog_mod
+from .catalog import Mat3, Vec3, dot, entry_table, is_symmetric, mul_vec
 from .poly import MAG, STRESS, ParseError, Polynomial, VarTable, parse_polynomial
-from .tensor3 import PolyMat3, PolyVec3
 
 FIBERS = ("theta", "alpha_prime", "gamma")
 
@@ -38,13 +38,14 @@ class SubstitutionError(Exception):
 class Substitution(NamedTuple):
     """A linear, kind-preserving parameterization of (sigma, m).
 
+    sigma (3x3) and m (3 entries) are tuples of Polynomials on table.
     normal is the plane normal for in-plane substitutions (integer
     components, not normalized); None when no plane constraint applies.
     """
     name: str
     table: VarTable
-    sigma: PolyMat3
-    m: PolyVec3
+    sigma: Mat3
+    m: Vec3
     normal: tuple[int, int, int] | None = None
 
 
@@ -61,33 +62,40 @@ def _has_bidegree(p: Polynomial, bidegree: tuple[int, int]) -> bool:
 def validate_substitution(sub: Substitution) -> None:
     """Checks the Substitution invariants, raising SubstitutionError.
 
-    sigma must be symmetric with entries linear in stress variables (or
-    zero); m entries linear in magnetization variables (or zero).  When a
-    normal is declared, sigma . n and m . n must vanish identically.
+    sigma must be a symmetric 3x3 grid of Polynomials on sub.table linear in
+    stress variables (or zero), m 3 such entries linear in magnetization
+    variables (or zero).  When a normal is declared, sigma . n and m . n
+    must vanish identically.
     """
-    if sub.sigma.table != sub.table or sub.m.table != sub.table:
+    sigma, m = sub.sigma, sub.m
+    if len(sigma) != 3 or any(len(row) != 3 for row in sigma) or len(m) != 3:
+        raise SubstitutionError("sigma must be 3x3 and m have 3 entries")
+    try:
+        on_table = entry_table((*sigma[0], *sigma[1], *sigma[2], *m)) == sub.table
+    except ValueError:
+        on_table = False
+    if not on_table:
         raise SubstitutionError("tensor entries not built on the substitution table")
-    if not sub.sigma.is_symmetric():
+    if not is_symmetric(sigma):
         raise SubstitutionError("sigma is not symmetric")
     for i in range(3):
         for j in range(3):
-            e = sub.sigma[i][j]
+            e = sigma[i][j]
             if not _has_bidegree(e, (0, 1)):
                 raise SubstitutionError(
                     f"sigma entry ({i + 1},{j + 1}) must be linear in stress "
                     f"variables, got {e}")
     for i in range(3):
-        e = sub.m[i]
+        e = m[i]
         if not _has_bidegree(e, (1, 0)):
             raise SubstitutionError(
                 f"m entry {i + 1} must be linear in magnetization variables, "
                 f"got {e}")
     if sub.normal is not None:
-        n = PolyVec3(sub.normal)
-        for i, row in enumerate(sub.sigma.mul_vec(n).entries):
+        for i, row in enumerate(mul_vec(sigma, sub.normal)):
             if row:
                 raise SubstitutionError(f"sigma . n has nonzero component {i + 1}")
-        if sub.m.dot(n):
+        if dot(m, sub.normal):
             raise SubstitutionError("m . n is nonzero")
 
 
@@ -97,18 +105,16 @@ def fiber_substitution(fiber: str) -> Substitution:
     m1, m2, s1, s2, s3 = (Polynomial.variable(table, n) for n in table.names)
     z = Polynomial.zero(table)
     if fiber == "theta":
-        sigma = PolyMat3([[s1, s3, z], [s3, s2, z], [z, z, z]])
-        m = PolyVec3([m1, m2, z])
+        sigma = ((s1, s3, z), (s3, s2, z), (z, z, z))
+        m = (m1, m2, z)
         normal = (0, 0, 1)
     elif fiber == "alpha_prime":
-        sigma = PolyMat3([[s1, s2, -s2], [s2, -s3, s3], [-s2, s3, -s3]])
-        m = PolyVec3([m1, m2, -m2])
+        sigma = ((s1, s2, -s2), (s2, -s3, s3), (-s2, s3, -s3))
+        m = (m1, m2, -m2)
         normal = (0, 1, 1)
     elif fiber == "gamma":
-        sigma = PolyMat3([[-s1 - s2, s1, s2],
-                          [s1, -s1 - s3, s3],
-                          [s2, s3, -s2 - s3]])
-        m = PolyVec3([m1, m2, -m1 - m2])
+        sigma = ((-s1 - s2, s1, s2), (s1, -s1 - s3, s3), (s2, s3, -s2 - s3))
+        m = (m1, m2, -m1 - m2)
         normal = (1, 1, 1)
     else:
         raise SubstitutionError(f"unknown fiber {fiber!r}; expected one of {FIBERS}")
@@ -123,10 +129,10 @@ def generic_substitution() -> Substitution:
                       ("s11", STRESS), ("s22", STRESS), ("s33", STRESS),
                       ("s12", STRESS), ("s13", STRESS), ("s23", STRESS)])
     v = {n: Polynomial.variable(table, n) for n in table.names}
-    sigma = PolyMat3([[v["s11"], v["s12"], v["s13"]],
-                      [v["s12"], v["s22"], v["s23"]],
-                      [v["s13"], v["s23"], v["s33"]]])
-    m = PolyVec3([v["m1"], v["m2"], v["m3"]])
+    sigma = ((v["s11"], v["s12"], v["s13"]),
+             (v["s12"], v["s22"], v["s23"]),
+             (v["s13"], v["s23"], v["s33"]))
+    m = (v["m1"], v["m2"], v["m3"])
     return Substitution("generic", table, sigma, m, None)
 
 
@@ -220,13 +226,13 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
         for j in range(i, 3):
             if (i, j) not in entries:
                 raise SubstitutionError(f"missing sigma entry {i + 1}{j + 1}")
-    sigma = PolyMat3([[entries[(min(i, j), max(i, j))] for j in range(3)]
-                      for i in range(3)])
+    sigma = tuple(tuple(entries[(min(i, j), max(i, j))] for j in range(3))
+                  for i in range(3))
 
     raw_m = data.get("m")
     if not isinstance(raw_m, (list, tuple)) or len(raw_m) != 3:
         raise SubstitutionError("'m' block must list exactly 3 expressions")
-    m = PolyVec3([parse(text, f"m entry {i + 1}") for i, text in enumerate(raw_m)])
+    m = tuple(parse(text, f"m entry {i + 1}") for i, text in enumerate(raw_m))
 
     normal = None
     if data.get("normal") is not None:

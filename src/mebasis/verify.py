@@ -49,7 +49,6 @@ from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomia
 from .ratlinalg import solve_columns  # noqa: F401
 from .reduction import Relation, enumerate_products, integer_forms
 from .restriction import RestrictedBasis, Substitution
-from .tensor3 import PolyMat3, PolyVec3, _built
 from . import catalog as catalog_mod
 
 DATA_PATH = Path(__file__).with_name("data") / "published_relations.json"
@@ -63,7 +62,8 @@ def published_relation(lhs: str, rhs: str) -> Relation:
     """lhs = rhs, rhs a polynomial in invariant names, as the Relation
     D * lhs - sum of c * (product of the factor names) = 0 solved for lhs,
     with D and each c the parsed rhs's den and numerators: coprime, D > 0.
-    An lhs outside the catalog raises ValueError."""
+    ValueError for an lhs outside the catalog or one that rhs names as a
+    bare term: the Relation would hold two (lhs,) terms."""
     if lhs not in CATALOG_INDEX:
         raise ValueError(f"unknown invariant name {lhs!r}")
     p = parse_polynomial(rhs, NAME_TABLE)
@@ -71,6 +71,8 @@ def published_relation(lhs: str, rhs: str) -> Relation:
     terms = [((lhs,), p.den)]
     terms += [(tuple(sorted(n for n, e in zip(names, unpack(k)) for _ in range(e))), -c)
               for k, c in p.nums.items()]
+    if any(factors == (lhs,) for factors, _ in terms[1:]):
+        raise ValueError(f"the right-hand side of {lhs} names {lhs} as a bare term")
     return Relation(CATALOG[CATALOG_INDEX[lhs]].bidegree, tuple(terms), lhs)
 
 
@@ -108,11 +110,10 @@ def numeric_invariants(sub: Substitution, point: Mapping[str, Fraction | int]
     there.  Each entry of sigma and m is an int where it is whole and an
     exact Fraction otherwise, and at an integer point it is evaluated in
     integer arithmetic, so the recipes run on ints wherever the point
-    makes the entries whole.  sigma and m are built unchecked:
-    evaluate_all checks them, once per point."""
-    sigma = _built(PolyMat3, tuple([tuple([e.evaluate(point) for e in row])
-                                    for row in sub.sigma.entries]))
-    m = _built(PolyVec3, tuple([e.evaluate(point) for e in sub.m.entries]))
+    makes the entries whole.  sigma and m are plain tuples, checked once
+    per point by evaluate_all."""
+    sigma = tuple([tuple([e.evaluate(point) for e in row]) for row in sub.sigma])
+    m = tuple([e.evaluate(point) for e in sub.m])
     return catalog_mod.evaluate_all(CATALOG, sigma, m)
 
 

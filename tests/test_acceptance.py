@@ -14,14 +14,13 @@ import json
 import random
 from fractions import Fraction
 
-from mebasis.catalog import CATALOG, evaluate_all
+from mebasis.catalog import CATALOG, dbar, ddev, evaluate_all, trace
 from mebasis.cli import reduce_payload
 from mebasis.poly import MAG, STRESS, Polynomial, VarTable
 from mebasis.ratlinalg import RatMatrix
 from mebasis.reduction import POLICIES, check_union_property, reduce_basis
 from mebasis.restriction import (FIBERS, fiber_substitution,
                                  generic_substitution, restrict_basis)
-from mebasis.tensor3 import PolyMat3, PolyVec3, dbar, ddev
 from mebasis.verify import (load_published, spotcheck_relations,
                             verify_generating_set, verify_published)
 
@@ -156,17 +155,16 @@ def _ring_and_grading_hold(rng):
 
 
 def _projector_algebra_holds():
-    sigma = generic_substitution().sigma
-    t = sigma.table
-    zero = [[Polynomial.zero(t)] * 3 for _ in range(3)]
-    zero = PolyMat3(zero).entries
-    d, off, third = ddev(sigma), dbar(sigma), F(1, 3) * sigma.trace()
+    sub = generic_substitution()
+    sigma = sub.sigma
+    zero = ((Polynomial.zero(sub.table),) * 3,) * 3
+    d, off, third = ddev(sigma), dbar(sigma), F(1, 3) * trace(sigma)
     rebuilt = all(d[i][j] + off[i][j] + (third if i == j else 0) == sigma[i][j]
                   for i in range(3) for j in range(3))
-    return (ddev(ddev(sigma)).entries == ddev(sigma).entries
-            and dbar(dbar(sigma)).entries == dbar(sigma).entries
-            and ddev(dbar(sigma)).entries == zero
-            and dbar(ddev(sigma)).entries == zero
+    return (ddev(ddev(sigma)) == ddev(sigma)
+            and dbar(dbar(sigma)) == dbar(sigma)
+            and ddev(dbar(sigma)) == zero
+            and dbar(ddev(sigma)) == zero
             and rebuilt)
 
 
@@ -178,8 +176,8 @@ def _octahedral_invariance_holds(rng):
     c = lambda x: Polynomial.constant(table, F(x))
 
     def values(sigma_rows, m_entries):
-        sigma = PolyMat3([[c(x) for x in row] for row in sigma_rows])
-        m = PolyVec3([c(x) for x in m_entries])
+        sigma = tuple(tuple(c(x) for x in row) for row in sigma_rows)
+        m = tuple(c(x) for x in m_entries)
         out = evaluate_all(CATALOG, sigma, m)
         return {n: p.evaluate({}) for n, p in out.items()}
 

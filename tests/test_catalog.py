@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mebasis.catalog as catalog_mod
 from mebasis.catalog import (CATALOG, CATALOG_INDEX, CATALOG_NAMES,
                              evaluate_all)
 from mebasis.poly import MAG, Polynomial, VarTable
 from mebasis.restriction import fiber_substitution, generic_substitution
-from mebasis.tensor3 import PolyMat3, PolyVec3, _built
 
 F = Fraction
 
@@ -105,18 +105,16 @@ def test_other_fibers_kill_nothing(fiber):
 def test_recipes_reject_non_symmetric_stress():
     table = VarTable([])
     c = lambda x: Polynomial.constant(table, F(x))
-    skew = PolyMat3([[c(0), c(1), c(0)], [c(0), c(0), c(0)],
-                     [c(0), c(0), c(0)]])
-    m = PolyVec3([c(1), c(0), c(0)])
+    skew = ((c(0), c(1), c(0)), (c(0), c(0), c(0)), (c(0), c(0), c(0)))
+    m = (c(1), c(0), c(0))
     with pytest.raises(ValueError, match="symmetric"):
         evaluate_all(CATALOG, skew, m)
 
 
 def _unchecked(sigma_rows, m_entries):
-    """sigma and m built as the spot-check builds them, without the
-    constructors' checks: evaluate_all must check them itself."""
-    return (_built(PolyMat3, tuple(tuple(row) for row in sigma_rows)),
-            _built(PolyVec3, tuple(m_entries)))
+    """sigma and m as the spot-check builds them, plain tuples that nothing
+    has checked: evaluate_all must check them itself."""
+    return tuple(tuple(row) for row in sigma_rows), tuple(m_entries)
 
 
 def test_evaluate_all_checks_arguments_built_unchecked():
@@ -131,6 +129,18 @@ def test_evaluate_all_checks_arguments_built_unchecked():
     with pytest.raises(ValueError, match="different kinds"):
         evaluate_all(CATALOG, *_unchecked([[za] * 3] * 3, [0, 0, 0]))
 
+
+@pytest.mark.parametrize("sigma_rows, m_entries", [
+    ([[3, 0, 0], [0, 3, 0]], [3, 0, 0]),
+    ([[3, 0, 0], [0, 3, 0], [0, 0, 3], [0, 0, 0]], [3, 0, 0]),
+    ([[3, 0, 0, 0], [0, 3, 0], [0, 0, 3]], [3, 0, 0]),
+    ([[3, 0, 0], [0, 3], [0, 0, 3]], [3, 0, 0]),
+    ([[3, 0, 0], [0, 3, 0], [0, 0, 3]], [3, 0]),
+    ([[3, 0, 0], [0, 3, 0], [0, 0, 3]], [3, 0, 0, 0]),
+], ids=["sigma-2-rows", "sigma-4-rows", "row-of-4", "row-of-2", "m-of-2", "m-of-4"])
+def test_evaluate_all_rejects_misshaped_arguments(sigma_rows, m_entries):
+    with pytest.raises(ValueError, match="3x3 stress tensor and a 3-entry"):
+        evaluate_all(CATALOG, *_unchecked(sigma_rows, m_entries))
 
 
 # -- Fraction entries ----------------------------------------------------
@@ -155,7 +165,7 @@ def test_fraction_entries_match_constant_polynomials(upper, m_entries):
     (a, b, c, d, e, f) = upper
     sigma_rows = [[a, b, c], [b, d, e], [c, e, f]]
     expected = _constant_values(sigma_rows, m_entries)
-    values = evaluate_all(CATALOG, PolyMat3(sigma_rows), PolyVec3(m_entries))
+    values = evaluate_all(CATALOG, *_unchecked(sigma_rows, m_entries))
     assert values == expected
     assert all(type(v) is Fraction for v in values.values())
 
@@ -170,7 +180,7 @@ def test_int_entries_divisible_by_three_give_ints(upper, m_entries):
     (a, b, c, d, e, f) = (3 * x for x in upper)
     m_entries = [3 * x for x in m_entries]
     sigma_rows = [[a, b, c], [b, d, e], [c, e, f]]
-    values = evaluate_all(CATALOG, PolyMat3(sigma_rows), PolyVec3(m_entries))
+    values = evaluate_all(CATALOG, *_unchecked(sigma_rows, m_entries))
     assert values == _constant_values(sigma_rows, m_entries)
     assert all(type(v) is int for v in values.values())
 
@@ -179,15 +189,15 @@ def test_one_point_costs_twenty_matrix_products(monkeypatch):
     # TensorParts shares sb@sb and the mb@sb, mb@bar(sb^2), mb@sd and
     # mb@sd@sb prefixes between recipes.
     calls = []
-    matmul = PolyMat3.__matmul__
+    matmul = catalog_mod.matmul
 
     def counted(a, b):
         calls.append(None)
         return matmul(a, b)
 
-    monkeypatch.setattr(PolyMat3, "__matmul__", counted)
-    sigma = PolyMat3([[3, 6, 0], [6, -9, 0], [0, 0, 0]])
-    evaluate_all(CATALOG, sigma, PolyVec3([3, 12, 0]))
+    monkeypatch.setattr(catalog_mod, "matmul", counted)
+    sigma = ((3, 6, 0), (6, -9, 0), (0, 0, 0))
+    evaluate_all(CATALOG, sigma, (3, 12, 0))
     assert len(calls) == 20
 
 
@@ -196,8 +206,8 @@ def test_one_point_costs_twenty_matrix_products(monkeypatch):
 def _constant_values(sigma_rows, m_entries):
     table = VarTable([])
     c = lambda x: Polynomial.constant(table, F(x))
-    sigma = PolyMat3([[c(x) for x in row] for row in sigma_rows])
-    m = PolyVec3([c(x) for x in m_entries])
+    sigma = tuple(tuple(c(x) for x in row) for row in sigma_rows)
+    m = tuple(c(x) for x in m_entries)
     values = evaluate_all(CATALOG, sigma, m)
     return {n: p.evaluate({}) for n, p in values.items()}
 

@@ -16,7 +16,6 @@ from mebasis.restriction import (FIBERS, Substitution, SubstitutionError,
                                  custom_substitution, fiber_substitution,
                                  generic_substitution, restrict_basis,
                                  validate_substitution)
-from mebasis.tensor3 import PolyMat3, PolyVec3
 
 F = Fraction
 
@@ -48,9 +47,8 @@ def test_theta_shape():
     t = sub.table
     v = lambda n: Polynomial.variable(t, n)
     z = Polynomial.zero(t)
-    assert sub.sigma.entries == PolyMat3(
-        [[v("s1"), v("s3"), z], [v("s3"), v("s2"), z], [z, z, z]]).entries
-    assert sub.m.entries == (v("m1"), v("m2"), z)
+    assert sub.sigma == ((v("s1"), v("s3"), z), (v("s3"), v("s2"), z), (z, z, z))
+    assert sub.m == (v("m1"), v("m2"), z)
     assert sub.normal == (0, 0, 1)
 
 
@@ -58,11 +56,10 @@ def test_alpha_prime_shape():
     sub = fiber_substitution("alpha_prime")
     t = sub.table
     v = lambda n: Polynomial.variable(t, n)
-    assert sub.sigma.entries == PolyMat3(
-        [[v("s1"), v("s2"), -v("s2")],
-         [v("s2"), -v("s3"), v("s3")],
-         [-v("s2"), v("s3"), -v("s3")]]).entries
-    assert sub.m.entries == (v("m1"), v("m2"), -v("m2"))
+    assert sub.sigma == ((v("s1"), v("s2"), -v("s2")),
+                         (v("s2"), -v("s3"), v("s3")),
+                         (-v("s2"), v("s3"), -v("s3")))
+    assert sub.m == (v("m1"), v("m2"), -v("m2"))
     assert sub.normal == (0, 1, 1)
 
 
@@ -70,11 +67,10 @@ def test_gamma_shape():
     sub = fiber_substitution("gamma")
     t = sub.table
     v = lambda n: Polynomial.variable(t, n)
-    assert sub.sigma.entries == PolyMat3(
-        [[-v("s1") - v("s2"), v("s1"), v("s2")],
-         [v("s1"), -v("s1") - v("s3"), v("s3")],
-         [v("s2"), v("s3"), -v("s2") - v("s3")]]).entries
-    assert sub.m.entries == (v("m1"), v("m2"), -v("m1") - v("m2"))
+    assert sub.sigma == ((-v("s1") - v("s2"), v("s1"), v("s2")),
+                         (v("s1"), -v("s1") - v("s3"), v("s3")),
+                         (v("s2"), v("s3"), -v("s2") - v("s3")))
+    assert sub.m == (v("m1"), v("m2"), -v("m1") - v("m2"))
     assert sub.normal == (1, 1, 1)
 
 
@@ -99,10 +95,10 @@ def test_unknown_fiber_rejected():
 def test_validate_rejects_asymmetric_sigma():
     table, v = plane_vars()
     z = Polynomial.zero(table)
-    sigma = PolyMat3([[v["s1"], v["s3"], z],
-                      [v["s2"], v["s1"], z],
-                      [z, z, z]])
-    sub = Substitution("bad", table, sigma, PolyVec3([v["m1"], v["m2"], z]))
+    sigma = ((v["s1"], v["s3"], z),
+             (v["s2"], v["s1"], z),
+             (z, z, z))
+    sub = Substitution("bad", table, sigma, (v["m1"], v["m2"], z))
     with pytest.raises(SubstitutionError, match="not symmetric"):
         validate_substitution(sub)
 
@@ -111,8 +107,8 @@ def test_validate_rejects_nonlinear_entry():
     table, v = plane_vars()
     z = Polynomial.zero(table)
     q = v["s1"] ** 2
-    sigma = PolyMat3([[q, z, z], [z, z, z], [z, z, z]])
-    sub = Substitution("bad", table, sigma, PolyVec3([v["m1"], z, z]))
+    sigma = ((q, z, z), (z, z, z), (z, z, z))
+    sub = Substitution("bad", table, sigma, (v["m1"], z, z))
     with pytest.raises(SubstitutionError, match="linear in stress"):
         validate_substitution(sub)
 
@@ -120,8 +116,8 @@ def test_validate_rejects_nonlinear_entry():
 def test_validate_rejects_kind_mixing_in_m():
     table, v = plane_vars()
     z = Polynomial.zero(table)
-    sigma = PolyMat3([[v["s1"], z, z], [z, z, z], [z, z, z]])
-    sub = Substitution("bad", table, sigma, PolyVec3([v["s2"], z, z]))
+    sigma = ((v["s1"], z, z), (z, z, z), (z, z, z))
+    sub = Substitution("bad", table, sigma, (v["s2"], z, z))
     with pytest.raises(SubstitutionError, match="magnetization"):
         validate_substitution(sub)
 
@@ -129,11 +125,39 @@ def test_validate_rejects_kind_mixing_in_m():
 def test_validate_rejects_violated_normal():
     table, v = plane_vars()
     z = Polynomial.zero(table)
-    sigma = PolyMat3([[v["s1"], z, z], [z, z, z], [z, z, z]])
-    sub = Substitution("bad", table, sigma,
-                       PolyVec3([v["m1"], z, z]), normal=(1, 0, 0))
+    sigma = ((v["s1"], z, z), (z, z, z), (z, z, z))
+    sub = Substitution("bad", table, sigma, (v["m1"], z, z), normal=(1, 0, 0))
     with pytest.raises(SubstitutionError, match="sigma . n"):
         validate_substitution(sub)
+
+
+@pytest.mark.parametrize("sigma_rows, m_entries", [
+    ([["s1", "0", "0"], ["0", "s2", "0"]], ["m1", "0", "0"]),
+    ([["s1", "0", "0", "0"], ["0", "s2", "0"], ["0", "0", "0"]], ["m1", "0", "0"]),
+    ([["s1", "0", "0"], ["0", "s2", "0"], ["0", "0", "0"]], ["m1", "0"]),
+    ([["s1", "0", "0"], ["0", "s2", "0"], ["0", "0", "0"]], ["m1", "0", "0", "0"]),
+], ids=["sigma-2-rows", "row-of-4", "m-of-2", "m-of-4"])
+def test_validate_rejects_misshaped_tensors(sigma_rows, m_entries):
+    table, v = plane_vars()
+    entry = lambda name: v.get(name, Polynomial.zero(table))
+    sigma = tuple(tuple(entry(x) for x in row) for row in sigma_rows)
+    sub = Substitution("bad", table, sigma, tuple(entry(x) for x in m_entries))
+    with pytest.raises(SubstitutionError, match="3x3 and m have 3 entries"):
+        validate_substitution(sub)
+
+
+def test_validate_rejects_entries_off_the_table():
+    table, v = plane_vars()
+    z = Polynomial.zero(table)
+    sigma = ((v["s1"], z, z), (z, z, z), (z, z, z))
+    m = (v["m1"], z, z)
+    ints = Substitution("ints", table, ((1, 0, 0), (0, 0, 0), (0, 0, 0)), (1, 0, 0))
+    mixed = Substitution("mixed", table, sigma, (v["m1"], 0, 0))
+    other = VarTable([("m1", MAG), ("s1", STRESS)])
+    elsewhere = Substitution("other", other, sigma, m)
+    for sub in (ints, mixed, elsewhere):
+        with pytest.raises(SubstitutionError, match="not built on the substitution table"):
+            validate_substitution(sub)
 
 
 # -- restricted bases ----------------------------------------------------
@@ -284,8 +308,8 @@ def test_restriction_refuses_a_substitution_that_swaps_kinds():
     table, v = plane_vars()
     z = Polynomial.zero(table)
     sub = Substitution("swapped", table,
-                       PolyMat3([[v["m1"], z, z], [z, z, z], [z, z, z]]),
-                       PolyVec3([v["m2"], z, z]))
+                       ((v["m1"], z, z), (z, z, z), (z, z, z)),
+                       (v["m2"], z, z))
     with pytest.raises(SubstitutionError, match=r"I010 has bi-degree \(1, 0\), "
                                                  r"expected \(0, 1\)"):
         restrict_basis(CATALOG, sub)
@@ -295,8 +319,8 @@ def test_restriction_refuses_an_asymmetric_sigma():
     table, v = plane_vars()
     z = Polynomial.zero(table)
     sub = Substitution("skew", table,
-                       PolyMat3([[v["s1"], v["s2"], z], [z, z, z], [z, z, z]]),
-                       PolyVec3([v["m1"], z, z]))
+                       ((v["s1"], v["s2"], z), (z, z, z), (z, z, z)),
+                       (v["m1"], z, z))
     with pytest.raises(ValueError, match="symmetric"):
         restrict_basis(CATALOG, sub)
 
@@ -308,8 +332,8 @@ def test_custom_mapping_reproduces_theta():
     ref = fiber_substitution("theta")
     assert sub.name == "plane-stress-e3"
     assert sub.normal == ref.normal
-    assert sub.sigma.entries == ref.sigma.entries
-    assert sub.m.entries == ref.m.entries
+    assert sub.sigma == ref.sigma
+    assert sub.m == ref.m
 
 
 def test_custom_file_round_trip(tmp_path):
@@ -340,8 +364,7 @@ def test_custom_rejects_conflicting_mirror_entries():
 def test_custom_accepts_agreeing_mirror_entries():
     doc = dict(EQ3_DOC)
     doc["sigma"] = dict(doc["sigma"], **{"21": "s3"})
-    assert custom_substitution(doc).sigma.entries == \
-        fiber_substitution("theta").sigma.entries
+    assert custom_substitution(doc).sigma == fiber_substitution("theta").sigma
 
 
 def test_custom_rejects_missing_position():

@@ -94,6 +94,13 @@ def test_published_relation_solves_for_its_lhs():
     assert rel.solved_str() == "I030 = 1/18*(9*I010*I020 - 2*I010^3)"
 
 
+def test_published_relation_refuses_its_lhs_as_a_bare_rhs_term():
+    # Two (I012,) terms would break the Relation contract and make
+    # solved_form read 6 as the lead instead of 12.
+    with pytest.raises(ValueError, match="right-hand side of I012 names I012"):
+        published_relation("I012", "1/2*I012 + 1/12*I002*I010")
+
+
 def test_unknown_fiber_has_no_list():
     with pytest.raises(ValueError):
         load_published("delta")
@@ -190,16 +197,13 @@ def test_numeric_invariants_needs_every_occurring_variable(theta_basis):
 
 
 def test_one_table_scan_and_one_symmetry_test_per_point(gamma_basis, monkeypatch):
-    # sigma and m are built unchecked and evaluate_all checks them once.
+    # sigma and m are plain tuples and evaluate_all checks them once.
     import mebasis.catalog as catalog_mod
-    import mebasis.tensor3 as tensor3_mod
-    from mebasis.tensor3 import PolyMat3
     calls = []
-    table, symmetric = tensor3_mod._table, PolyMat3.is_symmetric
-    for module in (catalog_mod, tensor3_mod):
-        monkeypatch.setattr(module, "_table",
-                            lambda entries: calls.append("table") or table(entries))
-    monkeypatch.setattr(PolyMat3, "is_symmetric",
+    table, symmetric = catalog_mod.entry_table, catalog_mod.is_symmetric
+    monkeypatch.setattr(catalog_mod, "entry_table",
+                        lambda entries: calls.append("table") or table(entries))
+    monkeypatch.setattr(catalog_mod, "is_symmetric",
                         lambda a: calls.append("symmetric") or symmetric(a))
     point = {"m1": 3, "m2": -6, "s1": 9, "s2": 3, "s3": -3}
     values = numeric_invariants(gamma_basis.substitution, point)
@@ -284,8 +288,8 @@ def test_integer_point_is_a_scaled_point_of_the_plane(bases, fiber):
             ratios = {scaled[n] / point[n] for n in names if point[n]}
             assert len(ratios) <= 1, (fiber, kind)
             assert all(type(scaled[n]) is int and scaled[n] % 3 == 0 for n in names)
-        sigma = [[e.evaluate(scaled) for e in row] for row in sub.sigma.entries]
-        m = [e.evaluate(scaled) for e in sub.m.entries]
+        sigma = [[e.evaluate(scaled) for e in row] for row in sub.sigma]
+        m = [e.evaluate(scaled) for e in sub.m]
         n = sub.normal
         assert [sum(sigma[i][k] * n[k] for k in range(3)) for i in range(3)] == [0, 0, 0]
         assert sum(m[k] * n[k] for k in range(3)) == 0
@@ -438,11 +442,11 @@ def test_non_whole_entries_stay_exact_fractions(rational_basis, monkeypatch):
     point = {"m1": 1, "m2": 3, "s1": 2, "s2": 3, "s3": 1}
     values = numeric_invariants(rational_basis.substitution, point)
     ((sigma, m),) = seen
-    assert sigma.entries == ((2, 1, -1), (1, F(-3, 4), F(3, 4)), (-1, F(3, 4), F(-3, 4)))
-    assert [[type(x) for x in row] for row in sigma.entries] == \
+    assert sigma == ((2, 1, -1), (1, F(-3, 4), F(3, 4)), (-1, F(3, 4), F(-3, 4)))
+    assert [[type(x) for x in row] for row in sigma] == \
         [[int, int, int], [int, F, F], [int, F, F]]
-    assert m.entries == (F(1, 2), 2, -2)
-    assert [type(x) for x in m.entries] == [F, int, int]
+    assert m == (F(1, 2), 2, -2)
+    assert [type(x) for x in m] == [F, int, int]
     assert values["I010"] == F(1, 2) and type(values["I010"]) is F
 
 
