@@ -17,8 +17,8 @@ A Polynomial holds integer numerators keyed by packed monomial over one
 positive denominator, in lowest terms: the coefficient of monomial k is
 nums[k] / den.  A product is one integer_product of the numerators, a sum
 one pass over a common denominator.  terms, the same polynomial keyed by
-exponent tuple with Fraction coefficients, is computed when read.  The
-engine takes (den, nums) as they are for its integer columns.
+exponent tuple with Fraction coefficients, is computed when read.  A
+coefficient-matrix column is a Polynomial's nums as they are.
 
 A packed monomial is one int made of SLOT_BITS-bit slots, most significant
 first: the total degree, the mag degree, then the exponent of each
@@ -413,24 +413,25 @@ def signed_sum(terms: Iterable[tuple[Fraction | int, str]], sep: str = "*") -> s
     return " ".join(parts) or "0"
 
 
-def coefficient_matrix(table: VarTable,
-                       columns: Sequence[tuple[int, Mapping[int, int]]]
-                       ) -> tuple[list[int], RatMatrix]:
+def coefficient_matrix(columns: Sequence[Polynomial]) -> tuple[list[int], RatMatrix]:
     """Row monomials as packed keys (VarTable.unpack reads them) and the
-    integer coefficient matrix of bi-homogeneous polynomials on table, each
-    (d, numerators) keyed by packed monomial with nonzero numerators, as a
-    Polynomial's (den, nums).
+    integer coefficient matrix of nonzero bi-homogeneous polynomials on one
+    table.
 
     All columns must share one bi-degree.  Rows follow the canonical
     monomial order (graded lex, highest first: descending packed keys);
-    column j holds the numerators of columns[j], that is d_j times its
-    coefficient vector: the polynomial is sum_i A[i][j] * monomial_i / d_j.
-    Scaling a column moves no pivot of the RREF, and a reader of the RREF
-    multiplies by d_j to get back to the polynomials.
+    column j holds the numerators nums of columns[j], that is den_j times
+    its coefficient vector: the polynomial is
+    sum_i A[i][j] * monomial_i / den_j.  Scaling a column moves no pivot of
+    the RREF, and a reader of the RREF multiplies by den_j to get back to
+    the polynomials.
     """
     if not columns:
         raise ValueError("need at least one polynomial")
-    maps = [nums for _, nums in columns]
+    table = columns[0].table
+    if any(p.table is not table and p.table != table for p in columns):
+        raise ValueError("polynomials built on different variable tables")
+    maps = [p.nums for p in columns]
     if not all(maps):
         raise ZeroPolynomialError("the zero polynomial has no bi-degree")
     keys = sorted({k for nums in maps for k in nums}, reverse=True)

@@ -11,15 +11,15 @@ elimination (RREF) on it.
 
 The multisets are enumerated from names and bi-degrees alone.  One
 builder, _product, makes every product, for the engine's columns, the
-self-check and verify.verify_generating_set: on integer numerators over a
-denominator keyed by packed monomial (a Polynomial's den and nums), its
-prefix (all factors but the last, in sorted-name order) times its last
+self-check and verify.verify_generating_set: the Polynomial product of
+its prefix (all factors but the last, in sorted-name order) and its last
 invariant, with prefixes of two or more factors kept in its caller's
-table.  Each caller takes a dict of its own from integer_forms; one
-reduce_basis call keeps one such dict and one prefix table for the
-engine, both freed when it returns.  Each column is its polynomial times
-that denominator; the RREF pivots do not depend on such scaling, and
-relations read from the RREF multiply it back in.
+table.  Each caller multiplies out of a survivor dict of its own
+(rb.as_dict()); one reduce_basis call keeps one such dict and one prefix
+table for the engine, both freed when it returns.  Each column holds its
+polynomial's numerators, the polynomial times its denominator; the RREF
+pivots do not depend on such scaling, and relations read from the RREF
+multiply it back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
@@ -33,7 +33,7 @@ with L the lcm of the pivots R[r][p] of the rows where f has an entry, the
 free column contributes L * d_f and each such pivot column p
 -R[r][f] * (L / R[r][p]) * d_p.  Every relation and syzygy is
 checked exactly before it is reported: its products are multiplied again
-from the self-check's own survivor forms, never from the engine's forms,
+from the self-check's own survivor dict, never from the engine's dict,
 the matrix or the engine's prefix table, each once per bi-degree, and the
 sum of coefficient times product must vanish as integer numerators over
 one common denominator.
@@ -54,8 +54,8 @@ from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX
-from .poly import (MAX_EXPONENT, Polynomial, VarTable, coefficient_matrix,
-                   integer_product, product_str, signed_sum)
+from .poly import (MAX_EXPONENT, Polynomial, coefficient_matrix, product_str,
+                   signed_sum)
 # Unused here; perfbench/tracing.py wraps these two names in this module.
 from .ratlinalg import rank_of_columns, solve_columns  # noqa: F401
 from .ratlinalg import normalize_integer_vector
@@ -186,45 +186,34 @@ def partition_bidegrees(rb: RestrictedBasis) -> list[tuple[tuple[int, int], tupl
     return [(bd, tuple(groups[bd])) for bd in sorted(groups, key=deglex_key)]
 
 
-# An integer polynomial (d, numerators): packed monomial k has coefficient
-# numerators[k] / d.
-_IntPoly = tuple[int, dict[int, int]]
-
-
-def integer_forms(rb: RestrictedBasis) -> dict[str, _IntPoly]:
-    """A new dict of the integer form (den, nums) of each survivor: the
-    Polynomial's own fields, shared and never written to."""
-    return {name: (p.den, p.nums) for name, p in rb.entries}
-
-
-def _product(factors: tuple[str, ...], ints: Mapping[str, _IntPoly],
-             prefixes: dict[tuple[str, ...], _IntPoly]) -> _IntPoly:
-    """The integer product of the survivors named by factors (sorted), from
-    their integer forms in ints: one integer multiplication of its prefix
-    (all factors but the last) by its last factor.  A prefix of two or more
-    factors is read from prefixes, or built the same way and stored there;
-    the product returned is never stored."""
+def _product(factors: tuple[str, ...], polys: Mapping[str, Polynomial],
+             prefixes: dict[tuple[str, ...], Polynomial]) -> Polynomial:
+    """The product of the survivors named by factors (sorted), out of
+    polys: one multiplication of its prefix (all factors but the last) by
+    its last factor.  A prefix of two or more factors is read from
+    prefixes, or built the same way and stored there; the product returned
+    is never stored."""
     if len(factors) == 1:
-        return ints[factors[0]]
+        return polys[factors[0]]
     head = factors[:-1]
-    got = ints[head[0]] if len(head) == 1 else prefixes.get(head)
+    got = polys[head[0]] if len(head) == 1 else prefixes.get(head)
     if got is None:
-        got = prefixes[head] = _product(head, ints, prefixes)
-    (d, h), (e, last) = got, ints[factors[-1]]
-    return d * e, integer_product(h, last)
+        got = prefixes[head] = _product(head, polys, prefixes)
+    return got * polys[factors[-1]]
 
 
 def enumerate_products(items: Sequence[tuple[str, tuple[int, int]]],
                        target: tuple[int, int], min_factors: int,
-                       ints: Mapping[str, _IntPoly],
-                       prefixes: dict[tuple[str, ...], _IntPoly]
-                       ) -> list[tuple[tuple[str, ...], _IntPoly]]:
+                       polys: Mapping[str, Polynomial],
+                       prefixes: dict[tuple[str, ...], Polynomial]
+                       ) -> list[tuple[tuple[str, ...], Polynomial]]:
     """Multisets of at least min_factors items (name, bi-degree) whose
-    bi-degrees sum to target, each with its _product over ints and prefixes.
+    bi-degrees sum to target, each with its _product out of polys and
+    prefixes.
 
     Output order is lexicographic by the sorted factor-name tuple.  The
     multisets are found from names and bi-degrees alone.  Share prefixes
-    between calls on the same ints to build each prefix once.  Products of
+    between calls on the same polys to build each prefix once.  Products of
     nonzero polynomials never vanish, so every product this returns is a
     usable column.
     """
@@ -245,18 +234,17 @@ def enumerate_products(items: Sequence[tuple[str, tuple[int, int]]],
                 factors.pop()
 
     rec(0, *target)
-    return [(fs, _product(fs, ints, prefixes)) for fs in found]
+    return [(fs, _product(fs, polys, prefixes)) for fs in found]
 
 
 def reducible_products(rb: RestrictedBasis, target: tuple[int, int],
-                       ints: Mapping[str, _IntPoly],
-                       prefixes: dict[tuple[str, ...], _IntPoly]
-                       ) -> list[tuple[tuple[str, ...], _IntPoly]]:
+                       polys: Mapping[str, Polynomial],
+                       prefixes: dict[tuple[str, ...], Polynomial]
+                       ) -> list[tuple[tuple[str, ...], Polynomial]]:
     """Products of two or more surviving invariants with bi-degree sum
-    target, as integer polynomials; ints and prefixes as in
-    enumerate_products."""
+    target; polys and prefixes as in enumerate_products."""
     items = [(name, _bidegree(name)) for name, _ in rb.entries]
-    return enumerate_products(items, target, 2, ints, prefixes)
+    return enumerate_products(items, target, 2, polys, prefixes)
 
 
 def unexplored(rb: RestrictedBasis, bounds: tuple[int, int]
@@ -277,30 +265,31 @@ def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[in
             yield (a, k - a)
 
 
-def _relation(bd: tuple[int, int], ints: Mapping[str, _IntPoly],
-              checked: dict[tuple[str, ...], _IntPoly],
+def _relation(bd: tuple[int, int], polys: Mapping[str, Polynomial],
+              checked: dict[tuple[str, ...], Polynomial],
               raw_terms: Sequence[tuple[tuple[str, ...], int]],
               solved_for: str | None = None) -> Relation:
     """The relation over nonzero raw terms, scaled to coprime integers with
     its first term positive, once exact re-multiplication confirms it.
 
-    The check multiplies each term's factors out of ints, the self-check's
-    own survivor forms, never out of the matrix.  checked, its table for
-    one bi-degree, keeps every product checked there and their prefixes,
-    so each is built once.  c_k * prod_k must sum to 0 as integer
-    numerators over one common denominator.
+    The check multiplies each term's factors out of polys, the
+    self-check's own survivor dict, never out of the matrix.  checked, its
+    table for one bi-degree, keeps every product checked there and their
+    prefixes, so each is built once.  c_k * prod_k must sum to 0 as
+    integer numerators (nums) over one common denominator (the lcm of
+    the products' den).
     """
     labels, coeffs = zip(*raw_terms)
     rel = Relation(bd, tuple(zip(labels, normalize_integer_vector(coeffs))), solved_for)
     for f, _ in rel.terms:
         if f not in checked:
-            checked[f] = _product(f, ints, checked)
-    den = lcm(*(checked[f][0] for f, _ in rel.terms))
+            checked[f] = _product(f, polys, checked)
+    den = lcm(*(checked[f].den for f, _ in rel.terms))
     residual: dict[int, int] = {}
     for f, c in rel.terms:
-        d, nums = checked[f]
-        scale = c * (den // d)
-        for m, v in nums.items():
+        prod = checked[f]
+        scale = c * (den // prod.den)
+        for m, v in prod.nums.items():
             residual[m] = residual.get(m, 0) + scale * v
     if any(residual.values()):
         raise RelationIntegrityError(
@@ -308,39 +297,39 @@ def _relation(bd: tuple[int, int], ints: Mapping[str, _IntPoly],
     return rel
 
 
-def _eliminate(bd: tuple[int, int], table: VarTable,
-               ints: Mapping[str, _IntPoly], check_ints: Mapping[str, _IntPoly],
-               prods: Sequence[tuple[tuple[str, ...], _IntPoly]],
+def _eliminate(bd: tuple[int, int], polys: Mapping[str, Polynomial],
+               check_polys: Mapping[str, Polynomial],
+               prods: Sequence[tuple[tuple[str, ...], Polynomial]],
                invs: Sequence[str], order: Sequence[str]
                ) -> tuple[tuple[str, ...], list[Relation], list[Relation]]:
     """One exact elimination at bi-degree bd.
 
-    The columns are the integer products, then the invariants invs
-    (catalog order, their integer forms in ints) arranged in the policy
-    order `order`, each column holding the numerators of its polynomial
-    over its denominator d.  A single RREF gives everything: the pivot
-    invariant columns, which are the kept names (returned in catalog
-    order); a syzygy for every free product column; and, for every
+    The columns are the products, then the invariants invs (catalog
+    order, their polynomials in polys) arranged in the policy order
+    `order`, each column holding the numerators of its polynomial, which
+    are its den d times its coefficients.  A single RREF gives everything:
+    the pivot invariant columns, which are the kept names (returned in
+    catalog order); a syzygy for every free product column; and, for every
     invariant whose column is not a pivot, its relation solved over the
     pivot columns, read from that column's entries in the primitive RREF
     (in catalog order of the solved-for names), in integers with the lcm
     L of the pivots it meets as the module docstring says: column f is d_f
     times its polynomial, and row r is the Fraction RREF row times its
     pivot R[r][p].  Every relation is checked by _relation, which
-    re-multiplies its products from check_ints, never from ints, sharing
+    re-multiplies its products from check_polys, never from polys, sharing
     them between the checks at bd and freeing them on return.
     """
     n_prods = len(prods)
     labels = [factors for factors, _ in prods] + [(n,) for n in order]
-    columns = [c for _, c in prods] + [ints[n] for n in order]
-    dens = [d for d, _ in columns]
-    _, mat = coefficient_matrix(table, columns)
+    columns = [c for _, c in prods] + [polys[n] for n in order]
+    dens = [c.den for c in columns]
+    _, mat = coefficient_matrix(columns)
     rrefm, pivots = mat.rref()
     rows = rrefm.data
     pivot_set = set(pivots)
     # Column -> its position with the invariants in catalog order.
     catalog_pos = list(range(n_prods)) + [n_prods + invs.index(n) for n in order]
-    checked: dict[tuple[str, ...], _IntPoly] = {}
+    checked: dict[tuple[str, ...], Polynomial] = {}
 
     def over_pivots(f: int) -> tuple[int, list[tuple[int, int]]]:
         """(L * d_f, terms): L * d_f * column f = sum of c * column p over the
@@ -355,7 +344,7 @@ def _eliminate(bd: tuple[int, int], table: VarTable,
         if f not in pivot_set:
             own, terms = over_pivots(f)
             raw = [(labels[p], c) for p, c in terms]
-            syzygies.append(_relation(bd, check_ints, checked, raw + [(labels[f], own)]))
+            syzygies.append(_relation(bd, check_polys, checked, raw + [(labels[f], own)]))
 
     column = {name: n_prods + k for k, name in enumerate(order)}
     relations = []
@@ -366,7 +355,7 @@ def _eliminate(bd: tuple[int, int], table: VarTable,
         own, terms = over_pivots(f)
         terms.sort(key=lambda t: catalog_pos[t[0]])
         raw = [((name,), own)] + [(labels[p], c) for p, c in terms]
-        relations.append(_relation(bd, check_ints, checked, raw, name))
+        relations.append(_relation(bd, check_polys, checked, raw, name))
     kept = tuple(n for n in invs if column[n] in pivot_set)
     return kept, syzygies, relations
 
@@ -403,20 +392,19 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
         else:
             effective = "table-order"
 
-    table = rb.substitution.table
     partition = dict(partition_bidegrees(rb))
-    # For this call only: the engine's integer form of each survivor and its
-    # table of product prefixes, and the self-check's own survivor forms.
-    ints = integer_forms(rb)
-    check_ints = integer_forms(rb)
-    prefixes: dict[tuple[str, ...], _IntPoly] = {}
+    # For this call only: the engine's survivor dict and its table of
+    # product prefixes, and the self-check's own survivor dict.
+    polys = rb.as_dict()
+    check_polys = rb.as_dict()
+    prefixes: dict[tuple[str, ...], Polynomial] = {}
     generators: list[str] = []
     relations: list[Relation] = []
     syzygies: list[Relation] = []
     reports: list[BidegreeReport] = []
 
     for bd in bidegree_grid(bounds):
-        prods = reducible_products(rb, bd, ints, prefixes)
+        prods = reducible_products(rb, bd, polys, prefixes)
         invs = partition.get(bd, ())
         if not prods and not invs:
             continue
@@ -427,8 +415,8 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             order = invs[::-1]
         else:
             order = invs
-        kept, syz_here, rels = _eliminate(bd, table, ints, check_ints, prods,
-                                          invs, order)
+        kept, syz_here, rels = _eliminate(bd, polys, check_polys, prods, invs,
+                                          order)
         if pinned is not None and kept != want:
             redundant = [n for n in want if n not in kept]
             problem = (f"contains a redundant invariant (not a pivot: {', '.join(redundant)})"

@@ -11,10 +11,11 @@ Three checks; the spot-check alone shares no code with the reduction engine:
                         candidate survivor set, checked for every survivor
                         by one RREF per question over free monomials in
                         the candidate names; it shares the engine's
-                        product builder (reduction.enumerate_products),
-                        its integer coefficient matrix
-                        (poly.coefficient_matrix) and RatMatrix.rref, so it
-                        is a check of the chosen set, not of that code,
+                        product builder (reduction.enumerate_products, on
+                        the restricted Polynomials), its integer
+                        coefficient matrix (poly.coefficient_matrix) and
+                        RatMatrix.rref, so it is a check of the chosen
+                        set, not of that code,
   spotcheck_relations   seeded random rational points, each scaled to an
                         integer point of the same plane, with every
                         invariant value recomputed through the tensor
@@ -47,7 +48,7 @@ from .catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomial
 # Unused here; perfbench/tracing.py wraps this name in this module.
 from .ratlinalg import solve_columns  # noqa: F401
-from .reduction import Relation, enumerate_products, integer_forms
+from .reduction import Relation, enumerate_products
 from .restriction import RestrictedBasis, Substitution
 from . import catalog as catalog_mod
 
@@ -200,12 +201,10 @@ class GeneratingSetReport:
         return self.spanning_ok and self.minimal
 
 
-def _in_span(table: VarTable, target: tuple[int, Mapping[int, int]],
-             columns: Sequence[tuple[int, Mapping[int, int]]]) -> bool:
-    """Whether target is a linear combination of columns (integer
-    polynomials on table): the target's column, placed last, is not a pivot
-    of their joint RREF."""
-    return len(columns) not in coefficient_matrix(table, [*columns, target])[1].rref()[1]
+def _in_span(target: Polynomial, columns: Sequence[Polynomial]) -> bool:
+    """Whether target is a linear combination of columns: the target's
+    column, placed last, is not a pivot of their joint RREF."""
+    return len(columns) not in coefficient_matrix([*columns, target])[1].rref()[1]
 
 
 def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> GeneratingSetReport:
@@ -224,15 +223,13 @@ def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> Generati
             raise ValueError(f"{n!r} is not a surviving invariant of this basis")
         if n in names[:i]:
             raise ValueError(f"{n!r} is named more than once in the candidate set")
-    table = rb.substitution.table
-    ints = integer_forms(rb)
     prefixes: dict = {}
     info = [(n, surviving[n].bidegree()) for n in names]
 
     def in_span(name: str, items) -> bool:
         bd = surviving[name].bidegree()
-        cols = [c for _, c in enumerate_products(items, bd, 1, ints, prefixes)]
-        return _in_span(table, ints[name], cols)
+        cols = [c for _, c in enumerate_products(items, bd, 1, surviving, prefixes)]
+        return _in_span(surviving[name], cols)
 
     spanning_failures = [name for name, _ in rb.entries
                          if name not in names and not in_span(name, info)]

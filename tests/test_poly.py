@@ -174,21 +174,16 @@ def test_evaluate_constant_ignores_point(table):
 
 # -- coefficient matrices ------------------------------------------------
 
-def columns(*polys):
-    """The integer columns (d, numerators) of polynomials."""
-    return [(p.den, p.nums) for p in polys]
-
-
 def test_coefficient_matrix_two_by_two(table, vars4):
     x, y, _, _ = vars4
-    keys, mat = coefficient_matrix(table, columns(x ** 2 + y ** 2, x ** 2 - y ** 2))
+    keys, mat = coefficient_matrix([x ** 2 + y ** 2, x ** 2 - y ** 2])
     assert [table.unpack(k) for k in keys] == [(2, 0, 0, 0), (0, 2, 0, 0)]
     assert [list(r) for r in mat.data] == [[1, 1], [1, -1]]
 
 
 def test_coefficient_matrix_proportional_columns(table, vars4):
     x = vars4[0]
-    keys, mat = coefficient_matrix(table, columns(x ** 2, 2 * x ** 2))
+    keys, mat = coefficient_matrix([x ** 2, 2 * x ** 2])
     assert [table.unpack(k) for k in keys] == [(2, 0, 0, 0)]
     assert [list(r) for r in mat.data] == [[1, 2]]
     # Column 2 is twice column 1.
@@ -196,22 +191,34 @@ def test_coefficient_matrix_proportional_columns(table, vars4):
     assert [list(r) for r in mat.rref()[0].data] == [[1, 2]]
 
 
-def test_coefficient_matrix_rejects_mixed_bidegrees(table, vars4):
+def test_coefficient_matrix_rejects_mixed_bidegrees(vars4):
     x, _, s, _ = vars4
     with pytest.raises(ValueError):
-        coefficient_matrix(table, columns(x ** 2, s))
+        coefficient_matrix([x ** 2, s])
 
 
-def test_coefficient_matrix_rejects_a_non_bihomogeneous_polynomial(table, vars4):
+def test_coefficient_matrix_rejects_a_non_bihomogeneous_polynomial(vars4):
     x, _, s, _ = vars4
     with pytest.raises(NotBiHomogeneousError):
-        coefficient_matrix(table, columns(x ** 2 + s))
+        coefficient_matrix([x ** 2 + s])
 
 
-def test_coefficient_matrix_rejects_zero(table, vars4):
+def test_coefficient_matrix_rejects_zero(vars4):
     x = vars4[0]
     with pytest.raises(ZeroPolynomialError):
-        coefficient_matrix(table, columns(x - x))
+        coefficient_matrix([x - x])
+
+
+def test_coefficient_matrix_rejects_columns_on_different_tables(table, vars4):
+    # The matrix reads every column with the first column's slot layout: m2
+    # on this table packs like m1 on the fixture's, so without the check
+    # m1^2 and m2^2 would share a row.
+    x = vars4[0]
+    other = VarTable([("m2", MAG), ("m1", MAG), ("s1", STRESS), ("s2", STRESS)])
+    y = Polynomial.variable(other, "m2")
+    assert table.pack((2, 0, 0, 0)) == other.pack((2, 0, 0, 0))
+    with pytest.raises(ValueError, match="^polynomials built on different variable tables$"):
+        coefficient_matrix([x ** 2, y ** 2])
 
 
 # -- parsing -------------------------------------------------------------
@@ -256,6 +263,14 @@ def test_parse_rejects_unknown_variable(table):
 def test_parse_rejects_zero_denominator(table):
     with pytest.raises(ParseError, match="denominator"):
         parse_polynomial("1/0", table)
+
+
+@pytest.mark.parametrize("text, position", [("s1/2", 2), ("(s1)/3", 4)])
+def test_parse_rejects_a_slash_after_a_non_literal(table, text, position):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, table)
+    assert str(info.value) == \
+        f"'/' is only allowed between integer literals (at position {position})"
 
 
 def test_parse_rejects_trailing_garbage(table):
@@ -413,8 +428,7 @@ def test_coefficient_matrix_reconstructs_polynomials(items):
     polys = [p for p, _ in items if p and p.bidegree() == (a, b)]
     if not polys:
         return
-    cols = columns(*polys)
-    keys, mat = coefficient_matrix(_TABLE, cols)
+    keys, mat = coefficient_matrix(polys)
     one = Polynomial.constant(_TABLE, 1)
     for j, p in enumerate(polys):
         rebuilt = Polynomial.zero(_TABLE)
@@ -423,7 +437,7 @@ def test_coefficient_matrix_reconstructs_polynomials(items):
             mono = one
             for name, e in zip(_TABLE.names, exps):
                 mono = mono * Polynomial.variable(_TABLE, name) ** e
-            rebuilt = rebuilt + Fraction(mat.data[i][j], cols[j][0]) * mono
+            rebuilt = rebuilt + Fraction(mat.data[i][j], p.den) * mono
         assert rebuilt == p
 
 

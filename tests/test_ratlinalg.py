@@ -23,7 +23,7 @@ from mebasis.poly import coefficient_matrix
 from mebasis.ratlinalg import (RatMatrix, matrix_from_columns,
                                normalize_integer_vector, rank_of_columns,
                                solve_columns)
-from mebasis.reduction import integer_forms, reducible_products
+from mebasis.reduction import reducible_products
 from mebasis.restriction import custom_substitution, restrict_basis
 
 F = Fraction
@@ -398,8 +398,8 @@ def test_rref_of_an_engine_matrix_matches_fraction_gauss_jordan():
     # The coefficient matrix the engine eliminates at bi-degree (4, 3) of
     # the generic plane normal to (1, 2, 3): 50 monomials by 45 products.
     rb = restrict_basis(CATALOG, custom_substitution(PLANE_123))
-    columns = [c for _, c in reducible_products(rb, (4, 3), integer_forms(rb), {})]
-    _, mat = coefficient_matrix(rb.substitution.table, columns)
+    columns = [c for _, c in reducible_products(rb, (4, 3), rb.as_dict(), {})]
+    _, mat = coefficient_matrix(columns)
     assert (mat.rows, mat.cols) == (50, 45)
     expected = primitive_fraction_rref(mat.data, mat.cols)
     rrefm, pivots = mat.rref()

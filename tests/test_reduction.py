@@ -10,8 +10,7 @@ from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, Relation,
                                RelationIntegrityError, bidegree_grid,
                                check_union_property, deglex_key,
-                               enumerate_products, integer_forms,
-                               partition_bidegrees, reduce_basis,
+                               enumerate_products, partition_bidegrees, reduce_basis,
                                reducible_products)
 from mebasis.verify import spotcheck_relations
 
@@ -57,7 +56,7 @@ def test_partition_groups_by_bidegree(theta_basis):
 
 
 def products(rb, target):
-    return reducible_products(rb, target, integer_forms(rb), {})
+    return reducible_products(rb, target, rb.as_dict(), {})
 
 
 def test_reducible_products_smallest_cases(theta_basis):
@@ -67,48 +66,39 @@ def test_reducible_products_smallest_cases(theta_basis):
     assert [f for f, _ in products(theta_basis, (2, 1))] == [("I010", "I200")]
 
 
-def as_fractions(product, table):
-    """The coefficients of an integer polynomial (d, numerators) on table,
-    keyed by exponent tuple."""
-    d, nums = product
-    return {table.unpack(k): F(v, d) for k, v in nums.items()}
-
-
 def test_reducible_products_multiply_correctly(theta_basis):
     ((factors, product),) = products(theta_basis, (0, 2))
-    table = theta_basis.substitution.table
-    assert as_fractions(product, table) == (theta_basis.as_dict()["I010"] ** 2).terms
-    assert Polynomial(table, as_fractions(product, table)).bidegree() == (0, 2)
+    assert product == theta_basis.as_dict()["I010"] ** 2
+    assert product.bidegree() == (0, 2)
 
 
 @pytest.mark.parametrize("fiber", ["theta", "gamma"])
 def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
-    # One table and one map of survivor conversions over the whole grid, as
-    # reduce_basis shares them: every product is its factors multiplied
-    # out, and the table ends up holding exactly the proper prefixes of two
-    # or more factors, never a product that no later product extends.
+    # One table and one survivor dict over the whole grid, as reduce_basis
+    # shares them: every product is its factors multiplied out, and the
+    # table ends up holding exactly the proper prefixes of two or more
+    # factors, never a product that no later product extends.
     rb = bases[fiber]
-    table = rb.substitution.table
     restricted = rb.as_dict()
-    ints = integer_forms(rb)
+    polys = rb.as_dict()
     prefixes = {}
     built = {}
     for bd in bidegree_grid():
-        for factors, product in reducible_products(rb, bd, ints, prefixes):
+        for factors, product in reducible_products(rb, bd, polys, prefixes):
             chained = restricted[factors[0]]
             for name in factors[1:]:
                 chained = chained * restricted[name]
-            assert as_fractions(product, table) == chained.terms
-            assert all(product[1].values())
+            assert product == chained
+            assert all(product.nums.values())
             built[factors] = product
     assert set(prefixes) == {f[:-1] for f in built if len(f) > 2}
     for f, product in prefixes.items():
-        assert as_fractions(product, table) == as_fractions(built[f], table)
+        assert product == built[f]
 
 
 def test_enumerate_products_allows_single_factors(theta_basis):
     items = [(n, p.bidegree()) for n, p in theta_basis.entries]
-    singles = enumerate_products(items, (0, 2), 1, integer_forms(theta_basis), {})
+    singles = enumerate_products(items, (0, 2), 1, theta_basis.as_dict(), {})
     assert [f for f, _ in singles] == \
         [("I002",), ("I010", "I010"), ("I020",)]
 
@@ -180,16 +170,16 @@ def test_selfcheck_catches_a_product_under_the_wrong_label(theta_basis, monkeypa
 
 
 def test_selfcheck_does_not_read_the_engines_survivor_forms(theta_basis, monkeypatch):
-    # Swapping the engine's integer forms of I012 and I030 at (0, 3) only
+    # Swapping the engine's polynomials of I012 and I030 at (0, 3) only
     # relabels two matrix columns; the self-check multiplies from its own
-    # survivor forms, so the relation read for the wrong label fails there.
+    # survivor dict, so the relation read for the wrong label fails there.
     import mebasis.reduction as reduction
     original = reduction._eliminate
 
-    def swapped(bd, table, ints, *rest):
+    def swapped(bd, polys, *rest):
         if bd == (0, 3):
-            ints = dict(ints, I012=ints["I030"], I030=ints["I012"])
-        return original(bd, table, ints, *rest)
+            polys = dict(polys, I012=polys["I030"], I030=polys["I012"])
+        return original(bd, polys, *rest)
 
     monkeypatch.setattr(reduction, "_eliminate", swapped)
     with pytest.raises(RelationIntegrityError, match=r"^relation at \(0, 3\) does not"):
@@ -284,15 +274,6 @@ def test_every_catalog_name_is_accounted_for_once(bases, fiber, bounds):
     names = (list(result.generators) + [r.solved_for for r in result.relations]
              + list(result.vanished))
     assert sorted(names) == sorted(CATALOG_NAMES)
-
-
-def test_integer_forms_are_a_new_dict_per_call(theta_basis):
-    first = integer_forms(theta_basis)
-    second = integer_forms(theta_basis)
-    assert first == second == {name: (p.den, p.nums) for name, p in theta_basis.entries}
-    assert first is not second
-    first.clear()
-    assert integer_forms(theta_basis) == second
 
 
 def test_bounds_past_a_packed_slot_are_refused_up_front(theta_basis, monkeypatch):

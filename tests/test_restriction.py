@@ -374,6 +374,22 @@ def test_custom_rejects_missing_position():
         custom_substitution(doc)
 
 
+def test_custom_names_a_nonlinear_sigma_entry():
+    doc = dict(EQ3_DOC, sigma=dict(EQ3_DOC["sigma"], **{"23": "s1^2"}))
+    with pytest.raises(SubstitutionError) as info:
+        custom_substitution(doc)
+    assert str(info.value) == \
+        "sigma entry (2,3) must be linear in stress variables, got s1^2"
+
+
+def test_custom_names_a_nonlinear_m_entry():
+    doc = dict(EQ3_DOC, m=["m1", "m1*s1", "0"])
+    with pytest.raises(SubstitutionError) as info:
+        custom_substitution(doc)
+    assert str(info.value) == \
+        "m entry 2 must be linear in magnetization variables, got m1*s1"
+
+
 def test_custom_rejects_wrong_m_length():
     doc = dict(EQ3_DOC)
     doc["m"] = ["m1", "m2"]
