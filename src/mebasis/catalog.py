@@ -13,15 +13,15 @@ magnetization vector):
 Catalog order is fixed and load-bearing: selection policies and every
 reported name list follow it.
 
-The recipes run on plain tuples: a 3-vector is a 3-tuple, a 3x3 matrix
-a 3-tuple of rows, with Polynomial entries (substitutions) or plain
-numbers, ints or Fractions (spot-check values).  Sums start from the
-zero (x * 0) of every operand, so a number times a polynomial matrix
-gives polynomials and polynomials on different tables raise ValueError;
-products with a zero factor are skipped.  Nothing here checks operands:
-TensorParts (so evaluate_all) checks shape, one entry_table and symmetry
-once, and restriction.validate_substitution checks a substitution.
-The two projectors:
+The recipes run on plain tuples: a 3-vector is a 3-tuple, a 3x3 matrix a
+3-tuple of rows, with Polynomial entries (substitutions) or plain
+numbers, ints or Fractions (spot-check values).  In every ring each
+entry of a product is one sum of products of unpacked entries, zeros
+included: a number times a polynomial matrix gives polynomials, and
+polynomials on different tables raise ValueError.  Nothing here checks
+operands: TensorParts (so evaluate_all) checks shape, one entry_table
+and symmetry once, and restriction.validate_substitution checks a
+substitution.  The two projectors:
 
   dbar(a)  zeroes the diagonal (keeps the off-diagonal part),
   ddev(a)  keeps the diagonal of the deviator (subtracts tr(a)/3 from each
@@ -54,27 +54,26 @@ def entry_table(entries: Iterable[Entry]) -> VarTable | None:
     return kinds.pop()
 
 
-def _dot(total: Entry, xs: Iterable[Entry], ys: Iterable[Entry]) -> Entry:
-    """total + sum of x * y over zip(xs, ys), skipping pairs with a zero factor."""
-    for x, y in zip(xs, ys):
-        if x and y:
-            total = total + x * y
-    return total
-
-
 def dot(u: Vec3, v: Vec3) -> Entry:
-    return _dot(u[0] * 0, u, v)
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def mul_vec(a: Mat3, v: Vec3) -> Vec3:
-    z = a[0][0] * 0 + v[0] * 0
-    return tuple([_dot(z, row, v) for row in a])
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    v0, v1, v2 = v
+    return (a00 * v0 + a01 * v1 + a02 * v2, a10 * v0 + a11 * v1 + a12 * v2,
+            a20 * v0 + a21 * v1 + a22 * v2)
 
 
 def matmul(a: Mat3, b: Mat3) -> Mat3:
-    z = a[0][0] * 0 + b[0][0] * 0
-    cols = tuple(zip(*b))
-    return tuple([tuple([_dot(z, row, col) for col in cols]) for row in a])
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return ((a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+             a00 * b02 + a01 * b12 + a02 * b22),
+            (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+             a10 * b02 + a11 * b12 + a12 * b22),
+            (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+             a20 * b02 + a21 * b12 + a22 * b22))
 
 
 def trace(a: Mat3) -> Entry:
@@ -90,10 +89,10 @@ def outer(v: Vec3) -> Mat3:
 
 
 def double_contract(a: Mat3, b: Mat3) -> Entry:
-    total = a[0][0] * 0
-    for ra, rb in zip(a, b):
-        total = _dot(total, ra, rb)
-    return total
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (a00 * b00 + a01 * b01 + a02 * b02 + a10 * b10 + a11 * b11 + a12 * b12
+            + a20 * b20 + a21 * b21 + a22 * b22)
 
 
 def dbar(a: Mat3) -> Mat3:

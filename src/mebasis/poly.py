@@ -23,14 +23,14 @@ coefficient-matrix column is a Polynomial's nums as they are.
 A packed monomial is one int made of SLOT_BITS-bit slots, most significant
 first: the total degree, the mag degree, then the exponent of each
 variable in table order.  Only VarTable.pack, unpack and packed_bidegree
-know this layout, and Polynomial.__mul__ reads the total degree from the
-top slot.  Multiplying two monomials adds their packed ints, which carries
-nothing from slot to slot as long as the total degree of the product is at
-most MAX_EXPONENT; packing refuses a larger one, Polynomial.__mul__
-refuses a product that would build one, and reduction.reduce_basis
-refuses bounds that would.  Within one bi-degree the ints sort as
-monomial_key sorts the exponent tuples, and the top two slots are the
-bi-degree.
+know this layout; Polynomial.variable builds a unit key from its slot
+shifts, and Polynomial.__mul__ reads the total degree from the top slot.
+Multiplying two monomials adds their packed ints, which carries nothing
+from slot to slot as long as the total degree of the product is at most
+MAX_EXPONENT; packing refuses a larger one, Polynomial.__mul__ refuses a
+product that would build one, and reduction.reduce_basis refuses bounds
+that would.  Within one bi-degree the ints sort as monomial_key sorts the
+exponent tuples, and the top two slots are the bi-degree.
 """
 
 from __future__ import annotations
@@ -206,9 +206,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Polynomial":
-        exps = [0] * len(table)
-        exps[table.index(name)] = 1
-        return _lowest(table, 1, {table.pack(exps): 1})
+        i = table.index(name)  # VarTable.pack of the unit vector, slot by slot
+        key = 1 << table._total_shift | table._is_mag[i] << table._degree_shift
+        return _lowest(table, 1, {key | 1 << table._shifts[i]: 1})
 
     # -- predicates and degrees -----------------------------------------
 
@@ -286,7 +286,7 @@ class Polynomial:
             return NotImplemented
         a, b = self.nums, other.nums
         if not a or not b:
-            return Polynomial.zero(self.table)
+            return other if a else self  # the zero operand, on the checked table
         # The top slot of a packed key is its total degree: the product's
         # degree is the sum of the operands' highest ones.
         shift = self.table._total_shift

@@ -75,6 +75,14 @@ def negate_recipe(monkeypatch):
         monkeypatch.setattr(module, "CATALOG", negated)
 
 
+def drop_last_contract_term(monkeypatch):
+    """double_contract loses its [2][2] term, wherever the catalog reads
+    it: the restriction and the spot-check both see it."""
+    contract = catalog.double_contract
+    monkeypatch.setattr(catalog, "double_contract",
+                        lambda a, b: contract(a, b) - a[2][2] * b[2][2])
+
+
 def spotcheck_at_the_origin(monkeypatch):
     """Every spot-check point is the origin, where every invariant is 0, and
     theta:02 has a changed coefficient."""
@@ -111,6 +119,13 @@ ROWS = {
     # theta's published relations through I201 fail: I211, I221, I213, I601.
     "recipe-sign-flipped": (["verify", "--fiber", "theta", "--trials", "5"],
                             negate_recipe, 1, "7/11 relations verified"),
+    # sd and md keep a [2][2] entry on every plane.  On theta the shipped
+    # relations for I030, I022, I212a, I221 and I220 fail; on gamma the
+    # engine's pinned keep set no longer spans (0, 2): verify stops there.
+    "contract-term-dropped": (["verify", "--fiber", "theta", "--trials", "5"],
+                              drop_last_contract_term, 1, "6/11 relations verified"),
+    "contract-term-dropped-gamma": (["verify", "--fiber", "gamma", "--trials", "5"],
+                                    drop_last_contract_term, 3, "does not span"),
     # Every invariant is 0 at the origin, so no point tests any relation:
     # every numeric column says fail, and the symbolic one fails theta:02.
     "spotcheck-at-the-origin": (["verify", "--fiber", "theta", "--trials", "5"],

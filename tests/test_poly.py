@@ -11,6 +11,7 @@ from mebasis.poly import (MAG, MAX_EXPONENT, STRESS, NotBiHomogeneousError,
                           ParseError, Polynomial, VarTable, ZeroPolynomialError,
                           coefficient_matrix, integer_product, monomial_key,
                           parse_polynomial)
+from mebasis.verify import NAME_TABLE
 
 F = Fraction
 
@@ -94,6 +95,33 @@ def test_cross_table_product_keeps_its_message(vars4):
             vars4[0] * bad
         with pytest.raises(TypeError):
             bad * vars4[0]
+
+
+def test_a_zero_operand_is_the_product(table, vars4):
+    x, y, s, _ = vars4
+    p = x * y - F(1, 3) * s
+    zero = Polynomial.zero(table)
+    for product in (p * zero, zero * p, p * 0, 0 * p, p * F(0), zero * zero):
+        assert product == zero and product.den == 1 and product.nums == {}
+    # A zero on another table is refused before it is returned.
+    other = Polynomial.zero(VarTable([("m1", MAG)]))
+    for a, b in ((p, other), (other, p), (zero, other), (other, zero)):
+        with pytest.raises(ValueError, match="polynomials built on different variable tables"):
+            a * b
+
+
+@pytest.mark.parametrize("table", [
+    NAME_TABLE,
+    VarTable([("m1", MAG), ("m2", MAG), ("s1", STRESS), ("s2", STRESS), ("s3", STRESS)]),
+    VarTable([("s1", STRESS), ("m1", MAG), ("s2", STRESS)]),
+], ids=["verify-names", "plane", "interleaved"])
+def test_variable_key_is_the_packed_unit_vector(table):
+    for i, (name, kind) in enumerate(zip(table.names, table.kinds)):
+        unit = [0] * len(table)
+        unit[i] = 1
+        x = Polynomial.variable(table, name)
+        assert x.den == 1 and x.nums == {table.pack(unit): 1}
+        assert x.bidegree() == ((1, 0) if kind == MAG else (0, 1))
 
 
 def test_duplicate_variable_names_rejected():

@@ -256,38 +256,39 @@ def test_fraction_entries_agree_with_constant_polynomials(rows_a, rows_b, v):
     assert double_contract(fa, fb) == double_contract(pa, pb).evaluate({})
 
 
-class Counted:
-    """A rational that counts the products it takes part in."""
-    products = 0
-
-    def __init__(self, value):
-        self.value = F(value)
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Counted(self.value * other)
-        Counted.products += 1
-        return Counted(self.value * other.value)
-
-    def __add__(self, other):
-        return Counted(self.value + other.value)
+# Zero entries and zero polynomials come up often: every kernel multiplies
+# them like any other entry.
+small = st.one_of(st.just(0), ints)
+MONOMIALS = (Polynomial.constant(TABLE, 1),) + tuple(var(n) for n in TABLE.names)
+RING_ENTRIES = {
+    "int": small,
+    "fraction": st.builds(F, small, st.integers(1, 4)),
+    "polynomial": st.builds(lambda c, x: c * x, small, st.sampled_from(MONOMIALS)),
+}
 
 
-def test_products_with_a_zero_factor_are_skipped():
-    diag = mat([[Counted(x) for x in row]
-                for row in ((2, 0, 0), (0, 3, 0), (0, 0, 5))])
-    Counted.products = 0
-    prod = matmul(diag, diag)
-    assert Counted.products == 3
-    assert [prod[i][i].value for i in range(3)] == [4, 9, 25]
-    assert not prod[0][1]
-    Counted.products = 0
-    assert double_contract(diag, diag).value == 38
-    assert mul_vec(diag, (Counted(1), Counted(0), Counted(0)))[0].value == 2
-    assert Counted.products == 3 + 1
+def naive_sum(pairs):
+    """The sum of x * y over the pairs, from Fraction(0), one pair at a time."""
+    total = F(0)
+    for x, y in pairs:
+        total = total + x * y
+    return total
+
+
+@pytest.mark.parametrize("ring", RING_ENTRIES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernels_equal_naive_loops(ring, data):
+    entry = RING_ENTRIES[ring]
+    vec = st.tuples(entry, entry, entry)
+    a, b = data.draw(st.tuples(vec, vec, vec)), data.draw(st.tuples(vec, vec, vec))
+    u, v = data.draw(vec), data.draw(vec)
+    r = range(3)
+    assert matmul(a, b) == tuple(tuple(naive_sum((a[i][k], b[k][j]) for k in r)
+                                       for j in r) for i in r)
+    assert mul_vec(a, v) == tuple(naive_sum((a[i][k], v[k]) for k in r) for i in r)
+    assert dot(u, v) == naive_sum(zip(u, v))
+    assert double_contract(a, b) == naive_sum((a[i][j], b[i][j]) for i in r for j in r)
 
 
 def test_entries_must_not_mix_rings_or_tables():
