@@ -16,8 +16,7 @@ Three checks; the spot-check alone shares no code with the reduction engine:
                         coefficient matrix (poly.coefficient_matrix) and
                         RatMatrix.rref, so it is a check of the chosen
                         set, not of that code,
-  spotcheck_relations   seeded random rational points, each scaled to an
-                        integer point of the same plane, with every
+  spotcheck_relations   seeded random integer points, with every
                         invariant value recomputed through the tensor
                         recipes on int matrices rather than read off the
                         restricted polynomials: the route independent of
@@ -40,7 +39,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -106,13 +104,13 @@ def verify_published(rel: Relation, rb: RestrictedBasis) -> Polynomial:
 
 def numeric_invariants(sub: Substitution, point: Mapping[str, Fraction | int]
                        ) -> dict[str, Fraction | int]:
-    """All 30 invariant values at one rational point, exact, recomputed
-    through the tensor recipes on the matrix and vector of (sigma, m)
-    there.  Each entry of sigma and m is an int where it is whole and an
-    exact Fraction otherwise, and at an integer point it is evaluated in
-    integer arithmetic, so the recipes run on ints wherever the point
-    makes the entries whole.  sigma and m are plain tuples, checked once
-    per point by evaluate_all."""
+    """All 30 invariant values at one point, exact, recomputed through the
+    tensor recipes on the matrix and vector of (sigma, m) there.  Each
+    entry of sigma and m is evaluated in integer arithmetic over its
+    denominator: an int where it is whole, an exact Fraction otherwise, so
+    at the spot-check's integer points the recipes run on ints on every
+    integer-coefficient substitution.  sigma and m are plain tuples,
+    checked once per point by evaluate_all."""
     sigma = tuple([tuple([e.evaluate(point) for e in row]) for row in sub.sigma])
     m = tuple([e.evaluate(point) for e in sub.m])
     return catalog_mod.evaluate_all(CATALOG, sigma, m)
@@ -125,41 +123,27 @@ class SpotcheckOutcome(NamedTuple):
     failed_trial: int | None = None
 
 
-def random_point(table: VarTable, rng: random.Random) -> dict[str, Fraction]:
-    """Rational point with numerators in [-100, 100], denominators in [1, 100]."""
-    return {name: Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-            for name in table.names}
+def random_point(table: VarTable, rng: random.Random) -> dict[str, int]:
+    """Integer point with every coordinate 3 * k, k uniform in [-100, 100].
 
-
-def integer_point(table: VarTable, point: Mapping[str, Fraction]) -> dict[str, int]:
-    """The point with its stress variables scaled by 3 * the lcm of their
-    denominators, and its magnetization variables by 3 * the lcm of
-    theirs: integer coordinates, each a multiple of 3.
-
-    A substitution is linear and kind-preserving, so this scales sigma by
-    lambda and m by mu and stays on its plane; an invariant of bi-degree
-    (a, b) scales by mu^a * lambda^b, and so does a bi-homogeneous
-    relation's residual, which is zero exactly where it was.  The factor 3
-    keeps the tr/3 of ddev an int on integer-coefficient substitutions.
+    Each coordinate takes 201 values, so a nonzero residual of degree d
+    vanishes at a drawn point with probability at most d/201
+    (Schwartz-Zippel).  The factor 3 keeps the tr/3 of ddev an int on
+    integer-coefficient substitutions.
     """
-    scale = {kind: 3 * lcm(*(point[n].denominator
-                             for n, k in zip(table.names, table.kinds) if k == kind))
-             for kind in set(table.kinds)}
-    return {n: point[n].numerator * (scale[k] // point[n].denominator)
-            for n, k in zip(table.names, table.kinds)}
+    return {name: 3 * rng.randint(-100, 100) for name in table.names}
 
 
 def spotcheck_relations(rels: Sequence[Relation], rb: RestrictedBasis,
                         trials: int = 100, seed: int = 0) -> list[SpotcheckOutcome]:
-    """Evaluate relation residuals at seeded random rational points.
+    """Evaluate relation residuals at seeded random integer points.
 
-    Exact evaluation over one shared stream of points: each random point is
-    moved to its integer_point, its invariant values are computed once for
-    all relations, and a relation is no longer evaluated after its first
-    failing trial.  A pass means the residual was zero at every sampled
-    point and at least one point gave a nonzero value to an invariant the
-    relation names; a relation that no point tested fails with
-    failed_trial None.  trials must be at least 1, or nothing would be
+    Exact evaluation over one shared stream of random_point draws: each
+    point's invariant values are computed once for all relations, and a
+    relation is no longer evaluated after its first failing trial.  A pass
+    means the residual was zero at every sampled point and at least one
+    point gave a nonzero value to an invariant the relation names; a
+    relation that no point tested fails with failed_trial None.  trials must be at least 1, or nothing would be
     evaluated.  The seed must be at least 0: random.Random draws the same
     stream for -s as for s.
     """
@@ -175,8 +159,7 @@ def spotcheck_relations(rels: Sequence[Relation], rb: RestrictedBasis,
     for t in range(trials):
         if len(failed_at) == len(rels):
             break
-        point = integer_point(table, random_point(table, rng))
-        values = numeric_invariants(rb.substitution, point)
+        values = numeric_invariants(rb.substitution, random_point(table, rng))
         for i, rel in enumerate(rels):
             if i not in failed_at and rel.substitute(values) != 0:
                 failed_at[i] = t
