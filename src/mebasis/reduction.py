@@ -446,26 +446,3 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
         reports=tuple(reports),
     )
 
-
-class UnionReport(NamedTuple):
-    theta_included: bool
-    gamma_included: bool
-    union: tuple[str, ...]
-    cardinal: int
-
-    @property
-    def ok(self) -> bool:
-        return self.theta_included and self.gamma_included
-
-
-def check_union_property(results: Mapping[str, ReductionResult]) -> UnionReport:
-    """Inclusion of the theta and gamma survivor sets in the alpha_prime set,
-    and the cardinality of the three-way union."""
-    try:
-        g_t = set(results["theta"].generators)
-        g_a = set(results["alpha_prime"].generators)
-        g_g = set(results["gamma"].generators)
-    except KeyError as exc:
-        raise ValueError(f"missing reduction result for fiber {exc}") from exc
-    union = _catalog_order(g_t | g_a | g_g)
-    return UnionReport(g_t <= g_a, g_g <= g_a, union, len(union))

@@ -143,9 +143,9 @@ def spotcheck_relations(rels: Sequence[Relation], rb: RestrictedBasis,
     relation is no longer evaluated after its first failing trial.  A pass
     means the residual was zero at every sampled point and at least one
     point gave a nonzero value to an invariant the relation names; a
-    relation that no point tested fails with failed_trial None.  trials must be at least 1, or nothing would be
-    evaluated.  The seed must be at least 0: random.Random draws the same
-    stream for -s as for s.
+    relation that no point tested fails with failed_trial None.  trials
+    must be at least 1, or nothing would be evaluated.  The seed must be at
+    least 0: random.Random draws the same stream for -s as for s.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")

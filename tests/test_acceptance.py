@@ -15,14 +15,14 @@ import random
 from fractions import Fraction
 
 from mebasis.catalog import CATALOG, dbar, ddev, evaluate_all, trace
-from mebasis.cli import reduce_payload
+from mebasis.cli import reduce_payload, union_payload
 from mebasis.poly import MAG, STRESS, Polynomial, VarTable
 from mebasis.ratlinalg import RatMatrix
-from mebasis.reduction import POLICIES, check_union_property, reduce_basis
+from mebasis.reduction import POLICIES, reduce_basis
 from mebasis.restriction import (FIBERS, fiber_substitution,
                                  generic_substitution, restrict_basis)
-from mebasis.verify import (load_published, spotcheck_relations,
-                            verify_generating_set, verify_published)
+from mebasis.verify import (load_published, verify_generating_set,
+                            verify_published)
 
 F = Fraction
 
@@ -72,30 +72,14 @@ def test_acceptance_3_relation_counts(reductions):
                   "+ vanished = 30 on every subspace")
 
 
-def test_acceptance_4_published_relations(bases, reductions):
-    total = 0
-    failures = []
-    for fiber in FIBERS:
-        for source, rel in load_published(fiber):
-            total += 1
-            if verify_published(rel, bases[fiber]):
-                failures.append((fiber, source, rel))
-    # A transcription defect in the shipped list is acceptable only when
-    # the engine supplies a replacement for the same invariant that
-    # survives 100 seeded exact spot-checks.
-    unrepaired = []
-    for fiber, source, rel in failures:
-        engine = next((r for r in reductions[fiber].relations
-                       if r.solved_for == rel.solved_for), None)
-        if engine is None or not spotcheck_relations(
-                [engine], bases[fiber], trials=100, seed=0)[0].ok:
-            unrepaired.append(source)
-    ok = total == 48 and not unrepaired
-    detail = "48/48 published relations substitute to the zero polynomial"
-    if failures:
-        detail = (f"{total - len(failures)}/{total} verified; "
-                  f"{len(failures)} repaired by engine relations")
-    report(4, ok, detail)
+def test_acceptance_4_published_relations(bases):
+    shipped = [(fiber, source, rel) for fiber in FIBERS
+               for source, rel in load_published(fiber)]
+    failed = [source for fiber, source, rel in shipped
+              if verify_published(rel, bases[fiber])]
+    ok = len(shipped) == 48 and not failed
+    report(4, ok, f"{len(shipped) - len(failed)}/{len(shipped)} published "
+                  f"relations substitute to the zero polynomial")
 
 
 def test_acceptance_5_certificates(bases):
@@ -107,10 +91,12 @@ def test_acceptance_5_certificates(bases):
                   "and lose spanning when any member is dropped")
 
 
-def test_acceptance_6_union_property(reductions):
-    union = check_union_property(reductions)
-    ok = union.theta_included and union.gamma_included and \
-        union.cardinal == 15
+def test_acceptance_6_union_property():
+    union = union_payload("paper")["result"]
+    ok = (union["theta_included_in_alpha_prime"]
+          and union["gamma_included_in_alpha_prime"]
+          and union["cardinal"] == 15
+          and union["union"] == list(TABLE3["alpha_prime"]))
     report(6, ok, "both outer generating sets embed in the middle one; "
                   "union cardinal 15")
 

@@ -13,6 +13,7 @@ from mebasis import __version__
 from mebasis.cli import main
 from mebasis.poly import MAX_EXPONENT
 from mebasis.reduction import PolicyConflictError
+from mebasis.restriction import FIBERS
 from mebasis.verify import published_relation
 
 PLANE_123 = Path(__file__).with_name("golden") / "plane_123.sub.json"
@@ -304,6 +305,16 @@ def test_verify_rejects_custom_fiber(capsys):
     code, _, err = run(capsys, "verify", "--fiber", "custom:x.json")
     assert code == 2
     assert "published relation list" in err
+
+
+def test_fiber_help_offers_only_what_each_command_accepts(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    assert all(fiber in out for fiber in FIBERS)
+    assert "custom:" not in out
+    code, out, _ = run(capsys, "reduce", "--help")
+    assert code == 0
+    assert "custom:PATH" in out
 
 
 def test_verify_reports_corrupted_relation(capsys, monkeypatch, theta_basis):

@@ -108,6 +108,20 @@ def drop_products(monkeypatch):
     monkeypatch.setattr(reduction, "reducible_products", faulty)
 
 
+def add_gamma_generator(monkeypatch):
+    """gamma's reduction gains the generator I012, which the alpha_prime
+    set lacks."""
+    reduce = cli.reduce_basis
+
+    def faulty(rb, **kwargs):
+        result = reduce(rb, **kwargs)
+        if rb.substitution.name != "gamma":
+            return result
+        return result._replace(generators=result.generators + ("I012",))
+
+    monkeypatch.setattr(cli, "reduce_basis", faulty)
+
+
 ROWS = {
     "pinned-generator-swapped": (["reduce", "--fiber", "gamma"],
                                  swap_pinned_generator, 3, "keep set"),
@@ -134,6 +148,8 @@ ROWS = {
     "sigma-out-of-plane": (["reduce", "--fiber", f"custom:{PLANE}",
                             "--policy", "table-order"],
                            move_sigma_off_plane, 2, "sigma . n has nonzero component 3"),
+    "union-inclusion-broken": (["union"], add_gamma_generator, 1,
+                               "gamma subset of alpha_prime: False"),
     # Measured: table-order returns 14 generators for gamma instead of 8,
     # with exit 0; reduce runs no spanning or minimality certificate.
     "product-columns-dropped": (["reduce", "--fiber", "gamma", "--policy", "table-order"],

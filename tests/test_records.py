@@ -16,8 +16,7 @@ import pytest
 
 import mebasis
 from mebasis.catalog import CATALOG, InvariantDef
-from mebasis.reduction import (BidegreeReport, ReductionResult, Relation, UnionReport,
-                               check_union_property)
+from mebasis.reduction import BidegreeReport, ReductionResult, Relation
 from mebasis.restriction import RestrictedBasis, Substitution, fiber_substitution
 from mebasis.verify import SpotcheckOutcome, load_published, spotcheck_relations
 
@@ -27,7 +26,6 @@ FIELDS = {
                      "kept", "eliminated", "n_syzygies"),
     ReductionResult: ("basis", "policy", "effective_policy", "bounds", "generators",
                       "relations", "syzygies", "vanished", "reports"),
-    UnionReport: ("theta_included", "gamma_included", "union", "cardinal"),
     Substitution: ("name", "table", "sigma", "m", "normal"),
     RestrictedBasis: ("substitution", "entries", "vanished"),
     InvariantDef: ("name", "label", "formula", "bidegree", "recipe"),
@@ -46,7 +44,6 @@ def records(bases, reductions):
         Relation: theta.relations[0],
         BidegreeReport: theta.reports[0],
         ReductionResult: theta,
-        UnionReport: check_union_property(reductions),
         Substitution: bases["theta"].substitution,
         RestrictedBasis: bases["theta"],
         InvariantDef: CATALOG[0],

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from mebasis.catalog import CATALOG_INDEX, CATALOG_NAMES
+from mebasis.cli import union_payload
 from mebasis.poly import MAX_EXPONENT, Polynomial
 from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, Relation,
-                               RelationIntegrityError, bidegree_grid,
-                               check_union_property, deglex_key,
+                               RelationIntegrityError, bidegree_grid, deglex_key,
                                enumerate_products, partition_bidegrees, reduce_basis,
                                reducible_products)
 from mebasis.verify import spotcheck_relations
@@ -414,24 +414,17 @@ def test_unknown_policy_rejected(bases):
 
 # -- union of the published sets -----------------------------------------
 
-def test_union_of_generating_sets(reductions):
-    report = check_union_property(reductions)
-    assert report.theta_included
-    assert report.gamma_included
-    assert report.ok
-    assert report.cardinal == 15
-    assert report.union == TABLE3["alpha_prime"]
+def test_union_of_generating_sets():
+    report = union_payload("paper")["result"]
+    assert report["theta_included_in_alpha_prime"]
+    assert report["gamma_included_in_alpha_prime"]
+    assert report["cardinal"] == 15
+    assert report["union"] == list(TABLE3["alpha_prime"])
 
 
 def test_gamma_brings_a_generator_theta_lacks(reductions):
     assert "I600" in reductions["gamma"].generators
     assert "I600" not in reductions["theta"].generators
-
-
-def test_union_requires_all_three_results(reductions):
-    with pytest.raises(ValueError, match="gamma"):
-        check_union_property({k: v for k, v in reductions.items()
-                              if k != "gamma"})
 
 
 # -- relation objects ----------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 import mebasis.verify as verify_mod
 from mebasis.catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
-from mebasis.reduction import Relation, reduce_basis
+from mebasis.reduction import PINNED_GENERATORS, Relation, reduce_basis
 from mebasis.restriction import FIBERS, custom_substitution, restrict_basis
 from mebasis.poly import Polynomial, parse_polynomial
 from mebasis.verify import (DATA_PATH, NAME_TABLE, GeneratingSetReport,
@@ -85,6 +85,16 @@ def test_shipped_relations_keep_the_relation_contract(fiber):
         lead, rhs = rel.solved_form()
         assert lead == rel.terms[0][1]
         assert rhs == [(f, -c) for f, c in rel.terms[1:]]
+
+
+@pytest.mark.parametrize("fiber", FIBERS)
+def test_shipped_lhs_names_are_the_survivors_the_pinned_list_leaves_out(bases, fiber):
+    # The paper's lists are stored twice: as PINNED_GENERATORS and as the
+    # lhs names of the shipped relations.  Neither may change alone.
+    lhs = [row["lhs"] for row in _rows(fiber)]
+    assert len(set(lhs)) == len(lhs)
+    survivors = {name for name, _ in bases[fiber].entries}
+    assert set(lhs) == survivors - set(PINNED_GENERATORS[fiber])
 
 
 def test_published_relation_solves_for_its_lhs():
@@ -272,7 +282,7 @@ def _drawn_points(rb, seed, count):
 
 
 @pytest.mark.parametrize("fiber", FIBERS)
-def test_integer_point_values_are_all_ints(bases, fiber):
+def test_drawn_point_values_are_all_ints(bases, fiber):
     # A silent fall-back to Fractions anywhere in the recipes would show.
     rb = bases[fiber]
     for point in _drawn_points(rb, 7, 5):
@@ -301,7 +311,7 @@ def test_integer_form_matches_the_parsed_right_hand_side(bases):
     assert nonzero > 48
 
 
-def test_corrupted_relation_fails_where_the_fraction_points_say(theta_basis):
+def test_corrupted_relation_fails_where_the_drawn_points_say(theta_basis):
     # The first failing trial is the first point, drawn from the same
     # seeded stream, where the parsed rhs misses the recomputed lhs.
     bad_rhs = parse_polynomial("1/5*(I002*I010)", NAME_TABLE)
