@@ -41,13 +41,14 @@ CASES = {
          "--format", "json"],
     **{f"reduce_{fiber}_paper.{ext}":
        ["reduce", "--fiber", fiber, "--policy", "paper", "--format", fmt]
-       for fiber in ("theta", "gamma")
+       for fiber in ("theta", "alpha_prime", "gamma")
        for fmt, ext in (("text", "txt"), ("latex", "tex"))},
     **{f"verify_theta.{ext}":
        ["verify", "--fiber", "theta", "--trials", "100", "--seed", "0",
         "--format", fmt]
        for fmt, ext in (("text", "txt"), ("latex", "tex"))},
-    "union.txt": ["union", "--format", "text"],
+    **{f"union.{ext}": ["union", "--format", fmt]
+       for fmt, ext in (("text", "txt"), ("latex", "tex"))},
     **{f"catalog.{ext}": ["catalog", "--format", fmt]
        for fmt, ext in (("text", "txt"), ("latex", "tex"))},
 }
