@@ -11,7 +11,8 @@ magnetization vector):
   bar(x), dev(x)          the same projectors applied to x
 
 Catalog order is fixed and load-bearing: selection policies and every
-reported name list follow it.
+reported name list follow it.  A row states a name, a formula and a
+recipe; read_name reads the bi-degree and LaTeX label from the name.
 
 The recipes run on plain tuples: a 3-vector is a 3-tuple, a 3x3 matrix a
 3-tuple of rows, with Polynomial entries (substitutions) or plain
@@ -157,53 +158,54 @@ class InvariantDef(NamedTuple):
     recipe: Callable[[TensorParts], Entry]
 
 
+def read_name(name: str) -> tuple[tuple[int, int], str]:
+    """The bi-degree (a, b + c) and LaTeX label I_{abc}, or I_{abc}^{x}, of
+    a name Iabc with an optional suffix x, a or b; ValueError otherwise."""
+    digits, suffix = name[1:4], name[4:]
+    if not (name[:1] == "I" and len(digits) == 3 and digits.isascii()
+            and digits.isdigit() and suffix in ("", "a", "b")):
+        raise ValueError(f"cannot read invariant name {name!r} as Iabc, Iabca or Iabcb")
+    label = "I_{%s}" % digits + ("^{%s}" % suffix if suffix else "")
+    return (int(digits[0]), int(digits[1]) + int(digits[2])), label
+
+
 def build_catalog() -> tuple[InvariantDef, ...]:
-    return tuple(InvariantDef(*row) for row in (
-        ("I010", "I_{010}", "tr(s)", (0, 1), lambda p: p.tr),
-        ("I002", "I_{002}", "tr(sb^2)", (0, 2), lambda p: _tr(p.sb, p.sb)),
-        ("I020", "I_{020}", "tr(sd^2)", (0, 2), lambda p: _tr(p.sd, p.sd)),
-        ("I003", "I_{003}", "tr(sb^3)", (0, 3), lambda p: _tr(p.sb2, p.sb)),
-        ("I012", "I_{012}", "tr(sb^2*sd)", (0, 3), lambda p: _tr(p.sb2, p.sd)),
-        ("I030", "I_{030}", "tr(sd^3)", (0, 3), lambda p: _tr(p.sd, p.sd, p.sd)),
-        ("I004", "I_{004}", "tr(bar(sb^2)^2)", (0, 4),
-         lambda p: _tr(p.sb2_bar, p.sb2_bar)),
-        ("I022", "I_{022}", "tr(sb*sd*sb*sd)", (0, 4),
-         lambda p: _tr(p.sb, p.sd, p.sb, p.sd)),
-        ("I014", "I_{014}", "tr(sb*bar(sb^2)*sb*sd)", (0, 5),
-         lambda p: _tr(p.sb, p.sb2_bar, p.sb, p.sd)),
-        ("I200", "I_{200}", "dot(m,m)", (2, 0), lambda p: dot(p.m, p.m)),
-        ("I201", "I_{201}", "tr(mb*sb)", (2, 1), lambda p: _tr(p.mb, p.sb)),
-        ("I210", "I_{210}", "tr(md*sd)", (2, 1), lambda p: _tr(p.md, p.sd)),
-        ("I202a", "I_{202}^{a}", "tr(md*sb^2)", (2, 2), lambda p: _tr(p.md, p.sb2)),
-        ("I202b", "I_{202}^{b}", "tr(mb*bar(sb^2))", (2, 2),
-         lambda p: _tr(p.mb, p.sb2_bar)),
-        ("I211", "I_{211}", "tr(mb*sb*sd)", (2, 2), lambda p: _tr(p.mb_sb, p.sd)),
-        ("I220", "I_{220}", "tr(md*sd^2)", (2, 2), lambda p: _tr(p.md, p.sd, p.sd)),
-        ("I203", "I_{203}", "tr(mb*bar(sb^2)*sb)", (2, 3),
-         lambda p: _tr(p.mb_sb2_bar, p.sb)),
-        ("I212a", "I_{212}^{a}", "tr(md*dev(sb^2)*sd)", (2, 3),
-         lambda p: _tr(p.md, p.sb2_dev, p.sd)),
-        ("I212b", "I_{212}^{b}", "tr(mb*bar(sb^2)*sd)", (2, 3),
-         lambda p: _tr(p.mb_sb2_bar, p.sd)),
-        ("I221", "I_{221}", "tr(mb*sd*sb*sd)", (2, 3),
-         lambda p: _tr(p.mb_sd_sb, p.sd)),
-        ("I204", "I_{204}", "tr(md*sb*bar(sb^2)*sb)", (2, 4),
-         lambda p: _tr(p.md, p.sb, p.sb2_bar, p.sb)),
-        ("I213", "I_{213}", "tr(mb*dev(sb^2)*sb*sd)", (2, 4),
-         lambda p: _tr(p.mb, p.sb2_dev, p.sb, p.sd)),
-        ("I222", "I_{222}", "tr(mb*sd*bar(sb^2)*sd)", (2, 4),
-         lambda p: _tr(p.mb_sd, p.sb2_bar, p.sd)),
-        ("I400", "I_{400}", "tr(mb^2)", (4, 0), lambda p: _tr(p.mb, p.mb)),
-        ("I401", "I_{401}", "tr(mb*sb*mb)", (4, 1), lambda p: _tr(p.mb_sb, p.mb)),
-        ("I410", "I_{410}", "tr(mb*sd*mb)", (4, 1), lambda p: _tr(p.mb_sd, p.mb)),
-        ("I402", "I_{402}", "tr(mb*bar(sb^2)*mb)", (4, 2),
-         lambda p: _tr(p.mb_sb2_bar, p.mb)),
-        ("I411", "I_{411}", "tr(mb*sd*sb*mb)", (4, 2),
-         lambda p: _tr(p.mb_sd_sb, p.mb)),
-        ("I600", "I_{600}", "tr(mb^3)", (6, 0), lambda p: _tr(p.mb, p.mb, p.mb)),
-        ("I601", "I_{601}", "tr(md*mb*md*sb)", (6, 1),
-         lambda p: _tr(p.md, p.mb, p.md, p.sb)),
-    ))
+    defs = []
+    for name, formula, recipe in (
+        ("I010", "tr(s)", lambda p: p.tr),
+        ("I002", "tr(sb^2)", lambda p: _tr(p.sb, p.sb)),
+        ("I020", "tr(sd^2)", lambda p: _tr(p.sd, p.sd)),
+        ("I003", "tr(sb^3)", lambda p: _tr(p.sb2, p.sb)),
+        ("I012", "tr(sb^2*sd)", lambda p: _tr(p.sb2, p.sd)),
+        ("I030", "tr(sd^3)", lambda p: _tr(p.sd, p.sd, p.sd)),
+        ("I004", "tr(bar(sb^2)^2)", lambda p: _tr(p.sb2_bar, p.sb2_bar)),
+        ("I022", "tr(sb*sd*sb*sd)", lambda p: _tr(p.sb, p.sd, p.sb, p.sd)),
+        ("I014", "tr(sb*bar(sb^2)*sb*sd)", lambda p: _tr(p.sb, p.sb2_bar, p.sb, p.sd)),
+        ("I200", "dot(m,m)", lambda p: dot(p.m, p.m)),
+        ("I201", "tr(mb*sb)", lambda p: _tr(p.mb, p.sb)),
+        ("I210", "tr(md*sd)", lambda p: _tr(p.md, p.sd)),
+        ("I202a", "tr(md*sb^2)", lambda p: _tr(p.md, p.sb2)),
+        ("I202b", "tr(mb*bar(sb^2))", lambda p: _tr(p.mb, p.sb2_bar)),
+        ("I211", "tr(mb*sb*sd)", lambda p: _tr(p.mb_sb, p.sd)),
+        ("I220", "tr(md*sd^2)", lambda p: _tr(p.md, p.sd, p.sd)),
+        ("I203", "tr(mb*bar(sb^2)*sb)", lambda p: _tr(p.mb_sb2_bar, p.sb)),
+        ("I212a", "tr(md*dev(sb^2)*sd)", lambda p: _tr(p.md, p.sb2_dev, p.sd)),
+        ("I212b", "tr(mb*bar(sb^2)*sd)", lambda p: _tr(p.mb_sb2_bar, p.sd)),
+        ("I221", "tr(mb*sd*sb*sd)", lambda p: _tr(p.mb_sd_sb, p.sd)),
+        ("I204", "tr(md*sb*bar(sb^2)*sb)", lambda p: _tr(p.md, p.sb, p.sb2_bar, p.sb)),
+        ("I213", "tr(mb*dev(sb^2)*sb*sd)", lambda p: _tr(p.mb, p.sb2_dev, p.sb, p.sd)),
+        ("I222", "tr(mb*sd*bar(sb^2)*sd)", lambda p: _tr(p.mb_sd, p.sb2_bar, p.sd)),
+        ("I400", "tr(mb^2)", lambda p: _tr(p.mb, p.mb)),
+        ("I401", "tr(mb*sb*mb)", lambda p: _tr(p.mb_sb, p.mb)),
+        ("I410", "tr(mb*sd*mb)", lambda p: _tr(p.mb_sd, p.mb)),
+        ("I402", "tr(mb*bar(sb^2)*mb)", lambda p: _tr(p.mb_sb2_bar, p.mb)),
+        ("I411", "tr(mb*sd*sb*mb)", lambda p: _tr(p.mb_sd_sb, p.mb)),
+        ("I600", "tr(mb^3)", lambda p: _tr(p.mb, p.mb, p.mb)),
+        ("I601", "tr(md*mb*md*sb)", lambda p: _tr(p.md, p.mb, p.md, p.sb)),
+    ):
+        bidegree, label = read_name(name)
+        defs.append(InvariantDef(name, label, formula, bidegree, recipe))
+    return tuple(defs)
 
 
 CATALOG: tuple[InvariantDef, ...] = build_catalog()

@@ -11,13 +11,12 @@ engine error (a ReductionError, e.g. a pinned keep set that conflicts).
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import __version__
-from .catalog import CATALOG, CATALOG_NAMES
+from .catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from .poly import MAX_EXPONENT, product_str, signed_sum
 from .reduction import (DEFAULT_BOUNDS, POLICIES, Relation, ReductionError,
                         ReductionResult, partition_bidegrees, reduce_basis,
@@ -27,7 +26,7 @@ from .restriction import (FIBERS, RestrictedBasis, SubstitutionError,
                           generic_substitution, restrict_basis)
 from .verify import load_published, spotcheck_relations, verify_published
 
-_FIBER_HELP = "theta | alpha_prime | gamma | custom:PATH"
+_FIBER_HELP = " | ".join((*FIBERS, "custom:PATH"))
 
 
 class UsageError(Exception):
@@ -66,20 +65,12 @@ def _bounds(args) -> tuple[int, int]:
 def latex_name(name: str) -> str:
     if name == "I010":
         return r"\operatorname{tr}\boldsymbol{\sigma}"
-    m = re.fullmatch(r"I(\d{3})([ab]?)", name)
-    if m is None:
-        return name
-    out = "I_{%s}" % m.group(1)
-    if m.group(2):
-        out += "^{%s}" % m.group(2)
-    return out
+    return CATALOG[CATALOG_INDEX[name]].label
 
 
 def _latex_power(name: str, e: int) -> str:
-    if e == 1:
-        return latex_name(name)
-    base = r"(\operatorname{tr}\boldsymbol{\sigma})" if name == "I010" else latex_name(name)
-    return "%s^{%d}" % (base, e)
+    base = "(%s)" % latex_name(name) if name == "I010" and e > 1 else latex_name(name)
+    return base if e == 1 else "%s^{%d}" % (base, e)
 
 
 def latex_product(factors: Sequence[str]) -> str:

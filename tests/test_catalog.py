@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mebasis.catalog as catalog_mod
 from mebasis.catalog import (CATALOG, CATALOG_INDEX, CATALOG_NAMES,
-                             evaluate_all)
+                             evaluate_all, read_name)
 from mebasis.poly import MAG, Polynomial, VarTable
 from mebasis.restriction import fiber_substitution, generic_substitution
 
@@ -49,6 +49,20 @@ def test_declared_bidegrees_follow_the_digit_convention():
     for defn in CATALOG:
         a, b, c = (int(d) for d in defn.name[1:4])
         assert defn.bidegree == (a, b + c), defn.name
+
+
+def test_labels_follow_the_name():
+    # I_{abc} from the three digits, with a suffix a or b as a superscript.
+    for defn in CATALOG:
+        digits, suffix = defn.name[1:4], defn.name[4:]
+        expected = f"I_{{{digits}}}^{{{suffix}}}" if suffix else f"I_{{{digits}}}"
+        assert defn.label == expected, defn.name
+
+
+@pytest.mark.parametrize("name", ["I20", "I202c", "J010", "I0100"])
+def test_read_name_refuses_what_is_not_iabc(name):
+    with pytest.raises(ValueError, match=repr(name)):
+        read_name(name)
 
 
 def test_generic_trace_and_magnetization_square():

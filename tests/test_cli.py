@@ -450,6 +450,7 @@ def test_unknown_format_rejected_by_argparse(capsys):
 def test_latex_name_rules():
     assert cli.latex_name("I010") == r"\operatorname{tr}\boldsymbol{\sigma}"
     assert cli.latex_name("I202a") == "I_{202}^{a}"
+    assert cli.latex_name("I212b") == "I_{212}^{b}"
     assert cli.latex_name("I400") == "I_{400}"
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from mebasis.catalog import CATALOG_INDEX, CATALOG_NAMES
 from mebasis.cli import union_payload
-from mebasis.poly import MAX_EXPONENT, Polynomial
+from mebasis.poly import MAX_EXPONENT
 from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, Relation,
                                RelationIntegrityError, bidegree_grid, deglex_key,
