@@ -5,12 +5,14 @@ a given command line: repeated runs produce byte-identical bytes, so JSON
 reports are diffable and safe to pin in CI.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-engine error (a ReductionError, e.g. a pinned keep set that conflicts).
+engine error (a ReductionError, e.g. a pinned keep set that conflicts), 4
+standard output could not be written (a closed pipe, a full disk).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -27,6 +29,10 @@ from .restriction import (FIBERS, RestrictedBasis, SubstitutionError,
 from .verify import load_published, spotcheck_relations, verify_published
 
 _FIBER_HELP = " | ".join((*FIBERS, "custom:PATH"))
+
+# How many pieces of JSON text write_json collects before it writes them:
+# one chunk of a report is held in memory at a time, never the whole text.
+JSON_CHUNK = 4096
 
 
 class UsageError(Exception):
@@ -103,13 +109,22 @@ def _tool_payload() -> dict:
     return {"name": "mebasis", "version": __version__}
 
 
-def render_json(value) -> str:
-    """value (dicts with str keys, lists, str, int, bool, None) as
-    json.dumps(value, indent=2) writes it, without the pure-Python encoder
-    that an indent selects."""
+def write_json(value, stream) -> None:
+    """Write value (dicts with str keys, lists, str, int, bool, None) and a
+    newline to stream, as json.dumps(value, indent=2) writes it, without the
+    pure-Python encoder that an indent selects; one write per JSON_CHUNK
+    pieces, so only one chunk of the text is held at a time."""
     parts: list[str] = []
-    _emit_json(value, "\n", parts.append)
-    return "".join(parts)
+
+    def out(piece: str) -> None:
+        parts.append(piece)
+        if len(parts) >= JSON_CHUNK:
+            stream.write("".join(parts))
+            parts.clear()
+
+    _emit_json(value, "\n", out)
+    parts.append("\n")
+    stream.write("".join(parts))
 
 
 def _emit_json(value, newline: str, out) -> None:
@@ -169,7 +184,7 @@ def _run_catalog(args) -> int:
                 for d in CATALOG
             ],
         }
-        print(render_json(payload))
+        write_json(payload, sys.stdout)
     elif args.format == "latex":
         lines = [r"\begin{tabular}{llll}",
                  r"name & label & bi-degree & formula \\ \hline"]
@@ -277,7 +292,7 @@ def _run_reduce(args) -> int:
                          f"unexplored; raise {' and '.join(short)}")
     result = reduce_basis(rb, bounds=bounds, policy=args.policy)
     if args.format == "json":
-        print(render_json(reduce_payload(result)))
+        write_json(reduce_payload(result), sys.stdout)
     elif args.format == "latex":
         print(render_reduce_latex(result))
     else:
@@ -330,7 +345,7 @@ def _run_verify(args) -> int:
     payload = verify_payload(args.fiber, rb, args.trials, args.seed)
     failed = payload["result"]["counts"]["failed"]
     if args.format == "json":
-        print(render_json(payload))
+        write_json(payload, sys.stdout)
     elif args.format == "latex":
         lines = [r"\begin{tabular}{llll}",
                  r"source & invariant & symbolic & numeric \\ \hline"]
@@ -380,7 +395,7 @@ def _run_union(args) -> int:
     r = payload["result"]
     ok = r["theta_included_in_alpha_prime"] and r["gamma_included_in_alpha_prime"]
     if args.format == "json":
-        print(render_json(payload))
+        write_json(payload, sys.stdout)
     elif args.format == "latex":
         print(",\\quad ".join("$%s$" % latex_name(n) for n in r["union"]))
     else:
@@ -441,6 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _detach_stdout() -> None:
+    """Point stdout's descriptor, if it has one, at the null device, so the
+    interpreter's last flush of what stdout still buffers cannot fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -449,13 +476,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write failure is raised here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReductionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        if exc.filename is not None:  # a file the program reads, not stdout
+            raise
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        _detach_stdout()
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,6 +1,11 @@
 """Command-line interface: payload shapes, formats, exit codes, stability."""
 
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +21,8 @@ from mebasis.reduction import PolicyConflictError
 from mebasis.restriction import FIBERS
 from mebasis.verify import published_relation
 
-PLANE_123 = Path(__file__).with_name("golden") / "plane_123.sub.json"
+GOLDEN = Path(__file__).with_name("golden")
+PLANE_123 = GOLDEN / "plane_123.sub.json"
 
 EQ3_TEXT = json.dumps({
     "name": "plane-stress-e3",
@@ -54,13 +60,45 @@ json_values = st.recursive(
 @example({"a": [], "b": {}, "c": [[], {}], "": [None, True, False, 0, -1, 10 ** 30]})
 @example({'q"uote': 'back\\slash', "ctl\x01": "\u2028 é 😀", "nested": {"x": [1, {"y": []}]}})
 def test_json_rendering_matches_json_dumps_with_indent(value):
-    assert cli.render_json(value) == json.dumps(value, indent=2)
+    buf = io.StringIO()
+    cli.write_json(value, buf)
+    assert buf.getvalue() == json.dumps(value, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": Fraction(1, 2)}])
 def test_json_rendering_refuses_what_the_payloads_never_hold(value):
     with pytest.raises(TypeError):
-        cli.render_json(value)
+        cli.write_json(value, io.StringIO())
+
+
+class RecordingStdout:
+    """A stdout that keeps the text of each write call."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("chunk", [16, 4096])
+def test_reduce_json_is_written_in_bounded_chunks(monkeypatch, chunk):
+    # A piece of JSON text holds at most one line break, and at most one
+    # line of the report and the two characters before it.
+    monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["reduce", "--fiber", "alpha_prime", "--format", "json"]) == 0
+    text = "".join(stdout.writes)
+    assert text == (GOLDEN / "reduce_alpha_prime_paper.json").read_text()
+    longest_piece = max(map(len, text.splitlines())) + 2
+    assert len(stdout.writes) > 1
+    assert max(w.count("\n") for w in stdout.writes) <= chunk
+    assert max(map(len, stdout.writes)) <= chunk * longest_piece
 
 
 # -- reduce --------------------------------------------------------------
@@ -445,6 +483,65 @@ def test_unknown_format_rejected_by_argparse(capsys):
                        "--format", "yaml")
     assert code == 2
     assert "invalid choice" in err
+
+
+class BrokenStdout:
+    """A stdout whose write or flush raises a fresh OSError with errno."""
+
+    def __init__(self, method, errno_):
+        self.method, self.errno = method, errno_
+
+    def _fail(self):
+        cls = BrokenPipeError if self.errno == errno.EPIPE else OSError
+        raise cls(self.errno, os.strerror(self.errno))
+
+    def write(self, text):
+        if self.method == "write":
+            self._fail()
+        return len(text)
+
+    def flush(self):
+        if self.method == "flush":
+            self._fail()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--fiber", "theta", "--format", "json"],
+    ["verify", "--fiber", "theta", "--trials", "2"],
+], ids=["reduce-json", "verify-text"])
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("errno_", [errno.EPIPE, errno.ENOSPC],
+                         ids=["EPIPE", "ENOSPC"])
+def test_write_failure_on_stdout_exits_4(capsys, monkeypatch, argv, method, errno_):
+    monkeypatch.setattr(sys, "stdout", BrokenStdout(method, errno_))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 4  # verify included: a failed write is no failed check
+    assert err == f"error: cannot write output: {os.strerror(errno_)}\n"
+
+
+@pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])
+def test_write_failure_in_a_process_prints_one_line(target):
+    # The interpreter's last flush of stdout must not add an
+    # "Exception ignored" report after the error line.
+    if target == "closed-pipe":
+        read, fd = os.pipe()
+        os.close(read)
+    elif os.path.exists(target):
+        fd = os.open(target, os.O_WRONLY)
+    else:
+        pytest.skip(f"{target} does not exist here")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mebasis.cli", "reduce", "--fiber",
+             "alpha_prime", "--format", "json"],
+            stdout=fd, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 4
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
 
 
 def test_latex_name_rules():

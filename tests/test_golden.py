@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import mebasis.cli as cli
 from mebasis.catalog import CATALOG
 from mebasis.cli import main
 from mebasis.reduction import reduce_basis
@@ -81,6 +82,13 @@ def render(name: str) -> str:
 
 @pytest.mark.parametrize("name", [*CASES, GENERIC])
 def test_output_matches_golden(name):
+    assert render(name).encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 10 ** 9])
+@pytest.mark.parametrize("name", [name for name in CASES if name.endswith(".json")])
+def test_json_output_does_not_depend_on_chunk_size(monkeypatch, name, chunk):
+    monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
     assert render(name).encode() == (GOLDEN / name).read_bytes()
 
 
