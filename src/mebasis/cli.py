@@ -5,13 +5,17 @@ a given command line: repeated runs produce byte-identical bytes, so JSON
 reports are diffable and safe to pin in CI.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-engine error (a ReductionError, e.g. a pinned keep set that conflicts), 4
-standard output could not be written (a closed pipe, a full disk).
+error: a ReductionError (e.g. a pinned keep set that conflicts) or a file
+the program reads that it cannot read ("error: cannot read <file>:
+<reason>"), 4 standard output, --help and --version included, could not
+be written (a closed pipe, a full disk).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -266,15 +270,10 @@ def render_reduce_text(result: ReductionResult) -> str:
 
 
 def render_reduce_latex(result: ReductionResult) -> str:
-    lines = [r"% generators"]
     gens = ",\\quad ".join("$%s$" % latex_name(n) for n in result.generators)
-    lines.append(gens)
-    lines.append(r"% relations")
-    lines.append(r"\begin{align*}")
-    body = [latex_relation(rel) for rel in result.relations]
-    lines.append(" \\\\\n".join(body))
-    lines.append(r"\end{align*}")
-    return "\n".join(lines)
+    body = " \\\\\n".join(latex_relation(rel) for rel in result.relations)
+    return "\n".join([r"% generators", gens, r"% relations", r"\begin{align*}", body,
+                      r"\end{align*}"])
 
 
 def _run_reduce(args) -> int:
@@ -470,13 +469,17 @@ def _detach_stdout() -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    shown, code = io.StringIO(), None
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(shown):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; pass both through
-        return int(exc.code or 0)
+        # argparse exits 2 on usage errors, 0 after the --help or --version text
+        code = int(exc.code or 0)
     try:
-        code = args.func(args)
+        if code is None:
+            code = args.func(args)
+        sys.stdout.write(shown.getvalue())
         sys.stdout.flush()  # a write failure is raised here, not at exit
         return code
     except UsageError as exc:
@@ -487,7 +490,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except OSError as exc:
         if exc.filename is not None:  # a file the program reads, not stdout
-            raise
+            print(f"error: cannot read {exc.filename}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 3
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         _detach_stdout()
         return 4

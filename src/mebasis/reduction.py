@@ -11,15 +11,16 @@ elimination (RREF) on it.
 
 The multisets are enumerated from names and bi-degrees alone.  One
 builder, _product, makes every product, for the engine's columns, the
-self-check and verify.verify_generating_set: the Polynomial product of
-its prefix (all factors but the last, in sorted-name order) and its last
-invariant, with prefixes of two or more factors kept in its caller's
-table.  Each caller multiplies out of a survivor dict of its own
-(rb.as_dict()); one reduce_basis call keeps one such dict and one prefix
-table for the engine, both freed when it returns.  Each column holds its
-polynomial's numerators, the polynomial times its denominator; the RREF
-pivots do not depend on such scaling, and relations read from the RREF
-multiply it back in.
+self-check and the products of two or more members in
+verify.verify_generating_set: the Polynomial product of its prefix (all
+factors but the last, in sorted-name order) and its last invariant, with
+prefixes of two or more factors kept in its caller's table.  Each caller
+multiplies out of a survivor dict of its own (rb.as_dict()); one
+reduce_basis call keeps one such dict and one prefix table for the
+engine, both freed when it returns.  Each column holds its polynomial's
+numerators, the polynomial times its denominator; the RREF pivots do not
+depend on such scaling, and relations read from the RREF multiply it
+back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
@@ -203,13 +204,11 @@ def _product(factors: tuple[str, ...], polys: Mapping[str, Polynomial],
 
 
 def enumerate_products(items: Sequence[tuple[str, tuple[int, int]]],
-                       target: tuple[int, int], min_factors: int,
-                       polys: Mapping[str, Polynomial],
+                       target: tuple[int, int], polys: Mapping[str, Polynomial],
                        prefixes: dict[tuple[str, ...], Polynomial]
                        ) -> list[tuple[tuple[str, ...], Polynomial]]:
-    """Multisets of at least min_factors items (name, bi-degree) whose
-    bi-degrees sum to target, each with its _product out of polys and
-    prefixes.
+    """Multisets of two or more items (name, bi-degree) whose bi-degrees
+    sum to target, each with its _product out of polys and prefixes.
 
     Output order is lexicographic by the sorted factor-name tuple.  The
     multisets are found from names and bi-degrees alone.  Share prefixes
@@ -223,7 +222,7 @@ def enumerate_products(items: Sequence[tuple[str, tuple[int, int]]],
 
     def rec(start: int, ra: int, rb_: int) -> None:
         if ra == 0 and rb_ == 0:
-            if len(factors) >= min_factors:
+            if len(factors) >= 2:
                 found.append(tuple(factors))
             return
         for idx in range(start, len(pool)):
@@ -244,7 +243,7 @@ def reducible_products(rb: RestrictedBasis, target: tuple[int, int],
     """Products of two or more surviving invariants with bi-degree sum
     target; polys and prefixes as in enumerate_products."""
     items = [(name, _bidegree(name)) for name, _ in rb.entries]
-    return enumerate_products(items, target, 2, polys, prefixes)
+    return enumerate_products(items, target, polys, prefixes)
 
 
 def unexplored(rb: RestrictedBasis, bounds: tuple[int, int]

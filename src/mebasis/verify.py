@@ -8,14 +8,10 @@ Three checks; the spot-check alone shares no code with the reduction engine:
                         are Polynomial products, which share
                         poly.integer_product with the engine,
   verify_generating_set spanning and minimality certificates for a
-                        candidate survivor set, checked for every survivor
-                        by one RREF per question over free monomials in
-                        the candidate names; it shares the engine's
-                        product builder (reduction.enumerate_products, on
-                        the restricted Polynomials), its integer
-                        coefficient matrix (poly.coefficient_matrix) and
-                        RatMatrix.rref, so it is a check of the chosen
-                        set, not of that code,
+                        candidate set, one RREF per bi-degree, on the
+                        engine's enumerate_products, coefficient_matrix
+                        and RatMatrix.rref: a check of the chosen set,
+                        not of that code,
   spotcheck_relations   seeded random integer points, with every
                         invariant value recomputed through the tensor
                         recipes on int matrices rather than read off the
@@ -46,7 +42,7 @@ from .catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomial
 # Unused here; perfbench/tracing.py wraps this name in this module.
 from .ratlinalg import solve_columns  # noqa: F401
-from .reduction import Relation, enumerate_products
+from .reduction import Relation, enumerate_products, partition_bidegrees
 from .restriction import RestrictedBasis, Substitution
 from . import catalog as catalog_mod
 
@@ -184,21 +180,16 @@ class GeneratingSetReport:
         return self.spanning_ok and self.minimal
 
 
-def _in_span(target: Polynomial, columns: Sequence[Polynomial]) -> bool:
-    """Whether target is a linear combination of columns: the target's
-    column, placed last, is not a pivot of their joint RREF."""
-    return len(columns) not in coefficient_matrix([*columns, target])[1].rref()[1]
-
-
 def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> GeneratingSetReport:
-    """Spanning and minimality certificates for a candidate survivor set.
-
-    Spanning: every surviving invariant outside the set must lie in the
-    span of free monomials in the set's names at its own bi-degree.
-    Minimality: no member may lie in the span of free monomials in the
-    other members at its bi-degree (dropping it would break spanning).
-    Every survivor is checked.  A name given twice raises ValueError: the
-    minimality test drops every copy of the member it tests.
+    """Spanning and minimality certificates for a candidate survivor set:
+    every outsider (a survivor not in the set) must lie in the span of free
+    monomials in the members at its bi-degree, and no member in that of
+    the others.  One RREF per bi-degree has the columns: products P of two
+    or more members (none has a factor of that degree), members, outsiders.
+    An outsider is spanned unless it meets a row with an outsider pivot;
+    the free member columns' rows span the members' kernel modulo P, so a
+    member is redundant when its column is free or its pivot row meets
+    one.  A name given twice raises ValueError.
     """
     surviving = dict(rb.entries)
     for i, n in enumerate(names):
@@ -206,19 +197,23 @@ def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> Generati
             raise ValueError(f"{n!r} is not a surviving invariant of this basis")
         if n in names[:i]:
             raise ValueError(f"{n!r} is named more than once in the candidate set")
+    partition = partition_bidegrees(rb)
+    items = [(n, bd) for bd, invs in partition for n in invs if n in names]
     prefixes: dict = {}
-    info = [(n, surviving[n].bidegree()) for n in names]
-
-    def in_span(name: str, items) -> bool:
-        bd = surviving[name].bidegree()
-        cols = [c for _, c in enumerate_products(items, bd, 1, surviving, prefixes)]
-        return _in_span(surviving[name], cols)
-
-    spanning_failures = [name for name, _ in rb.entries
-                         if name not in names and not in_span(name, info)]
-    redundant = [g for g in names
-                 if in_span(g, [item for item in info if item[0] != g])]
-
-    return GeneratingSetReport(tuple(names), not spanning_failures,
-                               tuple(spanning_failures), not redundant,
-                               tuple(redundant))
+    failed: set[str] = set()  # unspanned outsiders and redundant members
+    for bd, invs in partition:
+        prods = [c for _, c in enumerate_products(items, bd, surviving, prefixes)]
+        members = [n for n in invs if n in names]
+        outsiders = [n for n in invs if n not in names]
+        rrefm, pivots = coefficient_matrix(
+            prods + [surviving[n] for n in members + outsiders])[1].rref()
+        pivot_row = dict(zip(pivots, rrefm.data))
+        m0, o0 = len(prods), len(prods) + len(members)
+        failed.update(n for j, n in enumerate(outsiders, o0)
+                      if any(row[j] for p, row in pivot_row.items() if p >= o0))
+        free = [j for j in range(m0, o0) if j not in pivot_row]
+        failed.update(n for j, n in enumerate(members, m0)
+                      if j in free or any(pivot_row[j][f] for f in free))
+    unspanned = tuple(n for n, _ in rb.entries if n in failed and n not in names)
+    redundant = tuple(n for n in names if n in failed)
+    return GeneratingSetReport(tuple(names), not unspanned, unspanned, not redundant, redundant)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mebasis.cli as cli
+import mebasis.verify as verify_mod
 from mebasis import __version__
 from mebasis.cli import main
 from mebasis.poly import MAX_EXPONENT
@@ -518,6 +519,24 @@ def test_write_failure_on_stdout_exits_4(capsys, monkeypatch, argv, method, errn
     err = capsys.readouterr().err
     assert code == 4  # verify included: a failed write is no failed check
     assert err == f"error: cannot write output: {os.strerror(errno_)}\n"
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_write_failure_after_help_or_version_exits_4(capsys, monkeypatch, flag):
+    monkeypatch.setattr(sys, "stdout", BrokenStdout("write", errno.ENOSPC))
+    code = main([flag])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_missing_data_file_is_one_line_and_exit_3(capsys, monkeypatch, tmp_path):
+    missing = tmp_path / "published_relations.json"
+    monkeypatch.setattr(verify_mod, "DATA_PATH", missing)
+    code, out, err = run(capsys, "verify", "--fiber", "theta", "--trials", "1")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])

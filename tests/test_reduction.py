@@ -96,11 +96,11 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
         assert product == built[f]
 
 
-def test_enumerate_products_allows_single_factors(theta_basis):
+def test_enumerate_products_has_two_or_more_factors(theta_basis):
+    # I002 and I020 lie at (0, 2) themselves; only I010^2 is a product there.
     items = [(n, p.bidegree()) for n, p in theta_basis.entries]
-    singles = enumerate_products(items, (0, 2), 1, theta_basis.as_dict(), {})
-    assert [f for f, _ in singles] == \
-        [("I002",), ("I010", "I010"), ("I020",)]
+    products = enumerate_products(items, (0, 2), theta_basis.as_dict(), {})
+    assert [f for f, _ in products] == [("I010", "I010")]
 
 
 # -- relations at a single bi-degree -------------------------------------

@@ -12,15 +12,20 @@ side, evaluated at those values, is the reference for the loaded form.
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
+from pathlib import Path
 
 import pytest
 
 import mebasis.verify as verify_mod
 from mebasis.catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
-from mebasis.reduction import PINNED_GENERATORS, Relation, reduce_basis
+from mebasis.ratlinalg import RatMatrix
+from mebasis.reduction import (PINNED_GENERATORS, Relation, partition_bidegrees,
+                               reduce_basis)
 from mebasis.restriction import FIBERS, custom_substitution, restrict_basis
-from mebasis.poly import Polynomial, parse_polynomial
+from mebasis.poly import Polynomial, coefficient_matrix, parse_polynomial
 from mebasis.verify import (DATA_PATH, NAME_TABLE, GeneratingSetReport,
                             load_published, numeric_invariants,
                             published_relation, random_point, spotcheck_relations,
@@ -491,7 +496,80 @@ def test_certificate_rejects_non_survivor(theta_basis):
 
 
 def test_certificate_rejects_a_repeated_name(theta_basis):
-    # With I010 twice, dropping "every other member" drops both copies, so
-    # each would test as needed and 8 names would pass as minimal.
+    # Without the check, the 8 names, I010 twice among them, would pass as
+    # a minimal generating set.
     with pytest.raises(ValueError, match="'I010' is named more than once"):
         verify_generating_set(list(TABLE3["theta"]) + ["I010"], theta_basis)
+
+
+def _bidegree(name):
+    return CATALOG[CATALOG_INDEX[name]].bidegree
+
+
+def _monomials(items, target):
+    """Multisets of one or more items (name, bi-degree) whose bi-degrees
+    sum to target (nonzero), as name tuples in item order."""
+    if target == (0, 0):
+        yield ()
+        return
+    for i, (name, (a, b)) in enumerate(items):
+        if a <= target[0] and b <= target[1]:
+            for rest in _monomials(items[i:], (target[0] - a, target[1] - b)):
+                yield (name, *rest)
+
+
+def reference_generating_set(names, rb):
+    """The certificate by one RREF pivot test per question: a survivor is in
+    the span of the free monomials in the items when its column, placed
+    last after theirs at its bi-degree, is not a pivot."""
+    polys = rb.as_dict()
+    info = [(n, _bidegree(n)) for n in names]
+
+    def in_span(name, items):
+        cols = [reduce(mul, (polys[f] for f in fs))
+                for fs in _monomials(items, _bidegree(name))]
+        return len(cols) not in coefficient_matrix([*cols, polys[name]])[1].rref()[1]
+
+    failures = tuple(n for n, _ in rb.entries
+                     if n not in names and not in_span(n, info))
+    redundant = tuple(g for g in names if in_span(g, [i for i in info if i[0] != g]))
+    return GeneratingSetReport(tuple(names), not failures, failures,
+                               not redundant, redundant)
+
+
+PLANE_123 = Path(__file__).with_name("golden") / "plane_123.sub.json"
+
+
+@pytest.fixture(scope="module")
+def certificate_bases(bases):
+    return {**bases, "plane_123": restrict_basis(CATALOG, custom_substitution(PLANE_123))}
+
+
+@pytest.mark.parametrize("basis", [*FIBERS, "plane_123"])
+def test_certificate_matches_one_pivot_test_per_question(certificate_bases, basis):
+    rb = certificate_bases[basis]
+    survivors = [n for n, _ in rb.entries]
+    rng = random.Random(f"certificate-{basis}")
+    candidates = [TABLE3.get(basis, survivors), survivors]
+    candidates += [rng.sample(survivors, rng.randint(1, len(survivors)))
+                   for _ in range(10)]
+    reports = [verify_generating_set(names, rb) for names in candidates]
+    assert reports == [reference_generating_set(names, rb) for names in candidates]
+    # The sets exercise both failures, not only passing reports.
+    assert not all(r.spanning_ok for r in reports)
+    assert not all(r.minimal for r in reports)
+
+
+@pytest.mark.parametrize("fiber, eliminations",
+                         [("theta", 12), ("alpha_prime", 15), ("gamma", 15)])
+def test_certificate_runs_one_rref_per_bidegree(bases, monkeypatch, fiber, eliminations):
+    calls = []
+    original = RatMatrix.rref
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RatMatrix, "rref", counted)
+    assert verify_generating_set(TABLE3[fiber], bases[fiber]).ok
+    assert len(calls) == len(partition_bidegrees(bases[fiber])) == eliminations
