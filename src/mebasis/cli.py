@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error: a ReductionError (e.g. a pinned keep set that conflicts) or a file
 the program reads that it cannot read ("error: cannot read <file>:
 <reason>"), 4 standard output, --help and --version included, could not
-be written (a closed pipe, a full disk).
+be written (a closed pipe, a full disk).  main lifts the interpreter's
+4300-digit limit on writing an int as text, so any coefficient prints.
 """
 
 from __future__ import annotations
@@ -468,6 +469,8 @@ def _detach_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7 and later
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     shown, code = io.StringIO(), None
     try:

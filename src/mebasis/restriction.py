@@ -8,8 +8,9 @@ plane with unit normal n (sigma . n = 0 and m . n = 0):
   gamma        n along e1 + e2 + e3 (octahedral plane)
 
 Each is parameterized by two magnetization variables (m1, m2) and three
-stress variables (s1, s2, s3).  User-defined substitutions load from a
-small JSON format; see custom_substitution.
+stress variables (s1, s2, s3).  They and the generic 3D substitution are
+substitution documents in BUILTIN_DOCUMENTS, in the JSON format that user
+files use, and load through custom_substitution like any user file.
 
 restrict_basis runs the catalog recipes directly on the substitution's
 Polynomials (integer numerators over one denominator), so each restricted
@@ -24,11 +25,34 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import catalog as catalog_mod
 from .catalog import Mat3, Vec3, dot, entry_table, is_symmetric, mul_vec
-from .poly import MAG, STRESS, ParseError, Polynomial, VarTable, parse_polynomial
+from .poly import (MAX_LITERAL_DIGITS, ParseError, Polynomial, VarTable,
+                   parse_polynomial)
 
 FIBERS = ("theta", "alpha_prime", "gamma")
 
 _DOCUMENT_KEYS = ("name", "variables", "sigma", "m", "normal")
+
+_PLANE_VARIABLES = {"m1": "mag", "m2": "mag", "s1": "stress", "s2": "stress", "s3": "stress"}
+
+# The built-in substitutions as substitution documents (see custom_substitution),
+# each named by its key when it is loaded.
+BUILTIN_DOCUMENTS = {
+    "theta": {
+        "variables": _PLANE_VARIABLES, "m": ["m1", "m2", "0"], "normal": [0, 0, 1],
+        "sigma": {"11": "s1", "12": "s3", "13": "0", "22": "s2", "23": "0", "33": "0"}},
+    "alpha_prime": {
+        "variables": _PLANE_VARIABLES, "m": ["m1", "m2", "-m2"], "normal": [0, 1, 1],
+        "sigma": {"11": "s1", "12": "s2", "13": "-s2", "22": "-s3", "23": "s3", "33": "-s3"}},
+    "gamma": {
+        "variables": _PLANE_VARIABLES, "m": ["m1", "m2", "-m1 - m2"], "normal": [1, 1, 1],
+        "sigma": {"11": "-s1 - s2", "12": "s1", "13": "s2",
+                  "22": "-s1 - s3", "23": "s3", "33": "-s2 - s3"}},
+    "generic": {
+        "variables": {"m1": "mag", "m2": "mag", "m3": "mag", "s11": "stress", "s22": "stress",
+                      "s33": "stress", "s12": "stress", "s13": "stress", "s23": "stress"},
+        "sigma": {"11": "s11", "12": "s12", "13": "s13", "22": "s22", "23": "s23", "33": "s33"},
+        "m": ["m1", "m2", "m3"]},
+}
 
 
 class SubstitutionError(Exception):
@@ -47,11 +71,6 @@ class Substitution(NamedTuple):
     sigma: Mat3
     m: Vec3
     normal: tuple[int, int, int] | None = None
-
-
-def _plane_table() -> VarTable:
-    return VarTable([("m1", MAG), ("m2", MAG),
-                     ("s1", STRESS), ("s2", STRESS), ("s3", STRESS)])
 
 
 def _has_bidegree(p: Polynomial, bidegree: tuple[int, int]) -> bool:
@@ -101,62 +120,37 @@ def validate_substitution(sub: Substitution) -> None:
 
 def fiber_substitution(fiber: str) -> Substitution:
     """One of the three built-in in-plane parameterizations."""
-    table = _plane_table()
-    m1, m2, s1, s2, s3 = (Polynomial.variable(table, n) for n in table.names)
-    z = Polynomial.zero(table)
-    if fiber == "theta":
-        sigma = ((s1, s3, z), (s3, s2, z), (z, z, z))
-        m = (m1, m2, z)
-        normal = (0, 0, 1)
-    elif fiber == "alpha_prime":
-        sigma = ((s1, s2, -s2), (s2, -s3, s3), (-s2, s3, -s3))
-        m = (m1, m2, -m2)
-        normal = (0, 1, 1)
-    elif fiber == "gamma":
-        sigma = ((-s1 - s2, s1, s2), (s1, -s1 - s3, s3), (s2, s3, -s2 - s3))
-        m = (m1, m2, -m1 - m2)
-        normal = (1, 1, 1)
-    else:
+    if fiber not in FIBERS:
         raise SubstitutionError(f"unknown fiber {fiber!r}; expected one of {FIBERS}")
-    sub = Substitution(fiber, table, sigma, m, normal)
-    validate_substitution(sub)
-    return sub
+    return custom_substitution({"name": fiber, **BUILTIN_DOCUMENTS[fiber]})
 
 
 def generic_substitution() -> Substitution:
     """Fully generic 3D (sigma, m): six stress and three magnetization vars."""
-    table = VarTable([("m1", MAG), ("m2", MAG), ("m3", MAG),
-                      ("s11", STRESS), ("s22", STRESS), ("s33", STRESS),
-                      ("s12", STRESS), ("s13", STRESS), ("s23", STRESS)])
-    v = {n: Polynomial.variable(table, n) for n in table.names}
-    sigma = ((v["s11"], v["s12"], v["s13"]),
-             (v["s12"], v["s22"], v["s23"]),
-             (v["s13"], v["s23"], v["s33"]))
-    m = (v["m1"], v["m2"], v["m3"])
-    return Substitution("generic", table, sigma, m, None)
+    return custom_substitution({"name": "generic", **BUILTIN_DOCUMENTS["generic"]})
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer, refused before int() spends quadratic time on it."""
+    if len(text.lstrip("-")) > MAX_LITERAL_DIGITS:
+        raise SubstitutionError(f"substitution file integer over {MAX_LITERAL_DIGITS} digits")
+    return int(text)
 
 
 def custom_substitution(source: str | Path | Mapping) -> Substitution:
     """Load a substitution from a JSON file or an already-parsed mapping.
 
-    Format:
-
-        {
-          "name": "my-plane",                      (optional; defaults to stem)
-          "variables": {"m1": "mag", ..., "s3": "stress"},
-          "sigma": {"11": "s1", "12": "s3", "13": "0",
-                    "22": "s2", "23": "0", "33": "0"},
-          "m": ["m1", "m2", "0"],
-          "normal": [0, 0, 1]                      (optional; not all zero)
-        }
-
-    Any other top-level key is refused, so a misspelt "normal" cannot
-    skip the plane check.  variables may also be a list of [name, kind]
+    A document (BUILTIN_DOCUMENTS holds four) has the keys "variables",
+    "sigma", "m", and optionally "name" (the file stem by default) and
+    "normal" (3 integers, not all zero).  Any other top-level key is
+    refused, so a misspelt "normal" cannot skip the plane check.
+    variables maps names to kinds ("mag" or "stress") or lists [name, kind]
     pairs; the order given is the variable order.  sigma keys are entry
     positions "ij"; giving both "ij" and "ji" is allowed only when the
-    expressions agree.  All six distinct positions must be covered.
-    Expressions use the polynomial grammar (explicit '*', '^' powers,
-    integer or a/b literals).
+    expressions agree.  All six distinct positions must be covered; m lists
+    3 expressions.  Expressions use the polynomial grammar (explicit '*',
+    '^' powers, integer or a/b literals).  An integer in a file has at most
+    MAX_LITERAL_DIGITS digits, as a literal in an expression does.
     """
     default_name = "custom"
     if isinstance(source, Mapping):
@@ -165,7 +159,7 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
         path = Path(source)
         default_name = path.stem
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(path.read_text(encoding="utf-8"), parse_int=_json_int)
         except OSError as exc:
             raise SubstitutionError(f"cannot read substitution file: {exc}") from exc
         except RecursionError:

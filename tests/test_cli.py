@@ -259,8 +259,7 @@ def test_malformed_custom_file_is_usage_error(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("content, message", [
     (b"\xff\xfe", "codec can't decode"),
     (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
-    # Past the interpreter's digit limit where it has one (a ValueError from
-    # json.loads that is no JSONDecodeError); a bad name where it has none.
+    # An integer past the 300 digits a literal may have.
     (b'{"name": ' + b"1" * 5000 + b"}", "error: "),
 ])
 def test_unreadable_custom_file_is_usage_error(tmp_path, capsys, content, message):
@@ -561,6 +560,48 @@ def test_write_failure_in_a_process_prints_one_line(target):
     assert proc.returncode == 4
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: cannot write output: ")
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_report_through_a_real_stdout_matches_the_golden(unbuffered):
+    # With PYTHONUNBUFFERED set, stdout is an unbuffered FileIO under its
+    # text layer, and each chunk of the report is one write on the pipe.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.run(
+        [sys.executable, "-m", "mebasis.cli", "reduce", "--fiber",
+         "alpha_prime", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / "reduce_alpha_prime_paper.json").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int-to-text digit limit")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_coefficients_past_the_digit_limit_are_printed(capsys, monkeypatch, fmt):
+    reduce = cli.reduce_basis
+
+    def huge(rb, **kwargs):
+        result = reduce(rb, **kwargs)
+        first, *rest = result.relations
+        (factors, c), *others = first.terms
+        first = first._replace(terms=((factors, c * 10 ** 5000), *others))
+        return result._replace(relations=(first, *rest))
+
+    monkeypatch.setattr(cli, "reduce_basis", huge)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "reduce", "--fiber", "theta", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert err == ""
+    assert "0" * 5000 in out
 
 
 def test_latex_name_rules():

@@ -11,6 +11,7 @@ change log:
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -20,7 +21,8 @@ import mebasis.cli as cli
 from mebasis.catalog import CATALOG
 from mebasis.cli import main
 from mebasis.reduction import reduce_basis
-from mebasis.restriction import generic_substitution, restrict_basis
+from mebasis.restriction import (BUILTIN_DOCUMENTS, generic_substitution,
+                                 restrict_basis)
 
 GOLDEN = Path(__file__).with_name("golden")
 PLANE = GOLDEN / "plane_123.sub.json"
@@ -90,6 +92,16 @@ def test_output_matches_golden(name):
 def test_json_output_does_not_depend_on_chunk_size(monkeypatch, name, chunk):
     monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
     assert render(name).encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("fiber", FIBERS)
+def test_builtin_document_written_to_a_file_reduces_to_the_golden(tmp_path, fiber):
+    # The file is named after the fiber, so its substitution carries the
+    # fiber's name and the paper policy applies its pinned list.
+    path = tmp_path / f"{fiber}.json"
+    path.write_text(json.dumps(BUILTIN_DOCUMENTS[fiber]))
+    out = cli_stdout(["reduce", "--fiber", f"custom:{path}", "--format", "json"])
+    assert out.encode() == (GOLDEN / f"reduce_{fiber}_paper.json").read_bytes()
 
 
 if __name__ == "__main__":

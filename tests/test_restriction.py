@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from mebasis.catalog import CATALOG, CATALOG_NAMES, evaluate_all
 from mebasis.poly import MAG, STRESS, Polynomial, VarTable
-from mebasis.restriction import (FIBERS, Substitution, SubstitutionError,
-                                 custom_substitution, fiber_substitution,
-                                 generic_substitution, restrict_basis,
-                                 validate_substitution)
+from mebasis.restriction import (BUILTIN_DOCUMENTS, FIBERS, Substitution,
+                                 SubstitutionError, custom_substitution,
+                                 fiber_substitution, generic_substitution,
+                                 restrict_basis, validate_substitution)
 
 F = Fraction
 
@@ -88,6 +88,48 @@ def test_plane_constraints_hold_identically(fiber):
 def test_unknown_fiber_rejected():
     with pytest.raises(SubstitutionError, match="unknown fiber"):
         fiber_substitution("delta")
+    with pytest.raises(SubstitutionError, match="unknown fiber"):
+        fiber_substitution("generic")  # a built-in document, but no fiber
+
+
+def built_by_hand(name):
+    """The built-in substitutions assembled from Polynomials directly,
+    without the document parser: the reference the documents must match."""
+    if name == "generic":
+        table = VarTable([("m1", MAG), ("m2", MAG), ("m3", MAG),
+                          ("s11", STRESS), ("s22", STRESS), ("s33", STRESS),
+                          ("s12", STRESS), ("s13", STRESS), ("s23", STRESS)])
+        v = {n: Polynomial.variable(table, n) for n in table.names}
+        sigma = ((v["s11"], v["s12"], v["s13"]),
+                 (v["s12"], v["s22"], v["s23"]),
+                 (v["s13"], v["s23"], v["s33"]))
+        return Substitution("generic", table, sigma, (v["m1"], v["m2"], v["m3"]))
+    table, v = plane_vars()
+    m1, m2, s1, s2, s3 = (v[n] for n in table.names)
+    z = Polynomial.zero(table)
+    sigma, m, normal = {
+        "theta": (((s1, s3, z), (s3, s2, z), (z, z, z)), (m1, m2, z), (0, 0, 1)),
+        "alpha_prime": (((s1, s2, -s2), (s2, -s3, s3), (-s2, s3, -s3)),
+                        (m1, m2, -m2), (0, 1, 1)),
+        "gamma": (((-s1 - s2, s1, s2), (s1, -s1 - s3, s3), (s2, s3, -s2 - s3)),
+                  (m1, m2, -m1 - m2), (1, 1, 1)),
+    }[name]
+    return Substitution(name, table, sigma, m, normal)
+
+
+@pytest.mark.parametrize("name", [*FIBERS, "generic"])
+def test_builtin_document_gives_the_hand_built_substitution(name):
+    sub = generic_substitution() if name == "generic" else fiber_substitution(name)
+    ref = built_by_hand(name)
+    for field in Substitution._fields:
+        assert getattr(sub, field) == getattr(ref, field), field
+
+
+def test_generic_document_is_validated(monkeypatch):
+    doc = dict(BUILTIN_DOCUMENTS["generic"], m=["m1", "s11", "m3"])
+    monkeypatch.setitem(BUILTIN_DOCUMENTS, "generic", doc)
+    with pytest.raises(SubstitutionError, match="linear in magnetization"):
+        generic_substitution()
 
 
 # -- validation ----------------------------------------------------------
@@ -422,6 +464,17 @@ def test_custom_rejects_unknown_top_level_keys():
     with pytest.raises(SubstitutionError, match="unknown key 'nomal'"):
         custom_substitution(dict(doc, nomal=[1, 1, 1]))
     assert custom_substitution(doc).normal is None
+
+
+@pytest.mark.parametrize("digits, ok", [(300, True), (301, False)])
+def test_custom_file_integers_are_bounded_like_literals(tmp_path, digits, ok):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(EQ3_DOC).replace("[0, 0, 1]", f"[0, 0, {'9' * digits}]"))
+    if ok:
+        assert custom_substitution(path).normal == (0, 0, 10 ** digits - 1)
+    else:
+        with pytest.raises(SubstitutionError, match="over 300 digits"):
+            custom_substitution(path)
 
 
 def test_custom_rejects_m_given_as_a_string():
