@@ -11,8 +11,9 @@ magnetization vector):
   bar(x), dev(x)          the same projectors applied to x
 
 Catalog order is fixed and load-bearing: selection policies and every
-reported name list follow it.  A row states a name, a formula and a
-recipe; read_name reads the bi-degree and LaTeX label from the name.
+reported name list follow it.  A row of ROWS is a name and its factors:
+read_name reads the bi-degree and LaTeX label from the name, and the
+formula, the recipe and SHARED_PRODUCTS all come from the factors.
 
 The recipes run on plain tuples: a 3-vector is a 3-tuple, a 3x3 matrix a
 3-tuple of rows, with Polynomial entries (substitutions) or plain
@@ -20,9 +21,9 @@ numbers, ints or Fractions (spot-check values).  In every ring each
 entry of a product is one sum of products of unpacked entries, zeros
 included: a number times a polynomial matrix gives polynomials, and
 polynomials on different tables raise ValueError.  Nothing here checks
-operands: TensorParts (so evaluate_all) checks shape, one entry_table
-and symmetry once, and restriction.validate_substitution checks a
-substitution.  The two projectors:
+operands: evaluate_all checks shape, one entry_table and symmetry once,
+and restriction.validate_substitution checks a substitution.  The two
+projectors:
 
   dbar(a)  zeroes the diagonal (keeps the off-diagonal part),
   ddev(a)  keeps the diagonal of the deviator (subtracts tr(a)/3 from each
@@ -38,11 +39,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .poly import Polynomial, VarTable
+from .poly import Polynomial, VarTable, product_str
 
 Entry = Union[Polynomial, Fraction, int]
 Vec3 = tuple[Entry, Entry, Entry]
 Mat3 = tuple[Vec3, Vec3, Vec3]
+# The parts and shared products of one point, keyed by their factors.
+Products = Mapping[tuple[str, ...], Union[Mat3, Vec3]]
 
 
 def entry_table(entries: Iterable[Entry]) -> VarTable | None:
@@ -109,53 +112,12 @@ def ddev(a: Mat3) -> Mat3:
             (z, z, a[2][2] - third))
 
 
-class TensorParts:
-    """Shared building blocks for evaluating the catalog on one (sigma, m).
-
-    The one check of its arguments: sigma is 3x3 and m has 3 entries, the
-    entries are of one kind, on one table, and sigma is symmetric.
-    """
-
-    def __init__(self, sigma: Mat3, m: Vec3):
-        if len(sigma) != 3 or any(len(row) != 3 for row in sigma) or len(m) != 3:
-            raise ValueError("need a 3x3 stress tensor and a 3-entry magnetization")
-        entry_table((*sigma[0], *sigma[1], *sigma[2], *m))
-        if not is_symmetric(sigma):
-            raise ValueError("stress tensor must be symmetric")
-        self.m = m
-        self.tr = trace(sigma)
-        self.sd = ddev(sigma)
-        self.sb = dbar(sigma)
-        self.sb2 = matmul(self.sb, self.sb)
-        self.sb2_bar = dbar(self.sb2)
-        self.sb2_dev = ddev(self.sb2)
-        mm = outer(m)
-        self.mb = dbar(mm)
-        self.md = ddev(mm)
-        # Prefixes that several recipes share.
-        self.mb_sb = matmul(self.mb, self.sb)
-        self.mb_sb2_bar = matmul(self.mb, self.sb2_bar)
-        self.mb_sd = matmul(self.mb, self.sd)
-        self.mb_sd_sb = matmul(self.mb_sd, self.sb)
-
-
-def _tr(*mats: Mat3) -> Entry:
-    """tr(mats[0] @ ... @ mats[-1]); the last product forms only its trace.
-
-    The last factor is always a symmetric part, so tr(a @ b) = a : b^T = a : b.
-    """
-    prod = mats[0]
-    for x in mats[1:-1]:
-        prod = matmul(prod, x)
-    return double_contract(prod, mats[-1])
-
-
 class InvariantDef(NamedTuple):
     name: str
     label: str
     formula: str
     bidegree: tuple[int, int]
-    recipe: Callable[[TensorParts], Entry]
+    recipe: Callable[[Products], Entry]
 
 
 def read_name(name: str) -> tuple[tuple[int, int], str]:
@@ -169,42 +131,67 @@ def read_name(name: str) -> tuple[tuple[int, int], str]:
     return (int(digits[0]), int(digits[1]) + int(digits[2])), label
 
 
+# Each row is a name and its factors: the invariant is the trace of the
+# product of the factors (of the one factor, for I010), except I200, which
+# is dot(m,m).  The product is formed left to right and the last factor
+# enters only the trace, tr(x @ y) = x : y, as every part is symmetric.
+ROWS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("I010", ("s",)),
+    ("I002", ("sb", "sb")),
+    ("I020", ("sd", "sd")),
+    ("I003", ("sb", "sb", "sb")),
+    ("I012", ("sb", "sb", "sd")),
+    ("I030", ("sd", "sd", "sd")),
+    ("I004", ("bar(sb^2)", "bar(sb^2)")),
+    ("I022", ("sb", "sd", "sb", "sd")),
+    ("I014", ("sb", "bar(sb^2)", "sb", "sd")),
+    ("I200", ("m", "m")),
+    ("I201", ("mb", "sb")),
+    ("I210", ("md", "sd")),
+    ("I202a", ("md", "sb^2")),
+    ("I202b", ("mb", "bar(sb^2)")),
+    ("I211", ("mb", "sb", "sd")),
+    ("I220", ("md", "sd", "sd")),
+    ("I203", ("mb", "bar(sb^2)", "sb")),
+    ("I212a", ("md", "dev(sb^2)", "sd")),
+    ("I212b", ("mb", "bar(sb^2)", "sd")),
+    ("I221", ("mb", "sd", "sb", "sd")),
+    ("I204", ("md", "sb", "bar(sb^2)", "sb")),
+    ("I213", ("mb", "dev(sb^2)", "sb", "sd")),
+    ("I222", ("mb", "sd", "bar(sb^2)", "sd")),
+    ("I400", ("mb", "mb")),
+    ("I401", ("mb", "sb", "mb")),
+    ("I410", ("mb", "sd", "mb")),
+    ("I402", ("mb", "bar(sb^2)", "mb")),
+    ("I411", ("mb", "sd", "sb", "mb")),
+    ("I600", ("mb", "mb", "mb")),
+    ("I601", ("md", "mb", "md", "sb")),
+)
+
+# The products of two or more leading factors that the recipes read, each
+# listed after its own leading factors; sb*sb is the part sb^2.
+SHARED_PRODUCTS: tuple[tuple[str, ...], ...] = tuple(dict.fromkeys(
+    factors[:k] for _, factors in ROWS for k in range(2, len(factors))
+    if factors[:k] != ("sb", "sb")))
+
+
+def _recipe(factors: tuple[str, ...]) -> Callable[[Products], Entry]:
+    """The value of the row with these factors, read off evaluate_all's
+    parts and shared products."""
+    if factors == ("m", "m"):
+        return lambda p: dot(p[("m",)], p[("m",)])
+    if len(factors) == 1:
+        return lambda p: trace(p[factors])
+    head, last = factors[:-1], factors[-1:]
+    return lambda p: double_contract(p[head], p[last])
+
+
 def build_catalog() -> tuple[InvariantDef, ...]:
     defs = []
-    for name, formula, recipe in (
-        ("I010", "tr(s)", lambda p: p.tr),
-        ("I002", "tr(sb^2)", lambda p: _tr(p.sb, p.sb)),
-        ("I020", "tr(sd^2)", lambda p: _tr(p.sd, p.sd)),
-        ("I003", "tr(sb^3)", lambda p: _tr(p.sb2, p.sb)),
-        ("I012", "tr(sb^2*sd)", lambda p: _tr(p.sb2, p.sd)),
-        ("I030", "tr(sd^3)", lambda p: _tr(p.sd, p.sd, p.sd)),
-        ("I004", "tr(bar(sb^2)^2)", lambda p: _tr(p.sb2_bar, p.sb2_bar)),
-        ("I022", "tr(sb*sd*sb*sd)", lambda p: _tr(p.sb, p.sd, p.sb, p.sd)),
-        ("I014", "tr(sb*bar(sb^2)*sb*sd)", lambda p: _tr(p.sb, p.sb2_bar, p.sb, p.sd)),
-        ("I200", "dot(m,m)", lambda p: dot(p.m, p.m)),
-        ("I201", "tr(mb*sb)", lambda p: _tr(p.mb, p.sb)),
-        ("I210", "tr(md*sd)", lambda p: _tr(p.md, p.sd)),
-        ("I202a", "tr(md*sb^2)", lambda p: _tr(p.md, p.sb2)),
-        ("I202b", "tr(mb*bar(sb^2))", lambda p: _tr(p.mb, p.sb2_bar)),
-        ("I211", "tr(mb*sb*sd)", lambda p: _tr(p.mb_sb, p.sd)),
-        ("I220", "tr(md*sd^2)", lambda p: _tr(p.md, p.sd, p.sd)),
-        ("I203", "tr(mb*bar(sb^2)*sb)", lambda p: _tr(p.mb_sb2_bar, p.sb)),
-        ("I212a", "tr(md*dev(sb^2)*sd)", lambda p: _tr(p.md, p.sb2_dev, p.sd)),
-        ("I212b", "tr(mb*bar(sb^2)*sd)", lambda p: _tr(p.mb_sb2_bar, p.sd)),
-        ("I221", "tr(mb*sd*sb*sd)", lambda p: _tr(p.mb_sd_sb, p.sd)),
-        ("I204", "tr(md*sb*bar(sb^2)*sb)", lambda p: _tr(p.md, p.sb, p.sb2_bar, p.sb)),
-        ("I213", "tr(mb*dev(sb^2)*sb*sd)", lambda p: _tr(p.mb, p.sb2_dev, p.sb, p.sd)),
-        ("I222", "tr(mb*sd*bar(sb^2)*sd)", lambda p: _tr(p.mb_sd, p.sb2_bar, p.sd)),
-        ("I400", "tr(mb^2)", lambda p: _tr(p.mb, p.mb)),
-        ("I401", "tr(mb*sb*mb)", lambda p: _tr(p.mb_sb, p.mb)),
-        ("I410", "tr(mb*sd*mb)", lambda p: _tr(p.mb_sd, p.mb)),
-        ("I402", "tr(mb*bar(sb^2)*mb)", lambda p: _tr(p.mb_sb2_bar, p.mb)),
-        ("I411", "tr(mb*sd*sb*mb)", lambda p: _tr(p.mb_sd_sb, p.mb)),
-        ("I600", "tr(mb^3)", lambda p: _tr(p.mb, p.mb, p.mb)),
-        ("I601", "tr(md*mb*md*sb)", lambda p: _tr(p.md, p.mb, p.md, p.sb)),
-    ):
+    for name, factors in ROWS:
+        formula = "dot(m,m)" if factors == ("m", "m") else f"tr({product_str(factors)})"
         bidegree, label = read_name(name)
-        defs.append(InvariantDef(name, label, formula, bidegree, recipe))
+        defs.append(InvariantDef(name, label, formula, bidegree, _recipe(factors)))
     return tuple(defs)
 
 
@@ -215,14 +202,26 @@ CATALOG_INDEX: Mapping[str, int] = {name: i for i, name in enumerate(CATALOG_NAM
 
 def evaluate_all(catalog: Sequence[InvariantDef], sigma: Mat3,
                  m: Vec3) -> dict[str, Entry]:
-    """Evaluate every catalog entry on one (sigma, m), sharing the parts.
+    """Evaluate every catalog entry on one (sigma, m), sharing the parts
+    and the products of SHARED_PRODUCTS, each formed once.
 
     The entries may be Polynomials or plain numbers (ints or Fractions);
     the values are of the same kind, ints when every entry is an int and
     every trace that ddev divides is a multiple of 3.
     The result preserves catalog order.  ValueError when sigma is not 3x3
     or m has not 3 entries, the entries mix kinds or tables, or sigma is
-    not symmetric.
+    not symmetric: the one check of the arguments.
     """
-    parts = TensorParts(sigma, m)
-    return {defn.name: defn.recipe(parts) for defn in catalog}
+    if len(sigma) != 3 or any(len(row) != 3 for row in sigma) or len(m) != 3:
+        raise ValueError("need a 3x3 stress tensor and a 3-entry magnetization")
+    entry_table((*sigma[0], *sigma[1], *sigma[2], *m))
+    if not is_symmetric(sigma):
+        raise ValueError("stress tensor must be symmetric")
+    sb, mm = dbar(sigma), outer(m)
+    sb2 = matmul(sb, sb)
+    p = {("s",): sigma, ("m",): m, ("sb",): sb, ("sd",): ddev(sigma), ("mb",): dbar(mm),
+         ("md",): ddev(mm), ("sb^2",): sb2, ("sb", "sb"): sb2, ("bar(sb^2)",): dbar(sb2),
+         ("dev(sb^2)",): ddev(sb2)}
+    for key in SHARED_PRODUCTS:
+        p[key] = matmul(p[key[:-1]], p[key[-1:]])
+    return {defn.name: defn.recipe(p) for defn in catalog}

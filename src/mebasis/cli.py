@@ -469,8 +469,18 @@ def _detach_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7 and later
-        sys.set_int_max_str_digits(0)
+    if not hasattr(sys, "set_int_max_str_digits"):  # before CPython 3.10.7
+        return _run(argv)
+    # A command may print ints of any length; the caller's limit is restored.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     shown, code = io.StringIO(), None
     try:

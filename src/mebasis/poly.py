@@ -463,10 +463,12 @@ def coefficient_matrix(columns: Sequence[Polynomial]) -> tuple[list[int], RatMat
 # No implicit multiplication; '/' only between integer literals.
 
 # What one literal, product or power may build: a short text such as
-# "2^99999999" or "((s1 + s2 + s3)^64)^64" is refused instead of exhausting
-# time and memory, and no coefficient grows past what str() can print.  The
-# bounds are far above anything a substitution or a relation needs; the
-# total degree is bounded by MAX_EXPONENT, the most a packed monomial holds.
+# "2^99999999", "((s1 + s2 + s3)^64)^64" or thirty factors (s1 + ... + s6)
+# is refused instead of exhausting time and memory, and no coefficient
+# grows past what str() can print.  The bounds (a product or power keeps at
+# most MAX_POWER_TERMS terms) are far above anything a substitution or a
+# relation needs; the total degree is bounded by MAX_EXPONENT, the most a
+# packed monomial holds.
 MAX_LITERAL_DIGITS = 300
 MAX_SIZE = 1000
 MAX_POWER_TERMS = 1000
@@ -553,10 +555,11 @@ class _Parser:
             if kind == "op" and value == "*":
                 self.advance()
                 q = self.factor()
-                if _degree(p) + _degree(q) > MAX_EXPONENT:
+                if (_degree(p) + _degree(q) > MAX_EXPONENT
+                        or len(p.nums) * len(q.nums) > MAX_POWER_TERMS ** 2):
                     raise ParseError("product too large", pos)
                 p = p * q
-                if _size(p) > MAX_SIZE:
+                if _size(p) > MAX_SIZE or len(p.nums) > MAX_POWER_TERMS:
                     raise ParseError("product too large", pos)
             else:
                 return p

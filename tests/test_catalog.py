@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mebasis.catalog as catalog_mod
-from mebasis.catalog import (CATALOG, CATALOG_INDEX, CATALOG_NAMES,
-                             evaluate_all, read_name)
+from mebasis.catalog import (CATALOG, CATALOG_INDEX, CATALOG_NAMES, ROWS,
+                             SHARED_PRODUCTS, evaluate_all, read_name)
 from mebasis.poly import MAG, Polynomial, VarTable
 from mebasis.restriction import fiber_substitution, generic_substitution
 
@@ -57,6 +57,23 @@ def test_labels_follow_the_name():
         digits, suffix = defn.name[1:4], defn.name[4:]
         expected = f"I_{{{digits}}}^{{{suffix}}}" if suffix else f"I_{{{digits}}}"
         assert defn.label == expected, defn.name
+
+
+# The degree of each factor in magnetization, diagonal stress and
+# off-diagonal stress, the three digits of a name.
+FACTOR_DEGREES = {
+    "s": (0, 1, 0), "sd": (0, 1, 0), "sb": (0, 0, 1),
+    "sb^2": (0, 0, 2), "bar(sb^2)": (0, 0, 2), "dev(sb^2)": (0, 0, 2),
+    "m": (1, 0, 0), "mb": (2, 0, 0), "md": (2, 0, 0),
+}
+
+
+def test_every_name_agrees_with_its_factors():
+    # README "Naming": the digits of Iabc are what the factors add up to.
+    assert tuple(name for name, _ in ROWS) == EXPECTED_ORDER
+    for name, factors in ROWS:
+        degrees = zip(*(FACTOR_DEGREES[f] for f in factors))
+        assert "".join(str(sum(d)) for d in degrees) == name[1:4], name
 
 
 @pytest.mark.parametrize("name", ["I20", "I202c", "J010", "I0100"])
@@ -200,8 +217,8 @@ def test_int_entries_divisible_by_three_give_ints(upper, m_entries):
 
 
 def test_one_point_costs_twenty_matrix_products(monkeypatch):
-    # TensorParts shares sb@sb and the mb@sb, mb@bar(sb^2), mb@sd and
-    # mb@sd@sb prefixes between recipes.
+    # sb@sb for the part sb^2, then each of the 19 SHARED_PRODUCTS once:
+    # every recipe reads its leading product from them.
     calls = []
     matmul = catalog_mod.matmul
 
@@ -212,6 +229,7 @@ def test_one_point_costs_twenty_matrix_products(monkeypatch):
     monkeypatch.setattr(catalog_mod, "matmul", counted)
     sigma = ((3, 6, 0), (6, -9, 0), (0, 0, 0))
     evaluate_all(CATALOG, sigma, (3, 12, 0))
+    assert len(SHARED_PRODUCTS) == 19
     assert len(calls) == 20
 
 

@@ -207,6 +207,19 @@ def write_custom(tmp_path, doc) -> str:
     return f"custom:{path}"
 
 
+def test_a_product_past_the_term_bound_is_a_usage_error(tmp_path, capsys):
+    # Thirty factors of a 6-term sum have C(35, 5) = 324632 terms, which the
+    # parser used to build in full (about 4 s and 100 MB) before "*0" dropped
+    # them.
+    wide = "*".join(["(s1+s2+s3+s4+s5+s6)"] * 30) + "*0 + s1"
+    doc = {"name": "wide",
+           "variables": [["m1", "mag"], ["m2", "mag"]] + [[f"s{i}", "stress"] for i in range(1, 7)],
+           "sigma": {"11": wide, "12": "s2", "13": "s3", "22": "s4", "23": "s5", "33": "s6"},
+           "m": ["m1", "m2", "0"]}
+    code, out, err = run(capsys, "reduce", "--fiber", write_custom(tmp_path, doc))
+    assert_one_line_usage_error(code, out, err, "product too large")
+
+
 def effective_policy(capsys, fiber) -> str:
     code, out, _ = run(capsys, "reduce", "--fiber", fiber, "--format", "json")
     assert code == 0
@@ -602,6 +615,27 @@ def test_coefficients_past_the_digit_limit_are_printed(capsys, monkeypatch, fmt)
     assert code == 0
     assert err == ""
     assert "0" * 5000 in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int-to-text digit limit")
+@pytest.mark.parametrize("argv, expected", [
+    (["catalog"], 0),
+    (["reduce", "--fiber", "theta", "--dmax", "0"], 2),
+    (["reduce", "--fiber", "theta", "--format", "json"], 4),
+], ids=["exit-0", "exit-2", "exit-4"])
+def test_main_restores_the_digit_limit(capsys, monkeypatch, argv, expected):
+    # main lifts the limit only while its command runs: tests, library
+    # callers and the benchmark worker keep their guard.
+    if expected == 4:
+        monkeypatch.setattr(sys, "stdout", BrokenStdout("write", errno.ENOSPC))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        assert main(argv) == expected
+        assert sys.get_int_max_str_digits() == 4321
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_latex_name_rules():

@@ -338,6 +338,34 @@ def test_parse_rejects_oversized_products(table):
         parse_polynomial("*".join(["m1"] * 1001), table)
 
 
+def test_parse_refuses_a_product_past_the_term_bound(table):
+    # 16 factors of a 4-term sum have C(19, 3) = 969 terms, 17 have 1140.
+    # Thirty used to be built in full, however cheap the final sum.
+    wide = "(m1 + m2 + s1 + s2)"
+    assert len(parse_polynomial("*".join([wide] * 16), table).terms) == 969
+    with pytest.raises(ParseError, match="product too large"):
+        parse_polynomial("*".join([wide] * 17), table)
+    with pytest.raises(ParseError, match="product too large"):
+        parse_polynomial("*".join([wide] * 30) + "*0 + s1", table)
+
+
+def test_parse_refuses_a_product_of_wide_factors_unbuilt(table, monkeypatch):
+    # A sum holds any number of terms; 1024 * 1024 pairs of terms are past
+    # MAX_POWER_TERMS ** 2, so the parser refuses before it multiplies.
+    wide = "(" + " + ".join(f"m1^{i}*m2^{j}" for i in range(32) for j in range(32)) + ")"
+    pairs = []
+    mul = Polynomial.__mul__
+
+    def counted(p, q):
+        pairs.append(len(p.nums) * len(q.nums))
+        return mul(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    with pytest.raises(ParseError, match="product too large"):
+        parse_polynomial(f"{wide}*{wide}", table)
+    assert max(pairs) == 1
+
+
 def test_parse_allows_powers_up_to_the_bounds(table, vars4):
     x = vars4[0]
     # 2 has bit length 2; m1 has degree 1 and coefficient 1.
