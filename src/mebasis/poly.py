@@ -438,13 +438,9 @@ def coefficient_matrix(columns: Sequence[Polynomial]) -> tuple[list[int], RatMat
     # The bi-degree is the top of a packed key, so the largest and the
     # smallest key share it only when every key does.
     if table.packed_bidegree(keys[0]) != table.packed_bidegree(keys[-1]):
-        # Name the culprit as bidegree() would: one mixed polynomial, or
-        # bi-homogeneous polynomials of different bi-degrees.
-        per_column = [{table.packed_bidegree(k) for k in nums} for nums in maps]
-        for degs in per_column:
-            if len(degs) > 1:
-                raise NotBiHomogeneousError(f"mixed bi-degrees {sorted(degs)}")
-        degs = sorted({d for degs in per_column for d in degs})
+        # bidegree() names the first mixed polynomial; failing that, the
+        # columns are bi-homogeneous of different bi-degrees.
+        degs = sorted({p.bidegree() for p in columns})
         raise ValueError(f"polynomials of mixed bi-degree {degs}")
     # One bi-degree: the packed ints sort as monomial_key sorts the tuples.
     rows = [tuple(nums.get(k, 0) for nums in maps) for k in keys]

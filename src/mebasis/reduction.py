@@ -15,12 +15,12 @@ self-check and the products of two or more members in
 verify.verify_generating_set: the Polynomial product of its prefix (all
 factors but the last, in sorted-name order) and its last invariant, with
 prefixes of two or more factors kept in its caller's table.  Each caller
-multiplies out of a survivor dict of its own (rb.as_dict()); one
-reduce_basis call keeps one such dict and one prefix table for the
-engine, both freed when it returns.  Each column holds its polynomial's
-numerators, the polynomial times its denominator; the RREF pivots do not
-depend on such scaling, and relations read from the RREF multiply it
-back in.
+multiplies out of a survivor dict of its own (rb.as_dict()): reduce_basis
+keeps one such dict and one prefix table for the engine, both freed when
+it returns, and the self-check makes its own for each bi-degree.  Each
+column holds its polynomial's numerators, the polynomial times its
+denominator; the RREF pivots do not depend on such scaling, and
+relations read from the RREF multiply it back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
@@ -33,11 +33,12 @@ integer one (ratlinalg), so a free column f is read without a Fraction:
 with L the lcm of the pivots R[r][p] of the rows where f has an entry, the
 free column contributes L * d_f and each such pivot column p
 -R[r][f] * (L / R[r][p]) * d_p.  Every relation and syzygy is
-checked exactly before it is reported: its products are multiplied again
-from the self-check's own survivor dict, never from the engine's dict,
-the matrix or the engine's prefix table, each once per bi-degree, and the
-sum of coefficient times product must vanish as integer numerators over
-one common denominator.
+checked exactly before it is reported, by one pass of _check_relations
+per bi-degree over what the elimination returned: its products are
+multiplied again from the check's own survivor dict, never from the
+engine's dict, the matrix or the engine's prefix table, each once per
+bi-degree, and the sum of coefficient times product must vanish as
+integer numerators over one common denominator.
 
 The default bounds (7, 6) cover every catalog bi-degree, so raising them
 keeps the same generators and relations; the targets past them hold only
@@ -264,40 +265,43 @@ def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[in
             yield (a, k - a)
 
 
-def _relation(bd: tuple[int, int], polys: Mapping[str, Polynomial],
-              checked: dict[tuple[str, ...], Polynomial],
-              raw_terms: Sequence[tuple[tuple[str, ...], int]],
+def _relation(bd: tuple[int, int], raw_terms: Sequence[tuple[tuple[str, ...], int]],
               solved_for: str | None = None) -> Relation:
     """The relation over nonzero raw terms, scaled to coprime integers with
-    its first term positive, once exact re-multiplication confirms it.
-
-    The check multiplies each term's factors out of polys, the
-    self-check's own survivor dict, never out of the matrix.  checked, its
-    table for one bi-degree, keeps every product checked there and their
-    prefixes, so each is built once.  c_k * prod_k must sum to 0 as
-    integer numerators (nums) over one common denominator (the lcm of
-    the products' den).
-    """
+    its first term positive."""
     labels, coeffs = zip(*raw_terms)
-    rel = Relation(bd, tuple(zip(labels, normalize_integer_vector(coeffs))), solved_for)
-    for f, _ in rel.terms:
-        if f not in checked:
-            checked[f] = _product(f, polys, checked)
-    den = lcm(*(checked[f].den for f, _ in rel.terms))
-    residual: dict[int, int] = {}
-    for f, c in rel.terms:
-        prod = checked[f]
-        scale = c * (den // prod.den)
-        for m, v in prod.nums.items():
-            residual[m] = residual.get(m, 0) + scale * v
-    if any(residual.values()):
-        raise RelationIntegrityError(
-            f"relation at {bd} does not substitute to zero: {rel.equation_str()}")
-    return rel
+    return Relation(bd, tuple(zip(labels, normalize_integer_vector(coeffs))), solved_for)
+
+
+def _check_relations(rels: Sequence[Relation], rb: RestrictedBasis) -> None:
+    """Raise RelationIntegrityError on the first of rels, all of one
+    bi-degree, that exact re-multiplication does not confirm.
+
+    Each term's factors are multiplied out of the check's own survivor
+    dict (rb.as_dict()), never out of the engine's dict or the matrix;
+    its table keeps every product checked and their prefixes, so
+    each is built once.  c_k * prod_k must sum to 0 as integer numerators
+    (nums) over one common denominator (the lcm of the products' den).
+    """
+    polys = rb.as_dict()
+    checked: dict[tuple[str, ...], Polynomial] = {}
+    for rel in rels:
+        for f, _ in rel.terms:
+            if f not in checked:
+                checked[f] = _product(f, polys, checked)
+        den = lcm(*(checked[f].den for f, _ in rel.terms))
+        residual: dict[int, int] = {}
+        for f, c in rel.terms:
+            prod = checked[f]
+            scale = c * (den // prod.den)
+            for m, v in prod.nums.items():
+                residual[m] = residual.get(m, 0) + scale * v
+        if any(residual.values()):
+            raise RelationIntegrityError(f"relation at {rel.bidegree} does not "
+                                         f"substitute to zero: {rel.equation_str()}")
 
 
 def _eliminate(bd: tuple[int, int], polys: Mapping[str, Polynomial],
-               check_polys: Mapping[str, Polynomial],
                prods: Sequence[tuple[tuple[str, ...], Polynomial]],
                invs: Sequence[str], order: Sequence[str]
                ) -> tuple[tuple[str, ...], list[Relation], list[Relation]]:
@@ -314,9 +318,7 @@ def _eliminate(bd: tuple[int, int], polys: Mapping[str, Polynomial],
     (in catalog order of the solved-for names), in integers with the lcm
     L of the pivots it meets as the module docstring says: column f is d_f
     times its polynomial, and row r is the Fraction RREF row times its
-    pivot R[r][p].  Every relation is checked by _relation, which
-    re-multiplies its products from check_polys, never from polys, sharing
-    them between the checks at bd and freeing them on return.
+    pivot R[r][p].  Nothing here checks a relation; _check_relations does.
     """
     n_prods = len(prods)
     labels = [factors for factors, _ in prods] + [(n,) for n in order]
@@ -328,7 +330,6 @@ def _eliminate(bd: tuple[int, int], polys: Mapping[str, Polynomial],
     pivot_set = set(pivots)
     # Column -> its position with the invariants in catalog order.
     catalog_pos = list(range(n_prods)) + [n_prods + invs.index(n) for n in order]
-    checked: dict[tuple[str, ...], Polynomial] = {}
 
     def over_pivots(f: int) -> tuple[int, list[tuple[int, int]]]:
         """(L * d_f, terms): L * d_f * column f = sum of c * column p over the
@@ -343,7 +344,7 @@ def _eliminate(bd: tuple[int, int], polys: Mapping[str, Polynomial],
         if f not in pivot_set:
             own, terms = over_pivots(f)
             raw = [(labels[p], c) for p, c in terms]
-            syzygies.append(_relation(bd, check_polys, checked, raw + [(labels[f], own)]))
+            syzygies.append(_relation(bd, raw + [(labels[f], own)]))
 
     column = {name: n_prods + k for k, name in enumerate(order)}
     relations = []
@@ -354,7 +355,7 @@ def _eliminate(bd: tuple[int, int], polys: Mapping[str, Polynomial],
         own, terms = over_pivots(f)
         terms.sort(key=lambda t: catalog_pos[t[0]])
         raw = [((name,), own)] + [(labels[p], c) for p, c in terms]
-        relations.append(_relation(bd, check_polys, checked, raw, name))
+        relations.append(_relation(bd, raw, name))
     kept = tuple(n for n in invs if column[n] in pivot_set)
     return kept, syzygies, relations
 
@@ -392,10 +393,8 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             effective = "table-order"
 
     partition = dict(partition_bidegrees(rb))
-    # For this call only: the engine's survivor dict and its table of
-    # product prefixes, and the self-check's own survivor dict.
+    # For this call only: the engine's survivor dict and its prefix table.
     polys = rb.as_dict()
-    check_polys = rb.as_dict()
     prefixes: dict[tuple[str, ...], Polynomial] = {}
     generators: list[str] = []
     relations: list[Relation] = []
@@ -414,8 +413,8 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             order = invs[::-1]
         else:
             order = invs
-        kept, syz_here, rels = _eliminate(bd, polys, check_polys, prods, invs,
-                                          order)
+        kept, syz_here, rels = _eliminate(bd, polys, prods, invs, order)
+        _check_relations(syz_here + rels, rb)
         if pinned is not None and kept != want:
             redundant = [n for n in want if n not in kept]
             problem = (f"contains a redundant invariant (not a pivot: {', '.join(redundant)})"

@@ -600,9 +600,9 @@ def test_coefficients_past_the_digit_limit_are_printed(capsys, monkeypatch, fmt)
 
     def huge(rb, **kwargs):
         result = reduce(rb, **kwargs)
+        # Every term is scaled, so the relation printed still holds.
         first, *rest = result.relations
-        (factors, c), *others = first.terms
-        first = first._replace(terms=((factors, c * 10 ** 5000), *others))
+        first = first._replace(terms=tuple((f, c * 10 ** 5000) for f, c in first.terms))
         return result._replace(relations=(first, *rest))
 
     monkeypatch.setattr(cli, "reduce_basis", huge)

@@ -231,6 +231,12 @@ def test_coefficient_matrix_rejects_a_non_bihomogeneous_polynomial(vars4):
         coefficient_matrix([x ** 2 + s])
 
 
+def test_coefficient_matrix_names_a_mixed_column_that_is_not_first(vars4):
+    x, _, s, _ = vars4
+    with pytest.raises(NotBiHomogeneousError):
+        coefficient_matrix([x ** 2, x ** 2 + s])
+
+
 def test_coefficient_matrix_rejects_zero(vars4):
     x = vars4[0]
     with pytest.raises(ZeroPolynomialError):

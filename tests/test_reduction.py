@@ -186,6 +186,22 @@ def test_selfcheck_does_not_read_the_engines_survivor_forms(theta_basis, monkeyp
         reduce_basis(theta_basis, policy="table-order")
 
 
+def test_selfcheck_owns_its_survivor_dict(theta_basis, monkeypatch):
+    # As above, but the swap is made in the very dict the engine is given:
+    # a self-check that read the engine's dict would pass the wrong label.
+    import mebasis.reduction as reduction
+    original = reduction._eliminate
+
+    def swapped(bd, polys, *rest):
+        if bd == (0, 3):
+            polys["I012"], polys["I030"] = polys["I030"], polys["I012"]
+        return original(bd, polys, *rest)
+
+    monkeypatch.setattr(reduction, "_eliminate", swapped)
+    with pytest.raises(RelationIntegrityError, match=r"^relation at \(0, 3\) does not"):
+        reduce_basis(theta_basis, policy="table-order")
+
+
 def test_selfcheck_catches_a_wrong_coefficient(theta_basis, monkeypatch):
     import mebasis.reduction as reduction
     original = reduction.normalize_integer_vector
