@@ -120,56 +120,57 @@ def write_json(value, stream) -> None:
     pure-Python encoder that an indent selects; one write per JSON_CHUNK
     pieces, so only one chunk of the text is held at a time."""
     parts: list[str] = []
-
-    def out(piece: str) -> None:
-        parts.append(piece)
-        if len(parts) >= JSON_CHUNK:
-            stream.write("".join(parts))
-            parts.clear()
-
-    _emit_json(value, "\n", out)
+    _emit_json(value, "\n", "", parts, stream)
     parts.append("\n")
     stream.write("".join(parts))
 
 
-def _emit_json(value, newline: str, out) -> None:
-    """Hand value's JSON text to out in pieces; newline starts its lines."""
+def _emit_json(value, newline: str, lead: str, parts: list[str], stream) -> None:
+    """Append lead and value's JSON text to parts, one line at most per piece
+    (newline starts its lines); tested on entry and on return, so after
+    every piece, parts is written to stream and cleared at JSON_CHUNK."""
+    if len(parts) >= JSON_CHUNK:
+        stream.write("".join(parts))
+        parts.clear()
     if isinstance(value, str):
-        out(encode_basestring_ascii(value))
+        parts.append(lead + encode_basestring_ascii(value))
     elif value is None:
-        out("null")
+        parts.append(lead + "null")
     elif value is True:
-        out("true")
+        parts.append(lead + "true")
     elif value is False:
-        out("false")
+        parts.append(lead + "false")
     elif isinstance(value, int):
-        out(int.__repr__(value))
+        parts.append(lead + int.__repr__(value))
     elif isinstance(value, list):
         if not value:
-            out("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out(sep)
-            _emit_json(item, inner, out)
-            sep = "," + inner
-        out(newline + "]")
+            parts.append(lead + "[]")
+        else:
+            parts.append(lead + "[")
+            inner = newline + "  "
+            sep = inner
+            for item in value:
+                _emit_json(item, inner, sep, parts, stream)
+                sep = "," + inner
+            parts.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
-            out("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, not {key!r}")
-            out(sep + encode_basestring_ascii(key) + ": ")
-            _emit_json(item, inner, out)
-            sep = "," + inner
-        out(newline + "}")
+            parts.append(lead + "{}")
+        else:
+            parts.append(lead + "{")
+            inner = newline + "  "
+            sep = inner
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be str, not {key!r}")
+                _emit_json(item, inner, sep + encode_basestring_ascii(key) + ": ", parts, stream)
+                sep = "," + inner
+            parts.append(newline + "}")
     else:
         raise TypeError(f"{type(value).__name__} is not JSON serializable here")
+    if len(parts) >= JSON_CHUNK:
+        stream.write("".join(parts))
+        parts.clear()
 
 
 # -- catalog -------------------------------------------------------------

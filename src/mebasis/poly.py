@@ -366,6 +366,11 @@ def _lowest(table: VarTable, den: int, nums: dict[int, int]) -> Polynomial:
     return p
 
 
+def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q as __mul__ ends, unchecked: one table, deg p + deg q <= MAX_EXPONENT."""
+    return _lowest(p.table, p.den * q.den, integer_product(p.nums, q.nums))
+
+
 def integer_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """The product of two integer term maps keyed by packed monomial, with
     cancelled terms dropped.  The caller keeps the total degree of the

@@ -9,18 +9,18 @@ surviving invariant of that exact bi-degree, builds the integer
 coefficient matrix over the shared monomials, and runs one exact
 elimination (RREF) on it.
 
-The multisets are enumerated from names and bi-degrees alone.  One
+Multisets are enumerated by bi-degree from names alone: those at bd are
+those at bd - deg s that end at or before s, each extended by s.  One
 builder, _product, makes every product, for the engine's columns, the
-self-check and the products of two or more members in
-verify.verify_generating_set: the Polynomial product of its prefix (all
-factors but the last, in sorted-name order) and its last invariant, with
-prefixes of two or more factors kept in its caller's table.  Each caller
-multiplies out of a survivor dict of its own (rb.as_dict()): reduce_basis
-keeps one such dict and one prefix table for the engine, both freed when
-it returns, and the self-check makes its own for each bi-degree.  Each
-column holds its polynomial's numerators, the polynomial times its
-denominator; the RREF pivots do not depend on such scaling, and
-relations read from the RREF multiply it back in.
+self-check and verify.verify_generating_set: one poly.multiply of its
+prefix (all factors but the last, names sorted), a survivor or a product
+in its caller's table, by its last factor.  A table keeps a product
+exactly when a later product within the bounds extends it.  reduce_basis
+gives the engine and the self-check one survivor dict (rb.as_dict()) and
+one table each, for that call only.  Each column holds its polynomial's
+numerators, the polynomial times its denominator; the RREF pivots do not
+depend on such scaling, and relations read from the RREF multiply it
+back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
@@ -34,11 +34,11 @@ with L the lcm of the pivots R[r][p] of the rows where f has an entry, the
 free column contributes L * d_f and each such pivot column p
 -R[r][f] * (L / R[r][p]) * d_p.  Every relation and syzygy is
 checked exactly before it is reported, by one pass of _check_relations
-per bi-degree over what the elimination returned: its products are
-multiplied again from the check's own survivor dict, never from the
-engine's dict, the matrix or the engine's prefix table, each once per
-bi-degree, and the sum of coefficient times product must vanish as
-integer numerators over one common denominator.
+per bi-degree over what the elimination returned: it multiplies the
+factor tuples they name, each once per call, from the check's own dict
+and table, never from the engine's dict, table or matrix, and the sum of
+coefficient times product must vanish as integer numerators over one
+common denominator.
 
 The default bounds (7, 6) cover every catalog bi-degree, so raising them
 keeps the same generators and relations; the targets past them hold only
@@ -52,12 +52,13 @@ largest degree a packed monomial holds.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX
-from .poly import (MAX_EXPONENT, Polynomial, coefficient_matrix, product_str,
-                   signed_sum)
+from .poly import (MAX_EXPONENT, Polynomial, coefficient_matrix, multiply,
+                   product_str, signed_sum)
 # Unused here; perfbench/tracing.py wraps these two names in this module.
 from .ratlinalg import rank_of_columns, solve_columns  # noqa: F401
 from .ratlinalg import normalize_integer_vector
@@ -188,63 +189,70 @@ def partition_bidegrees(rb: RestrictedBasis) -> list[tuple[tuple[int, int], tupl
     return [(bd, tuple(groups[bd])) for bd in sorted(groups, key=deglex_key)]
 
 
-def _product(factors: tuple[str, ...], polys: Mapping[str, Polynomial],
-             prefixes: dict[tuple[str, ...], Polynomial]) -> Polynomial:
-    """The product of the survivors named by factors (sorted), out of
-    polys: one multiplication of its prefix (all factors but the last) by
-    its last factor.  A prefix of two or more factors is read from
-    prefixes, or built the same way and stored there; the product returned
-    is never stored."""
-    if len(factors) == 1:
-        return polys[factors[0]]
-    head = factors[:-1]
-    got = polys[head[0]] if len(head) == 1 else prefixes.get(head)
+@lru_cache(maxsize=16)
+def _multisets(pool: tuple, bounds: tuple[int, int]) -> dict[tuple[int, int], tuple]:
+    """From pool, (name, bi-degree) pairs sorted by name, for each bd of
+    bidegree_grid(bounds): reach, the largest name whose bi-degree added to
+    bd fits bounds ("" for none), and the multisets summing to bd, sorted:
+    those at bd - deg s ending at or before s, extended by s.  Shared: read only."""
+    dmax, amax = bounds
+    grid = {(0, 0): ("", ((),))}
+    for a, b in bidegree_grid(bounds):
+        reach, sets = "", []
+        for name, (da, db) in pool:
+            if a + da <= amax and a + b + da + db <= dmax:
+                reach = name
+            if da <= a and db <= b:
+                sets.extend(m + (name,) for m in grid[a - da, b - db][1] if m[-1:] <= (name,))
+        grid[a, b] = reach, tuple(sorted(sets))
+    return grid
+
+
+def _product(factors: tuple[str, ...], bd: tuple[int, int], polys: Mapping[str, Polynomial],
+             table: dict, grid: Mapping) -> Polynomial:
+    """The product, of bi-degree bd, of the two or more survivors named by
+    factors (sorted), out of polys: its prefix (all factors but the last;
+    read from table, or built the same way) times its last factor.  table
+    keeps it exactly when a later product within grid's bounds extends it:
+    when its last factor is at most bd's reach (see _multisets)."""
+    head, last = factors[:-1], factors[-1]
+    got = polys[head[0]] if len(head) == 1 else table.get(head)
     if got is None:
-        got = prefixes[head] = _product(head, polys, prefixes)
-    return got * polys[factors[-1]]
+        da, db = _bidegree(last)
+        got = _product(head, (bd[0] - da, bd[1] - db), polys, table, grid)
+    prod = multiply(got, polys[last])
+    if last <= grid[bd][0]:
+        table[factors] = prod
+    return prod
 
 
 def enumerate_products(items: Sequence[tuple[str, tuple[int, int]]],
                        target: tuple[int, int], polys: Mapping[str, Polynomial],
-                       prefixes: dict[tuple[str, ...], Polynomial]
+                       table: dict[tuple[str, ...], Polynomial], bounds: tuple[int, int]
                        ) -> list[tuple[tuple[str, ...], Polynomial]]:
     """Multisets of two or more items (name, bi-degree) whose bi-degrees
-    sum to target, each with its _product out of polys and prefixes.
+    sum to target, within bounds, each with its _product out of polys and
+    table.
 
     Output order is lexicographic by the sorted factor-name tuple.  The
-    multisets are found from names and bi-degrees alone.  Share prefixes
-    between calls on the same polys to build each prefix once.  Products of
-    nonzero polynomials never vanish, so every product this returns is a
-    usable column.
+    multisets are found from names and bi-degrees alone.  A walk over
+    bidegree_grid(bounds) on one polys and table multiplies each product
+    once and leaves in table exactly the products a later one extends.
+    Products of nonzero polynomials never vanish: each is a usable column.
     """
-    pool = sorted(items)
-    found: list[tuple[str, ...]] = []
-    factors: list[str] = []
-
-    def rec(start: int, ra: int, rb_: int) -> None:
-        if ra == 0 and rb_ == 0:
-            if len(factors) >= 2:
-                found.append(tuple(factors))
-            return
-        for idx in range(start, len(pool)):
-            name, (a, b) = pool[idx]
-            if a <= ra and b <= rb_:
-                factors.append(name)
-                rec(idx, ra - a, rb_ - b)
-                factors.pop()
-
-    rec(0, *target)
-    return [(fs, _product(fs, polys, prefixes)) for fs in found]
+    grid = _multisets(tuple(sorted(items)), tuple(bounds))
+    return [(fs, _product(fs, target, polys, table, grid))
+            for fs in grid[target][1] if len(fs) > 1]
 
 
 def reducible_products(rb: RestrictedBasis, target: tuple[int, int],
                        polys: Mapping[str, Polynomial],
-                       prefixes: dict[tuple[str, ...], Polynomial]
+                       table: dict[tuple[str, ...], Polynomial], bounds: tuple[int, int]
                        ) -> list[tuple[tuple[str, ...], Polynomial]]:
     """Products of two or more surviving invariants with bi-degree sum
-    target; polys and prefixes as in enumerate_products."""
+    target; polys, table and bounds as in enumerate_products."""
     items = [(name, _bidegree(name)) for name, _ in rb.entries]
-    return enumerate_products(items, target, polys, prefixes)
+    return enumerate_products(items, target, polys, table, bounds)
 
 
 def unexplored(rb: RestrictedBasis, bounds: tuple[int, int]
@@ -273,22 +281,23 @@ def _relation(bd: tuple[int, int], raw_terms: Sequence[tuple[tuple[str, ...], in
     return Relation(bd, tuple(zip(labels, normalize_integer_vector(coeffs))), solved_for)
 
 
-def _check_relations(rels: Sequence[Relation], rb: RestrictedBasis) -> None:
+def _check_relations(rels: Sequence[Relation], polys: Mapping[str, Polynomial],
+                     table: dict, bounds: tuple[int, int]) -> None:
     """Raise RelationIntegrityError on the first of rels, all of one
     bi-degree, that exact re-multiplication does not confirm.
 
-    Each term's factors are multiplied out of the check's own survivor
-    dict (rb.as_dict()), never out of the engine's dict or the matrix;
-    its table keeps every product checked and their prefixes, so
-    each is built once.  c_k * prod_k must sum to 0 as integer numerators
-    (nums) over one common denominator (the lcm of the products' den).
+    _product multiplies each term's factors out of the check's own
+    survivor dict and table, never the engine's dict, table or matrix;
+    over one reduce_basis call, each factor tuple once.  c_k * prod_k must
+    sum to 0 as integer numerators (nums) over one common denominator
+    (the lcm of the products' den).
     """
-    polys = rb.as_dict()
-    checked: dict[tuple[str, ...], Polynomial] = {}
+    grid = _multisets(tuple(sorted((n, _bidegree(n)) for n in polys)), tuple(bounds))
+    checked = {(n,): p for n, p in polys.items()}
     for rel in rels:
         for f, _ in rel.terms:
             if f not in checked:
-                checked[f] = _product(f, polys, checked)
+                checked[f] = _product(f, rel.bidegree, polys, table, grid)
         den = lcm(*(checked[f].den for f, _ in rel.terms))
         residual: dict[int, int] = {}
         for f, c in rel.terms:
@@ -393,16 +402,16 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             effective = "table-order"
 
     partition = dict(partition_bidegrees(rb))
-    # For this call only: the engine's survivor dict and its prefix table.
-    polys = rb.as_dict()
-    prefixes: dict[tuple[str, ...], Polynomial] = {}
+    # For this call only: the engine's survivor dict and product table; the check's.
+    polys, prefixes = rb.as_dict(), {}
+    check_polys, checked = rb.as_dict(), {}
     generators: list[str] = []
     relations: list[Relation] = []
     syzygies: list[Relation] = []
     reports: list[BidegreeReport] = []
 
     for bd in bidegree_grid(bounds):
-        prods = reducible_products(rb, bd, polys, prefixes)
+        prods = reducible_products(rb, bd, polys, prefixes, bounds)
         invs = partition.get(bd, ())
         if not prods and not invs:
             continue
@@ -414,7 +423,7 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
         else:
             order = invs
         kept, syz_here, rels = _eliminate(bd, polys, prods, invs, order)
-        _check_relations(syz_here + rels, rb)
+        _check_relations(syz_here + rels, check_polys, checked, bounds)
         if pinned is not None and kept != want:
             redundant = [n for n in want if n not in kept]
             problem = (f"contains a redundant invariant (not a pivot: {', '.join(redundant)})"

@@ -1,17 +1,20 @@
 """Relation discovery and reduced generating sets on the three fibers."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mebasis.catalog import CATALOG_INDEX, CATALOG_NAMES
+from mebasis import poly
+from mebasis.catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from mebasis.cli import union_payload
 from mebasis.poly import MAX_EXPONENT
-from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
+from mebasis.reduction import (DEFAULT_BOUNDS, PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, Relation,
                                RelationIntegrityError, bidegree_grid, deglex_key,
                                enumerate_products, partition_bidegrees, reduce_basis,
                                reducible_products)
+from mebasis.restriction import custom_substitution, generic_substitution, restrict_basis
 from mebasis.verify import spotcheck_relations
 
 F = Fraction
@@ -56,7 +59,7 @@ def test_partition_groups_by_bidegree(theta_basis):
 
 
 def products(rb, target):
-    return reducible_products(rb, target, rb.as_dict(), {})
+    return reducible_products(rb, target, rb.as_dict(), {}, DEFAULT_BOUNDS)
 
 
 def test_reducible_products_smallest_cases(theta_basis):
@@ -84,7 +87,7 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
     prefixes = {}
     built = {}
     for bd in bidegree_grid():
-        for factors, product in reducible_products(rb, bd, polys, prefixes):
+        for factors, product in reducible_products(rb, bd, polys, prefixes, DEFAULT_BOUNDS):
             chained = restricted[factors[0]]
             for name in factors[1:]:
                 chained = chained * restricted[name]
@@ -99,7 +102,7 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
 def test_enumerate_products_has_two_or_more_factors(theta_basis):
     # I002 and I020 lie at (0, 2) themselves; only I010^2 is a product there.
     items = [(n, p.bidegree()) for n, p in theta_basis.entries]
-    products = enumerate_products(items, (0, 2), theta_basis.as_dict(), {})
+    products = enumerate_products(items, (0, 2), theta_basis.as_dict(), {}, DEFAULT_BOUNDS)
     assert [f for f, _ in products] == [("I010", "I010")]
 
 
@@ -202,6 +205,29 @@ def test_selfcheck_owns_its_survivor_dict(theta_basis, monkeypatch):
         reduce_basis(theta_basis, policy="table-order")
 
 
+def test_selfcheck_does_not_read_the_engines_product_table(theta_basis, monkeypatch):
+    # The engine keeps I010^2 for the products that extend it; a wrong
+    # polynomial put in its place right after it is stored makes the
+    # engine's I010^3 column at (0, 3) wrong.  The self-check multiplies
+    # from its own table, so the relations read there fail it.
+    import mebasis.reduction as reduction
+    original = reduction.reducible_products
+    key = ("I010", "I010")
+    tampered = []
+
+    def tamper(rb, target, polys, table, *rest):
+        prods = original(rb, target, polys, table, *rest)
+        if key in table and not tampered:
+            table[key] = polys["I002"]
+            tampered.append(target)
+        return prods
+
+    monkeypatch.setattr(reduction, "reducible_products", tamper)
+    with pytest.raises(RelationIntegrityError, match=r"^relation at \(0, 3\) does not"):
+        reduce_basis(theta_basis, policy="table-order")
+    assert tampered == [(0, 2)]
+
+
 def test_selfcheck_catches_a_wrong_coefficient(theta_basis, monkeypatch):
     import mebasis.reduction as reduction
     original = reduction.normalize_integer_vector
@@ -213,6 +239,50 @@ def test_selfcheck_catches_a_wrong_coefficient(theta_basis, monkeypatch):
     monkeypatch.setattr(reduction, "normalize_integer_vector", perturbed)
     with pytest.raises(RelationIntegrityError, match="does not substitute to zero"):
         reduce_basis(theta_basis)
+
+
+# -- multiplications ------------------------------------------------------
+
+PRODUCT_COLUMNS = {"theta": 242, "alpha_prime": 329, "gamma": 329, "<123>": 329,
+                   "generic 3D": 329}
+
+
+@pytest.mark.parametrize("basis", sorted(PRODUCT_COLUMNS))
+def test_each_product_is_one_multiplication(bases, monkeypatch, basis):
+    # The engine multiplies each product column once, its prefix being a
+    # survivor or a product it kept; the self-check multiplies each factor
+    # tuple its relations name, and each prefix of one, at most once.
+    import mebasis.reduction as reduction
+    if basis == "<123>":
+        plane = Path(__file__).with_name("golden") / "plane_123.sub.json"
+        rb = restrict_basis(CATALOG, custom_substitution(plane))
+    elif basis == "generic 3D":
+        rb = restrict_basis(CATALOG, generic_substitution())
+    else:
+        rb = bases[basis]
+    calls = {"engine": 0, "check": 0}
+    owner = ["engine"]
+    kernel, check = poly.integer_product, reduction._check_relations
+
+    def counted(a, b):
+        calls[owner[0]] += 1
+        return kernel(a, b)
+
+    def checking(*args):
+        owner[0] = "check"
+        try:
+            return check(*args)
+        finally:
+            owner[0] = "engine"
+
+    monkeypatch.setattr(poly, "integer_product", counted)
+    monkeypatch.setattr(reduction, "_check_relations", checking)
+    result = reduce_basis(rb, policy="table-order")
+    assert calls["engine"] == PRODUCT_COLUMNS[basis] == \
+        sum(rep.n_products for rep in result.reports)
+    named = {f for rel in result.relations + result.syzygies
+             for f, _ in rel.terms if len(f) > 1}
+    assert calls["check"] <= len({f[:k] for f in named for k in range(2, len(f) + 1)})
 
 
 # -- full reduction ------------------------------------------------------
