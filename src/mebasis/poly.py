@@ -293,7 +293,7 @@ class Polynomial:
         if (max(a) >> shift) + (max(b) >> shift) > MAX_EXPONENT:
             raise ValueError(f"product of total degree above {MAX_EXPONENT}, "
                              "the largest a packed monomial holds")
-        return _lowest(self.table, self.den * other.den, integer_product(a, b))
+        return multiply(self, other)
 
     __rmul__ = __mul__
 
@@ -367,7 +367,8 @@ def _lowest(table: VarTable, den: int, nums: dict[int, int]) -> Polynomial:
 
 
 def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    """p * q as __mul__ ends, unchecked: one table, deg p + deg q <= MAX_EXPONENT."""
+    """p * q unchecked (Polynomial.__mul__ checks, then calls this): one
+    table, and deg p + deg q <= MAX_EXPONENT."""
     return _lowest(p.table, p.den * q.den, integer_product(p.nums, q.nums))
 
 

@@ -9,18 +9,18 @@ surviving invariant of that exact bi-degree, builds the integer
 coefficient matrix over the shared monomials, and runs one exact
 elimination (RREF) on it.
 
-Multisets are enumerated by bi-degree from names alone: those at bd are
-those at bd - deg s that end at or before s, each extended by s.  One
-builder, _product, makes every product, for the engine's columns, the
-self-check and verify.verify_generating_set: one poly.multiply of its
-prefix (all factors but the last, names sorted), a survivor or a product
-in its caller's table, by its last factor.  A table keeps a product
-exactly when a later product within the bounds extends it.  reduce_basis
-gives the engine and the self-check one survivor dict (rb.as_dict()) and
-one table each, for that call only.  Each column holds its polynomial's
-numerators, the polynomial times its denominator; the RREF pivots do not
-depend on such scaling, and relations read from the RREF multiply it
-back in.
+A ProductGrid enumerates the multisets by bi-degree from names alone:
+those at bd are those at bd - deg s that end at or before s, each
+extended by s.  One builder, _product, makes every product, for the
+engine's columns, the self-check and verify.verify_generating_set: one
+poly.multiply of its prefix (all factors but the last, names sorted), a
+survivor or a product in its caller's table, by its last factor.  A
+table keeps a product exactly when a later product within the bounds
+extends it.  reduce_basis builds one grid, and gives the engine and the
+self-check one survivor dict (rb.as_dict()) and one table each, for that
+call only.  Each column holds its polynomial's numerators, the
+polynomial times its denominator; the RREF pivots do not depend on such
+scaling, and relations read from the RREF multiply it back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
@@ -52,9 +52,8 @@ largest degree a packed monomial holds.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX
 from .poly import (MAX_EXPONENT, Polynomial, coefficient_matrix, multiply,
@@ -189,32 +188,36 @@ def partition_bidegrees(rb: RestrictedBasis) -> list[tuple[tuple[int, int], tupl
     return [(bd, tuple(groups[bd])) for bd in sorted(groups, key=deglex_key)]
 
 
-@lru_cache(maxsize=16)
-def _multisets(pool: tuple, bounds: tuple[int, int]) -> dict[tuple[int, int], tuple]:
-    """From pool, (name, bi-degree) pairs sorted by name, for each bd of
-    bidegree_grid(bounds): reach, the largest name whose bi-degree added to
-    bd fits bounds ("" for none), and the multisets summing to bd, sorted:
-    those at bd - deg s ending at or before s, extended by s.  Shared: read only."""
-    dmax, amax = bounds
-    grid = {(0, 0): ("", ((),))}
-    for a, b in bidegree_grid(bounds):
+class ProductGrid(dict):
+    """bd -> (reach, multisets) over names, each bi-degree built on its
+    first look-up from catalog bi-degrees alone: reach is the largest name
+    whose bi-degree added to bd fits bounds ("" for none); the multisets
+    summing to bd, sorted, are those at bd - deg s ending at or before s,
+    extended by s.  One per reduction or certificate."""
+
+    def __init__(self, names: Iterable[str], bounds: tuple[int, int] = DEFAULT_BOUNDS):
+        super().__init__({(0, 0): ("", ((),))})
+        self.pool, self.bounds = sorted((n, _bidegree(n)) for n in names), bounds
+
+    def __missing__(self, bd: tuple[int, int]) -> tuple[str, tuple[tuple[str, ...], ...]]:
+        (a, b), (dmax, amax) = bd, self.bounds
         reach, sets = "", []
-        for name, (da, db) in pool:
+        for name, (da, db) in self.pool:
             if a + da <= amax and a + b + da + db <= dmax:
                 reach = name
             if da <= a and db <= b:
-                sets.extend(m + (name,) for m in grid[a - da, b - db][1] if m[-1:] <= (name,))
-        grid[a, b] = reach, tuple(sorted(sets))
-    return grid
+                sets.extend(m + (name,) for m in self[a - da, b - db][1] if m[-1:] <= (name,))
+        self[bd] = reach, tuple(sorted(sets))
+        return self[bd]
 
 
 def _product(factors: tuple[str, ...], bd: tuple[int, int], polys: Mapping[str, Polynomial],
-             table: dict, grid: Mapping) -> Polynomial:
+             table: dict, grid: ProductGrid) -> Polynomial:
     """The product, of bi-degree bd, of the two or more survivors named by
     factors (sorted), out of polys: its prefix (all factors but the last;
     read from table, or built the same way) times its last factor.  table
     keeps it exactly when a later product within grid's bounds extends it:
-    when its last factor is at most bd's reach (see _multisets)."""
+    when its last factor is at most bd's reach (see ProductGrid)."""
     head, last = factors[:-1], factors[-1]
     got = polys[head[0]] if len(head) == 1 else table.get(head)
     if got is None:
@@ -226,33 +229,28 @@ def _product(factors: tuple[str, ...], bd: tuple[int, int], polys: Mapping[str, 
     return prod
 
 
-def enumerate_products(items: Sequence[tuple[str, tuple[int, int]]],
-                       target: tuple[int, int], polys: Mapping[str, Polynomial],
-                       table: dict[tuple[str, ...], Polynomial], bounds: tuple[int, int]
+def enumerate_products(grid: ProductGrid, target: tuple[int, int],
+                       polys: Mapping[str, Polynomial], table: dict[tuple[str, ...], Polynomial]
                        ) -> list[tuple[tuple[str, ...], Polynomial]]:
-    """Multisets of two or more items (name, bi-degree) whose bi-degrees
-    sum to target, within bounds, each with its _product out of polys and
-    table.
-
-    Output order is lexicographic by the sorted factor-name tuple.  The
-    multisets are found from names and bi-degrees alone.  A walk over
-    bidegree_grid(bounds) on one polys and table multiplies each product
-    once and leaves in table exactly the products a later one extends.
-    Products of nonzero polynomials never vanish: each is a usable column.
-    """
-    grid = _multisets(tuple(sorted(items)), tuple(bounds))
+    """The multisets of two or more names in grid whose bi-degrees sum to
+    target, in lexicographic order, each with its _product out of polys and
+    table.  A walk over bidegree_grid(grid.bounds) on one polys and table
+    multiplies each product once and leaves in table exactly the products
+    a later one extends.  Products of nonzero polynomials never vanish:
+    each is a usable column."""
     return [(fs, _product(fs, target, polys, table, grid))
             for fs in grid[target][1] if len(fs) > 1]
 
 
 def reducible_products(rb: RestrictedBasis, target: tuple[int, int],
                        polys: Mapping[str, Polynomial],
-                       table: dict[tuple[str, ...], Polynomial], bounds: tuple[int, int]
+                       table: dict[tuple[str, ...], Polynomial], grid: ProductGrid
                        ) -> list[tuple[tuple[str, ...], Polynomial]]:
-    """Products of two or more surviving invariants with bi-degree sum
-    target; polys, table and bounds as in enumerate_products."""
-    items = [(name, _bidegree(name)) for name, _ in rb.entries]
-    return enumerate_products(items, target, polys, table, bounds)
+    """Products of two or more of rb's surviving invariants with bi-degree
+    sum target, grid being the ProductGrid of those survivors; polys and
+    table as in enumerate_products.  reduce_basis calls this once per
+    target, and perfbench/tracing.py wraps it there."""
+    return enumerate_products(grid, target, polys, table)
 
 
 def unexplored(rb: RestrictedBasis, bounds: tuple[int, int]
@@ -282,17 +280,17 @@ def _relation(bd: tuple[int, int], raw_terms: Sequence[tuple[tuple[str, ...], in
 
 
 def _check_relations(rels: Sequence[Relation], polys: Mapping[str, Polynomial],
-                     table: dict, bounds: tuple[int, int]) -> None:
+                     table: dict, grid: ProductGrid) -> None:
     """Raise RelationIntegrityError on the first of rels, all of one
     bi-degree, that exact re-multiplication does not confirm.
 
     _product multiplies each term's factors out of the check's own
     survivor dict and table, never the engine's dict, table or matrix;
-    over one reduce_basis call, each factor tuple once.  c_k * prod_k must
-    sum to 0 as integer numerators (nums) over one common denominator
-    (the lcm of the products' den).
+    over one reduce_basis call, each factor tuple once (grid, the call's
+    ProductGrid, holds names only).  c_k * prod_k must sum to 0 as integer
+    numerators (nums) over one common denominator (the lcm of the
+    products' den).
     """
-    grid = _multisets(tuple(sorted((n, _bidegree(n)) for n in polys)), tuple(bounds))
     checked = {(n,): p for n, p in polys.items()}
     for rel in rels:
         for f, _ in rel.terms:
@@ -402,16 +400,17 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
             effective = "table-order"
 
     partition = dict(partition_bidegrees(rb))
-    # For this call only: the engine's survivor dict and product table; the check's.
+    # For this call only: one ProductGrid; the engine's dict and table; the check's.
     polys, prefixes = rb.as_dict(), {}
     check_polys, checked = rb.as_dict(), {}
+    grid = ProductGrid(polys, bounds)
     generators: list[str] = []
     relations: list[Relation] = []
     syzygies: list[Relation] = []
     reports: list[BidegreeReport] = []
 
     for bd in bidegree_grid(bounds):
-        prods = reducible_products(rb, bd, polys, prefixes, bounds)
+        prods = reducible_products(rb, bd, polys, prefixes, grid)
         invs = partition.get(bd, ())
         if not prods and not invs:
             continue
@@ -423,7 +422,7 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
         else:
             order = invs
         kept, syz_here, rels = _eliminate(bd, polys, prods, invs, order)
-        _check_relations(syz_here + rels, check_polys, checked, bounds)
+        _check_relations(syz_here + rels, check_polys, checked, grid)
         if pinned is not None and kept != want:
             redundant = [n for n in want if n not in kept]
             problem = (f"contains a redundant invariant (not a pivot: {', '.join(redundant)})"

@@ -42,7 +42,7 @@ from .catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomial
 # Unused here; perfbench/tracing.py wraps this name in this module.
 from .ratlinalg import solve_columns  # noqa: F401
-from .reduction import DEFAULT_BOUNDS, Relation, enumerate_products, partition_bidegrees
+from .reduction import ProductGrid, Relation, enumerate_products, partition_bidegrees
 from .restriction import RestrictedBasis, Substitution
 from . import catalog as catalog_mod
 
@@ -198,11 +198,10 @@ def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> Generati
         if n in names[:i]:
             raise ValueError(f"{n!r} is named more than once in the candidate set")
     partition = partition_bidegrees(rb)
-    items = [(n, bd) for bd, invs in partition for n in invs if n in names]
-    table: dict = {}
+    grid, table = ProductGrid(names), {}
     failed: set[str] = set()  # unspanned outsiders and redundant members
     for bd, invs in partition:
-        prods = [c for _, c in enumerate_products(items, bd, surviving, table, DEFAULT_BOUNDS)]
+        prods = [c for _, c in enumerate_products(grid, bd, surviving, table)]
         members = [n for n in invs if n in names]
         outsiders = [n for n in invs if n not in names]
         rrefm, pivots = coefficient_matrix(

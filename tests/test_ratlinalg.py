@@ -23,7 +23,7 @@ from mebasis.poly import coefficient_matrix
 from mebasis.ratlinalg import (RatMatrix, matrix_from_columns,
                                normalize_integer_vector, rank_of_columns,
                                solve_columns)
-from mebasis.reduction import DEFAULT_BOUNDS, reducible_products
+from mebasis.reduction import ProductGrid, reducible_products
 from mebasis.restriction import custom_substitution, restrict_basis
 
 F = Fraction
@@ -398,7 +398,8 @@ def test_rref_of_an_engine_matrix_matches_fraction_gauss_jordan():
     # The coefficient matrix the engine eliminates at bi-degree (4, 3) of
     # the generic plane normal to (1, 2, 3): 50 monomials by 45 products.
     rb = restrict_basis(CATALOG, custom_substitution(PLANE_123))
-    columns = [c for _, c in reducible_products(rb, (4, 3), rb.as_dict(), {}, DEFAULT_BOUNDS)]
+    polys = rb.as_dict()
+    columns = [c for _, c in reducible_products(rb, (4, 3), polys, {}, ProductGrid(polys))]
     _, mat = coefficient_matrix(columns)
     assert (mat.rows, mat.cols) == (50, 45)
     expected = primitive_fraction_rref(mat.data, mat.cols)

@@ -9,8 +9,8 @@ from mebasis import poly
 from mebasis.catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from mebasis.cli import union_payload
 from mebasis.poly import MAX_EXPONENT
-from mebasis.reduction import (DEFAULT_BOUNDS, PINNED_GENERATORS, POLICIES,
-                               PolicyConflictError, Relation,
+from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
+                               PolicyConflictError, ProductGrid, Relation,
                                RelationIntegrityError, bidegree_grid, deglex_key,
                                enumerate_products, partition_bidegrees, reduce_basis,
                                reducible_products)
@@ -59,7 +59,8 @@ def test_partition_groups_by_bidegree(theta_basis):
 
 
 def products(rb, target):
-    return reducible_products(rb, target, rb.as_dict(), {}, DEFAULT_BOUNDS)
+    polys = rb.as_dict()
+    return reducible_products(rb, target, polys, {}, ProductGrid(polys))
 
 
 def test_reducible_products_smallest_cases(theta_basis):
@@ -86,8 +87,9 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
     polys = rb.as_dict()
     prefixes = {}
     built = {}
+    grid = ProductGrid(polys)
     for bd in bidegree_grid():
-        for factors, product in reducible_products(rb, bd, polys, prefixes, DEFAULT_BOUNDS):
+        for factors, product in reducible_products(rb, bd, polys, prefixes, grid):
             chained = restricted[factors[0]]
             for name in factors[1:]:
                 chained = chained * restricted[name]
@@ -101,9 +103,17 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
 
 def test_enumerate_products_has_two_or_more_factors(theta_basis):
     # I002 and I020 lie at (0, 2) themselves; only I010^2 is a product there.
-    items = [(n, p.bidegree()) for n, p in theta_basis.entries]
-    products = enumerate_products(items, (0, 2), theta_basis.as_dict(), {}, DEFAULT_BOUNDS)
+    polys = theta_basis.as_dict()
+    products = enumerate_products(ProductGrid(polys), (0, 2), polys, {})
     assert [f for f, _ in products] == [("I010", "I010")]
+
+
+def test_product_grid_builds_only_the_bidegrees_looked_up(theta_basis):
+    # Bounds as wide as a packed slot allows hold far too many multisets to
+    # list up front; a look-up builds its own bi-degree and those below it.
+    grid = ProductGrid(theta_basis.as_dict(), (MAX_EXPONENT, 6))
+    assert grid[0, 2] == ("I601", (("I002",), ("I010", "I010"), ("I020",)))
+    assert set(grid) == {(0, 0), (0, 1), (0, 2)}
 
 
 # -- relations at a single bi-degree -------------------------------------
