@@ -176,9 +176,17 @@ def _emit_json(value, newline: str, lead: str, parts: list[str], stream) -> None
 # -- catalog -------------------------------------------------------------
 
 def _run_catalog(args) -> int:
-    sub = generic_substitution()
-    rb = restrict_basis(CATALOG, sub)
-    polys = rb.as_dict()
+    if args.format == "latex":
+        # The table lists CATALOG alone: no restriction to print.
+        lines = [r"\begin{tabular}{llll}",
+                 r"name & label & bi-degree & formula \\ \hline"]
+        for d in CATALOG:
+            lines.append(r"%s & $%s$ & $(%d,%d)$ & \verb|%s| \\"
+                         % (d.name, d.label, d.bidegree[0], d.bidegree[1], d.formula))
+        lines.append(r"\end{tabular}")
+        print("\n".join(lines))
+        return 0
+    polys = restrict_basis(CATALOG, generic_substitution()).as_dict()
     if args.format == "json":
         payload = {
             "tool": _tool_payload(),
@@ -191,14 +199,6 @@ def _run_catalog(args) -> int:
             ],
         }
         write_json(payload, sys.stdout)
-    elif args.format == "latex":
-        lines = [r"\begin{tabular}{llll}",
-                 r"name & label & bi-degree & formula \\ \hline"]
-        for d in CATALOG:
-            lines.append(r"%s & $%s$ & $(%d,%d)$ & \verb|%s| \\"
-                         % (d.name, d.label, d.bidegree[0], d.bidegree[1], d.formula))
-        lines.append(r"\end{tabular}")
-        print("\n".join(lines))
     else:
         print(f"catalog: {len(CATALOG)} invariants")
         for d in CATALOG:

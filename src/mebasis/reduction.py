@@ -98,10 +98,6 @@ def deglex_key(bidegree: tuple[int, int]) -> tuple[int, int, int]:
     return (a + b, a, b)
 
 
-def _catalog_order(names) -> tuple[str, ...]:
-    return tuple(sorted(names, key=CATALOG_INDEX.__getitem__))
-
-
 def _bidegree(name: str) -> tuple[int, int]:
     """The bi-degree of a survivor, from its catalog entry (restrict_basis
     checks that the restriction keeps it)."""
@@ -229,28 +225,21 @@ def _product(factors: tuple[str, ...], bd: tuple[int, int], polys: Mapping[str, 
     return prod
 
 
-def enumerate_products(grid: ProductGrid, target: tuple[int, int],
-                       polys: Mapping[str, Polynomial], table: dict[tuple[str, ...], Polynomial]
-                       ) -> list[tuple[tuple[str, ...], Polynomial]]:
-    """The multisets of two or more names in grid whose bi-degrees sum to
-    target, in lexicographic order, each with its _product out of polys and
-    table.  A walk over bidegree_grid(grid.bounds) on one polys and table
-    multiplies each product once and leaves in table exactly the products
-    a later one extends.  Products of nonzero polynomials never vanish:
-    each is a usable column."""
-    return [(fs, _product(fs, target, polys, table, grid))
-            for fs in grid[target][1] if len(fs) > 1]
-
-
 def reducible_products(rb: RestrictedBasis, target: tuple[int, int],
                        polys: Mapping[str, Polynomial],
                        table: dict[tuple[str, ...], Polynomial], grid: ProductGrid
                        ) -> list[tuple[tuple[str, ...], Polynomial]]:
-    """Products of two or more of rb's surviving invariants with bi-degree
-    sum target, grid being the ProductGrid of those survivors; polys and
-    table as in enumerate_products.  reduce_basis calls this once per
-    target, and perfbench/tracing.py wraps it there."""
-    return enumerate_products(grid, target, polys, table)
+    """The multisets of two or more names in grid whose bi-degrees sum to
+    target, in lexicographic order, each with its _product out of polys and
+    table (rb is unused).  A walk over bidegree_grid(grid.bounds) on one
+    polys and table multiplies each product once and leaves in table
+    exactly the products a later one extends.  Products of nonzero
+    polynomials never vanish: each is a usable column.  reduce_basis calls
+    this once per target (perfbench/tracing.py wraps it there), and
+    verify.verify_generating_set once per bi-degree, on a grid of its
+    candidate names."""
+    return [(fs, _product(fs, target, polys, table, grid))
+            for fs in grid[target][1] if len(fs) > 1]
 
 
 def unexplored(rb: RestrictedBasis, bounds: tuple[int, int]
@@ -445,7 +434,7 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
         policy=policy,
         effective_policy=effective,
         bounds=tuple(bounds),
-        generators=_catalog_order(generators),
+        generators=tuple(sorted(generators, key=CATALOG_INDEX.__getitem__)),
         relations=tuple(relations),
         syzygies=tuple(syzygies),
         vanished=rb.vanished,

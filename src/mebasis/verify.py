@@ -9,7 +9,7 @@ Three checks; the spot-check alone shares no code with the reduction engine:
                         poly.integer_product with the engine,
   verify_generating_set spanning and minimality certificates for a
                         candidate set, one RREF per bi-degree, on the
-                        engine's enumerate_products, coefficient_matrix
+                        engine's reducible_products, coefficient_matrix
                         and RatMatrix.rref: a check of the chosen set,
                         not of that code,
   spotcheck_relations   seeded random integer points, with every
@@ -42,7 +42,7 @@ from .catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomial
 # Unused here; perfbench/tracing.py wraps this name in this module.
 from .ratlinalg import solve_columns  # noqa: F401
-from .reduction import ProductGrid, Relation, enumerate_products, partition_bidegrees
+from .reduction import ProductGrid, Relation, partition_bidegrees, reducible_products
 from .restriction import RestrictedBasis, Substitution
 from . import catalog as catalog_mod
 
@@ -201,7 +201,7 @@ def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> Generati
     grid, table = ProductGrid(names), {}
     failed: set[str] = set()  # unspanned outsiders and redundant members
     for bd, invs in partition:
-        prods = [c for _, c in enumerate_products(grid, bd, surviving, table)]
+        prods = [c for _, c in reducible_products(rb, bd, surviving, table, grid)]
         members = [n for n in invs if n in names]
         outsiders = [n for n in invs if n not in names]
         rrefm, pivots = coefficient_matrix(

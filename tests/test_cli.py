@@ -333,6 +333,16 @@ def test_catalog_json_shape(capsys):
     assert first["generic"] == "s11 + s22 + s33"
 
 
+def test_catalog_latex_restricts_nothing(capsys, monkeypatch):
+    # The LaTeX table prints no generic substitution, so it never computes one.
+    def refuse(*args):
+        raise AssertionError("catalog --format latex restricted the basis")
+    monkeypatch.setattr(cli, "restrict_basis", refuse)
+    code, out, _ = run(capsys, "catalog", "--format", "latex")
+    assert code == 0
+    assert out == (GOLDEN / "catalog.tex").read_text()
+
+
 # -- verify --------------------------------------------------------------
 
 def test_verify_gamma_all_pass(capsys):

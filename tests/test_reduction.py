@@ -12,8 +12,7 @@ from mebasis.poly import MAX_EXPONENT
 from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, ProductGrid, Relation,
                                RelationIntegrityError, bidegree_grid, deglex_key,
-                               enumerate_products, partition_bidegrees, reduce_basis,
-                               reducible_products)
+                               partition_bidegrees, reduce_basis, reducible_products)
 from mebasis.restriction import custom_substitution, generic_substitution, restrict_basis
 from mebasis.verify import spotcheck_relations
 
@@ -104,8 +103,23 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
 def test_enumerate_products_has_two_or_more_factors(theta_basis):
     # I002 and I020 lie at (0, 2) themselves; only I010^2 is a product there.
     polys = theta_basis.as_dict()
-    products = enumerate_products(ProductGrid(polys), (0, 2), polys, {})
+    products = reducible_products(theta_basis, (0, 2), polys, {}, ProductGrid(polys))
     assert [f for f, _ in products] == [("I010", "I010")]
+
+
+def test_reducible_products_on_a_candidate_grid_use_only_its_names(theta_basis):
+    # The generating-set certificate passes a grid of its candidate names
+    # with the full survivor dict: only multisets of candidates are listed,
+    # each the same product as on the grid of every survivor.
+    polys = theta_basis.as_dict()
+    names = ("I010", "I020", "I201")
+    every, full = ProductGrid(polys), {}
+    grid, table = ProductGrid(names), {}
+    for bd in bidegree_grid():
+        want = [(f, p) for f, p in reducible_products(theta_basis, bd, polys, full, every)
+                if set(f) <= set(names)]
+        assert reducible_products(theta_basis, bd, polys, table, grid) == want
+    assert len(full) > len(table) > 0
 
 
 def test_product_grid_builds_only_the_bidegrees_looked_up(theta_basis):
@@ -449,6 +463,65 @@ def test_reduction_is_deterministic(bases):
     second = reduce_basis(bases["gamma"])
     assert first == second
 
+
+
+# -- changes of parametrization -------------------------------------------
+
+# One plane normal n per orbit class of the cubic group, with an integer
+# basis (u, v) of the plane.
+PLANES = {
+    "001": ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    "011": ((0, 1, 1), (1, 0, 0), (0, 1, -1)),
+    "111": ((1, 1, 1), (1, -1, 0), (0, 1, -1)),
+    "123": ((1, 2, 3), (2, -1, 0), (0, 3, -2)),
+}
+
+
+def signed_permutation(x):
+    return (-x[2], x[0], -x[1])
+
+
+CHANGES = {
+    "swap u and v": lambda n, u, v: (n, v, u),
+    "shear v to u + v": lambda n, u, v: (n, u, tuple(a + b for a, b in zip(u, v))),
+    "signed axis permutation": lambda n, u, v: tuple(map(signed_permutation, (n, u, v))),
+}
+
+
+def linear(pairs) -> str:
+    text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{x}" for c, x in pairs if c)
+    return text.removeprefix("+ ") or "0"
+
+
+def plane_reduction(n, u, v):
+    """The table-order reduction of m = m1*u + m2*v and
+    sigma = s1*u(x)u + s2*v(x)v + s3*(u(x)v + v(x)u), as comparable parts."""
+    doc = {
+        "name": "plane",
+        "variables": [["m1", "mag"], ["m2", "mag"],
+                      ["s1", "stress"], ["s2", "stress"], ["s3", "stress"]],
+        "sigma": {f"{i + 1}{j + 1}": linear([(u[i] * u[j], "s1"), (v[i] * v[j], "s2"),
+                                             (u[i] * v[j] + v[i] * u[j], "s3")])
+                  for i in range(3) for j in range(i, 3)},
+        "m": [linear([(u[i], "m1"), (v[i], "m2")]) for i in range(3)],
+        "normal": list(n),
+    }
+    result = reduce_basis(restrict_basis(CATALOG, custom_substitution(doc)),
+                          policy="table-order")
+    return (result.generators,
+            [rel.equation_str() for rel in result.relations],
+            [syz.equation_str() for syz in result.syzygies],
+            result.vanished,
+            [(rep.bidegree, rep.n_products, rep.rank, rep.kept, rep.eliminated,
+              rep.n_syzygies) for rep in result.reports])
+
+
+@pytest.mark.parametrize("plane", PLANES)
+def test_reduction_does_not_depend_on_the_parametrization(plane):
+    n, u, v = PLANES[plane]
+    want = plane_reduction(n, u, v)
+    for change, move in CHANGES.items():
+        assert plane_reduction(*move(n, u, v)) == want, change
 
 # -- selection policies --------------------------------------------------
 
