@@ -1,62 +1,51 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact elimination on integer matrices.
 
-Small matrices only (tens of rows and columns).  Entries are stored as
-`fractions.Fraction` or `int` (a coefficient matrix holds integer columns).
-`rref` returns the primitive integer RREF: the reduced row echelon form
-with each nonzero row scaled to coprime integers and a positive pivot,
-without dividing by the pivots.  The reduced row echelon form is unique up
-to the scale of each row, so this form is unique too: each row is
-normalize_integer_vector of the row Gauss-Jordan on Fractions gives.
+Small matrices only (tens of rows and columns), of int entries: a
+coefficient matrix holds the integer numerators of its columns.  `rref`
+returns the primitive integer RREF: the reduced row echelon form (over the
+rationals) with each nonzero row scaled to coprime integers and a positive
+pivot, without dividing by the pivots.  The reduced row echelon form is
+unique up to the scale of each row, so this form is unique too: each row
+is the row Gauss-Jordan on Fractions gives, scaled to coprime integers.
 
 Elimination runs on integers, in two phases (RatMatrix.rref): a forward
 pass over the live rows only, then back-substitution over the rank rows.
 Downstream code reads the primitive RREF and its pivot columns (whose
 count is the rank), and scales relations with normalize_integer_vector,
 which shares rref's row scaling.
-
-matrix_from_columns, rank_of_columns and solve_columns have no caller in
-the package.  They are kept only because the benchmark tracer
-(perfbench/tracing.py) wraps them, and they go with the next change to the
-benchmark.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 _INT = frozenset((int,))
-_ENTRY_TYPES = frozenset((int, Fraction))
 
 
-def _primitive(row: Sequence[Fraction | int]) -> list[int]:
-    """A rational row scaled to integers by the lcm of its denominators,
-    then divided by the gcd of its entries (a zero row stays zero).
+def _primitive(row: Sequence[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries (a zero row stays
+    zero).
 
-    Every entry must be an int or a Fraction; any other raises TypeError
-    naming it.  A row of exact ints, as the engine builds them, is told
-    apart by one pass over its entry types and taken as it is.
+    Every entry must be an int; any other raises TypeError naming it, and
+    an int subclass such as bool comes out as an int.  A row of exact ints,
+    as the engine builds them, is told apart by one pass over its entry
+    types and taken as it is.
     """
-    kinds = set(map(type, row))
-    if kinds <= _INT:
-        ints = list(row)
-    else:
-        if not kinds <= _ENTRY_TYPES:
-            for x in row:
-                if not isinstance(x, (int, Fraction)):
-                    raise TypeError(f"entry {x!r} is not an int or a Fraction")
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    if not set(map(type, row)) <= _INT:
+        for x in row:
+            if not isinstance(x, int):
+                raise TypeError(f"entry {x!r} is not an int")
+        row = list(map(int, row))
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else list(row)
 
 
-def normalize_integer_vector(v: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, first nonzero entry > 0.
+def normalize_integer_vector(v: Sequence[int]) -> tuple[int, ...]:
+    """Scale an integer vector to coprime integers, first nonzero entry > 0.
 
-    The zero vector is returned unchanged (as integer zeros).
+    The zero vector is returned unchanged.
     """
     ints = _primitive(v)
     if next((x for x in ints if x), 0) < 0:
@@ -65,11 +54,11 @@ def normalize_integer_vector(v: Sequence[Fraction | int]) -> tuple[int, ...]:
 
 
 class RatMatrix:
-    """Dense matrix of Fractions or ints, row-major."""
+    """Dense matrix of ints, row-major."""
 
     __slots__ = ("data", "rows", "cols")
 
-    def __init__(self, rows: Iterable[Sequence[Fraction | int]], cols: int | None = None):
+    def __init__(self, rows: Iterable[Sequence[int]], cols: int | None = None):
         data = [tuple(row) for row in rows]
         widths = {len(r) for r in data}
         if len(widths) > 1:
@@ -167,39 +156,3 @@ class RatMatrix:
                for row, p in zip(echelon, pivots)]
         out += [(0,) * ncols] * (self.rows - len(out))
         return RatMatrix(out, ncols), tuple(pivots)
-
-
-def matrix_from_columns(columns: Sequence[Sequence[Fraction | int]], nrows: int) -> RatMatrix:
-    return RatMatrix([[Fraction(col[i]) for col in columns] for i in range(nrows)],
-                     cols=len(columns))
-
-
-def rank_of_columns(columns: Sequence[Sequence[Fraction | int]], nrows: int) -> int:
-    if not columns:
-        return 0
-    return len(matrix_from_columns(columns, nrows).rref()[1])
-
-
-def solve_columns(columns: Sequence[Sequence[Fraction | int]],
-                  target: Sequence[Fraction | int]) -> list[Fraction] | None:
-    """Express target as a linear combination of the given columns.
-
-    Returns the coefficient list with every free coefficient set to zero
-    (the RREF particular solution), or None when target is outside the span.
-    """
-    nrows = len(target)
-    for col in columns:
-        if len(col) != nrows:
-            raise ValueError("column length does not match target length")
-    aug = RatMatrix(
-        [[Fraction(col[i]) for col in columns] + [Fraction(target[i])] for i in range(nrows)],
-        cols=len(columns) + 1,
-    )
-    rrefm, pivots = aug.rref()
-    n = len(columns)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        x[p] = Fraction(rrefm.data[r][n], rrefm.data[r][p])
-    return x

@@ -58,10 +58,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .catalog import CATALOG, CATALOG_INDEX
 from .poly import (MAX_EXPONENT, Polynomial, coefficient_matrix, multiply,
                    product_str, signed_sum)
-# Unused here; perfbench/tracing.py wraps these two names in this module.
-from .ratlinalg import rank_of_columns, solve_columns  # noqa: F401
 from .ratlinalg import normalize_integer_vector
 from .restriction import RestrictedBasis, fiber_substitution
+
+# Called by nothing; perfbench/tracing.py looks both names up in this module.
+rank_of_columns = solve_columns = None
 
 DEFAULT_BOUNDS = (7, 6)
 POLICIES = ("paper", "table-order", "reverse-table-order")
@@ -225,19 +226,17 @@ def _product(factors: tuple[str, ...], bd: tuple[int, int], polys: Mapping[str, 
     return prod
 
 
-def reducible_products(rb: RestrictedBasis, target: tuple[int, int],
-                       polys: Mapping[str, Polynomial],
+def reducible_products(target: tuple[int, int], polys: Mapping[str, Polynomial],
                        table: dict[tuple[str, ...], Polynomial], grid: ProductGrid
                        ) -> list[tuple[tuple[str, ...], Polynomial]]:
     """The multisets of two or more names in grid whose bi-degrees sum to
     target, in lexicographic order, each with its _product out of polys and
-    table (rb is unused).  A walk over bidegree_grid(grid.bounds) on one
-    polys and table multiplies each product once and leaves in table
-    exactly the products a later one extends.  Products of nonzero
-    polynomials never vanish: each is a usable column.  reduce_basis calls
-    this once per target (perfbench/tracing.py wraps it there), and
-    verify.verify_generating_set once per bi-degree, on a grid of its
-    candidate names."""
+    table.  A walk over bidegree_grid(grid.bounds) on one polys and table
+    multiplies each product once and leaves in table exactly the products
+    a later one extends.  Products of nonzero polynomials never vanish:
+    each is a usable column.  reduce_basis calls this once per target
+    (perfbench/tracing.py wraps it there), and verify.verify_generating_set
+    once per bi-degree, on a grid of its candidate names."""
     return [(fs, _product(fs, target, polys, table, grid))
             for fs in grid[target][1] if len(fs) > 1]
 
@@ -399,7 +398,7 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     reports: list[BidegreeReport] = []
 
     for bd in bidegree_grid(bounds):
-        prods = reducible_products(rb, bd, polys, prefixes, grid)
+        prods = reducible_products(bd, polys, prefixes, grid)
         invs = partition.get(bd, ())
         if not prods and not invs:
             continue

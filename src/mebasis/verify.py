@@ -40,11 +40,12 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from .poly import MAG, Polynomial, VarTable, coefficient_matrix, parse_polynomial
-# Unused here; perfbench/tracing.py wraps this name in this module.
-from .ratlinalg import solve_columns  # noqa: F401
 from .reduction import ProductGrid, Relation, partition_bidegrees, reducible_products
 from .restriction import RestrictedBasis, Substitution
 from . import catalog as catalog_mod
+
+# Called by nothing; perfbench/tracing.py looks this name up in this module.
+solve_columns = None
 
 DATA_PATH = Path(__file__).with_name("data") / "published_relations.json"
 
@@ -201,7 +202,7 @@ def verify_generating_set(names: Sequence[str], rb: RestrictedBasis) -> Generati
     grid, table = ProductGrid(names), {}
     failed: set[str] = set()  # unspanned outsiders and redundant members
     for bd, invs in partition:
-        prods = [c for _, c in reducible_products(rb, bd, surviving, table, grid)]
+        prods = [c for _, c in reducible_products(bd, surviving, table, grid)]
         members = [n for n in invs if n in names]
         outsiders = [n for n in invs if n not in names]
         rrefm, pivots = coefficient_matrix(

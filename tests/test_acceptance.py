@@ -187,10 +187,10 @@ def _octahedral_invariance_holds(rng):
 
 def _exact_kernels_hold(rng):
     for _ in range(25):
-        rows = [[F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 6))]]
+        rows = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]]
         width = len(rows[0])
         for _ in range(rng.randint(0, 5)):
-            rows.append([F(rng.randint(-9, 9)) for _ in range(width)])
+            rows.append([rng.randint(-9, 9) for _ in range(width)])
         # One kernel vector per free column of the RREF: x_f = 1, the
         # pivot variables solved, every other free variable 0.  Row r of
         # the primitive RREF is the Fraction RREF row times its pivot.

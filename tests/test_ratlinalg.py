@@ -1,17 +1,20 @@
-"""Exact linear algebra over the rationals.
+"""Exact elimination on integer matrices.
 
 The rank is the number of RREF pivots, and the kernel is read off the RREF
 by the helpers below.  Two independent oracles are implemented locally too.  The one-step
 Bareiss elimination gives the rank without forming a fraction.  The
 textbook Gauss-Jordan on Fraction entries gives the reduced row echelon
 form, which is unique, so the primitive integer RREF that RatMatrix.rref
-returns must be that form with each row scaled by normalize_integer_vector,
-entry for entry.
+returns must be that form with each row scaled to coprime integers by
+this file's own `primitive`, entry for entry.  Rational matrices are drawn
+as Fractions and each row is scaled to integers (`integer_rows`) before
+rref: the row space, and so the RREF, stays the same.
 """
 
 import random
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -20,13 +23,30 @@ from hypothesis import strategies as st
 
 from mebasis.catalog import CATALOG
 from mebasis.poly import coefficient_matrix
-from mebasis.ratlinalg import (RatMatrix, matrix_from_columns,
-                               normalize_integer_vector, rank_of_columns,
-                               solve_columns)
+from mebasis.ratlinalg import RatMatrix, normalize_integer_vector
 from mebasis.reduction import ProductGrid, reducible_products
 from mebasis.restriction import custom_substitution, restrict_basis
 
 F = Fraction
+
+
+def primitive(v):
+    """A rational vector scaled to coprime integers, first nonzero entry
+    positive; the zero vector as integer zeros."""
+    v = [F(x) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
+def integer_rows(rows):
+    """Each rational row times the lcm of its denominators: integer rows
+    with the same row space."""
+    return [[int(x * d) for x in row] for row in rows
+            for d in [lcm(*(F(x).denominator for x in row))]]
 
 
 def rank(m):
@@ -49,7 +69,7 @@ def kernel_with_free(m):
             v[f] = F(1)
             for r, p in enumerate(pivots):
                 v[p] = -F(rrefm.data[r][f], rrefm.data[r][p])
-            out.append((f, normalize_integer_vector(v)))
+            out.append((f, primitive(v)))
     return out
 
 
@@ -170,58 +190,45 @@ def test_kernel_with_free_columns():
 
 
 def test_normalize_clears_denominators_and_content():
-    assert normalize_integer_vector([F(1, 2), F(1, 3)]) == (3, 2)
-    assert normalize_integer_vector([F(-2), F(4)]) == (1, -2)
-    assert normalize_integer_vector([0, F(-1, 5)]) == (0, 1)
+    assert normalize_integer_vector([6, 4]) == (3, 2)
+    assert normalize_integer_vector([-2, 4]) == (1, -2)
+    assert normalize_integer_vector([0, -5]) == (0, 1)
     assert normalize_integer_vector([0, 0]) == (0, 0)
 
 
 def test_matrix_keeps_integer_entries():
-    m = RatMatrix([[2, 4], [1, F(1, 2)]])
-    assert [[type(x) for x in row] for row in m.data] == [[int, int], [int, F]]
+    m = RatMatrix([[2, 4], [1, 3]])
+    assert [[type(x) for x in row] for row in m.data] == [[int, int], [int, int]]
     assert all(type(x) is int for row in m.rref()[0].data for x in row)
 
 
 @pytest.mark.parametrize("bad", [0.5, "1", None, complex(1, 0)])
 def test_entry_that_is_not_int_or_fraction_is_a_type_error(bad):
     # Named by the row scaling that rref and normalize_integer_vector share;
-    # an int subclass such as bool is still an int.
-    message = re.escape(f"entry {bad!r} is not an int or a Fraction")
+    # an int subclass such as bool is still an int, and comes out as one.
+    message = re.escape(f"entry {bad!r} is not an int")
     with pytest.raises(TypeError, match=message):
-        RatMatrix([[1, F(1, 2)], [3, bad]]).rref()
+        RatMatrix([[1, 2], [3, bad]]).rref()
     with pytest.raises(TypeError, match=message):
         normalize_integer_vector([bad, 1])
     assert RatMatrix([[True, 2]]).rref()[0].data == [(1, 2)]
+    assert all(type(x) is int for x in RatMatrix([[True, 3]]).rref()[0].data[0])
+    assert all(type(x) is int for x in normalize_integer_vector([False, True]))
+
+
+def test_a_fraction_entry_is_a_type_error():
+    # Only ints are eliminated: a rational row is scaled by its caller.
+    message = re.escape("entry Fraction(1, 2) is not an int")
+    with pytest.raises(TypeError, match=message):
+        RatMatrix([[1, F(1, 2)]]).rref()
+    with pytest.raises(TypeError, match=message):
+        normalize_integer_vector([F(1, 2)])
 
 
 def test_a_repeated_row_is_still_type_checked():
-    # 0.5 == Fraction(1, 2), so the float row equals the row before it.
-    with pytest.raises(TypeError, match="entry 0.5 is not an int or a Fraction"):
-        RatMatrix([[F(1, 2), 1], [0.5, 1]]).rref()
-
-
-def test_matrix_from_columns_orientation():
-    m = matrix_from_columns([(1, 2), (3, 4)], 2)
-    assert [list(r) for r in m.data] == [[1, 3], [2, 4]]
-
-
-def test_rank_of_columns_empty_is_zero():
-    assert rank_of_columns([], 3) == 0
-
-
-def test_solve_columns_in_span():
-    cols = [(1, 0), (1, 1)]
-    assert solve_columns(cols, (3, 2)) == [F(1), F(2)]
-
-
-def test_solve_columns_out_of_span():
-    assert solve_columns([(1, 0)], (0, 1)) is None
-
-
-def test_solve_columns_prefers_zero_free_coefficients():
-    # Columns 1 and 2 are equal; the particular solution puts the whole
-    # weight on the pivot column and zero on the free one.
-    assert solve_columns([(1, 0), (1, 0)], (2, 0)) == [F(2), F(0)]
+    # 1.0 == 1, so the float row equals the row before it.
+    with pytest.raises(TypeError, match="entry 1.0 is not an int"):
+        RatMatrix([[1, 1], [1.0, 1]]).rref()
 
 
 # -- properties ----------------------------------------------------------
@@ -242,14 +249,14 @@ int_matrices_6x6 = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_plus_nullity_is_column_count(rows):
-    m = RatMatrix(rows)
+    m = RatMatrix(integer_rows(rows))
     assert rank(m) + len(kernel_basis(m)) == m.cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_kernel_vectors_are_annihilated(rows):
-    m = RatMatrix(rows)
+    m = RatMatrix(integer_rows(rows))
     for v in kernel_basis(m):
         assert all(x == 0 for x in mul_vector(m, v))
 
@@ -257,14 +264,14 @@ def test_kernel_vectors_are_annihilated(rows):
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rank_equals_transpose_rank(rows):
-    m = RatMatrix(rows)
-    assert rank(m) == rank(RatMatrix(list(zip(*rows))))
+    m = RatMatrix(integer_rows(rows))
+    assert rank(m) == rank(RatMatrix(integer_rows(zip(*rows))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_rref_is_idempotent(rows):
-    rrefm, pivots = RatMatrix(rows).rref()
+    rrefm, pivots = RatMatrix(integer_rows(rows)).rref()
     again, pivots2 = rrefm.rref()
     assert again.data == rrefm.data
     assert pivots2 == pivots
@@ -274,31 +281,6 @@ def test_rref_is_idempotent(rows):
 @given(int_matrices_6x6)
 def test_rank_agrees_with_bareiss_oracle(rows):
     assert rank(RatMatrix(rows)) == bareiss_rank(rows)
-
-
-@settings(max_examples=60, deadline=None)
-@given(int_matrices_6x6)
-def test_rref_of_integers_equals_rref_of_the_same_fractions(rows):
-    ints, int_pivots = RatMatrix(rows).rref()
-    fracs, frac_pivots = RatMatrix([[F(x) for x in row] for row in rows]).rref()
-    assert ints.data == fracs.data
-    assert int_pivots == frac_pivots
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrices, st.data())
-def test_solve_columns_reconstructs_target(rows, data):
-    m = RatMatrix(rows)
-    cols = list(zip(*m.data))
-    coeffs = data.draw(st.lists(small_fraction, min_size=m.cols,
-                                max_size=m.cols))
-    target = tuple(sum((cols[j][i] * coeffs[j] for j in range(m.cols)),
-                       F(0)) for i in range(m.rows))
-    sol = solve_columns(cols, target)
-    assert sol is not None
-    rebuilt = tuple(sum((cols[j][i] * sol[j] for j in range(m.cols)), F(0))
-                    for i in range(m.rows))
-    assert rebuilt == target
 
 
 sparse_fraction = st.one_of(st.just(F(0)), small_fraction)
@@ -333,15 +315,15 @@ def rational_matrices(draw):
 
 
 def primitive_fraction_rref(rows, ncols):
-    """fraction_rref with every row scaled by normalize_integer_vector."""
+    """fraction_rref with every row scaled by primitive."""
     expected, pivots = fraction_rref(rows, ncols)
-    return [normalize_integer_vector(row) for row in expected], pivots
+    return [primitive(row) for row in expected], pivots
 
 
 @settings(max_examples=300, deadline=None)
 @given(rational_matrices())
 def test_rref_matches_fraction_gauss_jordan(rows):
-    rrefm, pivots = RatMatrix(rows).rref()
+    rrefm, pivots = RatMatrix(integer_rows(rows)).rref()
     expected, expected_pivots = primitive_fraction_rref(rows, len(rows[0]))
     assert pivots == expected_pivots
     assert rrefm.data == expected
@@ -353,7 +335,7 @@ def test_rref_of_large_entries_matches_fraction_gauss_jordan():
     rows = [[F(10 ** 12 + i * j, 7 ** (i + 1)) for j in range(6)]
             for i in range(5)]
     rows[3] = [a + b for a, b in zip(rows[0], rows[1])]
-    rrefm, pivots = RatMatrix(rows).rref()
+    rrefm, pivots = RatMatrix(integer_rows(rows)).rref()
     assert (rrefm.data, pivots) == primitive_fraction_rref(rows, 6)
 
 
@@ -366,14 +348,14 @@ def test_rref_does_not_depend_on_row_order_or_pivot_choice(rows, data):
     # Scaled copies of rows, zero rows and a shuffle change which row the
     # elimination picks as pivot row at each column, but not the unique
     # primitive RREF.
-    rrefm, pivots = RatMatrix(rows).rref()
+    rrefm, pivots = RatMatrix(integer_rows(rows)).rref()
     ncols = len(rows[0])
     copies = data.draw(st.lists(st.tuples(st.sampled_from(rows), nonzero_fraction),
                                 max_size=3))
     zeros = data.draw(st.integers(min_value=0, max_value=2))
     variant = data.draw(st.permutations(
         rows + [[k * x for x in row] for row, k in copies] + [[F(0)] * ncols] * zeros))
-    got, got_pivots = RatMatrix(variant).rref()
+    got, got_pivots = RatMatrix(integer_rows(variant)).rref()
     rank = len(pivots)
     assert got_pivots == pivots
     assert got.data[:rank] == rrefm.data[:rank]
@@ -384,6 +366,7 @@ def test_rref_does_not_depend_on_row_order_or_pivot_choice(rows, data):
 @given(st.one_of(rational_matrices(), int_matrices_6x6))
 def test_rref_leaves_the_input_unchanged(rows):
     # The elimination rewrites its rows in place, on its own copies.
+    rows = integer_rows(rows)
     m = RatMatrix(rows)
     before = list(m.data)
     m.rref()
@@ -399,7 +382,7 @@ def test_rref_of_an_engine_matrix_matches_fraction_gauss_jordan():
     # the generic plane normal to (1, 2, 3): 50 monomials by 45 products.
     rb = restrict_basis(CATALOG, custom_substitution(PLANE_123))
     polys = rb.as_dict()
-    columns = [c for _, c in reducible_products(rb, (4, 3), polys, {}, ProductGrid(polys))]
+    columns = [c for _, c in reducible_products((4, 3), polys, {}, ProductGrid(polys))]
     _, mat = coefficient_matrix(columns)
     assert (mat.rows, mat.cols) == (50, 45)
     expected = primitive_fraction_rref(mat.data, mat.cols)

@@ -59,7 +59,7 @@ def test_partition_groups_by_bidegree(theta_basis):
 
 def products(rb, target):
     polys = rb.as_dict()
-    return reducible_products(rb, target, polys, {}, ProductGrid(polys))
+    return reducible_products(target, polys, {}, ProductGrid(polys))
 
 
 def test_reducible_products_smallest_cases(theta_basis):
@@ -88,7 +88,7 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
     built = {}
     grid = ProductGrid(polys)
     for bd in bidegree_grid():
-        for factors, product in reducible_products(rb, bd, polys, prefixes, grid):
+        for factors, product in reducible_products(bd, polys, prefixes, grid):
             chained = restricted[factors[0]]
             for name in factors[1:]:
                 chained = chained * restricted[name]
@@ -103,7 +103,7 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
 def test_enumerate_products_has_two_or_more_factors(theta_basis):
     # I002 and I020 lie at (0, 2) themselves; only I010^2 is a product there.
     polys = theta_basis.as_dict()
-    products = reducible_products(theta_basis, (0, 2), polys, {}, ProductGrid(polys))
+    products = reducible_products((0, 2), polys, {}, ProductGrid(polys))
     assert [f for f, _ in products] == [("I010", "I010")]
 
 
@@ -116,9 +116,9 @@ def test_reducible_products_on_a_candidate_grid_use_only_its_names(theta_basis):
     every, full = ProductGrid(polys), {}
     grid, table = ProductGrid(names), {}
     for bd in bidegree_grid():
-        want = [(f, p) for f, p in reducible_products(theta_basis, bd, polys, full, every)
+        want = [(f, p) for f, p in reducible_products(bd, polys, full, every)
                 if set(f) <= set(names)]
-        assert reducible_products(theta_basis, bd, polys, table, grid) == want
+        assert reducible_products(bd, polys, table, grid) == want
     assert len(full) > len(table) > 0
 
 
@@ -184,8 +184,8 @@ def test_selfcheck_catches_a_product_under_the_wrong_label(theta_basis, monkeypa
     import mebasis.reduction as reduction
     original = reduction.reducible_products
 
-    def swapped(rb, target, *shared):
-        prods = original(rb, target, *shared)
+    def swapped(target, *shared):
+        prods = original(target, *shared)
         if target == (4, 2):
             (f0, p0), (f1, p1) = prods[:2]
             prods[:2] = [(f0, p1), (f1, p0)]
@@ -239,8 +239,8 @@ def test_selfcheck_does_not_read_the_engines_product_table(theta_basis, monkeypa
     key = ("I010", "I010")
     tampered = []
 
-    def tamper(rb, target, polys, table, *rest):
-        prods = original(rb, target, polys, table, *rest)
+    def tamper(target, polys, table, *rest):
+        prods = original(target, polys, table, *rest)
         if key in table and not tampered:
             table[key] = polys["I002"]
             tampered.append(target)

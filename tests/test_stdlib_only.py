@@ -29,19 +29,14 @@ def test_every_import_is_stdlib_or_mebasis():
 
 def unused_imports(path):
     """(line, name) of each name bound by a module-level import of a source
-    file that nothing else in the file reads; lines marked `# noqa: F401`
-    and `from __future__` imports are exempt."""
-    text = path.read_text(encoding="utf-8")
-    tree = ast.parse(text)
-    lines = text.splitlines()
+    file that nothing else in the file reads; only `from __future__`
+    imports are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if any("# noqa: F401" in lines[i - 1]
-               for i in range(node.lineno, node.end_lineno + 1)):
             continue
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
@@ -54,3 +49,10 @@ def test_every_module_level_import_is_used():
     unused = {(path.name, line, name) for path in SOURCES
               for line, name in unused_imports(path)}
     assert not unused
+
+
+def test_a_noqa_mark_does_not_exempt_an_unused_import(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("from __future__ import annotations\n"
+                    "from math import gcd  # noqa: F401\n", encoding="utf-8")
+    assert list(unused_imports(path)) == [(2, "gcd")]

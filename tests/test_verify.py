@@ -13,7 +13,7 @@ import json
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 
@@ -24,7 +24,8 @@ from mebasis.catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from mebasis.ratlinalg import RatMatrix
 from mebasis.reduction import (PINNED_GENERATORS, Relation, partition_bidegrees,
                                reduce_basis)
-from mebasis.restriction import FIBERS, custom_substitution, restrict_basis
+from mebasis.restriction import (FIBERS, custom_substitution, generic_substitution,
+                                 restrict_basis)
 from mebasis.poly import Polynomial, coefficient_matrix, parse_polynomial
 from mebasis.verify import (DATA_PATH, NAME_TABLE, GeneratingSetReport,
                             load_published, numeric_invariants,
@@ -573,3 +574,60 @@ def test_certificate_runs_one_rref_per_bidegree(bases, monkeypatch, fiber, elimi
     monkeypatch.setattr(RatMatrix, "rref", counted)
     assert verify_generating_set(TABLE3[fiber], bases[fiber]).ok
     assert len(calls) == len(partition_bidegrees(bases[fiber])) == eliminations
+
+
+# -- evaluation rank: ROADMAP item 1's minimality link, as a test ---------
+
+def bareiss_rank(rows):
+    """Rank of an integer matrix by one-step Bareiss elimination: every
+    division by the previous pivot is exact, so no fraction is formed."""
+    m = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for c in range(len(m[0])):
+        k = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[rank], m[k] = m[k], m[rank]
+        p, prow = m[rank][c], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], prow)]
+        prev, rank = p, rank + 1
+    return rank
+
+
+@pytest.fixture(scope="module")
+def generator_bases(certificate_bases):
+    return {**certificate_bases,
+            "generic": restrict_basis(CATALOG, generic_substitution())}
+
+
+@pytest.mark.parametrize("basis", [*FIBERS, "plane_123", "generic"])
+def test_evaluation_rank_is_the_reported_rank_where_a_generator_is_kept(
+        generator_bases, basis):
+    # The products of two or more survivors are enumerated here from their
+    # names, and every column is valued through the tensor recipes at
+    # drawn integer points: no engine polynomial, product or matrix is
+    # read.  A draw can fall short of a rank by chance, never exceed it,
+    # so up to three fresh draws follow the first.
+    rb = generator_bases[basis]
+    reports = [rep for rep in reduce_basis(rb, policy="table-order").reports if rep.kept]
+    items = [(n, _bidegree(n)) for n, _ in rb.entries]
+    columns = {}
+    for rep in reports:
+        prods = [fs for fs in _monomials(items, rep.bidegree) if len(fs) > 1]
+        assert len(prods) == rep.n_products
+        columns[rep.bidegree] = prods + [(n,) for n, bd in items if bd == rep.bidegree]
+    want = {rep.bidegree: rep.rank for rep in reports}
+    rng = random.Random(0)
+    for _ in range(4):
+        points = [numeric_invariants(rb.substitution, random_point(rb.substitution.table, rng))
+                  for _ in range(max(want.values()) + 2)]
+        got = {}
+        for bd, cols in columns.items():
+            rows = [[reduce(mul, (v[f] for f in fs)) for fs in cols] for v in points]
+            got[bd] = bareiss_rank([[int(x * d) for x in row] for row in rows
+                                    for d in [lcm(*(F(x).denominator for x in row))]])
+        if got == want:
+            break
+    assert got == want
