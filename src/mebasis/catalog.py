@@ -22,7 +22,7 @@ entry of a product is one sum of products of unpacked entries, zeros
 included: a number times a polynomial matrix gives polynomials, and
 polynomials on different tables raise ValueError.  Nothing here checks
 operands: evaluate_all checks shape, one entry_table and symmetry once,
-and restriction.validate_substitution checks a substitution.  The two
+and restriction.custom_substitution checks what it loads.  The two
 projectors:
 
   dbar(a)  zeroes the diagonal (keeps the off-diagonal part),

@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error: a ReductionError (e.g. a pinned keep set that conflicts) or a file
 the program reads that it cannot read ("error: cannot read <file>:
 <reason>"), 4 standard output, --help and --version included, could not
-be written (a closed pipe, a full disk).  main lifts the interpreter's
-4300-digit limit on writing an int as text, so any coefficient prints.
+be written (a closed pipe, a full disk, an encoding that cannot hold the
+text).  main lifts the interpreter's 4300-digit limit on writing an int
+as text, so any coefficient prints.
 """
 
 from __future__ import annotations
@@ -508,6 +509,10 @@ def _run(argv: Sequence[str] | None) -> int:
                   file=sys.stderr)
             return 3
         print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        _detach_stdout()
+        return 4
+    except UnicodeEncodeError as exc:  # stdout's encoding cannot hold the text
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         _detach_stdout()
         return 4
 

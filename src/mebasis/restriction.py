@@ -10,7 +10,8 @@ plane with unit normal n (sigma . n = 0 and m . n = 0):
 Each is parameterized by two magnetization variables (m1, m2) and three
 stress variables (s1, s2, s3).  They and the generic 3D substitution are
 substitution documents in BUILTIN_DOCUMENTS, in the JSON format that user
-files use, and load through custom_substitution like any user file.
+files use, and load through custom_substitution like any user file: it is
+the one place a substitution is checked.
 
 restrict_basis runs the catalog recipes directly on the substitution's
 Polynomials (integer numerators over one denominator), so each restricted
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from . import catalog as catalog_mod
-from .catalog import Mat3, Vec3, dot, entry_table, is_symmetric, mul_vec
+from .catalog import Mat3, Vec3, dot, mul_vec
 from .poly import (MAX_LITERAL_DIGITS, ParseError, Polynomial, VarTable,
                    parse_polynomial)
 
@@ -73,51 +74,6 @@ class Substitution(NamedTuple):
     normal: tuple[int, int, int] | None = None
 
 
-def _has_bidegree(p: Polynomial, bidegree: tuple[int, int]) -> bool:
-    """Whether every term of p has this bi-degree (true for zero)."""
-    return all(p.table.packed_bidegree(k) == bidegree for k in p.nums)
-
-
-def validate_substitution(sub: Substitution) -> None:
-    """Checks the Substitution invariants, raising SubstitutionError.
-
-    sigma must be a symmetric 3x3 grid of Polynomials on sub.table linear in
-    stress variables (or zero), m 3 such entries linear in magnetization
-    variables (or zero).  When a normal is declared, sigma . n and m . n
-    must vanish identically.
-    """
-    sigma, m = sub.sigma, sub.m
-    if len(sigma) != 3 or any(len(row) != 3 for row in sigma) or len(m) != 3:
-        raise SubstitutionError("sigma must be 3x3 and m have 3 entries")
-    try:
-        on_table = entry_table((*sigma[0], *sigma[1], *sigma[2], *m)) == sub.table
-    except ValueError:
-        on_table = False
-    if not on_table:
-        raise SubstitutionError("tensor entries not built on the substitution table")
-    if not is_symmetric(sigma):
-        raise SubstitutionError("sigma is not symmetric")
-    for i in range(3):
-        for j in range(3):
-            e = sigma[i][j]
-            if not _has_bidegree(e, (0, 1)):
-                raise SubstitutionError(
-                    f"sigma entry ({i + 1},{j + 1}) must be linear in stress "
-                    f"variables, got {e}")
-    for i in range(3):
-        e = m[i]
-        if not _has_bidegree(e, (1, 0)):
-            raise SubstitutionError(
-                f"m entry {i + 1} must be linear in magnetization variables, "
-                f"got {e}")
-    if sub.normal is not None:
-        for i, row in enumerate(mul_vec(sigma, sub.normal)):
-            if row:
-                raise SubstitutionError(f"sigma . n has nonzero component {i + 1}")
-        if dot(m, sub.normal):
-            raise SubstitutionError("m . n is nonzero")
-
-
 def fiber_substitution(fiber: str) -> Substitution:
     """One of the three built-in in-plane parameterizations."""
     if fiber not in FIBERS:
@@ -151,6 +107,8 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
     3 expressions.  Expressions use the polynomial grammar (explicit '*',
     '^' powers, integer or a/b literals).  An integer in a file has at most
     MAX_LITERAL_DIGITS digits, as a literal in an expression does.
+    Parsed entries must be linear (or zero): sigma's in stress, m's in
+    magnetization variables; a normal must make sigma . n and m . n zero.
     """
     default_name = "custom"
     if isinstance(source, Mapping):
@@ -236,9 +194,22 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
             raise SubstitutionError("'normal' must be a list of 3 integers, not all zero")
         normal = tuple(raw_n)
 
-    sub = Substitution(name, table, sigma, m, normal)
-    validate_substitution(sub)
-    return sub
+    bidegree = table.packed_bidegree
+    for i, j in sorted(entries):
+        if any(bidegree(k) != (0, 1) for k in entries[i, j].nums):
+            raise SubstitutionError(f"sigma entry ({i + 1},{j + 1}) must be linear in "
+                                    f"stress variables, got {entries[i, j]}")
+    for i, e in enumerate(m):
+        if any(bidegree(k) != (1, 0) for k in e.nums):
+            raise SubstitutionError(f"m entry {i + 1} must be linear in magnetization "
+                                    f"variables, got {e}")
+    if normal is not None:
+        for i, row in enumerate(mul_vec(sigma, normal)):
+            if row:
+                raise SubstitutionError(f"sigma . n has nonzero component {i + 1}")
+        if dot(m, normal):
+            raise SubstitutionError("m . n is nonzero")
+    return Substitution(name, table, sigma, m, normal)
 
 
 class RestrictedBasis(NamedTuple):

@@ -552,6 +552,30 @@ def test_write_failure_after_help_or_version_exits_4(capsys, monkeypatch, flag):
     assert err == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.parametrize("fmt, code", [("text", 4), ("json", 0), ("latex", 0)])
+def test_a_name_stdout_cannot_encode_is_a_failed_write(tmp_path, capsys, monkeypatch,
+                                                       fmt, code):
+    # The text report prints the substitution name; JSON escapes it to
+    # ASCII and LaTeX does not print it.
+    path = tmp_path / "plane.json"
+    doc = dict(json.loads(PLANE_123.read_text()), name="\u03b8-plane")
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    got = main(["reduce", "--fiber", f"custom:{path}", "--format", fmt])
+    err = capsys.readouterr().err
+    stdout.flush()
+    out = stdout.buffer.getvalue().decode("ascii")
+    assert got == code, err
+    if code == 4:
+        assert out == ""
+        assert err.startswith("error: cannot write output: 'ascii' codec can't encode")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+        assert ("\\u03b8-plane" in out) == (fmt == "json")
+
+
 def test_missing_data_file_is_one_line_and_exit_3(capsys, monkeypatch, tmp_path):
     missing = tmp_path / "published_relations.json"
     monkeypatch.setattr(verify_mod, "DATA_PATH", missing)

@@ -189,7 +189,7 @@ def test_kernel_with_free_columns():
     assert [v for _, v in pairs] == [(2, -1, 0), (3, 0, -1)]
 
 
-def test_normalize_clears_denominators_and_content():
+def test_normalize_removes_content_and_fixes_the_sign():
     assert normalize_integer_vector([6, 4]) == (3, 2)
     assert normalize_integer_vector([-2, 4]) == (1, -2)
     assert normalize_integer_vector([0, -5]) == (0, 1)
@@ -203,7 +203,7 @@ def test_matrix_keeps_integer_entries():
 
 
 @pytest.mark.parametrize("bad", [0.5, "1", None, complex(1, 0)])
-def test_entry_that_is_not_int_or_fraction_is_a_type_error(bad):
+def test_entry_that_is_not_an_int_is_a_type_error(bad):
     # Named by the row scaling that rref and normalize_integer_vector share;
     # an int subclass such as bool is still an int, and comes out as one.
     message = re.escape(f"entry {bad!r} is not an int")

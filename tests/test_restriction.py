@@ -15,7 +15,7 @@ from mebasis.poly import MAG, STRESS, Polynomial, VarTable
 from mebasis.restriction import (BUILTIN_DOCUMENTS, FIBERS, Substitution,
                                  SubstitutionError, custom_substitution,
                                  fiber_substitution, generic_substitution,
-                                 restrict_basis, validate_substitution)
+                                 restrict_basis)
 
 F = Fraction
 
@@ -130,76 +130,6 @@ def test_generic_document_is_validated(monkeypatch):
     monkeypatch.setitem(BUILTIN_DOCUMENTS, "generic", doc)
     with pytest.raises(SubstitutionError, match="linear in magnetization"):
         generic_substitution()
-
-
-# -- validation ----------------------------------------------------------
-
-def test_validate_rejects_asymmetric_sigma():
-    table, v = plane_vars()
-    z = Polynomial.zero(table)
-    sigma = ((v["s1"], v["s3"], z),
-             (v["s2"], v["s1"], z),
-             (z, z, z))
-    sub = Substitution("bad", table, sigma, (v["m1"], v["m2"], z))
-    with pytest.raises(SubstitutionError, match="not symmetric"):
-        validate_substitution(sub)
-
-
-def test_validate_rejects_nonlinear_entry():
-    table, v = plane_vars()
-    z = Polynomial.zero(table)
-    q = v["s1"] ** 2
-    sigma = ((q, z, z), (z, z, z), (z, z, z))
-    sub = Substitution("bad", table, sigma, (v["m1"], z, z))
-    with pytest.raises(SubstitutionError, match="linear in stress"):
-        validate_substitution(sub)
-
-
-def test_validate_rejects_kind_mixing_in_m():
-    table, v = plane_vars()
-    z = Polynomial.zero(table)
-    sigma = ((v["s1"], z, z), (z, z, z), (z, z, z))
-    sub = Substitution("bad", table, sigma, (v["s2"], z, z))
-    with pytest.raises(SubstitutionError, match="magnetization"):
-        validate_substitution(sub)
-
-
-def test_validate_rejects_violated_normal():
-    table, v = plane_vars()
-    z = Polynomial.zero(table)
-    sigma = ((v["s1"], z, z), (z, z, z), (z, z, z))
-    sub = Substitution("bad", table, sigma, (v["m1"], z, z), normal=(1, 0, 0))
-    with pytest.raises(SubstitutionError, match="sigma . n"):
-        validate_substitution(sub)
-
-
-@pytest.mark.parametrize("sigma_rows, m_entries", [
-    ([["s1", "0", "0"], ["0", "s2", "0"]], ["m1", "0", "0"]),
-    ([["s1", "0", "0", "0"], ["0", "s2", "0"], ["0", "0", "0"]], ["m1", "0", "0"]),
-    ([["s1", "0", "0"], ["0", "s2", "0"], ["0", "0", "0"]], ["m1", "0"]),
-    ([["s1", "0", "0"], ["0", "s2", "0"], ["0", "0", "0"]], ["m1", "0", "0", "0"]),
-], ids=["sigma-2-rows", "row-of-4", "m-of-2", "m-of-4"])
-def test_validate_rejects_misshaped_tensors(sigma_rows, m_entries):
-    table, v = plane_vars()
-    entry = lambda name: v.get(name, Polynomial.zero(table))
-    sigma = tuple(tuple(entry(x) for x in row) for row in sigma_rows)
-    sub = Substitution("bad", table, sigma, tuple(entry(x) for x in m_entries))
-    with pytest.raises(SubstitutionError, match="3x3 and m have 3 entries"):
-        validate_substitution(sub)
-
-
-def test_validate_rejects_entries_off_the_table():
-    table, v = plane_vars()
-    z = Polynomial.zero(table)
-    sigma = ((v["s1"], z, z), (z, z, z), (z, z, z))
-    m = (v["m1"], z, z)
-    ints = Substitution("ints", table, ((1, 0, 0), (0, 0, 0), (0, 0, 0)), (1, 0, 0))
-    mixed = Substitution("mixed", table, sigma, (v["m1"], 0, 0))
-    other = VarTable([("m1", MAG), ("s1", STRESS)])
-    elsewhere = Substitution("other", other, sigma, m)
-    for sub in (ints, mixed, elsewhere):
-        with pytest.raises(SubstitutionError, match="not built on the substitution table"):
-            validate_substitution(sub)
 
 
 # -- restricted bases ----------------------------------------------------
@@ -346,7 +276,7 @@ def test_recipes_run_on_the_substitution_polynomials(monkeypatch):
 
 
 def test_restriction_refuses_a_substitution_that_swaps_kinds():
-    # Built without validate_substitution: sigma in a mag variable.
+    # Built by hand, so unchecked by the loader: sigma in a mag variable.
     table, v = plane_vars()
     z = Polynomial.zero(table)
     sub = Substitution("swapped", table,
@@ -430,6 +360,65 @@ def test_custom_names_a_nonlinear_m_entry():
         custom_substitution(doc)
     assert str(info.value) == \
         "m entry 2 must be linear in magnetization variables, got m1*s1"
+
+
+def test_custom_reads_a_mirrored_key_as_its_upper_position():
+    # Key "32" stands for position (2,3), so the message names (2,3).
+    sigma = {k: v for k, v in EQ3_DOC["sigma"].items() if k != "23"}
+    doc = dict(EQ3_DOC, sigma=dict(sigma, **{"32": "s1^2"}))
+    with pytest.raises(SubstitutionError) as info:
+        custom_substitution(doc)
+    assert str(info.value) == \
+        "sigma entry (2,3) must be linear in stress variables, got s1^2"
+
+
+def test_custom_names_the_first_nonlinear_sigma_entry_in_row_major_order():
+    # (3,1) is given last and (2,2) first; (1,3) comes first row by row.
+    # m and the plane fail too, but sigma is checked first.
+    sigma = {"22": "s1*s2", "11": "s1", "12": "s3", "23": "0", "33": "0",
+             "31": "m1"}
+    with pytest.raises(SubstitutionError) as info:
+        custom_substitution(dict(EQ3_DOC, sigma=sigma, m=["s1", "m2", "m1"]))
+    assert str(info.value) == \
+        "sigma entry (1,3) must be linear in stress variables, got m1"
+
+
+@pytest.mark.parametrize("m", [["m1", "m2"], ["m1", "m2", "0", "0"]], ids=["2", "4"])
+def test_custom_reports_the_m_block_before_sigma_linearity(m):
+    doc = dict(EQ3_DOC, sigma=dict(EQ3_DOC["sigma"], **{"11": "s1^2"}), m=m)
+    with pytest.raises(SubstitutionError) as info:
+        custom_substitution(doc)
+    assert str(info.value) == "'m' block must list exactly 3 expressions"
+
+
+def test_custom_reports_linearity_before_the_plane():
+    # Both m entries fail, and so does m . n; the first m entry is named.
+    doc = dict(EQ3_DOC, m=["s1", "s2", "m1"])
+    with pytest.raises(SubstitutionError) as info:
+        custom_substitution(doc)
+    assert str(info.value) == \
+        "m entry 1 must be linear in magnetization variables, got s1"
+
+
+@pytest.mark.parametrize("key, component", [("13", 1), ("23", 2), ("33", 3)])
+def test_custom_names_the_component_of_sigma_off_the_plane(key, component):
+    doc = dict(EQ3_DOC, sigma=dict(EQ3_DOC["sigma"], **{key: "s1"}))
+    with pytest.raises(SubstitutionError) as info:
+        custom_substitution(doc)
+    assert str(info.value) == f"sigma . n has nonzero component {component}"
+
+
+def test_custom_rejects_m_off_the_plane():
+    doc = dict(EQ3_DOC, m=["m1", "m2", "m1"])
+    with pytest.raises(SubstitutionError) as info:
+        custom_substitution(doc)
+    assert str(info.value) == "m . n is nonzero"
+
+
+def test_custom_rejects_a_sigma_position_off_the_grid():
+    doc = dict(EQ3_DOC, sigma=dict(EQ3_DOC["sigma"], **{"14": "0"}))
+    with pytest.raises(SubstitutionError, match="bad sigma key '14'"):
+        custom_substitution(doc)
 
 
 def test_custom_rejects_wrong_m_length():
@@ -542,4 +531,42 @@ def test_fuzzed_documents_raise_only_substitution_error(tmp_path_factory, doc):
         sub = custom_substitution(path)
     except SubstitutionError:
         return
-    validate_substitution(sub)
+    assert_substitution_invariants(sub)
+
+
+def assert_substitution_invariants(sub):
+    """What every loaded Substitution holds, checked from its fields alone:
+    a symmetric 3x3 sigma and 3 entries of m, all Polynomials on sub.table,
+    sigma's linear in stress and m's in magnetization variables (or zero),
+    and a normal, if any, that annihilates sigma and m."""
+    sigma, m, table = sub.sigma, sub.m, sub.table
+    assert len(sigma) == 3 and all(len(row) == 3 for row in sigma) and len(m) == 3
+    assert all(sigma[i][j] == sigma[j][i] for i in range(3) for j in range(i))
+    for entries, kind in (((*sigma[0], *sigma[1], *sigma[2]), STRESS), (m, MAG)):
+        for e in entries:
+            assert isinstance(e, Polynomial) and e.table == table
+            for mono in e.terms:
+                assert sum(mono) == 1 and table.kinds[mono.index(1)] == kind
+    if sub.normal is not None:
+        zero = Polynomial.zero(table)
+        for row in (*sigma, m):
+            assert not sum((x * c for x, c in zip(row, sub.normal)), zero)
+
+
+@pytest.mark.parametrize("name", SUBSTITUTIONS)
+def test_every_loaded_substitution_holds_the_invariants(name):
+    assert_substitution_invariants(SUBSTITUTIONS[name]())
+
+
+def test_the_invariant_oracle_refuses_each_broken_invariant():
+    table, v = plane_vars()
+    z = Polynomial.zero(table)
+    theta = fiber_substitution("theta")
+    for sub in (theta._replace(m=(v["m1"], v["m2"])),
+                theta._replace(sigma=((v["s1"], v["s2"], z), (z, z, z), (z, z, z))),
+                theta._replace(table=VarTable([("m1", MAG), ("s1", STRESS)])),
+                theta._replace(m=(v["s1"], z, z)),
+                theta._replace(m=(v["m1"] * v["m2"], z, z)),
+                theta._replace(normal=(1, 0, 0))):
+        with pytest.raises(AssertionError):
+            assert_substitution_invariants(sub)

@@ -22,8 +22,8 @@ import pytest
 import mebasis.verify as verify_mod
 from mebasis.catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from mebasis.ratlinalg import RatMatrix
-from mebasis.reduction import (PINNED_GENERATORS, Relation, partition_bidegrees,
-                               reduce_basis)
+from mebasis.reduction import (PINNED_GENERATORS, POLICIES, Relation,
+                               partition_bidegrees, reduce_basis)
 from mebasis.restriction import (FIBERS, custom_substitution, generic_substitution,
                                  restrict_basis)
 from mebasis.poly import Polynomial, coefficient_matrix, parse_polynomial
@@ -31,6 +31,8 @@ from mebasis.verify import (DATA_PATH, NAME_TABLE, GeneratingSetReport,
                             load_published, numeric_invariants,
                             published_relation, random_point, spotcheck_relations,
                             verify_generating_set, verify_published)
+
+from test_faults import drop_products
 
 F = Fraction
 
@@ -602,32 +604,83 @@ def generator_bases(certificate_bases):
             "generic": restrict_basis(CATALOG, generic_substitution())}
 
 
+def draw_points(rb, count, rng):
+    """The catalog's values at count drawn integer points of rb's table."""
+    sub = rb.substitution
+    return [numeric_invariants(sub, random_point(sub.table, rng)) for _ in range(count)]
+
+
+def evaluation_rank(points, columns):
+    """Rank of the matrix of each column (a factor tuple) at each point."""
+    rows = [[reduce(mul, (v[f] for f in fs)) for fs in columns] for v in points]
+    return bareiss_rank([[int(x * d) for x in row] for row in rows
+                         for d in [lcm(*(F(x).denominator for x in row))]])
+
+
+def minimality_shortfalls(result, points):
+    """The bi-degrees where the kept generators K are not independent
+    modulo the products P of two or more reported generators at the
+    points: rank E(P + K) - rank E(P) < |K|.  P is enumerated here from
+    the generators' names, not through reducible_products."""
+    items = [(n, _bidegree(n)) for n in result.generators]
+    short = []
+    for rep in result.reports:
+        if rep.kept:
+            prods = [fs for fs in _monomials(items, rep.bidegree) if len(fs) > 1]
+            kept = [(n,) for n in rep.kept]
+            if (evaluation_rank(points, prods + kept)
+                    - evaluation_rank(points, prods)) < len(kept):
+                short.append(rep.bidegree)
+    return short
+
+
 @pytest.mark.parametrize("basis", [*FIBERS, "plane_123", "generic"])
 def test_evaluation_rank_is_the_reported_rank_where_a_generator_is_kept(
         generator_bases, basis):
-    # The products of two or more survivors are enumerated here from their
-    # names, and every column is valued through the tensor recipes at
-    # drawn integer points: no engine polynomial, product or matrix is
-    # read.  A draw can fall short of a rank by chance, never exceed it,
-    # so up to three fresh draws follow the first.
+    # Under every policy.  The products of two or more survivors are
+    # enumerated here from their names, and every column is valued through
+    # the tensor recipes at drawn integer points: no engine polynomial,
+    # product or matrix is read.  In the same draws, the kept generators
+    # must be independent modulo the products of reported generators
+    # (ROADMAP item 1's minimality link).  A draw can fall short of a rank
+    # by chance, never exceed it, so up to three fresh draws follow the
+    # first.
     rb = generator_bases[basis]
-    reports = [rep for rep in reduce_basis(rb, policy="table-order").reports if rep.kept]
+    results = [reduce_basis(rb, policy=policy) for policy in POLICIES]
     items = [(n, _bidegree(n)) for n, _ in rb.entries]
-    columns = {}
-    for rep in reports:
+    columns, want = {}, {}
+    for rep in (rep for result in results for rep in result.reports if rep.kept):
         prods = [fs for fs in _monomials(items, rep.bidegree) if len(fs) > 1]
         assert len(prods) == rep.n_products
         columns[rep.bidegree] = prods + [(n,) for n, bd in items if bd == rep.bidegree]
-    want = {rep.bidegree: rep.rank for rep in reports}
+        assert want.setdefault(rep.bidegree, rep.rank) == rep.rank
     rng = random.Random(0)
     for _ in range(4):
-        points = [numeric_invariants(rb.substitution, random_point(rb.substitution.table, rng))
-                  for _ in range(max(want.values()) + 2)]
-        got = {}
-        for bd, cols in columns.items():
-            rows = [[reduce(mul, (v[f] for f in fs)) for fs in cols] for v in points]
-            got[bd] = bareiss_rank([[int(x * d) for x in row] for row in rows
-                                    for d in [lcm(*(F(x).denominator for x in row))]])
-        if got == want:
+        points = draw_points(rb, max(want.values()) + 2, rng)
+        got = {bd: evaluation_rank(points, cols) for bd, cols in columns.items()}
+        short = [minimality_shortfalls(result, points) for result in results]
+        if got == want and short == [[]] * len(results):
             break
     assert got == want
+    assert short == [[]] * len(results)
+
+
+@pytest.mark.parametrize("fiber, short", [
+    ("theta", [(0, 3), (2, 2), (4, 1)]),
+    ("gamma", [(0, 2), (2, 1), (2, 2), (2, 3), (4, 2), (6, 1)]),
+], ids=["theta", "gamma"])
+def test_minimality_link_falls_short_where_product_columns_were_dropped(
+        bases, monkeypatch, fiber, short):
+    # The plant of the strict xfail fault row product-columns-dropped: with
+    # every two-factor product led by I010 dropped from the engine's
+    # columns, reduce keeps generators that those products span.  A true
+    # shortfall never goes away; one by chance does in a fresh draw.
+    drop_products(monkeypatch)
+    result = reduce_basis(bases[fiber], policy="table-order")
+    count = max(rep.rank for rep in result.reports) + 2
+    rng = random.Random(0)
+    for _ in range(4):
+        got = minimality_shortfalls(result, draw_points(bases[fiber], count, rng))
+        if got == short:
+            break
+    assert got == short
