@@ -292,7 +292,8 @@ def _run_reduce(args) -> int:
                  if need > got]
         raise UsageError(f"the bounds leave {missed[0]} at bi-degree {missed[1]} "
                          f"unexplored; raise {' and '.join(short)}")
-    result = reduce_basis(rb, bounds=bounds, policy=args.policy)
+    result = reduce_basis(rb, bounds=bounds, policy=args.policy,  # LaTeX prints no syzygy
+                          survivors_only=args.format == "latex")
     if args.format == "json":
         write_json(reduce_payload(result), sys.stdout)
     elif args.format == "latex":
@@ -372,8 +373,10 @@ def _run_verify(args) -> int:
 # -- union ---------------------------------------------------------------
 
 def union_payload(policy: str) -> dict:
-    """Each fiber's generators, their inclusions in alpha_prime's, their union."""
-    gens = {fiber: reduce_basis(_load_basis(fiber), policy=policy).generators
+    """Each fiber's generators, their inclusions in alpha_prime's, their union;
+    no syzygy, so each reduce_basis walks the survivors' bi-degrees alone."""
+    gens = {fiber: reduce_basis(_load_basis(fiber), policy=policy,
+                                survivors_only=True).generators
             for fiber in FIBERS}
     alpha = set(gens["alpha_prime"])
     every = alpha.union(gens["theta"], gens["gamma"])

@@ -7,7 +7,9 @@ one column per reducible product (a multiset of two or more surviving
 invariant names whose bi-degrees sum to the target) and one column per
 surviving invariant of that exact bi-degree, builds the integer
 coefficient matrix over the shared monomials, and runs one exact
-elimination (RREF) on it.
+elimination (RREF) on it.  A bi-degree where no invariant survives adds
+syzygies alone, so reduce_basis(..., survivors_only=True), for callers
+that print none, walks only the bi-degrees where an invariant survives.
 
 A ProductGrid enumerates the multisets by bi-degree from names alone:
 those at bd are those at bd - deg s that end at or before s, each
@@ -233,10 +235,12 @@ def reducible_products(target: tuple[int, int], polys: Mapping[str, Polynomial],
     target, in lexicographic order, each with its _product out of polys and
     table.  A walk over bidegree_grid(grid.bounds) on one polys and table
     multiplies each product once and leaves in table exactly the products
-    a later one extends.  Products of nonzero polynomials never vanish:
-    each is a usable column.  reduce_basis calls this once per target
-    (perfbench/tracing.py wraps it there), and verify.verify_generating_set
-    once per bi-degree, on a grid of its candidate names."""
+    a later one extends; so does the survivor walk over some of them,
+    which builds once, on first use, a prefix no earlier target built.
+    Products of nonzero polynomials never vanish: each is a usable column.
+    reduce_basis calls this once per target (perfbench/tracing.py wraps
+    it there), and verify.verify_generating_set once per bi-degree, on a
+    grid of its candidate names."""
     return [(fs, _product(fs, target, polys, table, grid))
             for fs in grid[target][1] if len(fs) > 1]
 
@@ -356,7 +360,7 @@ def _eliminate(bd: tuple[int, int], polys: Mapping[str, Polynomial],
 
 
 def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
-                 policy: str = "paper") -> ReductionResult:
+                 policy: str = "paper", *, survivors_only: bool = False) -> ReductionResult:
     """Run the full reduction: returns survivors, solved relations,
     syzygies and a per-bi-degree account.
 
@@ -367,6 +371,11 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     "reverse-table-order" walks the catalog backwards.
     Each policy is a column order: the pivot columns of one RREF are the
     kept names.
+
+    survivors_only walks only the bi-degrees where an invariant survives,
+    each with the same products, elimination, self-check and keep-set
+    check: generators, relations, effective_policy and vanished are the
+    full walk's, and syzygies and reports the full walk's at those.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -397,7 +406,7 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     syzygies: list[Relation] = []
     reports: list[BidegreeReport] = []
 
-    for bd in bidegree_grid(bounds):
+    for bd in partition if survivors_only else bidegree_grid(bounds):
         prods = reducible_products(bd, polys, prefixes, grid)
         invs = partition.get(bd, ())
         if not prods and not invs:

@@ -127,6 +127,13 @@ ROWS = {
                                  swap_pinned_generator, 3, "keep set"),
     "rref-entry-changed": (["reduce", "--fiber", "theta"],
                            change_rref_entry, 3, "does not substitute to zero"),
+    # union and reduce --format latex walk only the bi-degrees where an
+    # invariant survives; the keep-set check and the self-check still run.
+    "pinned-generator-swapped-union": (["union"], swap_pinned_generator, 3, "keep set"),
+    "rref-entry-changed-union": (["union"], change_rref_entry, 3,
+                                 "does not substitute to zero"),
+    "rref-entry-changed-latex": (["reduce", "--fiber", "theta", "--format", "latex"],
+                                 change_rref_entry, 3, "does not substitute to zero"),
     "published-coefficient-changed": (["verify", "--fiber", "theta", "--trials", "5"],
                                       change_published_coefficient, 1,
                                       "FAIL  theta:02  I030"),

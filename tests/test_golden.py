@@ -34,14 +34,17 @@ CASES = {
        ["reduce", "--fiber", fiber, "--policy", policy, "--format", "json"]
        for fiber in FIBERS for policy in POLICIES},
     "union.json": ["union", "--format", "json"],
+    **{f"union_{policy}.json": ["union", "--policy", policy, "--format", "json"]
+       for policy in POLICIES[1:]},
     **{f"verify_{fiber}.json":
        ["verify", "--fiber", fiber, "--trials", "100", "--seed", "0",
         "--format", "json"]
        for fiber in FIBERS},
     "catalog.json": ["catalog", "--format", "json"],
-    "reduce_plane_123_table-order.json":
-        ["reduce", "--fiber", f"custom:{PLANE}", "--policy", "table-order",
-         "--format", "json"],
+    **{f"reduce_plane_123_table-order.{ext}":
+       ["reduce", "--fiber", f"custom:{PLANE}", "--policy", "table-order",
+        "--format", fmt]
+       for fmt, ext in (("json", "json"), ("latex", "tex"))},
     **{f"reduce_{fiber}_paper.{ext}":
        ["reduce", "--fiber", fiber, "--policy", "paper", "--format", fmt]
        for fiber in ("theta", "alpha_prime", "gamma")

@@ -269,23 +269,29 @@ def test_selfcheck_catches_a_wrong_coefficient(theta_basis, monkeypatch):
 
 PRODUCT_COLUMNS = {"theta": 242, "alpha_prime": 329, "gamma": 329, "<123>": 329,
                    "generic 3D": 329}
+# The same count on a walk over the bi-degrees where an invariant survives.
+SURVIVOR_PRODUCT_COLUMNS = {"theta": 74, "alpha_prime": 124, "gamma": 124,
+                            "<123>": 124, "generic 3D": 124}
+
+
+def restricted(bases, basis):
+    if basis == "<123>":
+        plane = Path(__file__).with_name("golden") / "plane_123.sub.json"
+        return restrict_basis(CATALOG, custom_substitution(plane))
+    if basis == "generic 3D":
+        return restrict_basis(CATALOG, generic_substitution())
+    return bases[basis]
 
 
 @pytest.mark.parametrize("basis", sorted(PRODUCT_COLUMNS))
 def test_each_product_is_one_multiplication(bases, monkeypatch, basis):
     # The engine multiplies each product column once, its prefix being a
     # survivor or a product it kept; the self-check multiplies each factor
-    # tuple its relations name, and each prefix of one, at most once.
+    # tuple its relations name, and each prefix of one, at most once.  Both
+    # hold on the full walk and on the survivor walk.
     import mebasis.reduction as reduction
-    if basis == "<123>":
-        plane = Path(__file__).with_name("golden") / "plane_123.sub.json"
-        rb = restrict_basis(CATALOG, custom_substitution(plane))
-    elif basis == "generic 3D":
-        rb = restrict_basis(CATALOG, generic_substitution())
-    else:
-        rb = bases[basis]
-    calls = {"engine": 0, "check": 0}
-    owner = ["engine"]
+    rb = restricted(bases, basis)
+    calls, owner = {}, ["engine"]
     kernel, check = poly.integer_product, reduction._check_relations
 
     def counted(a, b):
@@ -301,12 +307,29 @@ def test_each_product_is_one_multiplication(bases, monkeypatch, basis):
 
     monkeypatch.setattr(poly, "integer_product", counted)
     monkeypatch.setattr(reduction, "_check_relations", checking)
-    result = reduce_basis(rb, policy="table-order")
-    assert calls["engine"] == PRODUCT_COLUMNS[basis] == \
-        sum(rep.n_products for rep in result.reports)
-    named = {f for rel in result.relations + result.syzygies
-             for f, _ in rel.terms if len(f) > 1}
-    assert calls["check"] <= len({f[:k] for f in named for k in range(2, len(f) + 1)})
+    for survivors_only, columns in ((False, PRODUCT_COLUMNS),
+                                    (True, SURVIVOR_PRODUCT_COLUMNS)):
+        calls.update(engine=0, check=0)
+        result = reduce_basis(rb, policy="table-order", survivors_only=survivors_only)
+        assert calls["engine"] == columns[basis] == \
+            sum(rep.n_products for rep in result.reports)
+        named = {f for rel in result.relations + result.syzygies
+                 for f, _ in rel.terms if len(f) > 1}
+        assert calls["check"] <= len({f[:k] for f in named for k in range(2, len(f) + 1)})
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("basis", sorted(PRODUCT_COLUMNS))
+def test_survivor_walk_keeps_the_result_of_the_full_walk(bases, basis, policy):
+    rb = restricted(bases, basis)
+    full = reduce_basis(rb, policy=policy)
+    short = reduce_basis(rb, policy=policy, survivors_only=True)
+    assert (short.generators, short.relations, short.effective_policy, short.vanished) \
+        == (full.generators, full.relations, full.effective_policy, full.vanished)
+    assert short.reports == tuple(rep for rep in full.reports if rep.n_invariants > 0)
+    walked = {rep.bidegree for rep in short.reports}
+    assert short.syzygies == tuple(s for s in full.syzygies if s.bidegree in walked)
+    assert len(short.reports) < len(full.reports)
 
 
 # -- full reduction ------------------------------------------------------
