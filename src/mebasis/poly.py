@@ -22,15 +22,16 @@ coefficient-matrix column is a Polynomial's nums as they are.
 
 A packed monomial is one int made of SLOT_BITS-bit slots, most significant
 first: the total degree, the mag degree, then the exponent of each
-variable in table order.  Only VarTable.pack, unpack and packed_bidegree
-know this layout; Polynomial.variable builds a unit key from its slot
-shifts, and Polynomial.__mul__ reads the total degree from the top slot.
-Multiplying two monomials adds their packed ints, which carries nothing
-from slot to slot as long as the total degree of the product is at most
-MAX_EXPONENT; packing refuses a larger one, Polynomial.__mul__ refuses a
-product that would build one, and reduction.reduce_basis refuses bounds
-that would.  Within one bi-degree the ints sort as monomial_key sorts the
-exponent tuples, and the top two slots are the bi-degree.
+variable in table order.  Keys are built by Polynomial.variable (a unit
+key from the table's slot shifts) and by products, and read by
+VarTable.unpack, VarTable.packed_bidegree, Polynomial.__mul__ and _degree
+(the total degree, from the top slot).  Multiplying two monomials adds
+their packed ints, which carries nothing from slot to slot as long as the
+total degree of the product is at most MAX_EXPONENT; Polynomial.__mul__
+refuses a product that would build a larger one, the parser an expression
+that would, and reduction.reduce_basis bounds that would.  Within one
+bi-degree the ints sort as monomial_key sorts the exponent tuples, and the
+top two slots are the bi-degree.
 """
 
 from __future__ import annotations
@@ -103,9 +104,6 @@ class VarTable:
         self._degree_shift = SLOT_BITS * len(names)
         self._total_shift = self._degree_shift + SLOT_BITS
 
-    def __len__(self) -> int:
-        return len(self.names)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, VarTable)
                 and self.names == other.names and self.kinds == other.kinds)
@@ -122,24 +120,6 @@ class VarTable:
             return self._index[name]
         except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
-
-    def pack(self, exponents: Sequence[int]) -> int:
-        """The packed monomial of an exponent vector (layout in the module
-        docstring).  Raises ValueError for a negative exponent, or for a
-        total degree above MAX_EXPONENT, which would not fit its slot."""
-        a = n = key = 0
-        for e, is_mag in zip(exponents, self._is_mag):
-            if e < 0:
-                break
-            n += e
-            if is_mag:
-                a += e
-            key = key << SLOT_BITS | e
-        else:
-            if n <= MAX_EXPONENT:
-                return (n << SLOT_BITS | a) << self._degree_shift | key
-        raise ValueError(f"exponent vector {tuple(exponents)!r} does not fit "
-                         f"{SLOT_BITS}-bit slots")
 
     def unpack(self, key: int) -> tuple[int, ...]:
         """The exponent vector of a packed monomial."""
@@ -169,24 +149,6 @@ class Polynomial:
 
     __slots__ = ("table", "den", "nums")
 
-    def __init__(self, table: VarTable,
-                 terms: Mapping[tuple[int, ...], Fraction | int]):
-        width = len(table)
-        fracs: dict[int, Fraction] = {}
-        for mono, coeff in terms.items():
-            mono = tuple(mono)
-            if len(mono) != width or any(e < 0 for e in mono):
-                raise ValueError(f"bad exponent vector {mono!r}")
-            c = Fraction(coeff)
-            if c:
-                fracs[table.pack(mono)] = c
-        # Over the lcm of the denominators of coefficients in lowest terms,
-        # the numerators and the denominator are coprime.
-        den = lcm(*(c.denominator for c in fracs.values()))
-        self.table = table
-        self.den = den
-        self.nums = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
-
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         """A new map from exponent tuple to nonzero Fraction coefficient."""
@@ -206,7 +168,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "Polynomial":
-        i = table.index(name)  # VarTable.pack of the unit vector, slot by slot
+        i = table.index(name)  # the unit vector's slots: total 1, mag 0 or 1, x_i 1
         key = 1 << table._total_shift | table._is_mag[i] << table._degree_shift
         return _lowest(table, 1, {key | 1 << table._shifts[i]: 1})
 
@@ -450,7 +412,7 @@ def coefficient_matrix(columns: Sequence[Polynomial]) -> tuple[list[int], RatMat
         raise ValueError(f"polynomials of mixed bi-degree {degs}")
     # One bi-degree: the packed ints sort as monomial_key sorts the tuples.
     rows = [tuple(nums.get(k, 0) for nums in maps) for k in keys]
-    return keys, RatMatrix(rows, len(maps))
+    return keys, RatMatrix(rows)
 
 
 # -- parser --------------------------------------------------------------

@@ -54,25 +54,18 @@ def normalize_integer_vector(v: Sequence[int]) -> tuple[int, ...]:
 
 
 class RatMatrix:
-    """Dense matrix of ints, row-major."""
+    """Dense matrix of ints, row-major, with at least one row."""
 
     __slots__ = ("data", "rows", "cols")
 
-    def __init__(self, rows: Iterable[Sequence[int]], cols: int | None = None):
+    def __init__(self, rows: Iterable[Sequence[int]]):
         data = [tuple(row) for row in rows]
         widths = {len(r) for r in data}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
+        if len(widths) != 1:
+            raise ValueError("ragged rows" if widths else "empty matrix")
         self.data = data
         self.rows = len(data)
-        if data:
-            self.cols = widths.pop()
-            if cols is not None and cols != self.cols:
-                raise ValueError("cols does not match row width")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.cols = cols
+        self.cols = widths.pop()
 
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
         """Primitive integer RREF and the tuple of pivot columns.
@@ -155,4 +148,4 @@ class RatMatrix:
         out = [tuple(row) if row[p] > 0 else tuple(-x for x in row)
                for row, p in zip(echelon, pivots)]
         out += [(0,) * ncols] * (self.rows - len(out))
-        return RatMatrix(out, ncols), tuple(pivots)
+        return RatMatrix(out), tuple(pivots)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,9 @@ import mebasis.catalog as catalog_mod
 from mebasis.catalog import (CATALOG, CATALOG_INDEX, CATALOG_NAMES, ROWS,
                              SHARED_PRODUCTS, evaluate_all, read_name)
 from mebasis.poly import MAG, Polynomial, VarTable
-from mebasis.restriction import fiber_substitution, generic_substitution
+from mebasis.restriction import (BUILTIN_DOCUMENTS, custom_substitution,
+                                 fiber_substitution, generic_substitution,
+                                 restrict_basis)
 
 F = Fraction
 
@@ -264,6 +267,31 @@ def test_all_invariants_survive_quarter_turns_at_random_points():
         for r in QUARTER_TURNS:
             rs, rm = _rotate(r, sigma, m)
             assert _constant_values(rs, rm) == base
+
+
+def _signed_permutation_document(perm, signs):
+    """The generic substitution document under x -> (e_i x_perm(i)):
+    sigma'_ij = e_i e_j s_perm(i)perm(j) and m'_i = e_i m_perm(i)."""
+    def signed(sign, name):
+        return name if sign > 0 else f"-{name}"
+
+    sigma = {f"{i + 1}{j + 1}": signed(signs[i] * signs[j],
+                                       "s{}{}".format(*sorted((perm[i] + 1, perm[j] + 1))))
+             for i in range(3) for j in range(i, 3)}
+    m = [signed(signs[i], f"m{perm[i] + 1}") for i in range(3)]
+    return {**BUILTIN_DOCUMENTS["generic"], "name": "generic", "sigma": sigma, "m": m}
+
+
+def test_every_invariant_is_exactly_invariant_under_the_48_signed_permutations():
+    # The full cubic group: each generic restriction is the same polynomial
+    # on the transformed document, with no point drawn.
+    base = restrict_basis(CATALOG, generic_substitution())
+    assert not base.vanished
+    elements = list(product(permutations(range(3)), product((1, -1), repeat=3)))
+    assert len(elements) == 48
+    for perm, signs in elements:
+        sub = custom_substitution(_signed_permutation_document(perm, signs))
+        assert restrict_basis(CATALOG, sub).entries == base.entries, (perm, signs)
 
 
 def test_quarter_turns_are_proper_rotations():

@@ -50,7 +50,7 @@ def change_rref_entry(monkeypatch):
         done.append(hit)
         rows = [list(row) for row in m.data]
         rows[hit[0]][hit[1]] *= 2
-        return RatMatrix(rows, m.cols), pivots
+        return RatMatrix(rows), pivots
 
     monkeypatch.setattr(RatMatrix, "rref", faulty)
 
@@ -122,6 +122,28 @@ def add_gamma_generator(monkeypatch):
     monkeypatch.setattr(cli, "reduce_basis", faulty)
 
 
+def drop_first_relation(keep_its_name):
+    """A plant: at the first bi-degree that has a relation, the engine drops
+    that relation and, if keep_its_name, reports its solved-for name as
+    kept."""
+    def plant(monkeypatch):
+        eliminate = reduction._eliminate
+        done = []
+
+        def faulty(bd, polys, prods, invs, order):
+            kept, syzygies, relations = eliminate(bd, polys, prods, invs, order)
+            if done or not relations:
+                return kept, syzygies, relations
+            name = relations[0].solved_for
+            done.append(name)
+            if keep_its_name:
+                kept = tuple(n for n in invs if n in kept or n == name)
+            return kept, syzygies, relations[1:]
+
+        monkeypatch.setattr(reduction, "_eliminate", faulty)
+    return plant
+
+
 ROWS = {
     "pinned-generator-swapped": (["reduce", "--fiber", "gamma"],
                                  swap_pinned_generator, 3, "keep set"),
@@ -161,9 +183,16 @@ ROWS = {
     # with exit 0; reduce runs no spanning or minimality certificate.
     "product-columns-dropped": (["reduce", "--fiber", "gamma", "--policy", "table-order"],
                                 drop_products, 3, "error:"),
+    # Measured: theta reports 8 generators, I012 among them, with exit 0.
+    # Under the paper policy the keep-set check catches this plant.
+    "eliminated-invariant-kept": (["reduce", "--fiber", "theta", "--policy", "table-order"],
+                                  drop_first_relation(True), 3, "error:"),
+    # Measured: I012 is neither a generator nor solved for, with exit 0.
+    "relation-dropped": (["reduce", "--fiber", "theta", "--policy", "table-order"],
+                         drop_first_relation(False), 3, "error:"),
 }
 
-UNCAUGHT = {"product-columns-dropped"}
+UNCAUGHT = {"product-columns-dropped", "eliminated-invariant-kept", "relation-dropped"}
 
 
 @pytest.fixture

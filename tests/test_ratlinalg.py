@@ -231,6 +231,15 @@ def test_a_repeated_row_is_still_type_checked():
         RatMatrix([[1, 1], [1.0, 1]]).rref()
 
 
+def test_an_empty_or_ragged_matrix_is_a_value_error():
+    # The column count is read from the rows, so there must be some, of
+    # one width.
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        RatMatrix([])
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        RatMatrix([[1, 2], [3]])
+
+
 # -- properties ----------------------------------------------------------
 
 small_fraction = st.fractions(

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, imports
+nothing it does not use, and defines nothing that only tests reach."""
 
 import ast
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import mebasis
 
 SOURCES = sorted(Path(mebasis.__file__).parent.glob("*.py"))
+BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def imported_modules(path):
@@ -56,3 +58,62 @@ def test_a_noqa_mark_does_not_exempt_an_unused_import(tmp_path):
     path.write_text("from __future__ import annotations\n"
                     "from math import gcd  # noqa: F401\n", encoding="utf-8")
     assert list(unused_imports(path)) == [(2, "gcd")]
+
+
+def _read_name(node):
+    """The name a Name or Attribute node reads, else None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    return None
+
+
+def unreached_definitions(sources, readers):
+    """(file name, message) for each function or class defined in sources
+    whose name no code in readers reads, and for each class defining
+    __init__ that no code in readers calls.  Dunder methods are reached by
+    the language, not by name."""
+    read, called = set(), set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            read.add(_read_name(node))
+            if isinstance(node, ast.Call):
+                called.add(_read_name(node.func))
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and node.name not in read:
+                yield path.name, f"never referenced: {node.name}"
+            if (isinstance(node, ast.ClassDef) and node.name not in called
+                    and any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                            for item in node.body)):
+                yield path.name, f"constructor never called: {node.name}"
+
+
+def test_package_code_is_reached_from_the_package_or_the_benchmark():
+    # Tests do not count: a name only tests reach is test-only public API.
+    assert SOURCES and BENCHMARK
+    assert not set(unreached_definitions(SOURCES, SOURCES + BENCHMARK))
+
+
+def test_an_unread_definition_and_an_uncalled_constructor_are_reported(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("class Used:\n"
+                    "    def __init__(self):\n"
+                    "        self.x = helper\n"
+                    "    def __len__(self):\n"
+                    "        return 0\n"
+                    "class Built:\n"
+                    "    def __init__(self):\n"
+                    "        pass\n"
+                    "def helper():\n"
+                    "    return Used, Built()\n"
+                    "def orphan():\n"
+                    "    return Used\n", encoding="utf-8")
+    assert set(unreached_definitions([path], [path])) == {
+        ("module.py", "never referenced: orphan"),
+        ("module.py", "constructor never called: Used"),
+    }
