@@ -20,6 +20,7 @@ import contextlib
 import io
 import os
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -99,11 +100,11 @@ def latex_relation(rel: Relation) -> str:
     return r"%s &= \frac{1}{%d}\left( %s \right)" % (lhs, lead, body)
 
 
-def _relation_payload(rel: Relation) -> dict:
+def _relation_payload(rel: Relation, product) -> dict:
     entry = {
         "bidegree": list(rel.bidegree),
         "terms": [{"factors": list(f), "coefficient": str(c)} for f, c in rel.terms],
-        "equation": rel.equation_str(),
+        "equation": rel.equation_str(product=product),
     }
     if rel.solved_for is not None:
         entry["solved_for"] = rel.solved_for
@@ -211,6 +212,8 @@ def _run_catalog(args) -> int:
 # -- reduce --------------------------------------------------------------
 
 def reduce_payload(result: ReductionResult) -> dict:
+    # One memo per report: the syzygies repeat most of their products.
+    product = lru_cache(maxsize=None)(product_str)
     return {
         "tool": _tool_payload(),
         "config": {
@@ -223,8 +226,8 @@ def reduce_payload(result: ReductionResult) -> dict:
         "result": {
             "vanished": list(result.vanished),
             "generators": list(result.generators),
-            "relations": [_relation_payload(r) for r in result.relations],
-            "syzygies": [_relation_payload(r) for r in result.syzygies],
+            "relations": [_relation_payload(r, product) for r in result.relations],
+            "syzygies": [_relation_payload(r, product) for r in result.syzygies],
             "per_bidegree": [
                 {"bidegree": list(rep.bidegree), "products": rep.n_products,
                  "invariants": rep.n_invariants, "columns": rep.n_columns,
@@ -257,9 +260,10 @@ def render_reduce_text(result: ReductionResult) -> str:
     for rel in result.relations:
         lines.append(f"  {rel.solved_str()}")
     if result.syzygies:
+        product = lru_cache(maxsize=None)(product_str)  # one memo per report
         lines.append(f"product syzygies ({len(result.syzygies)}):")
         for rel in result.syzygies:
-            lines.append(f"  {rel.equation_str()}")
+            lines.append(f"  {rel.equation_str(product=product)}")
     lines.append("")
     lines.append("per bi-degree (products + invariants = columns; rank; kernel):")
     for rep in result.reports:

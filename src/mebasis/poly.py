@@ -392,7 +392,8 @@ def coefficient_matrix(columns: Sequence[Polynomial]) -> tuple[list[int], RatMat
     its coefficient vector: the polynomial is
     sum_i A[i][j] * monomial_i / den_j.  Scaling a column moves no pivot of
     the RREF, and a reader of the RREF multiplies by den_j to get back to
-    the polynomials.
+    the polynomials.  The matrix is built from its nonzeros: a row starts
+    as zeros, and each column writes only its own terms.
     """
     if not columns:
         raise ValueError("need at least one polynomial")
@@ -402,7 +403,14 @@ def coefficient_matrix(columns: Sequence[Polynomial]) -> tuple[list[int], RatMat
     maps = [p.nums for p in columns]
     if not all(maps):
         raise ZeroPolynomialError("the zero polynomial has no bi-degree")
-    keys = sorted({k for nums in maps for k in nums}, reverse=True)
+    n, rows = len(maps), {}
+    for j, nums in enumerate(maps):
+        for k, c in nums.items():
+            row = rows.get(k)
+            if row is None:
+                rows[k] = row = [0] * n
+            row[j] = c
+    keys = sorted(rows, reverse=True)
     # The bi-degree is the top of a packed key, so the largest and the
     # smallest key share it only when every key does.
     if table.packed_bidegree(keys[0]) != table.packed_bidegree(keys[-1]):
@@ -411,8 +419,7 @@ def coefficient_matrix(columns: Sequence[Polynomial]) -> tuple[list[int], RatMat
         degs = sorted({p.bidegree() for p in columns})
         raise ValueError(f"polynomials of mixed bi-degree {degs}")
     # One bi-degree: the packed ints sort as monomial_key sorts the tuples.
-    rows = [tuple(nums.get(k, 0) for nums in maps) for k in keys]
-    return keys, RatMatrix(rows)
+    return keys, RatMatrix([rows[k] for k in keys])
 
 
 # -- parser --------------------------------------------------------------

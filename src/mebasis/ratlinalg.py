@@ -17,7 +17,7 @@ which shares rref's row scaling.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -75,25 +75,32 @@ class RatMatrix:
         [r][c] / [r][pivots[r]] is the Fraction RREF entry; the rows past
         the rank are integer zeros.
 
-        Forward pass: rows are made primitive, and zero rows and repeats of an
-        earlier row dropped.  A repeat adds nothing to the row space, and the
-        engine's matrices repeat many rows: the largest of the generic 3D
-        reduction has 408 rows, 78 of them distinct.  For each column c, the
-        pivot row is the live row with the smallest |entry| at c (the first
-        such row on a tie) and leaves the live set; every other live row with
-        an entry at c becomes a*row - b*prow on the columns right of c (live
-        rows are zero at and left of c), divided by its gcd, and is dropped
-        once zero.  Back-substitution: bottom-up, each pivot column is cleared
-        from the rank rows above its pivot row.  The RREF is unique, so the
-        choice of pivot row does not change the result; the smallest pivot
-        keeps the multipliers, and so the entries, small.  Rows are rewritten
-        in place on copies; the matrix itself is left unchanged.
+        Forward pass: repeats of an earlier row are dropped, the distinct
+        rows made primitive, and zero rows dropped.  A repeat adds nothing to
+        the row space, and the engine's matrices repeat many rows: the
+        largest of the generic 3D reduction has 408 rows, 78 of them
+        distinct.  For each column c, the pivot row is the live row with the
+        smallest |entry| at c (the first such row on a tie) and leaves the
+        live set; every other live row with an entry at c becomes
+        a*row - b*prow on the columns right of c (live rows are zero at and
+        left of c), divided by its gcd, and is dropped once zero.
+        Back-substitution: bottom-up, each pivot column is cleared from the
+        rank rows above its pivot row.  The RREF is unique, so the choice of
+        pivot row does not change the result; the smallest pivot keeps the
+        multipliers, and so the entries, small.  Rows are rewritten in place
+        on copies; the matrix itself is left unchanged.
         """
         ncols = self.cols
-        # Every row goes through _primitive, which checks its entry types;
-        # a repeated row keeps the place of its first copy.
-        live = list({raw: row for raw, row in zip(self.data, map(_primitive, self.data))
-                     if any(row)}.values())
+        # _primitive, which checks entry types, runs once per distinct row;
+        # a repeated row keeps the place of its first copy.  A repeat is
+        # type-checked too, since a row of floats equals, and hashes as, a
+        # row of ints.
+        distinct = dict.fromkeys(self.data)
+        if (len(distinct) < self.rows
+                and not set(map(type, chain.from_iterable(self.data))) <= _INT):
+            for row in self.data:
+                _primitive(row)
+        live = [row for row in map(_primitive, distinct) if any(row)]
         echelon: list[list[int]] = []
         pivots: list[int] = []
         for c in range(ncols):

@@ -131,8 +131,11 @@ class Relation(NamedTuple):
             total = total + prod
         return total
 
-    def equation_str(self) -> str:
-        return signed_sum((c, product_str(f)) for f, c in self.terms) + " = 0"
+    def equation_str(self, *, product=product_str) -> str:
+        """The relation as text, "sum_k c_k*prod_k = 0"; product renders each
+        factor tuple.  A report passes one memo of product_str, so each of
+        its distinct products is rendered once."""
+        return signed_sum((c, product(f)) for f, c in self.terms) + " = 0"
 
     def solved_form(self) -> tuple[int, list[tuple[tuple[str, ...], int]]]:
         """(lead, rhs): solved_for = rhs / lead, lead > 0, rhs the other

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 import mebasis.cli as cli
 import mebasis.verify as verify_mod
 from mebasis import __version__
+from mebasis.catalog import CATALOG
 from mebasis.cli import main
-from mebasis.poly import MAX_EXPONENT
-from mebasis.reduction import PolicyConflictError
-from mebasis.restriction import FIBERS
+from mebasis.poly import MAX_EXPONENT, product_str
+from mebasis.reduction import PolicyConflictError, reduce_basis
+from mebasis.restriction import (FIBERS, custom_substitution, generic_substitution,
+                                 restrict_basis)
 from mebasis.verify import published_relation
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -178,6 +180,40 @@ def test_reduce_output_is_byte_stable(capsys):
     _, second, _ = run(capsys, "reduce", "--fiber", "alpha_prime",
                        "--format", "json")
     assert first == second
+
+
+def test_a_report_renders_each_distinct_product_once(capsys, monkeypatch):
+    # The syzygies of alpha_prime repeat most of their products.
+    rendered = []
+
+    def counted(factors, *args):
+        rendered.append(factors)
+        return product_str(factors, *args)
+
+    monkeypatch.setattr(cli, "product_str", counted)
+    code, out, _ = run(capsys, "reduce", "--fiber", "alpha_prime", "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / "reduce_alpha_prime_paper.json").read_text()
+    result = json.loads(out)["result"]
+    terms = [t for rel in result["relations"] + result["syzygies"] for t in rel["terms"]]
+    assert (len(rendered), len(terms)) == (337, 2045)
+    assert len(set(rendered)) == 337
+
+
+@pytest.mark.parametrize("policy", ["paper", "table-order", "reverse-table-order"])
+def test_report_equations_match_the_unmemoized_equation(bases, policy):
+    subs = [generic_substitution(), custom_substitution(PLANE_123)]
+    for rb in [*bases.values(), *(restrict_basis(CATALOG, sub) for sub in subs)]:
+        result = reduce_basis(rb, policy=policy)
+        payload = cli.reduce_payload(result)["result"]
+        for key in ("relations", "syzygies"):
+            assert ([entry["equation"] for entry in payload[key]]
+                    == [rel.equation_str() for rel in getattr(result, key)])
+        text = cli.render_reduce_text(result).splitlines()
+        syzygies = [f"  {syz.equation_str()}" for syz in result.syzygies]
+        if syzygies:
+            start = text.index(f"product syzygies ({len(syzygies)}):") + 1
+            assert text[start:start + len(syzygies)] == syzygies
 
 
 def test_reduce_bad_fiber_is_usage_error(capsys):

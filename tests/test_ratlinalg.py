@@ -298,7 +298,7 @@ sparse_fraction = st.one_of(st.just(F(0)), small_fraction)
 @st.composite
 def rational_matrices(draw):
     """Dense, sparse or low-rank rational matrices, tall or wide, with some
-    rows and columns forced to zero."""
+    rows and columns forced to zero and at times a nonzero row repeated."""
     nrows = draw(st.integers(min_value=1, max_value=7))
     ncols = draw(st.integers(min_value=1, max_value=10))
     entry = draw(st.sampled_from([small_fraction, sparse_fraction]))
@@ -320,6 +320,12 @@ def rational_matrices(draw):
                           max_size=2)):
         for row in rows:
             row[j] = F(0)
+    # rref drops a repeated row before it makes the rows primitive.
+    nonzero = [i for i, row in enumerate(rows) if any(row)]
+    if nonzero and nrows > 1 and draw(st.booleans()):
+        src = draw(st.sampled_from(nonzero))
+        dst = draw(st.sampled_from([i for i in range(nrows) if i != src]))
+        rows[dst] = list(rows[src])
     return rows
 
 
