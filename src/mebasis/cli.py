@@ -100,40 +100,39 @@ def latex_relation(rel: Relation) -> str:
     return r"%s &= \frac{1}{%d}\left( %s \right)" % (lhs, lead, body)
 
 
-def _relation_payload(rel: Relation, product) -> dict:
-    entry = {
-        "bidegree": list(rel.bidegree),
-        "terms": [{"factors": list(f), "coefficient": str(c)} for f, c in rel.terms],
-        "equation": rel.equation_str(product=product),
-    }
-    if rel.solved_for is not None:
-        entry["solved_for"] = rel.solved_for
-        entry["solved"] = rel.solved_str()
-    return entry
-
-
 def _tool_payload() -> dict:
     return {"name": "mebasis", "version": __version__}
 
 
 def write_json(value, stream) -> None:
-    """Write value (dicts with str keys, lists, str, int, bool, None) and a
-    newline to stream, as json.dumps(value, indent=2) writes it, without the
-    pure-Python encoder that an indent selects; one write per JSON_CHUNK
-    pieces, so only one chunk of the text is held at a time."""
+    """Write value (dicts with str keys, lists, str, int, bool, None, and
+    Relations) and a newline to stream, as json.dumps(value, indent=2)
+    writes it, without the pure-Python encoder that an indent selects.
+
+    A Relation is written as its report entry (bidegree, terms, equation,
+    and solved_for and solved when it is solved), from one template.  Two
+    memos live for one call: a product_str memo for the equation and
+    solved texts, and the lines of each distinct "factors" block.  Each
+    piece of text is at most one line; whenever JSON_CHUNK pieces are
+    pending, exactly JSON_CHUNK of them are written, so only one chunk of
+    the text is held at a time."""
     parts: list[str] = []
-    _emit_json(value, "\n", "", parts, stream)
+    memo = (lru_cache(maxsize=None)(product_str), {})
+    _emit_json(value, "\n", "", parts, stream, memo)
     parts.append("\n")
     stream.write("".join(parts))
 
 
-def _emit_json(value, newline: str, lead: str, parts: list[str], stream) -> None:
+def _drain(parts: list[str], stream) -> None:
+    while len(parts) >= JSON_CHUNK:
+        stream.write("".join(parts[:JSON_CHUNK]))
+        del parts[:JSON_CHUNK]
+
+
+def _emit_json(value, newline: str, lead: str, parts: list[str], stream, memo) -> None:
     """Append lead and value's JSON text to parts, one line at most per piece
-    (newline starts its lines); tested on entry and on return, so after
-    every piece, parts is written to stream and cleared at JSON_CHUNK."""
-    if len(parts) >= JSON_CHUNK:
-        stream.write("".join(parts))
-        parts.clear()
+    (newline starts its lines); drained on entry and on return."""
+    _drain(parts, stream)
     if isinstance(value, str):
         parts.append(lead + encode_basestring_ascii(value))
     elif value is None:
@@ -152,7 +151,7 @@ def _emit_json(value, newline: str, lead: str, parts: list[str], stream) -> None
             inner = newline + "  "
             sep = inner
             for item in value:
-                _emit_json(item, inner, sep, parts, stream)
+                _emit_json(item, inner, sep, parts, stream, memo)
                 sep = "," + inner
             parts.append(newline + "]")
     elif isinstance(value, dict):
@@ -165,14 +164,60 @@ def _emit_json(value, newline: str, lead: str, parts: list[str], stream) -> None
             for key, item in value.items():
                 if not isinstance(key, str):
                     raise TypeError(f"JSON object keys must be str, not {key!r}")
-                _emit_json(item, inner, sep + encode_basestring_ascii(key) + ": ", parts, stream)
+                _emit_json(item, inner, sep + encode_basestring_ascii(key) + ": ", parts,
+                           stream, memo)
                 sep = "," + inner
             parts.append(newline + "}")
+    elif type(value) is Relation:
+        _emit_relation(value, newline, lead, parts, memo)
     else:
         raise TypeError(f"{type(value).__name__} is not JSON serializable here")
-    if len(parts) >= JSON_CHUNK:
-        stream.write("".join(parts))
-        parts.clear()
+    _drain(parts, stream)
+
+
+def _emit_relation(rel: Relation, newline: str, lead: str, parts: list[str], memo) -> None:
+    """Append a Relation's report entry, indented from newline, to parts."""
+    product, blocks = memo
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    a, b = rel.bidegree
+    parts += (lead + "{", i1 + '"bidegree": [', i2 + int.__repr__(a),
+              "," + i2 + int.__repr__(b), i1 + "]")
+    if rel.terms:
+        i3 = i2 + "  "
+        coefficient, close = "," + i3 + '"coefficient": ', i2 + "}"
+        block_of = blocks.setdefault(i3, {})
+        parts.append("," + i1 + '"terms": [')
+        sep, later = i2 + "{", "," + i2 + "{"
+        for f, c in rel.terms:
+            block = block_of.get(f)
+            if block is None:
+                block = block_of[f] = _factors_block(f, i3)
+            parts.append(sep)
+            parts += block
+            parts.append(coefficient + encode_basestring_ascii(str(c)))
+            parts.append(close)
+            sep = later
+        parts.append(i1 + "]")
+    else:
+        parts.append("," + i1 + '"terms": []')
+    parts.append("," + i1 + '"equation": '
+                 + encode_basestring_ascii(rel.equation_str(product=product)))
+    if rel.solved_for is not None:
+        parts.append("," + i1 + '"solved_for": ' + encode_basestring_ascii(rel.solved_for))
+        parts.append("," + i1 + '"solved": '
+                     + encode_basestring_ascii(rel.solved_str(product=product)))
+    parts.append(newline + "}")
+
+
+def _factors_block(factors: tuple[str, ...], indent: str) -> tuple[str, ...]:
+    """The lines of a term's "factors" member, the term's first, at indent."""
+    if not factors:
+        return (indent + '"factors": []',)
+    inner = indent + "  "
+    names = [inner + encode_basestring_ascii(factors[0])]
+    names += ["," + inner + encode_basestring_ascii(f) for f in factors[1:]]
+    return (indent + '"factors": [', *names, indent + "]")
 
 
 # -- catalog -------------------------------------------------------------
@@ -212,8 +257,8 @@ def _run_catalog(args) -> int:
 # -- reduce --------------------------------------------------------------
 
 def reduce_payload(result: ReductionResult) -> dict:
-    # One memo per report: the syzygies repeat most of their products.
-    product = lru_cache(maxsize=None)(product_str)
+    """The reduce report as write_json takes it: its relations and syzygies
+    lists hold the Relations themselves, each written as its entry."""
     return {
         "tool": _tool_payload(),
         "config": {
@@ -226,8 +271,8 @@ def reduce_payload(result: ReductionResult) -> dict:
         "result": {
             "vanished": list(result.vanished),
             "generators": list(result.generators),
-            "relations": [_relation_payload(r, product) for r in result.relations],
-            "syzygies": [_relation_payload(r, product) for r in result.syzygies],
+            "relations": list(result.relations),
+            "syzygies": list(result.syzygies),
             "per_bidegree": [
                 {"bidegree": list(rep.bidegree), "products": rep.n_products,
                  "invariants": rep.n_invariants, "columns": rep.n_columns,
@@ -246,6 +291,7 @@ def reduce_payload(result: ReductionResult) -> dict:
 
 
 def render_reduce_text(result: ReductionResult) -> str:
+    product = lru_cache(maxsize=None)(product_str)  # one memo per report
     lines = []
     lines.append(f"substitution: {result.basis.substitution.name}")
     lines.append(f"policy: {result.policy} (effective: {result.effective_policy})")
@@ -258,9 +304,8 @@ def render_reduce_text(result: ReductionResult) -> str:
                  + ", ".join(result.generators))
     lines.append(f"relations ({len(result.relations)}):")
     for rel in result.relations:
-        lines.append(f"  {rel.solved_str()}")
+        lines.append(f"  {rel.solved_str(product=product)}")
     if result.syzygies:
-        product = lru_cache(maxsize=None)(product_str)  # one memo per report
         lines.append(f"product syzygies ({len(result.syzygies)}):")
         for rel in result.syzygies:
             lines.append(f"  {rel.equation_str(product=product)}")

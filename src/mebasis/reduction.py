@@ -133,8 +133,8 @@ class Relation(NamedTuple):
 
     def equation_str(self, *, product=product_str) -> str:
         """The relation as text, "sum_k c_k*prod_k = 0"; product renders each
-        factor tuple.  A report passes one memo of product_str, so each of
-        its distinct products is rendered once."""
+        factor tuple.  A report passes one memo of product_str to this and
+        to solved_str, so each of its distinct products is rendered once."""
         return signed_sum((c, product(f)) for f, c in self.terms) + " = 0"
 
     def solved_form(self) -> tuple[int, list[tuple[tuple[str, ...], int]]]:
@@ -147,9 +147,12 @@ class Relation(NamedTuple):
         return abs(lead), [(f, -sign * c) for f, c in self.terms
                            if f != (self.solved_for,)]
 
-    def solved_str(self) -> str:
+    def solved_str(self, *, product=product_str) -> str:
+        """The relation solved for solved_for, "name = rhs" or
+        "name = 1/lead*(rhs)"; product renders each factor tuple, as in
+        equation_str."""
         lead, rhs = self.solved_form()
-        body = signed_sum((c, product_str(f)) for f, c in rhs)
+        body = signed_sum((c, product(f)) for f, c in rhs)
         if lead == 1:
             return f"{self.solved_for} = {body}"
         return f"{self.solved_for} = 1/{lead}*({body})"

@@ -10,12 +10,12 @@ prior work on the model side and is not part of this library's contract;
 see the README note on scope.
 """
 
-import json
+import io
 import random
 from fractions import Fraction
 
 from mebasis.catalog import CATALOG, dbar, ddev, evaluate_all, trace
-from mebasis.cli import reduce_payload, union_payload
+from mebasis.cli import reduce_payload, union_payload, write_json
 from mebasis.poly import MAG, STRESS, Polynomial, VarTable
 from mebasis.ratlinalg import RatMatrix
 from mebasis.reduction import POLICIES, reduce_basis
@@ -231,7 +231,9 @@ def test_acceptance_8_deterministic_json():
             for _ in range(2):
                 rb = restrict_basis(CATALOG, fiber_substitution(fiber))
                 result = reduce_basis(rb, policy=policy)
-                outputs.append(json.dumps(reduce_payload(result), indent=2))
+                buf = io.StringIO()
+                write_json(reduce_payload(result), buf)
+                outputs.append(buf.getvalue())
             ok = ok and outputs[0] == outputs[1]
     report(8, ok, "repeated pipeline runs render byte-identical JSON for "
                   "every subspace and policy")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,7 @@ from mebasis import __version__
 from mebasis.catalog import CATALOG
 from mebasis.cli import main
 from mebasis.poly import MAX_EXPONENT, product_str
-from mebasis.reduction import PolicyConflictError, reduce_basis
+from mebasis.reduction import PolicyConflictError, Relation, reduce_basis
 from mebasis.restriction import (FIBERS, custom_substitution, generic_substitution,
                                  restrict_basis)
 from mebasis.verify import published_relation
@@ -102,6 +103,71 @@ def test_reduce_json_is_written_in_bounded_chunks(monkeypatch, chunk):
     assert len(stdout.writes) > 1
     assert max(w.count("\n") for w in stdout.writes) <= chunk
     assert max(map(len, stdout.writes)) <= chunk * longest_piece
+
+
+def relation_payload(rel: Relation) -> dict:
+    """A Relation's report entry as plain data: the reference that
+    write_json's Relation template must match byte for byte."""
+    entry = {
+        "bidegree": list(rel.bidegree),
+        "terms": [{"factors": list(f), "coefficient": str(c)} for f, c in rel.terms],
+        "equation": rel.equation_str(),
+    }
+    if rel.solved_for is not None:
+        entry["solved_for"] = rel.solved_for
+        entry["solved"] = rel.solved_str()
+    return entry
+
+
+# Either sign, up to 10**5000, drawn from little entropy.
+coefficients = st.builds(lambda sign, k, r: sign * (10 ** k - r), st.sampled_from([1, -1]),
+                         st.integers(1, 5000), st.integers(0, 9))
+
+
+@st.composite
+def relations(draw):
+    terms = draw(st.lists(st.tuples(st.lists(json_text, max_size=4).map(tuple), coefficients),
+                          min_size=1, max_size=6))
+    solved_for = draw(st.none() | json_text)
+    if solved_for is not None:
+        # A solved relation holds its name as a bare factor, coefficient > 0.
+        at = draw(st.integers(0, len(terms) - 1))
+        terms[at] = ((solved_for,), abs(draw(coefficients)))
+    bidegree = draw(st.tuples(st.integers(0, 12), st.integers(0, 12)))
+    return Relation(bidegree, tuple(terms), solved_for)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(relations(), max_size=4), st.lists(relations(), max_size=4))
+@example([Relation((2, 1), ((("I010", "I010", "I101"), -(10 ** 5000)),
+                            (("I2\"1\n1",), 10 ** 5000), ((), 1)), "I2\"1\n1")],
+         [Relation((0, 3), ((("é",), 3), ((), -1)))])
+def check_relation_entries(rels, syzygies):
+    def report(entry):
+        return {"tool": cli._tool_payload(),
+                "result": {"relations": [entry(r) for r in rels],
+                           "syzygies": [entry(r) for r in syzygies],
+                           "counts": {"relations": len(rels)}}}
+
+    expected = json.dumps(report(relation_payload), indent=2) + "\n"
+    for chunk in (1, 16, 4096):
+        stdout = RecordingStdout()
+        with mock.patch.object(cli, "JSON_CHUNK", chunk):
+            cli.write_json(report(lambda rel: rel), stdout)
+        assert "".join(stdout.writes) == expected
+        assert max(w.count("\n") for w in stdout.writes) <= chunk
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the int-to-text digit limit exists from CPython 3.10.7")
+def test_relation_entries_match_json_dumps_of_their_plain_entries():
+    # Lifted around the whole search, so a failing example can be printed.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        check_relation_entries()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- reduce --------------------------------------------------------------
@@ -205,11 +271,18 @@ def test_report_equations_match_the_unmemoized_equation(bases, policy):
     subs = [generic_substitution(), custom_substitution(PLANE_123)]
     for rb in [*bases.values(), *(restrict_basis(CATALOG, sub) for sub in subs)]:
         result = reduce_basis(rb, policy=policy)
-        payload = cli.reduce_payload(result)["result"]
+        buf = io.StringIO()
+        cli.write_json(cli.reduce_payload(result), buf)
+        payload = json.loads(buf.getvalue())["result"]
         for key in ("relations", "syzygies"):
             assert ([entry["equation"] for entry in payload[key]]
                     == [rel.equation_str() for rel in getattr(result, key)])
+        assert ([entry["solved"] for entry in payload["relations"]]
+                == [rel.solved_str() for rel in result.relations])
         text = cli.render_reduce_text(result).splitlines()
+        solved = [f"  {rel.solved_str()}" for rel in result.relations]
+        start = text.index(f"relations ({len(solved)}):") + 1
+        assert text[start:start + len(solved)] == solved
         syzygies = [f"  {syz.equation_str()}" for syz in result.syzygies]
         if syzygies:
             start = text.index(f"product syzygies ({len(syzygies)}):") + 1
