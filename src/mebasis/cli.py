@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import sys
 from functools import lru_cache
@@ -37,8 +38,8 @@ from .verify import load_published, spotcheck_relations, verify_published
 
 _FIBER_HELP = " | ".join((*FIBERS, "custom:PATH"))
 
-# How many pieces of JSON text write_json collects before it writes them:
-# one chunk of a report is held in memory at a time, never the whole text.
+# How many one-line pieces of a reduce JSON report write_reduce_json collects
+# before it writes them: the relations' text is never held whole.
 JSON_CHUNK = 4096
 
 
@@ -105,119 +106,9 @@ def _tool_payload() -> dict:
 
 
 def write_json(value, stream) -> None:
-    """Write value (dicts with str keys, lists, str, int, bool, None, and
-    Relations) and a newline to stream, as json.dumps(value, indent=2)
-    writes it, without the pure-Python encoder that an indent selects.
-
-    A Relation is written as its report entry (bidegree, terms, equation,
-    and solved_for and solved when it is solved), from one template.  Two
-    memos live for one call: a product_str memo for the equation and
-    solved texts, and the lines of each distinct "factors" block.  Each
-    piece of text is at most one line; whenever JSON_CHUNK pieces are
-    pending, exactly JSON_CHUNK of them are written, so only one chunk of
-    the text is held at a time."""
-    parts: list[str] = []
-    memo = (lru_cache(maxsize=None)(product_str), {})
-    _emit_json(value, "\n", "", parts, stream, memo)
-    parts.append("\n")
-    stream.write("".join(parts))
-
-
-def _drain(parts: list[str], stream) -> None:
-    while len(parts) >= JSON_CHUNK:
-        stream.write("".join(parts[:JSON_CHUNK]))
-        del parts[:JSON_CHUNK]
-
-
-def _emit_json(value, newline: str, lead: str, parts: list[str], stream, memo) -> None:
-    """Append lead and value's JSON text to parts, one line at most per piece
-    (newline starts its lines); drained on entry and on return."""
-    _drain(parts, stream)
-    if isinstance(value, str):
-        parts.append(lead + encode_basestring_ascii(value))
-    elif value is None:
-        parts.append(lead + "null")
-    elif value is True:
-        parts.append(lead + "true")
-    elif value is False:
-        parts.append(lead + "false")
-    elif isinstance(value, int):
-        parts.append(lead + int.__repr__(value))
-    elif isinstance(value, list):
-        if not value:
-            parts.append(lead + "[]")
-        else:
-            parts.append(lead + "[")
-            inner = newline + "  "
-            sep = inner
-            for item in value:
-                _emit_json(item, inner, sep, parts, stream, memo)
-                sep = "," + inner
-            parts.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append(lead + "{}")
-        else:
-            parts.append(lead + "{")
-            inner = newline + "  "
-            sep = inner
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON object keys must be str, not {key!r}")
-                _emit_json(item, inner, sep + encode_basestring_ascii(key) + ": ", parts,
-                           stream, memo)
-                sep = "," + inner
-            parts.append(newline + "}")
-    elif type(value) is Relation:
-        _emit_relation(value, newline, lead, parts, memo)
-    else:
-        raise TypeError(f"{type(value).__name__} is not JSON serializable here")
-    _drain(parts, stream)
-
-
-def _emit_relation(rel: Relation, newline: str, lead: str, parts: list[str], memo) -> None:
-    """Append a Relation's report entry, indented from newline, to parts."""
-    product, blocks = memo
-    i1 = newline + "  "
-    i2 = i1 + "  "
-    a, b = rel.bidegree
-    parts += (lead + "{", i1 + '"bidegree": [', i2 + int.__repr__(a),
-              "," + i2 + int.__repr__(b), i1 + "]")
-    if rel.terms:
-        i3 = i2 + "  "
-        coefficient, close = "," + i3 + '"coefficient": ', i2 + "}"
-        block_of = blocks.setdefault(i3, {})
-        parts.append("," + i1 + '"terms": [')
-        sep, later = i2 + "{", "," + i2 + "{"
-        for f, c in rel.terms:
-            block = block_of.get(f)
-            if block is None:
-                block = block_of[f] = _factors_block(f, i3)
-            parts.append(sep)
-            parts += block
-            parts.append(coefficient + encode_basestring_ascii(str(c)))
-            parts.append(close)
-            sep = later
-        parts.append(i1 + "]")
-    else:
-        parts.append("," + i1 + '"terms": []')
-    parts.append("," + i1 + '"equation": '
-                 + encode_basestring_ascii(rel.equation_str(product=product)))
-    if rel.solved_for is not None:
-        parts.append("," + i1 + '"solved_for": ' + encode_basestring_ascii(rel.solved_for))
-        parts.append("," + i1 + '"solved": '
-                     + encode_basestring_ascii(rel.solved_str(product=product)))
-    parts.append(newline + "}")
-
-
-def _factors_block(factors: tuple[str, ...], indent: str) -> tuple[str, ...]:
-    """The lines of a term's "factors" member, the term's first, at indent."""
-    if not factors:
-        return (indent + '"factors": []',)
-    inner = indent + "  "
-    names = [inner + encode_basestring_ascii(factors[0])]
-    names += ["," + inner + encode_basestring_ascii(f) for f in factors[1:]]
-    return (indent + '"factors": [', *names, indent + "]")
+    """Write value (dicts with str keys, lists, str, int, bool and None) and
+    a newline to stream, as json.dumps(value, indent=2) writes it."""
+    stream.write(json.dumps(value, indent=2) + "\n")
 
 
 # -- catalog -------------------------------------------------------------
@@ -257,8 +148,8 @@ def _run_catalog(args) -> int:
 # -- reduce --------------------------------------------------------------
 
 def reduce_payload(result: ReductionResult) -> dict:
-    """The reduce report as write_json takes it: its relations and syzygies
-    lists hold the Relations themselves, each written as its entry."""
+    """The reduce report with its relations and syzygies lists empty:
+    write_reduce_json fills them."""
     return {
         "tool": _tool_payload(),
         "config": {
@@ -271,8 +162,8 @@ def reduce_payload(result: ReductionResult) -> dict:
         "result": {
             "vanished": list(result.vanished),
             "generators": list(result.generators),
-            "relations": list(result.relations),
-            "syzygies": list(result.syzygies),
+            "relations": [],
+            "syzygies": [],
             "per_bidegree": [
                 {"bidegree": list(rep.bidegree), "products": rep.n_products,
                  "invariants": rep.n_invariants, "columns": rep.n_columns,
@@ -288,6 +179,85 @@ def reduce_payload(result: ReductionResult) -> dict:
             },
         },
     }
+
+
+# The one place in reduce_payload's JSON text where its two empty relation
+# lists sit: json.dumps writes no raw line break inside a string.
+_RELATION_LISTS = '\n    "relations": [],\n    "syzygies": [],'
+
+
+def write_reduce_json(result: ReductionResult, stream) -> None:
+    """Write the reduce report and a newline to stream: the bytes of
+    write_json(reduce_payload(result)) with its relations and syzygies lists
+    holding each Relation's entry (bidegree, terms, equation, and solved_for
+    and solved when it is solved).
+
+    The entries come from one template, with no dict or list per term.  Two
+    memos live for one call: a product_str memo for the equation and solved
+    texts, and the lines of each distinct "factors" block.  Each piece of
+    text is at most one line; whenever JSON_CHUNK pieces are pending,
+    exactly JSON_CHUNK of them are written."""
+    head, tail = json.dumps(reduce_payload(result), indent=2).split(_RELATION_LISTS)
+    product, blocks = lru_cache(maxsize=None)(product_str), {}
+    parts = head.splitlines(keepends=True)
+    for key, rels in (("relations", result.relations), ("syzygies", result.syzygies)):
+        parts.append(f'\n    "{key}": [')
+        sep = _ENTRY + "{"
+        for rel in rels:
+            _drain(parts, stream)
+            parts.append(sep)
+            _emit_relation(rel, parts, product, blocks)
+            sep = "," + _ENTRY + "{"
+        parts.append("\n    ]," if rels else "],")
+    parts += tail.splitlines(keepends=True)
+    _drain(parts, stream)
+    parts.append("\n")
+    stream.write("".join(parts))
+
+
+def _drain(parts: list[str], stream) -> None:
+    while len(parts) >= JSON_CHUNK:
+        stream.write("".join(parts[:JSON_CHUNK]))
+        del parts[:JSON_CHUNK]
+
+
+# A relation entry, its member, term, term member and factor name each start
+# a line at these indents of a reduce report.
+_ENTRY, _MEMBER, _TERM, _TERM_MEMBER, _FACTOR = ("\n" + " " * n for n in (6, 8, 10, 12, 14))
+
+
+def _emit_relation(rel: Relation, parts: list[str], product, blocks: dict) -> None:
+    """Append a Relation's report entry, after its opening brace, to parts."""
+    a, b = rel.bidegree
+    parts += (_MEMBER + '"bidegree": [', _TERM + int.__repr__(a), "," + _TERM + int.__repr__(b),
+              _MEMBER + "]", "," + _MEMBER + '"terms": [')
+    coefficient, close = "," + _TERM_MEMBER + '"coefficient": ', _TERM + "}"
+    sep, later = _TERM + "{", "," + _TERM + "{"
+    for f, c in rel.terms:
+        block = blocks.get(f)
+        if block is None:
+            block = blocks[f] = _factors_block(f)
+        parts.append(sep)
+        parts += block
+        parts.append(coefficient + encode_basestring_ascii(str(c)))
+        parts.append(close)
+        sep = later
+    parts.append(_MEMBER + "]" if rel.terms else "]")
+    parts.append("," + _MEMBER + '"equation": '
+                 + encode_basestring_ascii(rel.equation_str(product=product)))
+    if rel.solved_for is not None:
+        parts.append("," + _MEMBER + '"solved_for": ' + encode_basestring_ascii(rel.solved_for))
+        parts.append("," + _MEMBER + '"solved": '
+                     + encode_basestring_ascii(rel.solved_str(product=product)))
+    parts.append(_ENTRY + "}")
+
+
+def _factors_block(factors: tuple[str, ...]) -> tuple[str, ...]:
+    """The lines of a term's "factors" member, the term's first."""
+    names = ["," + _FACTOR + encode_basestring_ascii(f) for f in factors]
+    if names:
+        names[0] = names[0][1:]  # no comma before the first name
+    return (_TERM_MEMBER + '"factors": [', *names, _TERM_MEMBER + "]" if names else "]")
 
 
 def render_reduce_text(result: ReductionResult) -> str:
@@ -344,7 +314,7 @@ def _run_reduce(args) -> int:
     result = reduce_basis(rb, bounds=bounds, policy=args.policy,  # LaTeX prints no syzygy
                           survivors_only=args.format == "latex")
     if args.format == "json":
-        write_json(reduce_payload(result), sys.stdout)
+        write_reduce_json(result, sys.stdout)
     elif args.format == "latex":
         print(render_reduce_latex(result))
     else:

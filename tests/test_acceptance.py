@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from mebasis.catalog import CATALOG, dbar, ddev, evaluate_all, trace
-from mebasis.cli import reduce_payload, union_payload, write_json
+from mebasis.cli import union_payload, write_reduce_json
 from mebasis.poly import MAG, STRESS, Polynomial, VarTable
 from mebasis.ratlinalg import RatMatrix
 from mebasis.reduction import POLICIES, reduce_basis
@@ -232,7 +232,7 @@ def test_acceptance_8_deterministic_json():
                 rb = restrict_basis(CATALOG, fiber_substitution(fiber))
                 result = reduce_basis(rb, policy=policy)
                 buf = io.StringIO()
-                write_json(reduce_payload(result), buf)
+                write_reduce_json(result, buf)
                 outputs.append(buf.getvalue())
             ok = ok and outputs[0] == outputs[1]
     report(8, ok, "repeated pipeline runs render byte-identical JSON for "
