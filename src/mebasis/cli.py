@@ -27,10 +27,8 @@ from typing import Sequence
 
 from . import __version__
 from .catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
-from .poly import MAX_EXPONENT, product_str, signed_sum
-from .reduction import (DEFAULT_BOUNDS, POLICIES, Relation, ReductionError,
-                        ReductionResult, partition_bidegrees, reduce_basis,
-                        unexplored)
+from .poly import product_str, signed_sum
+from .reduction import POLICIES, Relation, ReductionError, ReductionResult, reduce_basis
 from .restriction import (FIBERS, RestrictedBasis, SubstitutionError,
                           custom_substitution, fiber_substitution,
                           generic_substitution, restrict_basis)
@@ -61,19 +59,6 @@ def _load_basis(fiber: str) -> RestrictedBasis:
     else:
         raise UsageError(f"unknown fiber {fiber!r}; expected {_FIBER_HELP}")
     return restrict_basis(CATALOG, sub)
-
-
-def _bounds(args) -> tuple[int, int]:
-    """--dmax and --alpha-max, refused when they explore no bi-degree or
-    exceed the degree a packed monomial holds (whether they cover every
-    survivor is checked once the basis is loaded)."""
-    if args.dmax < 1:
-        raise UsageError(f"--dmax must be at least 1, got {args.dmax}")
-    if args.dmax > MAX_EXPONENT:
-        raise UsageError(f"--dmax must be at most {MAX_EXPONENT}, got {args.dmax}")
-    if args.alpha_max < 0:
-        raise UsageError(f"--alpha-max must be at least 0, got {args.alpha_max}")
-    return (args.dmax, args.alpha_max)
 
 
 def latex_name(name: str) -> str:
@@ -156,8 +141,6 @@ def reduce_payload(result: ReductionResult) -> dict:
             "substitution": result.basis.substitution.name,
             "policy": result.policy,
             "effective_policy": result.effective_policy,
-            "max_total_degree": result.bounds[0],
-            "max_mag_degree": result.bounds[1],
         },
         "result": {
             "vanished": list(result.vanished),
@@ -242,7 +225,7 @@ def _emit_relation(rel: Relation, parts: list[str], product, blocks: dict) -> No
         parts.append(coefficient + encode_basestring_ascii(str(c)))
         parts.append(close)
         sep = later
-    parts.append(_MEMBER + "]" if rel.terms else "]")
+    parts.append(_MEMBER + "]")
     parts.append("," + _MEMBER + '"equation": '
                  + encode_basestring_ascii(rel.equation_str(product=product)))
     if rel.solved_for is not None:
@@ -255,9 +238,8 @@ def _emit_relation(rel: Relation, parts: list[str], product, blocks: dict) -> No
 def _factors_block(factors: tuple[str, ...]) -> tuple[str, ...]:
     """The lines of a term's "factors" member, the term's first."""
     names = ["," + _FACTOR + encode_basestring_ascii(f) for f in factors]
-    if names:
-        names[0] = names[0][1:]  # no comma before the first name
-    return (_TERM_MEMBER + '"factors": [', *names, _TERM_MEMBER + "]" if names else "]")
+    names[0] = names[0][1:]  # no comma before the first name
+    return (_TERM_MEMBER + '"factors": [', *names, _TERM_MEMBER + "]")
 
 
 def render_reduce_text(result: ReductionResult) -> str:
@@ -265,8 +247,6 @@ def render_reduce_text(result: ReductionResult) -> str:
     lines = []
     lines.append(f"substitution: {result.basis.substitution.name}")
     lines.append(f"policy: {result.policy} (effective: {result.effective_policy})")
-    lines.append(f"bounds: total degree <= {result.bounds[0]}, "
-                 f"mag degree <= {result.bounds[1]}")
     lines.append("")
     lines.append(f"vanished ({len(result.vanished)}): "
                  + (", ".join(result.vanished) if result.vanished else "none"))
@@ -299,20 +279,7 @@ def render_reduce_latex(result: ReductionResult) -> str:
 
 
 def _run_reduce(args) -> int:
-    bounds = _bounds(args)
-    rb = _load_basis(args.fiber)
-    missed = unexplored(rb, bounds)
-    if missed is not None:
-        # Name every flag short of covering all survivors, so one fix works.
-        bds = [bd for bd, _ in partition_bidegrees(rb)]
-        short = [f"{flag} to at least {need}" for flag, need, got in
-                 (("--dmax", max(map(sum, bds)), bounds[0]),
-                  ("--alpha-max", max(a for a, _ in bds), bounds[1]))
-                 if need > got]
-        raise UsageError(f"the bounds leave {missed[0]} at bi-degree {missed[1]} "
-                         f"unexplored; raise {' and '.join(short)}")
-    result = reduce_basis(rb, bounds=bounds, policy=args.policy,  # LaTeX prints no syzygy
-                          survivors_only=args.format == "latex")
+    result = reduce_basis(_load_basis(args.fiber), policy=args.policy)
     if args.format == "json":
         write_reduce_json(result, sys.stdout)
     elif args.format == "latex":
@@ -392,18 +359,15 @@ def _run_verify(args) -> int:
 # -- union ---------------------------------------------------------------
 
 def union_payload(policy: str) -> dict:
-    """Each fiber's generators, their inclusions in alpha_prime's, their union;
-    no syzygy, so each reduce_basis walks the survivors' bi-degrees alone."""
-    gens = {fiber: reduce_basis(_load_basis(fiber), policy=policy,
-                                survivors_only=True).generators
+    """Each fiber's generators, their inclusions in alpha_prime's, their union."""
+    gens = {fiber: reduce_basis(_load_basis(fiber), policy=policy).generators
             for fiber in FIBERS}
     alpha = set(gens["alpha_prime"])
     every = alpha.union(gens["theta"], gens["gamma"])
     union = [n for n in CATALOG_NAMES if n in every]
     return {
         "tool": _tool_payload(),
-        "config": {"policy": policy, "max_total_degree": DEFAULT_BOUNDS[0],
-                   "max_mag_degree": DEFAULT_BOUNDS[1]},
+        "config": {"policy": policy},
         "result": {
             "generators": {fiber: list(g) for fiber, g in gens.items()},
             "theta_included_in_alpha_prime": alpha.issuperset(gens["theta"]),
@@ -454,10 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_red = sub.add_parser("reduce", help="reduce a restricted basis")
     p_red.add_argument("--fiber", required=True, help=_FIBER_HELP)
     p_red.add_argument("--policy", choices=POLICIES, default="paper")
-    p_red.add_argument("--dmax", type=int, default=DEFAULT_BOUNDS[0],
-                       help="max total degree of explored bi-degrees")
-    p_red.add_argument("--alpha-max", type=int, default=DEFAULT_BOUNDS[1],
-                       help="max magnetization degree of explored bi-degrees")
     add_format(p_red)
     p_red.set_defaults(func=_run_reduce)
 

@@ -28,10 +28,11 @@ VarTable.unpack, VarTable.packed_bidegree, Polynomial.__mul__ and _degree
 (the total degree, from the top slot).  Multiplying two monomials adds
 their packed ints, which carries nothing from slot to slot as long as the
 total degree of the product is at most MAX_EXPONENT; Polynomial.__mul__
-refuses a product that would build a larger one, the parser an expression
-that would, and reduction.reduce_basis bounds that would.  Within one
-bi-degree the ints sort as monomial_key sorts the exponent tuples, and the
-top two slots are the bi-degree.
+refuses a product that would build a larger one, and the parser an
+expression that would; reduction.reduce_basis builds products of catalog
+bi-degrees only, of total degree at most 7.  Within one bi-degree the
+ints sort as monomial_key sorts the exponent tuples, and the top two
+slots are the bi-degree.
 """
 
 from __future__ import annotations

@@ -1,33 +1,40 @@
 """Bi-graded reduction of a restricted invariant basis.
 
-The engine walks target bi-degrees (a, b) in degree-lexicographic order
-(total degree first, then magnetization degree) up to the bounds
-(max total degree, max magnetization degree).  At each target it assembles
-one column per reducible product (a multiset of two or more surviving
-invariant names whose bi-degrees sum to the target) and one column per
-surviving invariant of that exact bi-degree, builds the integer
-coefficient matrix over the shared monomials, and runs one exact
-elimination (RREF) on it.  A bi-degree where no invariant survives adds
-syzygies alone, so reduce_basis(..., survivors_only=True), for callers
-that print none, walks only the bi-degrees where an invariant survives.
+The engine walks the bi-degrees (a, b) where an invariant survives, in
+degree-lexicographic order (total degree first, then magnetization
+degree).  At each it assembles one column per reducible product (a
+multiset of two or more generators, kept at earlier bi-degrees, whose
+bi-degrees sum to the target) and one column per surviving invariant of
+that exact bi-degree, builds the integer coefficient matrix over the
+shared monomials, and runs one exact elimination (RREF) on it.  Every
+eliminated survivor is, by induction over the walk, a polynomial in the
+generators of lower bi-degree, so the products of generators span what
+the products of all survivors would: the kept sets are the ones those
+products give, and every relation is a normal form in the generators.
 
 A ProductGrid enumerates the multisets by bi-degree from names alone:
 those at bd are those at bd - deg s that end at or before s, each
-extended by s.  One builder, _product, makes every product, for the
-engine's columns, the self-check and verify.verify_generating_set: one
-poly.multiply of its prefix (all factors but the last, names sorted), a
-survivor or a product in its caller's table, by its last factor.  A
-table keeps a product exactly when a later product within the bounds
-extends it.  reduce_basis builds one grid, and gives the engine and the
-self-check one survivor dict (rb.as_dict()) and one table each, for that
-call only.  Each column holds its polynomial's numerators, the
-polynomial times its denominator; the RREF pivots do not depend on such
-scaling, and relations read from the RREF multiply it back in.
+extended by s.  reduce_basis starts it with no name; the names kept at a
+bi-degree join its pool after that bi-degree's elimination, and the
+grid's entry there, built before them, is dropped, to be rebuilt with
+them.  No other entry can miss a generator: lookups only go down, so an
+entry below the current target holds names of lower bi-degree, all kept
+before it was built.
+One builder, _product, makes every product, for the engine's columns,
+the self-check and verify.verify_generating_set: one poly.multiply of its
+prefix (all factors but the last, names sorted), a survivor or a product
+in its caller's table, by its last factor.  A table keeps a product
+exactly when a later product within the grid's bounds may extend it.
+reduce_basis builds one grid, and gives the engine and the self-check one
+survivor dict (rb.as_dict()) and one table each, for that call only.
+Each column holds its polynomial's numerators, the polynomial times its
+denominator; the RREF pivots do not depend on such scaling, and relations
+read from the RREF multiply it back in.
 
 The selection policy is a column order: the products come first, then the
 invariants in the order the policy prefers them.  The invariants whose
 columns are pivots are the kept ones.  A free product column gives a
-syzygy between products of lower-degree invariants; it is reported but
+syzygy between products of lower-degree generators; it is reported but
 eliminates nothing.  A free invariant column is eliminated, and its RREF
 entries express it over the pivot columns: a relation in solved form,
 scaled to coprime integer coefficients.  The RREF is the primitive
@@ -41,25 +48,17 @@ factor tuples they name, each once per call, from the check's own dict
 and table, never from the engine's dict, table or matrix, and the sum of
 coefficient times product must vanish as integer numerators over one
 common denominator.
-
-The default bounds (7, 6) cover every catalog bi-degree, so raising them
-keeps the same generators and relations; the targets past them hold only
-products, and report more syzygies (theta: 126, 283 and 571 at max total
-degree 7, 8 and 9).  Bounds must cover the bi-degree of every survivor,
-or it would be neither kept nor eliminated; all three built-in fibers need
-the defaults.  The max total degree may not exceed poly.MAX_EXPONENT, the
-largest degree a packed monomial holds.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX
-from .poly import (MAX_EXPONENT, Polynomial, coefficient_matrix, multiply,
-                   product_str, signed_sum)
+from .poly import Polynomial, coefficient_matrix, multiply, product_str, signed_sum
 from .ratlinalg import normalize_integer_vector
 from .restriction import RestrictedBasis, fiber_substitution
 
@@ -177,7 +176,6 @@ class ReductionResult(NamedTuple):
     basis: RestrictedBasis
     policy: str
     effective_policy: str
-    bounds: tuple[int, int]
     generators: tuple[str, ...]
     relations: tuple[Relation, ...]
     syzygies: tuple[Relation, ...]
@@ -239,34 +237,18 @@ def reducible_products(target: tuple[int, int], polys: Mapping[str, Polynomial],
                        ) -> list[tuple[tuple[str, ...], Polynomial]]:
     """The multisets of two or more names in grid whose bi-degrees sum to
     target, in lexicographic order, each with its _product out of polys and
-    table.  A walk over bidegree_grid(grid.bounds) on one polys and table
-    multiplies each product once and leaves in table exactly the products
-    a later one extends; so does the survivor walk over some of them,
-    which builds once, on first use, a prefix no earlier target built.
+    table.  A deglex walk on one polys and table multiplies each product
+    once and leaves in table exactly the products a later one extends,
+    when grid's pool holds every name from the start.  reduce_basis's pool
+    grows with its walk, so a product built before a name that extends it
+    joined the pool is not kept, and is built again if a later product
+    needs it as a prefix.
     Products of nonzero polynomials never vanish: each is a usable column.
     reduce_basis calls this once per target (perfbench/tracing.py wraps
     it there), and verify.verify_generating_set once per bi-degree, on a
     grid of its candidate names."""
     return [(fs, _product(fs, target, polys, table, grid))
             for fs in grid[target][1] if len(fs) > 1]
-
-
-def unexplored(rb: RestrictedBasis, bounds: tuple[int, int]
-               ) -> tuple[str, tuple[int, int]] | None:
-    """The first survivor, in catalog order, whose bi-degree lies outside
-    bounds, with that bi-degree; None when bounds explore every survivor."""
-    dmax, amax = bounds
-    return next(((name, bd) for name, _ in rb.entries for bd in [_bidegree(name)]
-                 if sum(bd) > dmax or bd[0] > amax), None)
-
-
-def bidegree_grid(bounds: tuple[int, int] = DEFAULT_BOUNDS) -> Iterator[tuple[int, int]]:
-    """All bi-degrees with total degree 1..dmax and mag degree <= amax,
-    in degree-lexicographic order."""
-    dmax, amax = bounds
-    for k in range(1, dmax + 1):
-        for a in range(0, min(amax, k) + 1):
-            yield (a, k - a)
 
 
 def _relation(bd: tuple[int, int], raw_terms: Sequence[tuple[tuple[str, ...], int]],
@@ -365,10 +347,9 @@ def _eliminate(bd: tuple[int, int], polys: Mapping[str, Polynomial],
     return kept, syzygies, relations
 
 
-def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
-                 policy: str = "paper", *, survivors_only: bool = False) -> ReductionResult:
-    """Run the full reduction: returns survivors, solved relations,
-    syzygies and a per-bi-degree account.
+def reduce_basis(rb: RestrictedBasis, policy: str = "paper") -> ReductionResult:
+    """Run the full reduction: returns generators, solved relations,
+    syzygies and one account per bi-degree where an invariant survives.
 
     policy "paper" uses the pinned survivor lists for substitutions equal
     to a built-in fiber (validated, never trusted) and falls back to
@@ -377,22 +358,9 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
     "reverse-table-order" walks the catalog backwards.
     Each policy is a column order: the pivot columns of one RREF are the
     kept names.
-
-    survivors_only walks only the bi-degrees where an invariant survives,
-    each with the same products, elimination, self-check and keep-set
-    check: generators, relations, effective_policy and vanished are the
-    full walk's, and syzygies and reports the full walk's at those.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if bounds[0] > MAX_EXPONENT:
-        # Every degree and exponent of a product is at most its total degree.
-        raise ValueError(f"max total degree {bounds[0]} exceeds {MAX_EXPONENT}, "
-                         "the largest degree a packed monomial holds")
-    missed = unexplored(rb, bounds)
-    if missed is not None:
-        raise ValueError(f"bounds {tuple(bounds)} leave {missed[0]} at bi-degree "
-                         f"{missed[1]} unexplored")
     pinned = None
     effective = policy
     if policy == "paper":
@@ -402,21 +370,18 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
         else:
             effective = "table-order"
 
-    partition = dict(partition_bidegrees(rb))
-    # For this call only: one ProductGrid; the engine's dict and table; the check's.
+    # For this call only: one ProductGrid over the generators kept so far;
+    # the engine's dict and table; the check's.
     polys, prefixes = rb.as_dict(), {}
     check_polys, checked = rb.as_dict(), {}
-    grid = ProductGrid(polys, bounds)
+    grid = ProductGrid(())
     generators: list[str] = []
     relations: list[Relation] = []
     syzygies: list[Relation] = []
     reports: list[BidegreeReport] = []
 
-    for bd in partition if survivors_only else bidegree_grid(bounds):
+    for bd, invs in partition_bidegrees(rb):
         prods = reducible_products(bd, polys, prefixes, grid)
-        invs = partition.get(bd, ())
-        if not prods and not invs:
-            continue
         if pinned is not None:
             want = tuple(n for n in invs if n in pinned)
             order = want + tuple(n for n in invs if n not in pinned)
@@ -432,6 +397,9 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
                        if redundant else "does not span the restricted invariants there "
                        f"(also kept: {', '.join(n for n in kept if n not in want)})")
             raise PolicyConflictError(f"keep set {want} at bi-degree {bd} {problem}")
+        for n in kept:
+            insort(grid.pool, (n, bd))
+        del grid[bd]
 
         kernel_dim = len(syz_here) + len(rels)
         generators.extend(kept)
@@ -447,11 +415,9 @@ def reduce_basis(rb: RestrictedBasis, bounds: tuple[int, int] = DEFAULT_BOUNDS,
         basis=rb,
         policy=policy,
         effective_policy=effective,
-        bounds=tuple(bounds),
         generators=tuple(sorted(generators, key=CATALOG_INDEX.__getitem__)),
         relations=tuple(relations),
         syzygies=tuple(syzygies),
         vanished=rb.vanished,
         reports=tuple(reports),
     )
-

@@ -91,6 +91,30 @@ def spotcheck_at_the_origin(monkeypatch):
                         lambda table, rng: {name: 0 for name in table.names})
 
 
+def negate_symbolic_value(monkeypatch):
+    """verify_published, as verify calls it, substitutes -I201 for I201;
+    the numeric route still values I201 through its recipe."""
+    check = cli.verify_published
+
+    def faulty(rel, rb):
+        entries = tuple((n, -p if n == "I201" else p) for n, p in rb.entries)
+        return check(rel, rb._replace(entries=entries))
+
+    monkeypatch.setattr(cli, "verify_published", faulty)
+
+
+def negate_numeric_value(monkeypatch):
+    """numeric_invariants gives -I201 at every point; the symbolic route
+    still substitutes the restricted polynomial."""
+    values = verify.numeric_invariants
+
+    def faulty(sub, point):
+        got = values(sub, point)
+        return {**got, "I201": -got["I201"]}
+
+    monkeypatch.setattr(verify, "numeric_invariants", faulty)
+
+
 def move_sigma_off_plane(monkeypatch):
     """sigma_33 gains s1, so sigma . (1, 2, 3) has third component 3*s1."""
     doc = json.loads(Path(PLANE).read_text())
@@ -149,8 +173,8 @@ ROWS = {
                                  swap_pinned_generator, 3, "keep set"),
     "rref-entry-changed": (["reduce", "--fiber", "theta"],
                            change_rref_entry, 3, "does not substitute to zero"),
-    # union and reduce --format latex walk only the bi-degrees where an
-    # invariant survives; the keep-set check and the self-check still run.
+    # union and every reduce format walk only the bi-degrees where an
+    # invariant survives; the keep-set check and the self-check run at each.
     "pinned-generator-swapped-union": (["union"], swap_pinned_generator, 3, "keep set"),
     "rref-entry-changed-union": (["union"], change_rref_entry, 3,
                                  "does not substitute to zero"),
@@ -172,6 +196,15 @@ ROWS = {
                                     drop_last_contract_term, 1, "3/22 relations verified"),
     # Every invariant is 0 at the origin, so no point tests any relation:
     # every numeric column says fail, and the symbolic one fails theta:02.
+    # One route fails and the other passes: either alone fails the
+    # relation.  theta's published relations through I201 are I211, I221,
+    # I213 and I601.
+    "symbolic-route-only": (["verify", "--fiber", "theta", "--trials", "5"],
+                            negate_symbolic_value, 1,
+                            "FAIL  theta:04  I211  (symbolic fail, numeric pass)"),
+    "numeric-route-only": (["verify", "--fiber", "theta", "--trials", "5"],
+                           negate_numeric_value, 1,
+                           "FAIL  theta:04  I211  (symbolic pass, numeric fail)"),
     "spotcheck-at-the-origin": (["verify", "--fiber", "theta", "--trials", "5"],
                                 spotcheck_at_the_origin, 1, "numeric fail"),
     "sigma-out-of-plane": (["reduce", "--fiber", f"custom:{PLANE}",
@@ -179,8 +212,10 @@ ROWS = {
                            move_sigma_off_plane, 2, "sigma . n has nonzero component 3"),
     "union-inclusion-broken": (["union"], add_gamma_generator, 1,
                                "gamma subset of alpha_prime: False"),
-    # Measured: table-order returns 14 generators for gamma instead of 8,
-    # with exit 0; reduce runs no spanning or minimality certificate.
+    # Measured: table-order returns 14 generators for gamma instead of 8
+    # (I002, I003, I201, I202a, I202b, I203, I401, I402 and I601 kept,
+    # I030, I220 and I410 eliminated), with exit 0; reduce runs no spanning
+    # or minimality certificate.
     "product-columns-dropped": (["reduce", "--fiber", "gamma", "--policy", "table-order"],
                                 drop_products, 3, "error:"),
     # Measured: theta reports 8 generators, I012 among them, with exit 0.

@@ -24,7 +24,7 @@ FIELDS = {
     Relation: ("bidegree", "terms", "solved_for"),
     BidegreeReport: ("bidegree", "n_products", "n_invariants", "rank", "kernel_dim",
                      "kept", "eliminated", "n_syzygies"),
-    ReductionResult: ("basis", "policy", "effective_policy", "bounds", "generators",
+    ReductionResult: ("basis", "policy", "effective_policy", "generators",
                       "relations", "syzygies", "vanished", "reports"),
     Substitution: ("name", "table", "sigma", "m", "normal"),
     RestrictedBasis: ("substitution", "entries", "vanished"),

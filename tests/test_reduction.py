@@ -11,7 +11,7 @@ from mebasis.cli import union_payload
 from mebasis.poly import MAX_EXPONENT
 from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, ProductGrid, Relation,
-                               RelationIntegrityError, bidegree_grid, deglex_key,
+                               RelationIntegrityError, _eliminate, deglex_key,
                                partition_bidegrees, reduce_basis, reducible_products)
 from mebasis.restriction import custom_substitution, generic_substitution, restrict_basis
 from mebasis.verify import spotcheck_relations
@@ -29,7 +29,7 @@ TABLE3 = {
 
 RELATION_COUNTS = {"theta": 11, "alpha_prime": 15, "gamma": 22}
 VANISHED_COUNTS = {"theta": 12, "alpha_prime": 0, "gamma": 0}
-SYZYGY_COUNTS = {"theta": 126, "alpha_prime": 145, "gamma": 248}
+SYZYGY_COUNTS = {"theta": 0, "alpha_prime": 8, "gamma": 0}
 
 
 # -- orderings and enumeration -------------------------------------------
@@ -41,11 +41,23 @@ def test_deglex_orders_by_total_then_mag_degree():
         [(0, 2), (1, 1), (2, 0)]
 
 
-def test_bidegree_grid_walks_deglex():
-    grid = list(bidegree_grid((3, 2)))
-    assert grid == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
-                    (0, 3), (1, 2), (2, 1)]
-    assert all(a <= 6 and a + b <= 7 for a, b in bidegree_grid())
+def deglex_grid():
+    """Every bi-degree of total degree 1..7 and mag degree at most 6, the
+    catalog's range, in deglex order."""
+    return [(a, k - a) for k in range(1, 8) for a in range(min(6, k) + 1)]
+
+
+def test_bidegree_grid_walks_deglex(reductions):
+    assert deglex_grid()[:9] == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
+                                 (0, 3), (1, 2), (2, 1), (3, 0)]
+    assert all(a <= 6 and a + b <= 7 for a, b in deglex_grid())
+    # reduce_basis walks the bi-degrees where an invariant survives, in
+    # deglex order: a generator joins the product grid only after every
+    # bi-degree it could not divide.
+    for result in reductions.values():
+        walked = [rep.bidegree for rep in result.reports]
+        assert walked == [bd for bd in deglex_grid() if bd in walked] == \
+            [bd for bd, _ in partition_bidegrees(result.basis)]
 
 
 def test_partition_groups_by_bidegree(theta_basis):
@@ -77,8 +89,8 @@ def test_reducible_products_multiply_correctly(theta_basis):
 
 @pytest.mark.parametrize("fiber", ["theta", "gamma"])
 def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
-    # One table and one survivor dict over the whole grid, as reduce_basis
-    # shares them: every product is its factors multiplied out, and the
+    # One table and one survivor dict over the whole grid, on a grid of
+    # every survivor: every product is its factors multiplied out, and the
     # table ends up holding exactly the proper prefixes of two or more
     # factors, never a product that no later product extends.
     rb = bases[fiber]
@@ -87,7 +99,7 @@ def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
     prefixes = {}
     built = {}
     grid = ProductGrid(polys)
-    for bd in bidegree_grid():
+    for bd in deglex_grid():
         for factors, product in reducible_products(bd, polys, prefixes, grid):
             chained = restricted[factors[0]]
             for name in factors[1:]:
@@ -115,7 +127,7 @@ def test_reducible_products_on_a_candidate_grid_use_only_its_names(theta_basis):
     names = ("I010", "I020", "I201")
     every, full = ProductGrid(polys), {}
     grid, table = ProductGrid(names), {}
-    for bd in bidegree_grid():
+    for bd in deglex_grid():
         want = [(f, p) for f, p in reducible_products(bd, polys, full, every)
                 if set(f) <= set(names)]
         assert reducible_products(bd, polys, table, grid) == want
@@ -167,11 +179,17 @@ def test_theta_pure_magnetic_degree_has_no_relations(table_order):
     assert relations_at(table_order["theta"], (2, 0)) == []
 
 
-def test_theta_pure_syzygies_at_degree_six(table_order):
-    rels = relations_at(table_order["theta"], (4, 2))
-    assert len(rels) == 6
-    assert all(r.solved_for is None for r in rels)
-    eqs = {r.equation_str() for r in rels}
+def test_theta_pure_syzygies_at_degree_six(theta_basis, table_order):
+    # No invariant survives at (4, 2), so reduce_basis does not walk it; the
+    # products of theta's generators there still carry two syzygies.
+    result = table_order["theta"]
+    polys = theta_basis.as_dict()
+    prods = reducible_products((4, 2), polys, {}, ProductGrid(result.generators))
+    kept, syzygies, rels = _eliminate((4, 2), polys, prods, (), ())
+    assert (kept, rels) == ((), [])
+    assert len(syzygies) == 2
+    assert all(r.solved_for is None for r in syzygies)
+    eqs = {r.equation_str() for r in syzygies}
     assert "I002*I400 - I201^2 = 0" in eqs
 
 
@@ -180,19 +198,20 @@ def test_theta_pure_syzygies_at_degree_six(table_order):
 def test_selfcheck_catches_a_product_under_the_wrong_label(theta_basis, monkeypatch):
     # Swapping two product polynomials only permutes two matrix columns, so
     # the kernel vectors still satisfy A*v = 0; re-multiplying the named
-    # factors shows that the syzygies at (4, 2) now name the wrong products.
+    # factors shows that the relations at (0, 3), over I002*I010 and I010^3,
+    # now name the wrong products.
     import mebasis.reduction as reduction
     original = reduction.reducible_products
 
     def swapped(target, *shared):
         prods = original(target, *shared)
-        if target == (4, 2):
+        if target == (0, 3):
             (f0, p0), (f1, p1) = prods[:2]
             prods[:2] = [(f0, p1), (f1, p0)]
         return prods
 
     monkeypatch.setattr(reduction, "reducible_products", swapped)
-    with pytest.raises(RelationIntegrityError, match=r"^relation at \(4, 2\) does not"):
+    with pytest.raises(RelationIntegrityError, match=r"^relation at \(0, 3\) does not"):
         reduce_basis(theta_basis)
 
 
@@ -267,11 +286,8 @@ def test_selfcheck_catches_a_wrong_coefficient(theta_basis, monkeypatch):
 
 # -- multiplications ------------------------------------------------------
 
-PRODUCT_COLUMNS = {"theta": 242, "alpha_prime": 329, "gamma": 329, "<123>": 329,
-                   "generic 3D": 329}
-# The same count on a walk over the bi-degrees where an invariant survives.
-SURVIVOR_PRODUCT_COLUMNS = {"theta": 74, "alpha_prime": 124, "gamma": 124,
-                            "<123>": 124, "generic 3D": 124}
+PRODUCT_COLUMNS = {"theta": 48, "alpha_prime": 103, "gamma": 45, "<123>": 107,
+                   "generic 3D": 124}
 
 
 def restricted(bases, basis):
@@ -285,10 +301,10 @@ def restricted(bases, basis):
 
 @pytest.mark.parametrize("basis", sorted(PRODUCT_COLUMNS))
 def test_each_product_is_one_multiplication(bases, monkeypatch, basis):
-    # The engine multiplies each product column once, its prefix being a
-    # survivor or a product it kept; the self-check multiplies each factor
-    # tuple its relations name, and each prefix of one, at most once.  Both
-    # hold on the full walk and on the survivor walk.
+    # At table-order the engine multiplies each product column once, its
+    # prefix being a generator or a product it kept; the self-check
+    # multiplies each factor tuple its relations name, and each prefix of
+    # one, at most once.
     import mebasis.reduction as reduction
     rb = restricted(bases, basis)
     calls, owner = {}, ["engine"]
@@ -307,29 +323,53 @@ def test_each_product_is_one_multiplication(bases, monkeypatch, basis):
 
     monkeypatch.setattr(poly, "integer_product", counted)
     monkeypatch.setattr(reduction, "_check_relations", checking)
-    for survivors_only, columns in ((False, PRODUCT_COLUMNS),
-                                    (True, SURVIVOR_PRODUCT_COLUMNS)):
-        calls.update(engine=0, check=0)
-        result = reduce_basis(rb, policy="table-order", survivors_only=survivors_only)
-        assert calls["engine"] == columns[basis] == \
-            sum(rep.n_products for rep in result.reports)
-        named = {f for rel in result.relations + result.syzygies
-                 for f, _ in rel.terms if len(f) > 1}
-        assert calls["check"] <= len({f[:k] for f in named for k in range(2, len(f) + 1)})
+    calls.update(engine=0, check=0)
+    result = reduce_basis(rb, policy="table-order")
+    assert calls["engine"] == PRODUCT_COLUMNS[basis] == \
+        sum(rep.n_products for rep in result.reports)
+    named = {f for rel in result.relations + result.syzygies
+             for f, _ in rel.terms if len(f) > 1}
+    assert calls["check"] <= len({f[:k] for f in named for k in range(2, len(f) + 1)})
+
+
+def full_walk(rb, effective):
+    """The generators, solved_for names and (bi-degree, rank, kept) per
+    survivor bi-degree of a deglex walk over the catalog's whole range whose
+    product columns multiply every survivor, generator or not.  The
+    bi-degrees without a survivor add only syzygies, so they are skipped."""
+    pinned = PINNED_GENERATORS[rb.substitution.name] if effective == "paper" else None
+    partition = dict(partition_bidegrees(rb))
+    polys, table = rb.as_dict(), {}
+    grid = ProductGrid(polys)
+    generators, solved, reports = [], [], []
+    for bd in deglex_grid():
+        invs = partition.get(bd, ())
+        if not invs:
+            continue
+        if pinned is not None:
+            order = (tuple(n for n in invs if n in pinned)
+                     + tuple(n for n in invs if n not in pinned))
+        else:
+            order = invs[::-1] if effective == "reverse-table-order" else invs
+        prods = reducible_products(bd, polys, table, grid)
+        kept, syz, rels = _eliminate(bd, polys, prods, invs, order)
+        generators.extend(kept)
+        solved.extend(rel.solved_for for rel in rels)
+        reports.append((bd, len(prods) + len(invs) - len(syz) - len(rels), kept))
+    return tuple(sorted(generators, key=CATALOG_INDEX.__getitem__)), solved, reports
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("basis", sorted(PRODUCT_COLUMNS))
 def test_survivor_walk_keeps_the_result_of_the_full_walk(bases, basis, policy):
+    # Products of generators span what products of every survivor span, so
+    # the walk over survivor bi-degrees keeps the same names, solves for the
+    # same names and finds the same rank at each of them.
     rb = restricted(bases, basis)
-    full = reduce_basis(rb, policy=policy)
-    short = reduce_basis(rb, policy=policy, survivors_only=True)
-    assert (short.generators, short.relations, short.effective_policy, short.vanished) \
-        == (full.generators, full.relations, full.effective_policy, full.vanished)
-    assert short.reports == tuple(rep for rep in full.reports if rep.n_invariants > 0)
-    walked = {rep.bidegree for rep in short.reports}
-    assert short.syzygies == tuple(s for s in full.syzygies if s.bidegree in walked)
-    assert len(short.reports) < len(full.reports)
+    result = reduce_basis(rb, policy=policy)
+    assert full_walk(rb, result.effective_policy) == (
+        result.generators, [rel.solved_for for rel in result.relations],
+        [(rep.bidegree, rep.rank, rep.kept) for rep in result.reports])
 
 
 # -- full reduction ------------------------------------------------------
@@ -369,59 +409,12 @@ def test_relations_substitute_to_zero(bases, reductions, fiber):
         assert not rel.substitute(polys), rel.equation_str()
 
 
-def test_bounds_past_the_catalog_add_only_syzygies(theta_basis, reductions):
-    # Every catalog bi-degree lies within the default bounds: raising the
-    # total degree keeps the generators and relations, and the new targets
-    # hold products only, so their kernels are syzygies.
-    default = reductions["theta"]
-    wider = reduce_basis(theta_basis, bounds=(8, 6))
-    assert wider.generators == default.generators
-    assert [r.solved_str() for r in wider.relations] == \
-        [r.solved_str() for r in default.relations]
-    assert len(default.syzygies) == 126
-    assert len(wider.syzygies) == 283
-
-
-@pytest.mark.parametrize("bounds, message", [
-    ((3, 6), r"bounds \(3, 6\) leave I004 at bi-degree \(0, 4\) unexplored"),
-    ((7, 5), r"bounds \(7, 5\) leave I600 at bi-degree \(6, 0\) unexplored"),
-])
-def test_bounds_that_miss_a_survivor_are_refused_up_front(gamma_basis, monkeypatch,
-                                                          bounds, message):
-    # A survivor whose bi-degree lies outside the grid would be neither kept
-    # nor eliminated: the result would silently lose it.
-    import mebasis.reduction as reduction
-
-    def never(*args):
-        raise AssertionError("the reduction started")
-
-    monkeypatch.setattr(reduction, "reducible_products", never)
-    with pytest.raises(ValueError, match=message):
-        reduce_basis(gamma_basis, bounds=bounds)
-
-
-@pytest.mark.parametrize("bounds", [(7, 6), (8, 6)])
 @pytest.mark.parametrize("fiber", sorted(TABLE3))
-def test_every_catalog_name_is_accounted_for_once(bases, fiber, bounds):
-    result = reduce_basis(bases[fiber], bounds=bounds)
+def test_every_catalog_name_is_accounted_for_once(reductions, fiber):
+    result = reductions[fiber]
     names = (list(result.generators) + [r.solved_for for r in result.relations]
              + list(result.vanished))
     assert sorted(names) == sorted(CATALOG_NAMES)
-
-
-def test_bounds_past_a_packed_slot_are_refused_up_front(theta_basis, monkeypatch):
-    # A product of total degree d has every packed slot at most d, so a
-    # max total degree above MAX_EXPONENT could carry between slots.
-    import mebasis.reduction as reduction
-
-    def never(*args):
-        raise AssertionError("the reduction started")
-
-    monkeypatch.setattr(reduction, "reducible_products", never)
-    with pytest.raises(ValueError, match=f"max total degree {MAX_EXPONENT + 1} exceeds"):
-        reduce_basis(theta_basis, bounds=(MAX_EXPONENT + 1, 6))
-    with pytest.raises(AssertionError, match="started"):
-        reduce_basis(theta_basis, bounds=(MAX_EXPONENT, 6))
 
 
 @pytest.mark.parametrize("fiber", sorted(TABLE3))
@@ -516,9 +509,9 @@ def linear(pairs) -> str:
     return text.removeprefix("+ ") or "0"
 
 
-def plane_reduction(n, u, v):
-    """The table-order reduction of m = m1*u + m2*v and
-    sigma = s1*u(x)u + s2*v(x)v + s3*(u(x)v + v(x)u), as comparable parts."""
+def plane_basis(n, u, v):
+    """The restriction to m = m1*u + m2*v and
+    sigma = s1*u(x)u + s2*v(x)v + s3*(u(x)v + v(x)u)."""
     doc = {
         "name": "plane",
         "variables": [["m1", "mag"], ["m2", "mag"],
@@ -529,8 +522,12 @@ def plane_reduction(n, u, v):
         "m": [linear([(u[i], "m1"), (v[i], "m2")]) for i in range(3)],
         "normal": list(n),
     }
-    result = reduce_basis(restrict_basis(CATALOG, custom_substitution(doc)),
-                          policy="table-order")
+    return restrict_basis(CATALOG, custom_substitution(doc))
+
+
+def plane_reduction(n, u, v):
+    """The table-order reduction of plane_basis(n, u, v), as comparable parts."""
+    result = reduce_basis(plane_basis(n, u, v), policy="table-order")
     return (result.generators,
             [rel.equation_str() for rel in result.relations],
             [syz.equation_str() for syz in result.syzygies],
@@ -545,6 +542,29 @@ def test_reduction_does_not_depend_on_the_parametrization(plane):
     want = plane_reduction(n, u, v)
     for change, move in CHANGES.items():
         assert plane_reduction(*move(n, u, v)) == want, change
+
+
+def assert_normal_forms(result):
+    """Every factor of every relation and syzygy is a generator, apart from
+    the name a relation is solved for."""
+    gens = set(result.generators)
+    for rel in result.relations + result.syzygies:
+        for factors, _ in rel.terms:
+            if factors != (rel.solved_for,):
+                assert gens.issuperset(factors), rel.equation_str()
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("basis", [*sorted(PRODUCT_COLUMNS), *PLANES])
+def test_relations_are_normal_forms(bases, basis, policy):
+    # The product columns are products of generators alone.  Each plane
+    # class is checked under every change of its parametrization.
+    if basis in PLANES:
+        n, u, v = PLANES[basis]
+        for move in [lambda *x: x, *CHANGES.values()]:
+            assert_normal_forms(reduce_basis(plane_basis(*move(n, u, v)), policy=policy))
+    else:
+        assert_normal_forms(reduce_basis(restricted(bases, basis), policy=policy))
 
 # -- selection policies --------------------------------------------------
 

@@ -637,27 +637,31 @@ def minimality_shortfalls(result, points):
 @pytest.mark.parametrize("basis", [*FIBERS, "plane_123", "generic"])
 def test_evaluation_rank_is_the_reported_rank_where_a_generator_is_kept(
         generator_bases, basis):
-    # Under every policy.  The products of two or more survivors are
-    # enumerated here from their names, and every column is valued through
-    # the tensor recipes at drawn integer points: no engine polynomial,
-    # product or matrix is read.  In the same draws, the kept generators
-    # must be independent modulo the products of reported generators
-    # (ROADMAP item 1's minimality link).  A draw can fall short of a rank
-    # by chance, never exceed it, so up to three fresh draws follow the
-    # first.
+    # Under every policy.  The products of two or more of each policy's
+    # generators are enumerated here from their names, and every column is
+    # valued through the tensor recipes at drawn integer points: no engine
+    # polynomial, product or matrix is read.  Each policy's rank at a
+    # bi-degree is the same.  In the same draws, the kept generators must
+    # be independent modulo the products of reported generators (ROADMAP
+    # item 1's minimality link).  A draw can fall short of a rank by chance,
+    # never exceed it, so up to three fresh draws follow the first.
     rb = generator_bases[basis]
     results = [reduce_basis(rb, policy=policy) for policy in POLICIES]
-    items = [(n, _bidegree(n)) for n, _ in rb.entries]
+    survivors = [(n, _bidegree(n)) for n, _ in rb.entries]
     columns, want = {}, {}
-    for rep in (rep for result in results for rep in result.reports if rep.kept):
-        prods = [fs for fs in _monomials(items, rep.bidegree) if len(fs) > 1]
-        assert len(prods) == rep.n_products
-        columns[rep.bidegree] = prods + [(n,) for n, bd in items if bd == rep.bidegree]
-        assert want.setdefault(rep.bidegree, rep.rank) == rep.rank
+    for policy, result in zip(POLICIES, results):
+        gens = [(n, _bidegree(n)) for n in result.generators]
+        for rep in (rep for rep in result.reports if rep.kept):
+            prods = [fs for fs in _monomials(gens, rep.bidegree) if len(fs) > 1]
+            assert len(prods) == rep.n_products
+            columns[policy, rep.bidegree] = prods + [(n,) for n, bd in survivors
+                                                     if bd == rep.bidegree]
+            assert want.setdefault(rep.bidegree, rep.rank) == rep.rank
+    want = {key: want[key[1]] for key in columns}
     rng = random.Random(0)
     for _ in range(4):
         points = draw_points(rb, max(want.values()) + 2, rng)
-        got = {bd: evaluation_rank(points, cols) for bd, cols in columns.items()}
+        got = {key: evaluation_rank(points, cols) for key, cols in columns.items()}
         short = [minimality_shortfalls(result, points) for result in results]
         if got == want and short == [[]] * len(results):
             break
