@@ -13,9 +13,10 @@ substitution documents in BUILTIN_DOCUMENTS, in the JSON format that user
 files use, and load through custom_substitution like any user file: it is
 the one place a substitution is checked.
 
-restrict_basis runs the catalog recipes directly on the substitution's
-Polynomials (integer numerators over one denominator), so each restricted
-invariant is in the form the reduction engine takes its columns from.
+restrict_basis runs the compiled catalog recipes (catalog.evaluate_all,
+through its module attribute) directly on the substitution's Polynomials
+(integer numerators over one denominator), so each restricted invariant
+is in the form the reduction engine takes its columns from.
 """
 
 from __future__ import annotations

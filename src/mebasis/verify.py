@@ -13,11 +13,11 @@ Three checks; the spot-check alone shares no code with the reduction engine:
                         and RatMatrix.rref: a check of the chosen set,
                         not of that code,
   spotcheck_relations   seeded random integer points, with every
-                        invariant value recomputed through the tensor
-                        recipes on int matrices rather than read off the
-                        restricted polynomials: the route independent of
-                        the engine, sharing neither its polynomials nor
-                        integer_product.
+                        invariant value recomputed through the compiled
+                        recipes (catalog.evaluate_all) on int matrices
+                        rather than read off the restricted polynomials:
+                        the route independent of the engine, sharing
+                        neither its polynomials nor integer_product.
 
 Both relation checks sum one expression.  A shipped relation lhs = rhs is
 parsed once, at load, into a reduction.Relation solved for lhs,
@@ -102,13 +102,17 @@ def verify_published(rel: Relation, rb: RestrictedBasis) -> Polynomial:
 def numeric_invariants(sub: Substitution, point: Mapping[str, Fraction | int]
                        ) -> dict[str, Fraction | int]:
     """All 30 invariant values at one point, exact, recomputed through the
-    tensor recipes on the matrix and vector of (sigma, m) there.  Each
+    compiled recipes on the matrix and vector of (sigma, m) there.  Each
     entry of sigma and m is evaluated in integer arithmetic over its
     denominator: an int where it is whole, an exact Fraction otherwise, so
     at the spot-check's integer points the recipes run on ints on every
-    integer-coefficient substitution.  sigma and m are plain tuples,
-    checked once per point by evaluate_all."""
-    sigma = tuple([tuple([e.evaluate(point) for e in row]) for row in sub.sigma])
+    integer-coefficient substitution.  The 6 distinct entries of sigma are
+    evaluated and mirrored (a loaded sigma holds one Polynomial for ij and
+    ji); sigma and m are plain tuples, checked once per point by
+    evaluate_all."""
+    s = sub.sigma
+    s00, s01, s02, s11, s12, s22 = [e.evaluate(point) for e in (*s[0], *s[1][1:], s[2][2])]
+    sigma = ((s00, s01, s02), (s01, s11, s12), (s02, s12, s22))
     m = tuple([e.evaluate(point) for e in sub.m])
     return catalog_mod.evaluate_all(CATALOG, sigma, m)
 

@@ -14,7 +14,7 @@ import io
 import random
 from fractions import Fraction
 
-from mebasis.catalog import CATALOG, dbar, ddev, evaluate_all, trace
+from mebasis.catalog import CATALOG, evaluate_all
 from mebasis.cli import union_payload, write_reduce_json
 from mebasis.poly import MAG, STRESS, Polynomial, VarTable
 from mebasis.ratlinalg import RatMatrix
@@ -23,6 +23,8 @@ from mebasis.restriction import (FIBERS, fiber_substitution,
                                  generic_substitution, restrict_basis)
 from mebasis.verify import (load_published, verify_generating_set,
                             verify_published)
+
+from recipes_reference import dbar, ddev, trace
 
 F = Fraction
 

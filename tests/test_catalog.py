@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import mebasis.catalog as catalog_mod
 from mebasis.catalog import (CATALOG, CATALOG_INDEX, CATALOG_NAMES, ROWS,
-                             SHARED_PRODUCTS, evaluate_all, read_name)
+                             evaluate_all, read_name)
 from mebasis.poly import MAG, Polynomial, VarTable
 from mebasis.restriction import (BUILTIN_DOCUMENTS, custom_substitution,
                                  fiber_substitution, generic_substitution,
                                  restrict_basis)
+
+import recipes_reference
 
 F = Fraction
 
@@ -219,21 +220,28 @@ def test_int_entries_divisible_by_three_give_ints(upper, m_entries):
     assert all(type(v) is int for v in values.values())
 
 
-def test_one_point_costs_twenty_matrix_products(monkeypatch):
-    # sb@sb for the part sb^2, then each of the 19 SHARED_PRODUCTS once:
-    # every recipe reads its leading product from them.
-    calls = []
-    matmul = catalog_mod.matmul
+def test_one_point_costs_216_multiplications(monkeypatch):
+    # recipes.evaluate forms only the entries that some trace reads and
+    # multiplies no structural zero: on the generic substitution, whose
+    # entries are distinct variables, no factor of a product is zero.  The
+    # reference recipes, 20 full matrix products and 28 full contractions,
+    # make 804.
+    sub = generic_substitution()
+    factors, mul = [], Polynomial.__mul__
 
     def counted(a, b):
-        calls.append(None)
-        return matmul(a, b)
+        if isinstance(b, Polynomial):
+            factors.append((a, b))
+        return mul(a, b)
 
-    monkeypatch.setattr(catalog_mod, "matmul", counted)
-    sigma = ((3, 6, 0), (6, -9, 0), (0, 0, 0))
-    evaluate_all(CATALOG, sigma, (3, 12, 0))
-    assert len(SHARED_PRODUCTS) == 19
-    assert len(calls) == 20
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted)
+    evaluate_all(CATALOG, sub.sigma, sub.m)
+    assert len(factors) == 216 <= 280
+    assert all(a and b for a, b in factors)
+    factors.clear()
+    recipes_reference.evaluate(sub.sigma, sub.m)
+    assert len(factors) == 804
 
 
 # -- cubic symmetry ------------------------------------------------------

@@ -15,12 +15,15 @@ from pathlib import Path
 
 import pytest
 
-import mebasis.catalog as catalog
 import mebasis.cli as cli
 import mebasis.reduction as reduction
 import mebasis.verify as verify
+from mebasis import recipes
 from mebasis.cli import main
 from mebasis.ratlinalg import RatMatrix
+
+import recipes_reference
+from test_recipes import render
 
 PLANE_123 = Path(__file__).with_name("golden") / "plane_123.sub.json"
 PLANE = "plane.sub.json"
@@ -67,20 +70,26 @@ def change_published_coefficient(monkeypatch):
 
 
 def negate_recipe(monkeypatch):
-    """I201's recipe returns -tr(mb*sb), wherever the catalog is read: the
-    restriction and the spot-check both see it."""
-    negated = tuple(d._replace(recipe=lambda p, r=d.recipe: -r(p)) if d.name == "I201"
-                    else d for d in catalog.CATALOG)
-    for module in (catalog, cli, reduction, verify):
-        monkeypatch.setattr(module, "CATALOG", negated)
+    """The compiled recipes return -I201, wherever the catalog is
+    evaluated: the restriction and the spot-check both see it."""
+    evaluate = recipes.evaluate
+
+    def faulty(sigma, m):
+        values = evaluate(sigma, m)
+        return {**values, "I201": -values["I201"]}
+
+    monkeypatch.setattr(recipes, "evaluate", faulty)
 
 
 def drop_last_contract_term(monkeypatch):
-    """double_contract loses its [2][2] term, wherever the catalog reads
-    it: the restriction and the spot-check both see it."""
-    contract = catalog.double_contract
-    monkeypatch.setattr(catalog, "double_contract",
-                        lambda a, b: contract(a, b) - a[2][2] * b[2][2])
+    """Every final contraction loses its [2][2] term, in a copy of the
+    compiled recipes generated from a reference that drops it, wherever the
+    catalog is evaluated: the restriction and the spot-check both see it."""
+    monkeypatch.setattr(recipes_reference, "double_contract", lambda a, b: sum(
+        a[i][j] * b[i][j] for i in range(3) for j in range(3) if (i, j) != (2, 2)))
+    namespace = {}
+    exec(compile(render(), "recipes without the [2][2] terms", "exec"), namespace)
+    monkeypatch.setattr(recipes, "evaluate", namespace["evaluate"])
 
 
 def spotcheck_at_the_origin(monkeypatch):

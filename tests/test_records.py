@@ -28,7 +28,7 @@ FIELDS = {
                       "relations", "syzygies", "vanished", "reports"),
     Substitution: ("name", "table", "sigma", "m", "normal"),
     RestrictedBasis: ("substitution", "entries", "vanished"),
-    InvariantDef: ("name", "label", "formula", "bidegree", "recipe"),
+    InvariantDef: ("name", "label", "formula", "bidegree"),
     SpotcheckOutcome: ("ok", "trials", "seed", "failed_trial"),
 }
 DEFAULTS = {(Relation, "solved_for"), (Substitution, "normal"),

@@ -332,6 +332,39 @@ def test_each_product_is_one_multiplication(bases, monkeypatch, basis):
     assert calls["check"] <= len({f[:k] for f in named for k in range(2, len(f) + 1)})
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("basis", sorted(PRODUCT_COLUMNS))
+def test_each_product_column_is_one_multiplication_under_every_policy(
+        bases, monkeypatch, basis, policy):
+    # Outside the self-check, _product multiplies once per product column
+    # under every policy, the paper one included: its multiply calls are
+    # the reports' n_products.  (Counting poly.integer_product instead also
+    # counts the products that the paper policy's fiber_substitution check
+    # makes when it parses the built-in document again: 8 on alpha_prime,
+    # 12 on gamma.)
+    import mebasis.reduction as reduction
+    rb = restricted(bases, basis)
+    calls, multiply, check = [], reduction.multiply, reduction._check_relations
+    checking = []
+
+    def counted(p, q):
+        if not checking:
+            calls.append(1)
+        return multiply(p, q)
+
+    def checked(*args):
+        checking.append(1)
+        try:
+            return check(*args)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(reduction, "multiply", counted)
+    monkeypatch.setattr(reduction, "_check_relations", checked)
+    result = reduce_basis(rb, policy=policy)
+    assert len(calls) == sum(rep.n_products for rep in result.reports)
+
+
 def full_walk(rb, effective):
     """The generators, solved_for names and (bi-degree, rank, kept) per
     survivor bi-degree of a deglex walk over the catalog's whole range whose

@@ -1,5 +1,6 @@
-"""3x3 tensor algebra on plain tuples (catalog's matrix functions) and the
-diagonal/off-diagonal projectors."""
+"""3x3 tensor algebra on plain tuples (catalog's dot, mul_vec and checks,
+and the reference recipes' matrix functions) and the diagonal/off-diagonal
+projectors."""
 
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mebasis.catalog import (dbar, ddev, dot, double_contract, entry_table,
-                             is_symmetric, matmul, mul_vec, outer, trace)
+from mebasis.catalog import dot, entry_table, is_symmetric, mul_vec
 from mebasis.poly import MAG, STRESS, Polynomial, VarTable
 from mebasis.restriction import fiber_substitution, generic_substitution
+
+from recipes_reference import dbar, ddev, double_contract, matmul, outer, trace
 
 F = Fraction
 

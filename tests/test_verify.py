@@ -229,6 +229,21 @@ def test_one_table_scan_and_one_symmetry_test_per_point(gamma_basis, monkeypatch
         assert values[name] == poly.evaluate(point), name
 
 
+@pytest.mark.parametrize("fiber", FIBERS)
+def test_one_point_evaluates_each_distinct_entry_once(bases, fiber, monkeypatch):
+    # A loaded sigma holds one Polynomial for ij and ji: its 6 distinct
+    # entries are evaluated and mirrored, then the 3 of m.
+    sub = bases[fiber].substitution
+    evaluated, evaluate = [], Polynomial.evaluate
+    monkeypatch.setattr(Polynomial, "evaluate",
+                        lambda p, point: evaluated.append(p) or evaluate(p, point))
+    point = random_point(sub.table, random.Random(3))
+    numeric_invariants(sub, point)
+    upper = [sub.sigma[i][j] for i in range(3) for j in range(i, 3)]
+    assert len(evaluated) == 6 + 3
+    assert all(a is b for a, b in zip(evaluated, upper + list(sub.m)))
+
+
 def test_spotcheck_evaluates_one_point_per_trial(theta_basis, monkeypatch):
     # Each trial calls numeric_invariants once, through the module
     # attribute: the benchmark counts the points evaluated that way.
