@@ -22,16 +22,16 @@ coefficient-matrix column is a Polynomial's nums as they are.
 
 A packed monomial is one int made of SLOT_BITS-bit slots, most significant
 first: the total degree, the mag degree, then the exponent of each
-variable in table order.  Keys are built by Polynomial.variable (a unit
-key from the table's slot shifts) and by products, and read by
-VarTable.unpack, VarTable.packed_bidegree, Polynomial.__mul__ and _degree
-(the total degree, from the top slot).  Multiplying two monomials adds
-their packed ints, which carries nothing from slot to slot as long as the
-total degree of the product is at most MAX_EXPONENT; Polynomial.__mul__
-refuses a product that would build a larger one, and the parser an
-expression that would; reduction.reduce_basis builds products of catalog
-bi-degrees only, of total degree at most 7.  Within one bi-degree the
-ints sort as monomial_key sorts the exponent tuples, and the top two
+variable in table order.  Keys are built by the parser (a term's key is
+the sum of e times each factor's unit key, which the table holds) and by
+products, and read by VarTable.unpack, VarTable.packed_bidegree and
+Polynomial.__mul__ (the total degree, from the top slot).  Multiplying two
+monomials adds their packed ints, which carries nothing from slot to slot
+as long as the total degree of the product is at most MAX_EXPONENT;
+Polynomial.__mul__ refuses a product that would build a larger one, and
+the parser a term that would; reduction.reduce_basis builds products of
+catalog bi-degrees only, of total degree at most 7.  Within one bi-degree
+the ints sort as monomial_key sorts the exponent tuples, and the top two
 slots are the bi-degree.
 """
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .ratlinalg import RatMatrix
@@ -82,8 +82,7 @@ class VarTable:
     (names and kinds).
     """
 
-    __slots__ = ("names", "kinds", "_index", "_is_mag", "_shifts", "_degree_shift",
-                 "_total_shift")
+    __slots__ = ("names", "kinds", "_shifts", "_degree_shift", "_total_shift", "_units")
 
     def __init__(self, variables: Iterable[tuple[str, str]]):
         pairs = tuple(variables)
@@ -99,11 +98,12 @@ class VarTable:
                 raise ValueError(f"unknown variable kind {kind!r}")
         self.names = names
         self.kinds = kinds
-        self._index = {name: i for i, name in enumerate(names)}
-        self._is_mag = tuple(k == MAG for k in kinds)
         self._shifts = tuple(SLOT_BITS * i for i in reversed(range(len(names))))
         self._degree_shift = SLOT_BITS * len(names)
         self._total_shift = self._degree_shift + SLOT_BITS
+        # Each variable's packed unit key: total 1, mag 0 or 1, its own slot 1.
+        self._units = {name: 1 << self._total_shift | (k == MAG) << self._degree_shift | 1 << s
+                       for name, k, s in zip(names, kinds, self._shifts)}
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, VarTable)
@@ -115,12 +115,6 @@ class VarTable:
     def __repr__(self) -> str:
         body = ", ".join(f"{n}:{k}" for n, k in zip(self.names, self.kinds))
         return f"VarTable({body})"
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"unknown variable {name!r}") from None
 
     def unpack(self, key: int) -> tuple[int, ...]:
         """The exponent vector of a packed monomial."""
@@ -166,12 +160,6 @@ class Polynomial:
     def constant(cls, table: VarTable, value: Fraction | int) -> "Polynomial":
         # The packed key of the constant monomial is 0.
         return _lowest(table, value.denominator, {0: value.numerator} if value else {})
-
-    @classmethod
-    def variable(cls, table: VarTable, name: str) -> "Polynomial":
-        i = table.index(name)  # the unit vector's slots: total 1, mag 0 or 1, x_i 1
-        key = 1 << table._total_shift | table._is_mag[i] << table._degree_shift
-        return _lowest(table, 1, {key | 1 << table._shifts[i]: 1})
 
     # -- predicates and degrees -----------------------------------------
 
@@ -259,20 +247,6 @@ class Polynomial:
         return multiply(self, other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.table, 1)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Polynomial) and self.table == other.table
@@ -425,46 +399,19 @@ def coefficient_matrix(columns: Sequence[Polynomial]) -> tuple[list[int], RatMat
 
 # -- parser --------------------------------------------------------------
 #
-# expr    := term (('+' | '-') term)*
-# term    := factor ('*' factor)*
-# factor  := '-' factor | base
-# base    := atom ('^' uint)?
-# atom    := rational | identifier | '(' expr ')'
-# rational:= uint ('/' uint)?
+# expr     := (rational '*')? '(' sum ')' | sum
+# sum      := sign* term (sign+ term)*
+# term     := factor ('*' factor)*, holding at most one rational
+# factor   := rational | identifier ('^' uint)?
+# rational := uint ('/' uint)?
+# sign     := '+' | '-'
 #
-# No implicit multiplication; '/' only between integer literals.
-
-# What one literal, product or power may build: a short text such as
-# "2^99999999", "((s1 + s2 + s3)^64)^64" or thirty factors (s1 + ... + s6)
-# is refused instead of exhausting time and memory, and no coefficient
-# grows past what str() can print.  The bounds (a product or power keeps at
-# most MAX_POWER_TERMS terms) are far above anything a substitution or a
-# relation needs; the total degree is bounded by MAX_EXPONENT, the most a
-# packed monomial holds.
+# No implicit multiplication, no nesting, and no power or product of a
+# sum: each term of the text is one monomial times at most one literal, so
+# the length of the text bounds the work.  A literal has at most
+# MAX_LITERAL_DIGITS digits, and a term's total degree is at most
+# MAX_EXPONENT, the most a packed monomial holds.
 MAX_LITERAL_DIGITS = 300
-MAX_SIZE = 1000
-MAX_POWER_TERMS = 1000
-
-
-def _degree(p: Polynomial) -> int:
-    """The total degree of p (0 for the zero polynomial), from the top slot
-    of its highest packed monomial."""
-    return max(p.nums) >> p.table._total_shift if p.nums else 0
-
-
-def _size(p: Polynomial) -> int:
-    """The largest bit length of p's numerators and denominator."""
-    return max(map(int.bit_length, (p.den, *p.nums.values())))
-
-
-def _power_too_large(p: Polynomial, n: int) -> bool:
-    """Whether p ** n may exceed MAX_EXPONENT in degree, MAX_SIZE bits or
-    MAX_POWER_TERMS terms."""
-    if n < 2 or not p.nums:
-        return False
-    return (n * _degree(p) > MAX_EXPONENT or n * _size(p) > MAX_SIZE
-            or comb(n + len(p.nums) - 1, n) > MAX_POWER_TERMS)
-
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])")
@@ -486,109 +433,86 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, table: VarTable):
-        self.table = table
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            if value == "/":
-                raise ParseError("'/' is only allowed between integer literals", pos)
-            raise ParseError(f"unexpected {value!r}", pos)
-        return p
-
-    def expr(self) -> Polynomial:
-        p = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                q = self.term()
-                p = p + q if value == "+" else p - q
-            else:
-                return p
-
-    def term(self) -> Polynomial:
-        p = self.factor()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                q = self.factor()
-                if (_degree(p) + _degree(q) > MAX_EXPONENT
-                        or len(p.nums) * len(q.nums) > MAX_POWER_TERMS ** 2):
-                    raise ParseError("product too large", pos)
-                p = p * q
-                if _size(p) > MAX_SIZE or len(p.nums) > MAX_POWER_TERMS:
-                    raise ParseError("product too large", pos)
-            else:
-                return p
-
-    def factor(self) -> Polynomial:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return -self.factor()
-        return self.base()
-
-    def base(self) -> Polynomial:
-        p = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            nkind, nvalue, npos = self.advance()
-            if nkind != "int":
-                raise ParseError("exponent must be a nonnegative integer", npos)
-            n = int(nvalue)
-            if _power_too_large(p, n):
-                raise ParseError("power too large", npos)
-            p = p ** n
-        return p
-
-    def atom(self) -> Polynomial:
-        kind, value, pos = self.advance()
-        if kind == "int":
-            num = int(value)
-            nkind, nvalue, _ = self.peek()
-            if nkind == "op" and nvalue == "/":
-                self.advance()
-                dkind, dvalue, dpos = self.advance()
-                if dkind != "int":
-                    raise ParseError("denominator must be an integer literal", dpos)
-                den = int(dvalue)
-                if den == 0:
-                    raise ParseError("zero denominator", dpos)
-                return Polynomial.constant(self.table, Fraction(num, den))
-            return Polynomial.constant(self.table, num)
-        if kind == "name":
-            if value not in self.table.names:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            return Polynomial.variable(self.table, value)
-        if kind == "op" and value == "(":
-            p = self.expr()
-            ckind, cvalue, cpos = self.advance()
-            if not (ckind == "op" and cvalue == ")"):
-                raise ParseError("expected ')'", cpos)
-            return p
-        raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", pos)
+def _rational(tokens: list[tuple[str, str, int]], i: int) -> tuple[int, int, int]:
+    """The rational literal that starts at the int token tokens[i], as
+    (numerator, denominator, index of the token after it)."""
+    if tokens[i + 1][1] != "/":
+        return int(tokens[i][1]), 1, i + 1
+    kind, value, pos = tokens[i + 2]
+    if kind != "int":
+        raise ParseError("denominator must be an integer literal", pos)
+    den = int(value)
+    if not den:
+        raise ParseError("zero denominator", pos)
+    return int(tokens[i][1]), den, i + 3
 
 
 def parse_polynomial(text: str, table: VarTable) -> Polynomial:
-    """Parse an expression in the grammar above into a Polynomial."""
-    parser = _Parser(text, table)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
+    """Parse an expression in the grammar above into a Polynomial, in one
+    pass over its tokens: each term's packed key is the sum of its factors'
+    unit keys, and its numerator is taken over the lcm of the literals'
+    denominators."""
+    tokens = _tokenize(text)
+    scale, scale_den, i = 1, 1, 0  # the outer rational, before a '('
+    if tokens[0][1] == "(":
+        i = 1
+    elif tokens[0][0] == "int":
+        num, den, j = _rational(tokens, 0)
+        if tokens[j][1] == "*" and tokens[j + 1][1] == "(":
+            scale, scale_den, i = num, den, j + 2
+    grouped = i > 0
+    terms = []
+    while True:
+        sign = 1
+        while tokens[i][1] in ("+", "-"):
+            if tokens[i][1] == "-":
+                sign = -sign
+            i += 1
+        key, num, den, literal = 0, 1, 1, False
+        while True:
+            kind, value, pos = tokens[i]
+            if kind == "int":
+                if literal:
+                    raise ParseError("a term holds at most one literal", pos)
+                num, den, i = _rational(tokens, i)
+                literal = True
+            elif kind == "name":
+                unit = table._units.get(value)
+                if unit is None:
+                    raise ParseError(f"unknown variable {value!r}", pos)
+                e, i = 1, i + 1
+                if tokens[i][1] == "^":
+                    ekind, evalue, epos = tokens[i + 1]
+                    if ekind != "int":
+                        raise ParseError("exponent must be a nonnegative integer", epos)
+                    e, i = int(evalue), i + 2
+                key += e * unit
+                if key >> table._total_shift > MAX_EXPONENT:
+                    raise ParseError(f"total degree above {MAX_EXPONENT}", pos)
+            else:
+                raise ParseError(f"unexpected {value!r}" if value else
+                                 "unexpected end of input", pos)
+            if tokens[i][1] != "*":
+                break
+            i += 1
+        terms.append((key, sign * scale * num, den))
+        if tokens[i][1] not in ("+", "-"):
+            break
+    kind, value, pos = tokens[i]
+    if grouped:
+        if value != ")":
+            raise ParseError("expected ')'", pos)
+        kind, value, pos = tokens[i + 1]
+    if kind != "end":
+        if value == "/":
+            raise ParseError("'/' is only allowed between integer literals", pos)
+        raise ParseError(f"unexpected {value!r}", pos)
+    common = lcm(*(den for _, _, den in terms))
+    nums: dict[int, int] = {}
+    for key, num, den in terms:
+        s = nums.get(key, 0) + num * (common // den)
+        if s:
+            nums[key] = s
+        else:
+            nums.pop(key, None)
+    return _lowest(table, common * scale_den, nums)

@@ -137,14 +137,13 @@ class Relation(NamedTuple):
         return signed_sum((c, product(f)) for f, c in self.terms) + " = 0"
 
     def solved_form(self) -> tuple[int, list[tuple[tuple[str, ...], int]]]:
-        """(lead, rhs): solved_for = rhs / lead, lead > 0, rhs the other
-        terms with their signs flipped to the right-hand side."""
+        """(lead, rhs): solved_for = rhs / lead, with lead the solved-for
+        term's coefficient (positive, as the class requires) and rhs the
+        other terms with their signs flipped to the right-hand side."""
         lead = dict(self.terms).get((self.solved_for,))
         if not lead:
             raise ValueError(f"relation has no solved-for term {self.solved_for!r}")
-        sign = 1 if lead > 0 else -1
-        return abs(lead), [(f, -sign * c) for f, c in self.terms
-                           if f != (self.solved_for,)]
+        return lead, [(f, -c) for f, c in self.terms if f != (self.solved_for,)]
 
     def solved_str(self, *, product=product_str) -> str:
         """The relation solved for solved_for, "name = rhs" or

@@ -105,8 +105,10 @@ def custom_substitution(source: str | Path | Mapping) -> Substitution:
     pairs; the order given is the variable order.  sigma keys are entry
     positions "ij"; giving both "ij" and "ji" is allowed only when the
     expressions agree.  All six distinct positions must be covered; m lists
-    3 expressions.  Expressions use the polynomial grammar (explicit '*',
-    '^' powers, integer or a/b literals).  An integer in a file has at most
+    3 expressions.  Expressions use poly's flat grammar: a sum of terms,
+    each a product of variables (with '^' powers) and at most one integer
+    or a/b literal; the whole sum may be parenthesized after one literal,
+    as in "2*(s1 - s2)".  An integer in a file has at most
     MAX_LITERAL_DIGITS digits, as a literal in an expression does.
     Parsed entries must be linear (or zero): sigma's in stress, m's in
     magnetization variables; a normal must make sigma . n and m . n zero.

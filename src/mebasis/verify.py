@@ -19,7 +19,8 @@ Three checks; the spot-check alone shares no code with the reduction engine:
                         the route independent of the engine, sharing
                         neither its polynomials nor integer_product.
 
-Both relation checks sum one expression.  A shipped relation lhs = rhs is
+Both relation checks sum one expression.  A shipped relation lhs = rhs,
+rhs in poly's flat grammar (such as 1/18*(9*I020*I010 - 2*I010^3)), is
 parsed once, at load, into a reduction.Relation solved for lhs,
 D * lhs - sum of c * (product of invariant names) = 0, with D and each c
 the parsed rhs's den and numerators.  Relation.substitute sums it on the

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from mebasis.catalog import CATALOG, evaluate_all
 from mebasis.cli import union_payload, write_reduce_json
-from mebasis.poly import MAG, STRESS, Polynomial, VarTable
+from mebasis.poly import MAG, STRESS, Polynomial, VarTable, parse_polynomial
 from mebasis.ratlinalg import RatMatrix
 from mebasis.reduction import POLICIES, reduce_basis
 from mebasis.restriction import (FIBERS, fiber_substitution,
@@ -119,7 +119,8 @@ def _ring_and_grading_hold(rng):
                 exps = [i, a - i, j, b - j]
             mono = one
             for name, e in zip(table.names, exps):
-                mono = mono * Polynomial.variable(table, name) ** e
+                for _ in range(e):
+                    mono = mono * parse_polynomial(name, table)
             p = p + F(rng.randint(-9, 9)) * mono
         return p
 

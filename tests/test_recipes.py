@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from mebasis import recipes
 from mebasis.catalog import CATALOG_NAMES, ROWS
-from mebasis.poly import MAG, STRESS, Polynomial, VarTable
+from mebasis.poly import MAG, STRESS, Polynomial, VarTable, parse_polynomial
 
 import recipes_reference as reference
 
@@ -221,7 +221,7 @@ def test_committed_module_is_the_generator_output():
 
 TABLE = VarTable([("m1", MAG), ("m2", MAG), ("s1", STRESS), ("s2", STRESS), ("s3", STRESS)])
 MONOMIALS = (Polynomial.constant(TABLE, 1),) + tuple(
-    Polynomial.variable(TABLE, n) for n in TABLE.names)
+    parse_polynomial(n, TABLE) for n in TABLE.names)
 # Entries of one ring each, zero drawn often; multiples of 3 keep some int
 # traces whole, so ints and Fractions both come out of the int ring.
 small = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-3, 3).map(lambda k: 3 * k))

@@ -13,8 +13,9 @@ from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, ProductGrid, Relation,
                                RelationIntegrityError, _eliminate, deglex_key,
                                partition_bidegrees, reduce_basis, reducible_products)
-from mebasis.restriction import custom_substitution, generic_substitution, restrict_basis
-from mebasis.verify import spotcheck_relations
+from mebasis.restriction import (FIBERS, custom_substitution, generic_substitution,
+                                 restrict_basis)
+from mebasis.verify import load_published, spotcheck_relations
 
 F = Fraction
 
@@ -83,7 +84,8 @@ def test_reducible_products_smallest_cases(theta_basis):
 
 def test_reducible_products_multiply_correctly(theta_basis):
     ((factors, product),) = products(theta_basis, (0, 2))
-    assert product == theta_basis.as_dict()["I010"] ** 2
+    i010 = theta_basis.as_dict()["I010"]
+    assert product == i010 * i010
     assert product.bidegree() == (0, 2)
 
 
@@ -598,6 +600,19 @@ def test_relations_are_normal_forms(bases, basis, policy):
             assert_normal_forms(reduce_basis(plane_basis(*move(n, u, v)), policy=policy))
     else:
         assert_normal_forms(reduce_basis(restricted(bases, basis), policy=policy))
+
+def test_every_solved_relation_has_a_positive_lead(bases):
+    # solved_form reads the lead as it stands: every relation the engine
+    # solves (3 fibers, <123> and generic 3D, under each policy) and every
+    # shipped one writes its solved-for term with a positive coefficient.
+    relations = [rel for basis in PRODUCT_COLUMNS for policy in POLICIES
+                 for rel in reduce_basis(restricted(bases, basis), policy=policy).relations]
+    relations += [rel for fiber in FIBERS for _, rel in load_published(fiber)]
+    assert all(rel.solved_for for rel in relations) and len(relations) > 48
+    for rel in relations:
+        (lead,) = [c for f, c in rel.terms if f == (rel.solved_for,)]
+        assert lead > 0 and rel.solved_form()[0] == lead, rel.equation_str()
+
 
 # -- selection policies --------------------------------------------------
 

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mebasis import poly, restriction, verify
 from mebasis.catalog import CATALOG, CATALOG_NAMES, evaluate_all
-from mebasis.poly import MAG, STRESS, Polynomial, VarTable
+from mebasis.poly import MAG, STRESS, Polynomial, VarTable, parse_polynomial
 from mebasis.restriction import (BUILTIN_DOCUMENTS, FIBERS, Substitution,
                                  SubstitutionError, custom_substitution,
                                  fiber_substitution, generic_substitution,
@@ -33,7 +34,7 @@ EQ3_DOC = {
 def plane_vars():
     table = VarTable([("m1", MAG), ("m2", MAG),
                       ("s1", STRESS), ("s2", STRESS), ("s3", STRESS)])
-    return table, {n: Polynomial.variable(table, n) for n in table.names}
+    return table, {n: parse_polynomial(n, table) for n in table.names}
 
 
 # -- the three built-in fibers -------------------------------------------
@@ -45,7 +46,7 @@ def test_fiber_names():
 def test_theta_shape():
     sub = fiber_substitution("theta")
     t = sub.table
-    v = lambda n: Polynomial.variable(t, n)
+    v = lambda n: parse_polynomial(n, t)
     z = Polynomial.zero(t)
     assert sub.sigma == ((v("s1"), v("s3"), z), (v("s3"), v("s2"), z), (z, z, z))
     assert sub.m == (v("m1"), v("m2"), z)
@@ -55,7 +56,7 @@ def test_theta_shape():
 def test_alpha_prime_shape():
     sub = fiber_substitution("alpha_prime")
     t = sub.table
-    v = lambda n: Polynomial.variable(t, n)
+    v = lambda n: parse_polynomial(n, t)
     assert sub.sigma == ((v("s1"), v("s2"), -v("s2")),
                          (v("s2"), -v("s3"), v("s3")),
                          (-v("s2"), v("s3"), -v("s3")))
@@ -66,7 +67,7 @@ def test_alpha_prime_shape():
 def test_gamma_shape():
     sub = fiber_substitution("gamma")
     t = sub.table
-    v = lambda n: Polynomial.variable(t, n)
+    v = lambda n: parse_polynomial(n, t)
     assert sub.sigma == ((-v("s1") - v("s2"), v("s1"), v("s2")),
                          (v("s1"), -v("s1") - v("s3"), v("s3")),
                          (v("s2"), v("s3"), -v("s2") - v("s3")))
@@ -99,7 +100,7 @@ def built_by_hand(name):
         table = VarTable([("m1", MAG), ("m2", MAG), ("m3", MAG),
                           ("s11", STRESS), ("s22", STRESS), ("s33", STRESS),
                           ("s12", STRESS), ("s13", STRESS), ("s23", STRESS)])
-        v = {n: Polynomial.variable(table, n) for n in table.names}
+        v = {n: parse_polynomial(n, table) for n in table.names}
         sigma = ((v["s11"], v["s12"], v["s13"]),
                  (v["s12"], v["s22"], v["s23"]),
                  (v["s13"], v["s23"], v["s33"]))
@@ -202,9 +203,9 @@ ORBIT_PLANES = {
 }
 
 
-def orbit_plane(cls):
+def orbit_document(cls):
     n, u, v = ORBIT_PLANES[cls]
-    return custom_substitution({
+    return {
         "name": f"plane-{cls}",
         "variables": [["m1", "mag"], ["m2", "mag"],
                       ["s1", "stress"], ["s2", "stress"], ["s3", "stress"]],
@@ -213,7 +214,40 @@ def orbit_plane(cls):
                   for i in range(3) for j in range(i, 3)},
         "m": [f"{u[i]}*m1 + {v[i]}*m2" for i in range(3)],
         "normal": list(n),
-    })
+    }
+
+
+def orbit_plane(cls):
+    return custom_substitution(orbit_document(cls))
+
+
+def test_the_parser_multiplies_nothing(monkeypatch):
+    # Each term of an entry or a shipped relation is one monomial times one
+    # literal, so the length of the text bounds the parser's work.  The
+    # plane check (sigma . n and m . n) multiplies, outside the parser.
+    calls, parsing = {True: 0, False: 0}, [False]
+    kernel, parse = poly.integer_product, poly.parse_polynomial
+
+    def counted(a, b):
+        calls[parsing[0]] += 1
+        return kernel(a, b)
+
+    def parse_counted(text, table):
+        parsing[0] = True
+        try:
+            return parse(text, table)
+        finally:
+            parsing[0] = False
+
+    monkeypatch.setattr(poly, "integer_product", counted)
+    monkeypatch.setattr(restriction, "parse_polynomial", parse_counted)
+    monkeypatch.setattr(verify, "parse_polynomial", parse_counted)
+    for name, doc in BUILTIN_DOCUMENTS.items():
+        custom_substitution({"name": name, **doc})
+    for cls in ORBIT_PLANES:
+        custom_substitution(orbit_document(cls))
+    assert sum(len(verify.load_published(fiber)) for fiber in FIBERS) == 48
+    assert calls == {True: 0, False: calls[False]} and calls[False] > 0
 
 
 # Denominators in sigma and in m, and a zero first row of sigma.
