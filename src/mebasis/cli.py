@@ -36,10 +36,6 @@ from .verify import load_published, spotcheck_relations, verify_published
 
 _FIBER_HELP = " | ".join((*FIBERS, "custom:PATH"))
 
-# How many one-line pieces of a reduce JSON report write_reduce_json collects
-# before it writes them: the relations' text is never held whole.
-JSON_CHUNK = 4096
-
 
 class UsageError(Exception):
     pass
@@ -170,38 +166,27 @@ _RELATION_LISTS = '\n    "relations": [],\n    "syzygies": [],'
 
 
 def write_reduce_json(result: ReductionResult, stream) -> None:
-    """Write the reduce report and a newline to stream: the bytes of
-    write_json(reduce_payload(result)) with its relations and syzygies lists
-    holding each Relation's entry (bidegree, terms, equation, and solved_for
-    and solved when it is solved).
+    """Write the reduce report and a newline to stream, in one write: the
+    bytes of write_json(reduce_payload(result)) with its relations and
+    syzygies lists holding each Relation's entry (bidegree, terms,
+    equation, and solved_for and solved when it is solved).
 
     The entries come from one template, with no dict or list per term.  Two
     memos live for one call: a product_str memo for the equation and solved
-    texts, and the lines of each distinct "factors" block.  Each piece of
-    text is at most one line; whenever JSON_CHUNK pieces are pending,
-    exactly JSON_CHUNK of them are written."""
+    texts, and the lines of each distinct "factors" block."""
     head, tail = json.dumps(reduce_payload(result), indent=2).split(_RELATION_LISTS)
     product, blocks = lru_cache(maxsize=None)(product_str), {}
-    parts = head.splitlines(keepends=True)
+    parts = [head]
     for key, rels in (("relations", result.relations), ("syzygies", result.syzygies)):
         parts.append(f'\n    "{key}": [')
         sep = _ENTRY + "{"
         for rel in rels:
-            _drain(parts, stream)
             parts.append(sep)
             _emit_relation(rel, parts, product, blocks)
             sep = "," + _ENTRY + "{"
         parts.append("\n    ]," if rels else "],")
-    parts += tail.splitlines(keepends=True)
-    _drain(parts, stream)
-    parts.append("\n")
+    parts += (tail, "\n")
     stream.write("".join(parts))
-
-
-def _drain(parts: list[str], stream) -> None:
-    while len(parts) >= JSON_CHUNK:
-        stream.write("".join(parts[:JSON_CHUNK]))
-        del parts[:JSON_CHUNK]
 
 
 # A relation entry, its member, term, term member and factor name each start
@@ -251,7 +236,7 @@ def render_reduce_text(result: ReductionResult) -> str:
     lines.append(f"vanished ({len(result.vanished)}): "
                  + (", ".join(result.vanished) if result.vanished else "none"))
     lines.append(f"generators ({len(result.generators)}): "
-                 + ", ".join(result.generators))
+                 + (", ".join(result.generators) if result.generators else "none"))
     lines.append(f"relations ({len(result.relations)}):")
     for rel in result.relations:
         lines.append(f"  {rel.solved_str(product=product)}")
@@ -272,10 +257,14 @@ def render_reduce_text(result: ReductionResult) -> str:
 
 
 def render_reduce_latex(result: ReductionResult) -> str:
+    """The generators, then the relations as the rows of one align*; an
+    empty list is one "% ...: none" line, as an empty align* is a TeX error."""
     gens = ",\\quad ".join("$%s$" % latex_name(n) for n in result.generators)
+    lines = [r"% generators", gens] if gens else [r"% generators: none"]
+    if not result.relations:
+        return "\n".join(lines + [r"% relations: none"])
     body = " \\\\\n".join(latex_relation(rel) for rel in result.relations)
-    return "\n".join([r"% generators", gens, r"% relations", r"\begin{align*}", body,
-                      r"\end{align*}"])
+    return "\n".join(lines + [r"% relations", r"\begin{align*}", body, r"\end{align*}"])
 
 
 def _run_reduce(args) -> int:

@@ -23,8 +23,8 @@ before it was built.
 One builder, _product, makes every product, for the engine's columns,
 the self-check and verify.verify_generating_set: one poly.multiply of its
 prefix (all factors but the last, names sorted), a survivor or a product
-in its caller's table, by its last factor.  A table keeps a product
-exactly when a later product within the grid's bounds may extend it.
+in its caller's table, by its last factor.  The table is a memo: it keeps
+every product built, and a product found there is not built again.
 reduce_basis builds one grid, and gives the engine and the self-check one
 survivor dict (rb.as_dict()) and one table each, for that call only.
 Each column holds its polynomial's numerators, the polynomial times its
@@ -44,10 +44,10 @@ free column contributes L * d_f and each such pivot column p
 -R[r][f] * (L / R[r][p]) * d_p.  Every relation and syzygy is
 checked exactly before it is reported, by one pass of _check_relations
 per bi-degree over what the elimination returned: it multiplies the
-factor tuples they name, each once per call, from the check's own dict
-and table, never from the engine's dict, table or matrix, and the sum of
-coefficient times product must vanish as integer numerators over one
-common denominator.
+factor tuples they name, each once per reduce_basis call, from the
+check's own dict and table, never from the engine's dict, table or
+matrix, and the sum of coefficient times product must vanish as integer
+numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .restriction import RestrictedBasis, fiber_substitution
 # Called by nothing; perfbench/tracing.py looks both names up in this module.
 rank_of_columns = solve_columns = None
 
-DEFAULT_BOUNDS = (7, 6)
 POLICIES = ("paper", "table-order", "reverse-table-order")
 
 # Pinned survivor lists for the built-in fibers under the default policy,
@@ -191,43 +190,36 @@ def partition_bidegrees(rb: RestrictedBasis) -> list[tuple[tuple[int, int], tupl
 
 
 class ProductGrid(dict):
-    """bd -> (reach, multisets) over names, each bi-degree built on its
-    first look-up from catalog bi-degrees alone: reach is the largest name
-    whose bi-degree added to bd fits bounds ("" for none); the multisets
-    summing to bd, sorted, are those at bd - deg s ending at or before s,
-    extended by s.  One per reduction or certificate."""
+    """bd -> the multisets of names summing to bd, sorted, each bi-degree
+    built on its first look-up from catalog bi-degrees alone: those at
+    bd - deg s ending at or before s, extended by s.  One per reduction or
+    certificate."""
 
-    def __init__(self, names: Iterable[str], bounds: tuple[int, int] = DEFAULT_BOUNDS):
-        super().__init__({(0, 0): ("", ((),))})
-        self.pool, self.bounds = sorted((n, _bidegree(n)) for n in names), bounds
+    def __init__(self, names: Iterable[str]):
+        super().__init__({(0, 0): ((),)})
+        self.pool = sorted((n, _bidegree(n)) for n in names)
 
-    def __missing__(self, bd: tuple[int, int]) -> tuple[str, tuple[tuple[str, ...], ...]]:
-        (a, b), (dmax, amax) = bd, self.bounds
-        reach, sets = "", []
+    def __missing__(self, bd: tuple[int, int]) -> tuple[tuple[str, ...], ...]:
+        a, b = bd
+        sets = []
         for name, (da, db) in self.pool:
-            if a + da <= amax and a + b + da + db <= dmax:
-                reach = name
             if da <= a and db <= b:
-                sets.extend(m + (name,) for m in self[a - da, b - db][1] if m[-1:] <= (name,))
-        self[bd] = reach, tuple(sorted(sets))
+                sets.extend(m + (name,) for m in self[a - da, b - db] if m[-1:] <= (name,))
+        self[bd] = tuple(sorted(sets))
         return self[bd]
 
 
-def _product(factors: tuple[str, ...], bd: tuple[int, int], polys: Mapping[str, Polynomial],
-             table: dict, grid: ProductGrid) -> Polynomial:
-    """The product, of bi-degree bd, of the two or more survivors named by
-    factors (sorted), out of polys: its prefix (all factors but the last;
-    read from table, or built the same way) times its last factor.  table
-    keeps it exactly when a later product within grid's bounds extends it:
-    when its last factor is at most bd's reach (see ProductGrid)."""
-    head, last = factors[:-1], factors[-1]
-    got = polys[head[0]] if len(head) == 1 else table.get(head)
-    if got is None:
-        da, db = _bidegree(last)
-        got = _product(head, (bd[0] - da, bd[1] - db), polys, table, grid)
-    prod = multiply(got, polys[last])
-    if last <= grid[bd][0]:
-        table[factors] = prod
+def _product(factors: tuple[str, ...], polys: Mapping[str, Polynomial],
+             table: dict) -> Polynomial:
+    """The product of the two or more survivors named by factors (sorted),
+    out of polys: read from table, or its prefix (all factors but the
+    last; a survivor, or a product built the same way) times its last
+    factor, kept in table."""
+    prod = table.get(factors)
+    if prod is None:
+        head = factors[:-1]
+        got = polys[head[0]] if len(head) == 1 else _product(head, polys, table)
+        prod = table[factors] = multiply(got, polys[factors[-1]])
     return prod
 
 
@@ -236,18 +228,13 @@ def reducible_products(target: tuple[int, int], polys: Mapping[str, Polynomial],
                        ) -> list[tuple[tuple[str, ...], Polynomial]]:
     """The multisets of two or more names in grid whose bi-degrees sum to
     target, in lexicographic order, each with its _product out of polys and
-    table.  A deglex walk on one polys and table multiplies each product
-    once and leaves in table exactly the products a later one extends,
-    when grid's pool holds every name from the start.  reduce_basis's pool
-    grows with its walk, so a product built before a name that extends it
-    joined the pool is not kept, and is built again if a later product
-    needs it as a prefix.
+    table.  With one polys and table, each product is multiplied at most
+    once: table keeps it.
     Products of nonzero polynomials never vanish: each is a usable column.
     reduce_basis calls this once per target (perfbench/tracing.py wraps
     it there), and verify.verify_generating_set once per bi-degree, on a
     grid of its candidate names."""
-    return [(fs, _product(fs, target, polys, table, grid))
-            for fs in grid[target][1] if len(fs) > 1]
+    return [(fs, _product(fs, polys, table)) for fs in grid[target] if len(fs) > 1]
 
 
 def _relation(bd: tuple[int, int], raw_terms: Sequence[tuple[tuple[str, ...], int]],
@@ -259,26 +246,22 @@ def _relation(bd: tuple[int, int], raw_terms: Sequence[tuple[tuple[str, ...], in
 
 
 def _check_relations(rels: Sequence[Relation], polys: Mapping[str, Polynomial],
-                     table: dict, grid: ProductGrid) -> None:
+                     table: dict) -> None:
     """Raise RelationIntegrityError on the first of rels, all of one
     bi-degree, that exact re-multiplication does not confirm.
 
     _product multiplies each term's factors out of the check's own
     survivor dict and table, never the engine's dict, table or matrix;
-    over one reduce_basis call, each factor tuple once (grid, the call's
-    ProductGrid, holds names only).  c_k * prod_k must sum to 0 as integer
-    numerators (nums) over one common denominator (the lcm of the
-    products' den).
+    over one reduce_basis call, each factor tuple once (the table is its
+    memo).  c_k * prod_k must sum to 0 as integer numerators (nums) over
+    one common denominator (the lcm of the products' den).
     """
-    checked = {(n,): p for n, p in polys.items()}
     for rel in rels:
-        for f, _ in rel.terms:
-            if f not in checked:
-                checked[f] = _product(f, rel.bidegree, polys, table, grid)
-        den = lcm(*(checked[f].den for f, _ in rel.terms))
+        prods = [(polys[f[0]] if len(f) == 1 else _product(f, polys, table), c)
+                 for f, c in rel.terms]
+        den = lcm(*(prod.den for prod, _ in prods))
         residual: dict[int, int] = {}
-        for f, c in rel.terms:
-            prod = checked[f]
+        for prod, c in prods:
             scale = c * (den // prod.den)
             for m, v in prod.nums.items():
                 residual[m] = residual.get(m, 0) + scale * v
@@ -389,7 +372,7 @@ def reduce_basis(rb: RestrictedBasis, policy: str = "paper") -> ReductionResult:
         else:
             order = invs
         kept, syz_here, rels = _eliminate(bd, polys, prods, invs, order)
-        _check_relations(syz_here + rels, check_polys, checked, grid)
+        _check_relations(syz_here + rels, check_polys, checked)
         if pinned is not None and kept != want:
             redundant = [n for n in want if n not in kept]
             problem = (f"contains a redundant invariant (not a pivot: {', '.join(redundant)})"

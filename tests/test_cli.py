@@ -8,7 +8,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,12 +16,12 @@ from hypothesis import strategies as st
 import mebasis.cli as cli
 import mebasis.verify as verify_mod
 from mebasis import __version__
-from mebasis.catalog import CATALOG
+from mebasis.catalog import CATALOG, CATALOG_NAMES
 from mebasis.cli import main
 from mebasis.poly import product_str
 from mebasis.reduction import POLICIES, PolicyConflictError, Relation, reduce_basis
-from mebasis.restriction import (FIBERS, custom_substitution, generic_substitution,
-                                 restrict_basis)
+from mebasis.restriction import (BUILTIN_DOCUMENTS, FIBERS, custom_substitution,
+                                 generic_substitution, restrict_basis)
 from mebasis.verify import published_relation
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -92,20 +91,42 @@ class RecordingStdout:
         pass
 
 
-@pytest.mark.parametrize("chunk", [16, 4096])
-def test_reduce_json_is_written_in_bounded_chunks(monkeypatch, chunk):
-    # A piece of JSON text holds at most one line break, and at most one
-    # line of the report and the two characters before it.
-    monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+def test_reduce_json_is_written_in_one_write(monkeypatch):
+    # main also writes argparse's captured text, empty here.
     stdout = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["reduce", "--fiber", "alpha_prime", "--format", "json"]) == 0
-    text = "".join(stdout.writes)
-    assert text == (GOLDEN / "reduce_alpha_prime_paper.json").read_text()
-    longest_piece = max(map(len, text.splitlines())) + 2
-    assert len(stdout.writes) > 1
-    assert max(w.count("\n") for w in stdout.writes) <= chunk
-    assert max(map(len, stdout.writes)) <= chunk * longest_piece
+    assert [w for w in stdout.writes if w] == \
+        [(GOLDEN / "reduce_alpha_prime_paper.json").read_text()]
+
+
+class ShortWriteSink(io.RawIOBase):
+    """A raw stream that takes at most `chunk` bytes per write, as a pipe may."""
+
+    def __init__(self, chunk):
+        self.chunk = chunk
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data[:self.chunk]))
+        return len(self.writes[-1])
+
+
+@pytest.mark.parametrize("chunk", [16, 4096])
+def test_reduce_json_is_written_in_bounded_chunks(monkeypatch, chunk):
+    # The one write of the report reaches the sink in pieces of at most
+    # `chunk` bytes, and none is lost or repeated.
+    sink = ShortWriteSink(chunk)
+    stdout = io.TextIOWrapper(io.BufferedWriter(sink), encoding="utf-8", newline="\n")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["reduce", "--fiber", "alpha_prime", "--format", "json"]) == 0
+    golden = (GOLDEN / "reduce_alpha_prime_paper.json").read_bytes()
+    assert b"".join(sink.writes) == golden
+    assert len(sink.writes) >= len(golden) // chunk
+    assert max(map(len, sink.writes)) <= chunk
 
 
 def relation_payload(rel: Relation) -> dict:
@@ -156,13 +177,9 @@ def check_relation_entries(base, rels, syzygies):
     payload = cli.reduce_payload(result)
     payload["result"]["relations"] = [relation_payload(r) for r in rels]
     payload["result"]["syzygies"] = [relation_payload(r) for r in syzygies]
-    expected = json.dumps(payload, indent=2) + "\n"
-    for chunk in (1, 16, 4096):
-        stdout = RecordingStdout()
-        with mock.patch.object(cli, "JSON_CHUNK", chunk):
-            cli.write_reduce_json(result, stdout)
-        assert "".join(stdout.writes) == expected
-        assert max(w.count("\n") for w in stdout.writes) <= chunk
+    stdout = RecordingStdout()
+    cli.write_reduce_json(result, stdout)
+    assert stdout.writes == [json.dumps(payload, indent=2) + "\n"]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -225,6 +242,31 @@ def test_reduce_latex_superscripted_variants(capsys):
                        "--format", "latex")
     assert code == 0
     assert "I_{202}^{a}" in out
+
+
+# Every invariant restricts to zero on it.
+ALL_ZERO = {"name": "all-zero", "variables": {"m1": "mag", "s1": "stress"},
+            "sigma": dict.fromkeys(("11", "12", "13", "22", "23", "33"), "0"),
+            "m": ["0", "0", "0"]}
+
+
+@pytest.mark.parametrize("doc", ["generic", "all-zero"])
+def test_reduce_prints_an_empty_list_as_none(tmp_path, capsys, doc):
+    # Generic 3D keeps all 30 invariants and solves for none; the all-zero
+    # document keeps none.  An empty align* is a TeX error, so LaTeX gives
+    # an empty list one "none" comment line, and text a "none".
+    fiber = write_custom(tmp_path, ALL_ZERO if doc == "all-zero" else BUILTIN_DOCUMENTS["generic"])
+    code, out, _ = run(capsys, "reduce", "--fiber", fiber, "--format", "latex")
+    gens = [cli.latex_name(n) for n in CATALOG_NAMES] if doc == "generic" else []
+    head = ["% generators", ",\\quad ".join(f"${g}$" for g in gens)] if gens else \
+        ["% generators: none"]
+    assert code == 0
+    assert out.splitlines() == head + ["% relations: none"]
+    code, out, _ = run(capsys, "reduce", "--fiber", fiber)
+    names = ", ".join(CATALOG_NAMES)
+    assert code == 0
+    assert f"generators ({len(gens)}): {names if gens else 'none'}\nrelations (0):\n" in out
+    assert f"vanished ({30 - len(gens)}): {'none' if gens else names}\n" in out
 
 
 def test_reduce_custom_file_matches_theta(tmp_path, capsys):
@@ -691,7 +733,7 @@ def test_write_failure_in_a_process_prints_one_line(target):
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 def test_report_through_a_real_stdout_matches_the_golden(unbuffered):
     # With PYTHONUNBUFFERED set, stdout is an unbuffered FileIO under its
-    # text layer, and each chunk of the report is one write on the pipe.
+    # text layer, and the report is one write on the pipe.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:

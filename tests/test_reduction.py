@@ -8,7 +8,6 @@ import pytest
 from mebasis import poly
 from mebasis.catalog import CATALOG, CATALOG_INDEX, CATALOG_NAMES
 from mebasis.cli import union_payload
-from mebasis.poly import MAX_EXPONENT
 from mebasis.reduction import (PINNED_GENERATORS, POLICIES,
                                PolicyConflictError, ProductGrid, Relation,
                                RelationIntegrityError, _eliminate, deglex_key,
@@ -93,25 +92,30 @@ def test_reducible_products_multiply_correctly(theta_basis):
 def test_shared_prefix_table_builds_every_product_exactly(bases, fiber):
     # One table and one survivor dict over the whole grid, on a grid of
     # every survivor: every product is its factors multiplied out, and the
-    # table ends up holding exactly the proper prefixes of two or more
-    # factors, never a product that no later product extends.
+    # table, a memo, ends up holding exactly the products built and their
+    # proper prefixes of two or more factors, each its chained product.
     rb = bases[fiber]
     restricted = rb.as_dict()
     polys = rb.as_dict()
     prefixes = {}
     built = {}
     grid = ProductGrid(polys)
+
+    def chain(factors):
+        chained = restricted[factors[0]]
+        for name in factors[1:]:
+            chained = chained * restricted[name]
+        return chained
+
     for bd in deglex_grid():
         for factors, product in reducible_products(bd, polys, prefixes, grid):
-            chained = restricted[factors[0]]
-            for name in factors[1:]:
-                chained = chained * restricted[name]
-            assert product == chained
+            assert product == chain(factors)
             assert all(product.nums.values())
             built[factors] = product
-    assert set(prefixes) == {f[:-1] for f in built if len(f) > 2}
+    assert set(prefixes) == {f[:k] for f in built for k in range(2, len(f) + 1)}
     for f, product in prefixes.items():
-        assert product == built[f]
+        assert product == chain(f)
+        assert f not in built or product is built[f]
 
 
 def test_enumerate_products_has_two_or_more_factors(theta_basis):
@@ -137,10 +141,10 @@ def test_reducible_products_on_a_candidate_grid_use_only_its_names(theta_basis):
 
 
 def test_product_grid_builds_only_the_bidegrees_looked_up(theta_basis):
-    # Bounds as wide as a packed slot allows hold far too many multisets to
-    # list up front; a look-up builds its own bi-degree and those below it.
-    grid = ProductGrid(theta_basis.as_dict(), (MAX_EXPONENT, 6))
-    assert grid[0, 2] == ("I601", (("I002",), ("I010", "I010"), ("I020",)))
+    # A look-up builds its own bi-degree and those below it that it reads,
+    # and nothing else.
+    grid = ProductGrid(theta_basis.as_dict())
+    assert grid[0, 2] == (("I002",), ("I010", "I010"), ("I020",))
     assert set(grid) == {(0, 0), (0, 1), (0, 2)}
 
 
