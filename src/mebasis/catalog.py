@@ -27,13 +27,15 @@ Fractions (spot-check values).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import recipes
 from .poly import Polynomial, VarTable, product_str
 
-Entry = Union[Polynomial, Fraction, int]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Entry = Union[Polynomial, "Fraction", int]
 Vec3 = tuple[Entry, Entry, Entry]
 Mat3 = tuple[Vec3, Vec3, Vec3]
 

@@ -32,7 +32,6 @@ from .reduction import POLICIES, Relation, ReductionError, ReductionResult, redu
 from .restriction import (FIBERS, RestrictedBasis, SubstitutionError,
                           custom_substitution, fiber_substitution,
                           generic_substitution, restrict_basis)
-from .verify import load_published, spotcheck_relations, verify_published
 
 _FIBER_HELP = " | ".join((*FIBERS, "custom:PATH"))
 
@@ -279,6 +278,27 @@ def _run_reduce(args) -> int:
 
 
 # -- verify --------------------------------------------------------------
+#
+# The verify route's three entry points import mebasis.verify (and with it
+# fractions, dataclasses and inspect) when first called, so the other
+# commands start without it.  They are names of this module, which the
+# verify route calls and a caller may patch or wrap.
+
+def load_published(fiber: str):
+    from .verify import load_published
+    return load_published(fiber)
+
+
+def spotcheck_relations(rels: Sequence[Relation], rb: RestrictedBasis,
+                        trials: int = 100, seed: int = 0):
+    from .verify import spotcheck_relations
+    return spotcheck_relations(rels, rb, trials=trials, seed=seed)
+
+
+def verify_published(rel: Relation, rb: RestrictedBasis):
+    from .verify import verify_published
+    return verify_published(rel, rb)
+
 
 def verify_payload(fiber: str, rb: RestrictedBasis, trials: int, seed: int) -> dict:
     pairs = load_published(fiber)

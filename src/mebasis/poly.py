@@ -38,12 +38,14 @@ slots are the bi-degree.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .ratlinalg import RatMatrix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAG = "mag"
 STRESS = "stress"
@@ -147,6 +149,7 @@ class Polynomial:
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         """A new map from exponent tuple to nonzero Fraction coefficient."""
+        from fractions import Fraction
         unpack, den = self.table.unpack, self.den
         return {unpack(k): Fraction(v, den) for k, v in self.nums.items()}
 
@@ -186,7 +189,10 @@ class Polynomial:
             if other.table is not self.table and other.table != self.table:
                 raise ValueError("polynomials built on different variable tables")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return Polynomial.constant(self.table, other)
+        from numbers import Rational  # a Fraction, say: checked after int
+        if isinstance(other, Rational):
             return Polynomial.constant(self.table, other)
         return None
 
@@ -248,6 +254,15 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, k) -> "Polynomial":
+        """self / k for a nonzero int k: exact, in lowest terms."""
+        if not isinstance(k, int):
+            return NotImplemented
+        if not k:
+            raise ZeroDivisionError("polynomial division by zero")
+        nums = self.nums if k > 0 else {m: -v for m, v in self.nums.items()}
+        return _lowest(self.table, self.den * abs(k), nums)
+
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Polynomial) and self.table == other.table
                 and self.den == other.den and self.nums == other.nums)
@@ -271,12 +286,15 @@ class Polynomial:
                     v = v * point[name] ** e
             total = total + v
         n, d = total.numerator, total.denominator * self.den
-        return n // d if not n % d else Fraction(n, d)
+        if not n % d:
+            return n // d
+        from fractions import Fraction
+        return Fraction(n, d)
 
     # -- printing --------------------------------------------------------
 
     def sorted_monomials(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms, key=monomial_key, reverse=True)
+        return sorted(map(self.table.unpack, self.nums), key=monomial_key, reverse=True)
 
     def __str__(self) -> str:
         terms = self.terms

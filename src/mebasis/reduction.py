@@ -53,14 +53,16 @@ numerators over one common denominator.
 from __future__ import annotations
 
 from bisect import insort
-from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .catalog import CATALOG, CATALOG_INDEX
 from .poly import Polynomial, coefficient_matrix, multiply, product_str, signed_sum
 from .ratlinalg import normalize_integer_vector
 from .restriction import RestrictedBasis, fiber_substitution
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Called by nothing; perfbench/tracing.py looks both names up in this module.
 rank_of_columns = solve_columns = None

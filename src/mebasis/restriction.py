@@ -22,6 +22,7 @@ is in the form the reduction engine takes its columns from.
 from __future__ import annotations
 
 import json
+from functools import cache
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -75,8 +76,11 @@ class Substitution(NamedTuple):
     normal: tuple[int, int, int] | None = None
 
 
+@cache
 def fiber_substitution(fiber: str) -> Substitution:
-    """One of the three built-in in-plane parameterizations."""
+    """One of the three built-in in-plane parameterizations, loaded once
+    per process: the documents are package constants and a Substitution is
+    immutable."""
     if fiber not in FIBERS:
         raise SubstitutionError(f"unknown fiber {fiber!r}; expected one of {FIBERS}")
     return custom_substitution({"name": fiber, **BUILTIN_DOCUMENTS[fiber]})

@@ -95,9 +95,7 @@ def verify_published(rel: Relation, rb: RestrictedBasis) -> Polynomial:
     """The residual lhs - rhs of a relation solved for lhs, with the
     restricted polynomials substituted: zero exactly when the relation
     holds on rb."""
-    lead = rel.solved_form()[0]
-    residual = rel.substitute(_name_values(rb))
-    return residual if lead == 1 else Fraction(1, lead) * residual
+    return rel.substitute(_name_values(rb)) / rel.solved_form()[0]
 
 
 def numeric_invariants(sub: Substitution, point: Mapping[str, Fraction | int]

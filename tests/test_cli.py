@@ -599,6 +599,24 @@ def test_union_json(capsys):
     assert r["union"] == r["generators"]["alpha_prime"]
 
 
+def test_union_loads_each_builtin_document_once(capsys, monkeypatch):
+    # The paper policy's pin check asks for the fiber's substitution again;
+    # fiber_substitution hands back the one it loaded.
+    import mebasis.restriction as restriction
+    load, loaded = restriction.custom_substitution, []
+
+    def counted(doc):
+        loaded.append(doc["name"])
+        return load(doc)
+
+    monkeypatch.setattr(restriction, "custom_substitution", counted)
+    restriction.fiber_substitution.cache_clear()
+    code, _, _ = run(capsys, "union", "--format", "json")
+    assert code == 0
+    assert sorted(loaded) == sorted(FIBERS)
+    assert restriction.fiber_substitution("gamma") is restriction.fiber_substitution("gamma")
+
+
 # -- bounds --------------------------------------------------------------
 
 @pytest.mark.parametrize("flag", ["--dmax", "--alpha-max"])
@@ -745,6 +763,39 @@ def test_report_through_a_real_stdout_matches_the_golden(unbuffered):
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout == (GOLDEN / "reduce_alpha_prime_paper.json").read_bytes()
+
+
+# Run in a fresh interpreter: reduce, union and catalog --format latex, then
+# verify; prints the exit codes and which of the verify route's modules each
+# stage had loaded that the interpreter had not loaded before mebasis.
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+preloaded = set(sys.modules)
+import mebasis.cli as cli
+ROUTE = ("fractions", "decimal", "dataclasses", "inspect", "mebasis.verify")
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, sorted(m for m in ROUTE if m in sys.modules and m not in preloaded)
+
+print(json.dumps([run("reduce", "--fiber", "gamma", "--format", "json"),
+                  run("union", "--format", "json"), run("catalog", "--format", "latex"),
+                  run("verify", "--fiber", "theta", "--trials", "1")]))
+"""
+
+
+def test_only_verify_loads_the_verify_route_and_fractions():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *others, (code, loaded) = json.loads(proc.stdout)
+    assert others == [[0, []]] * 3
+    assert code == 0 and "mebasis.verify" in loaded
+    # The verify route reaches mebasis.verify through names of cli, which a
+    # caller patches or wraps there.
+    assert {"load_published", "spotcheck_relations", "verify_published"} <= vars(cli).keys()
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -622,6 +622,29 @@ def test_every_result_is_in_lowest_terms(p, q, c, k, n):
         assert {_MIXED.unpack(k): F(v, r.den) for k, v in r.nums.items()} == r.terms
 
 
+@settings(max_examples=200, deadline=None)
+@given(mixed_polynomials(), st.integers(-30, 30).filter(bool))
+def test_division_by_an_int_is_the_product_by_its_inverse(p, k):
+    q = p / k
+    want = p * Polynomial.constant(_MIXED, F(1, k))
+    assert (q.table, q.den, q.nums) == (want.table, want.den, want.nums)
+    assert in_lowest_terms(q)
+
+
+def test_division_of_zero_and_its_refusals():
+    zero = Polynomial.zero(_MIXED)
+    for k in (1, -1, 3, -6):
+        q = zero / k
+        assert (q.den, q.nums) == (1, {}) and q == zero
+    p = parse_polynomial("1/2*m1 - 3*s1", _MIXED)
+    assert p / -3 == parse_polynomial("-1/6*m1 + s1", _MIXED)
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+    for k in (F(1, 3), 3.0, "3", p):
+        with pytest.raises(TypeError):
+            p / k
+
+
 def test_a_product_past_the_top_degree_is_refused_without_a_carry():
     def parse(text):
         return parse_polynomial(text, _MIXED)

@@ -44,11 +44,16 @@ forms only the entries of the parts and leading products that some trace
 reads, and multiplies no structural zero.  It reads the upper triangle of
 sigma and checks nothing: catalog.evaluate_all does."""
 
-from fractions import Fraction
-
 
 def _third(t):
-    return t // 3 if isinstance(t, int) and not t % 3 else Fraction(1, 3) * t
+    """t / 3 as the reference's Fraction(1, 3) * t gives it, in t's ring;
+    only an int that 3 does not divide makes a Fraction."""
+    if not isinstance(t, int):
+        return t / 3
+    if not t % 3:
+        return t // 3
+    from fractions import Fraction
+    return Fraction(t, 3)
 
 
 def evaluate(sigma, m):

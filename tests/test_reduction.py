@@ -344,10 +344,10 @@ def test_each_product_column_is_one_multiplication_under_every_policy(
         bases, monkeypatch, basis, policy):
     # Outside the self-check, _product multiplies once per product column
     # under every policy, the paper one included: its multiply calls are
-    # the reports' n_products.  (Counting poly.integer_product instead also
-    # counts the products that the paper policy's fiber_substitution check
-    # makes when it parses the built-in document again: 8 on alpha_prime,
-    # 12 on gamma.)
+    # the reports' n_products.  (Counting poly.integer_product instead would
+    # also count the plane check's products, 8 on alpha_prime and 12 on
+    # gamma, each time fiber_substitution loads a built-in document: once
+    # per process.)
     import mebasis.reduction as reduction
     rb = restricted(bases, basis)
     calls, multiply, check = [], reduction.multiply, reduction._check_relations
