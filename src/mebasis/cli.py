@@ -289,8 +289,7 @@ def load_published(fiber: str):
     return load_published(fiber)
 
 
-def spotcheck_relations(rels: Sequence[Relation], rb: RestrictedBasis,
-                        trials: int = 100, seed: int = 0):
+def spotcheck_relations(rels: Sequence[Relation], rb: RestrictedBasis, trials: int, seed: int):
     from .verify import spotcheck_relations
     return spotcheck_relations(rels, rb, trials=trials, seed=seed)
 
